@@ -94,7 +94,8 @@ def character_from_dict(doc: Mapping) -> Character:
     if not isinstance(values, Mapping):
         raise CharacterError('"character" must map vertex ids to rationals')
     for v, x in values.items():
-        if not isinstance(x, (int, str)):
+        # bool is a subclass of int, but a JSON true is not the number 1
+        if isinstance(x, bool) or not isinstance(x, (int, str)):
             raise CharacterError(f"value for {v!r} must be an integer or a 'p/q' string")
     return Character(values)
 

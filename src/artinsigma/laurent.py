@@ -3,9 +3,15 @@
 The ring F[t, t^-1] is Euclidean once units t^k are factored out: measure a
 nonzero element by the exponent span of its support.  Division with
 remainder shifts both operands to honest polynomials, divides there, and
-shifts back, so remainders have strictly smaller span.  Smith reduction then
-follows the classical recipe (minimal-span pivot, row/column clearing,
-divisibility sweep) and invariant factors are canonicalized to lowest
+shifts back, so remainders have strictly smaller span.
+
+The Smith normal form is a sparse elimination in the manner of Dumas,
+Saunders and Villard (*On efficient sparse integer matrix Smith normal
+forms*, J. Symb. Comput. 2001): rows store only their nonzero entries, a
+minimal-span pivot clears its column and then its row, and the pivot row and
+column are dropped.  No divisibility sweep runs between pivots; the diagonal
+left at the end is turned into the chain d_1 | d_2 | ... by replacing pairs
+(a, b) with (gcd, lcm).  Invariant factors are canonicalized to lowest
 exponent 0 with leading coefficient 1.
 
 Coefficients are exact: Fraction for characteristic 0, integers mod p for a
@@ -14,6 +20,7 @@ prime p.  No floating point anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -79,7 +86,16 @@ class LaurentPoly:
     __slots__ = ("field", "offset", "coeffs")
 
     def __init__(self, field: Field, offset: int, coeffs: Iterable):
-        cs = [field.coerce(c) for c in coeffs]
+        self._store(field, offset, [field.coerce(c) for c in coeffs])
+
+    @classmethod
+    def _of_elements(cls, field: Field, offset: int, cs: list) -> "LaurentPoly":
+        """The constructor for coefficients that are already field elements."""
+        p = cls.__new__(cls)
+        p._store(field, offset, cs)
+        return p
+
+    def _store(self, field: Field, offset: int, cs: list) -> None:
         lo = 0
         while lo < len(cs) and not cs[lo]:
             lo += 1
@@ -160,10 +176,11 @@ class LaurentPoly:
         for i, c in enumerate(other.coeffs):
             j = other.offset - lo + i
             cs[j] = f.add(cs[j], c)
-        return LaurentPoly(f, lo, cs)
+        return LaurentPoly._of_elements(f, lo, cs)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.field, self.offset, [self.field.neg(c) for c in self.coeffs])
+        return LaurentPoly._of_elements(self.field, self.offset,
+                                        [self.field.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -179,7 +196,7 @@ class LaurentPoly:
             for j, b in enumerate(other.coeffs):
                 if b:
                     cs[i + j] = f.add(cs[i + j], f.mul(a, b))
-        return LaurentPoly(f, self.offset + other.offset, cs)
+        return LaurentPoly._of_elements(f, self.offset + other.offset, cs)
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by the unit t^k."""
@@ -196,7 +213,8 @@ class LaurentPoly:
         if self.is_zero():
             return self
         lead_inv = self.field.inv(self.coeffs[-1])
-        return LaurentPoly(self.field, 0, [self.field.mul(c, lead_inv) for c in self.coeffs])
+        return LaurentPoly._of_elements(self.field, 0,
+                                        [self.field.mul(c, lead_inv) for c in self.coeffs])
 
     def evaluate(self, x):
         """Value at a nonzero point of the coefficient field."""
@@ -275,6 +293,11 @@ def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, Laurent
     f = a.field
     if a.is_zero():
         return LaurentPoly.zero(f), a
+    if b.is_unit():
+        # b = c t^k divides everything: the quotient is a * c^-1 t^-k
+        inv = f.inv(b.coeffs[0])
+        quot = LaurentPoly._of_elements(f, a.offset - b.offset, [f.mul(c, inv) for c in a.coeffs])
+        return quot, LaurentPoly.zero(f)
     # shift both to offset 0 and run ordinary polynomial division
     rem = list(a.coeffs)
     div = b.coeffs
@@ -289,8 +312,8 @@ def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, Laurent
         q[i] = c
         for j, d in enumerate(div):
             rem[i + j] = f.sub(rem[i + j], f.mul(c, d))
-    quot = LaurentPoly(f, a.offset - b.offset, q)
-    remainder = LaurentPoly(f, a.offset, rem)
+    quot = LaurentPoly._of_elements(f, a.offset - b.offset, q)
+    remainder = LaurentPoly._of_elements(f, a.offset, rem)
     return quot, remainder
 
 
@@ -327,21 +350,22 @@ class LaurentMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """Sparse product: only pairs of nonzero entries are multiplied."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
+        other_rows = [[(j, b) for j, b in enumerate(row) if b.coeffs] for row in other.entries]
         z = LaurentPoly.zero(self.field)
         rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
+        for row in self.entries:
+            acc: dict[int, LaurentPoly] = {}
+            for k, a in enumerate(row):
+                if a.coeffs:
+                    for j, b in other_rows[k]:
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            out = [z] * other.ncols
+            for j, v in acc.items():
+                out[j] = v
+            rows.append(out)
         return LaurentMatrix(self.field, self.nrows, other.ncols, rows)
 
     def permuted(self, row_order: Sequence[int], col_order: Sequence[int]) -> "LaurentMatrix":
@@ -359,74 +383,150 @@ class LaurentMatrix:
 def smith_normal_form(matrix: LaurentMatrix) -> tuple[tuple[LaurentPoly, ...], int]:
     """Invariant factors d_1 | d_2 | ... and the rank of a Laurent matrix.
 
+    Sparse elimination in the manner of Dumas, Saunders and Villard (J. Symb.
+    Comput., 2001): each row holds only its nonzero entries.  A minimal-span
+    pivot clears its column by row operations, and a nonzero remainder of
+    smaller span becomes the new pivot.  Once the column holds the pivot
+    alone, the pivot row is cleared by column operations, which touch no
+    other row; a nonzero remainder there again becomes the pivot.  The
+    cleared pivot row and column are then dropped.  No divisibility sweep
+    runs between pivots: the diagonal left at the end is turned into the
+    divisibility chain by gcd/lcm exchanges (:func:`_divisibility_chain`).
+
     Factors are canonical associates (lowest exponent 0, leading coefficient
     1); the rank is their count.  Unit factors are reported as 1.
     """
-    m = [list(row) for row in matrix.entries]
-    nrows, ncols = matrix.nrows, matrix.ncols
-    factors: list[LaurentPoly] = []
-    k = 0
-    while k < nrows and k < ncols:
-        piv = None
-        best = -1
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                e = m[i][j]
-                if not e.is_zero() and (piv is None or e.span < best):
-                    piv, best = (i, j), e.span
-                    if best == 0:
-                        break
-            if best == 0:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        m[k], m[i0] = m[i0], m[k]
-        for row in m:
-            row[k], row[j0] = row[j0], row[k]
+    rows: dict[int, dict[int, LaurentPoly]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, entries in enumerate(matrix.entries):
+        row = {j: e for j, e in enumerate(entries) if e.coeffs}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    diagonal: list[LaurentPoly] = []
+    while rows:
+        i0, j0 = _min_span_entry(rows)
         while True:
-            pivot = m[k][k]
-            for i in range(k + 1, nrows):
-                if not m[i][k].is_zero():
-                    q, _ = laurent_divmod(m[i][k], pivot)
-                    if not q.is_zero():
-                        m[i] = [a - q * b for a, b in zip(m[i], m[k])]
-            for j in range(k + 1, ncols):
-                if not m[k][j].is_zero():
-                    q, _ = laurent_divmod(m[k][j], pivot)
-                    if not q.is_zero():
-                        for row in m:
-                            row[j] = row[j] - q * row[k]
-            residue = None
-            for i in range(k + 1, nrows):
-                if not m[i][k].is_zero():
-                    residue = ("row", i)
-                    break
-            if residue is None:
-                for j in range(k + 1, ncols):
-                    if not m[k][j].is_zero():
-                        residue = ("col", j)
-                        break
-            if residue is None:
-                pivot = m[k][k]
-                bad = None
-                for i in range(k + 1, nrows):
-                    for j in range(k + 1, ncols):
-                        if not laurent_divmod(m[i][j], pivot)[1].is_zero():
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                m[k] = [a + b for a, b in zip(m[k], m[bad])]
+            i0 = _clear_column(rows, cols, i0, j0)
+            j = _clear_row(rows[i0], cols, i0, j0)
+            if j is None:
+                break
+            j0 = j
+        row = rows.pop(i0)
+        diagonal.append(row[j0])
+        for j in row:
+            cols[j].discard(i0)
+    factors = _divisibility_chain(matrix.field, diagonal)
+    return factors, len(factors)
+
+
+def _min_span_entry(rows: dict[int, dict[int, LaurentPoly]]) -> tuple[int, int]:
+    """Position of a nonzero entry of minimal span (the first unit found)."""
+    best, best_len = None, 0
+    for i, row in rows.items():
+        for j, e in row.items():
+            if best is None or len(e.coeffs) < best_len:
+                best, best_len = (i, j), len(e.coeffs)
+                if best_len == 1:
+                    return best
+    return best
+
+
+def _clear_column(rows: dict[int, dict[int, LaurentPoly]], cols: dict[int, set[int]],
+                  i0: int, j0: int) -> int:
+    """Reduce column j0 to the single entry in the returned pivot row.
+
+    Every other row loses a multiple of the pivot row; while remainders are
+    left, the one of smallest span becomes the pivot and the pass repeats.
+    """
+    while True:
+        pivot_row = rows[i0]
+        pivot = pivot_row[j0]
+        best = None
+        for i in sorted(cols[j0]):
+            if i == i0:
                 continue
-            kind, idx = residue
-            if kind == "row":
-                m[k], m[idx] = m[idx], m[k]
-            else:
-                for row in m:
-                    row[k], row[idx] = row[idx], row[k]
-        factors.append(m[k][k].monic_offset0())
-        k += 1
-    return tuple(factors), len(factors)
+            row = rows[i]
+            q, r = laurent_divmod(row[j0], pivot)
+            if q.coeffs:
+                _subtract_multiple(row, i, -q, pivot_row, j0, r, cols)
+                if not row:
+                    del rows[i]
+            if r.coeffs and (best is None or r.span < rows[best][j0].span):
+                best = i
+        if best is None:
+            return i0
+        i0 = best
+
+
+def _subtract_multiple(row: dict[int, LaurentPoly], i: int, neg_q: LaurentPoly,
+                       pivot_row: dict[int, LaurentPoly], j0: int, remainder: LaurentPoly,
+                       cols: dict[int, set[int]]) -> None:
+    """row += neg_q * pivot_row in place, where column j0 is known to become
+    ``remainder``; keeps the column index of row ``i`` in step."""
+    for j, e in pivot_row.items():
+        if j == j0:
+            v = remainder
+        else:
+            cur = row.get(j)
+            v = neg_q * e if cur is None else cur + neg_q * e
+        if v.coeffs:
+            row[j] = v
+            cols[j].add(i)
+        elif j in row:
+            del row[j]
+            cols[j].discard(i)
+
+
+def _clear_row(pivot_row: dict[int, LaurentPoly], cols: dict[int, set[int]],
+               i0: int, j0: int) -> int | None:
+    """Clear the pivot row by column operations once column j0 holds only
+    the pivot; such an operation changes the pivot row alone, leaving the
+    remainder of each entry.  Returns the column of the smallest nonzero
+    remainder, the next pivot, or None when every remainder is zero."""
+    pivot = pivot_row[j0]
+    if pivot.is_unit():
+        return None
+    best = None
+    for j in [j for j in pivot_row if j != j0]:
+        r = laurent_divmod(pivot_row[j], pivot)[1]
+        if r.coeffs:
+            pivot_row[j] = r
+            if best is None or r.span < pivot_row[best].span:
+                best = j
+        else:
+            del pivot_row[j]
+            cols[j].discard(i0)
+    return best
+
+
+def _divisibility_chain(field: Field, diagonal: list[LaurentPoly]) -> tuple[LaurentPoly, ...]:
+    """Invariant factors of a diagonal matrix with nonzero entries ``diagonal``.
+
+    Units become 1 and come first.  The other entries are made canonical and
+    kept as a multiset; while two distinct values a, b do not divide one
+    another, min(mult a, mult b) copies of the pair are replaced by
+    (gcd, lcm).  That keeps, for each irreducible factor, the multiset of
+    its multiplicities, and it ends because the sum of squared spans grows.
+    The values left are totally ordered by divisibility, which in increasing
+    span is the chain d_1 | d_2 | ... .
+    """
+    mult = Counter(d.monic_offset0() for d in diagonal if not d.is_unit())
+    while True:
+        values = sorted(mult, key=lambda d: d.span)
+        pair = next(((a, b, g) for i, a in enumerate(values) for b in values[i + 1:]
+                     if (g := laurent_gcd(b, a)) != a), None)
+        if pair is None:
+            break
+        a, b, g = pair
+        k = min(mult[a], mult[b])
+        for d in (a, b):
+            mult[d] -= k
+            if not mult[d]:
+                del mult[d]
+        mult[g] += k
+        mult[laurent_divmod(a * b, g)[0].monic_offset0()] += k
+    one = LaurentPoly.one(field)
+    units = len(diagonal) - sum(mult.values())
+    return (one,) * units + tuple(d for d in values for _ in range(mult[d]))

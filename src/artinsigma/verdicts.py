@@ -249,37 +249,47 @@ def _big_label_subgraph(g: EvenGraph) -> dict[str, set[str]]:
 
 
 def _biconnected_blocks(adj: dict[str, set[str]]) -> list[set[frozenset[str]]]:
-    """Edge sets of the biconnected blocks (standard lowpoint DFS)."""
+    """Edge sets of the biconnected blocks (standard lowpoint DFS).
+
+    The DFS keeps its own stack of frames (vertex, parent, neighbours left),
+    so a long path cannot exhaust the interpreter's recursion limit; blocks
+    come out in the order the recursive formulation finds them.
+    """
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
     blocks: list[set[frozenset[str]]] = []
     stack: list[frozenset[str]] = []
-    counter = [0]
 
-    def dfs(v: str, parent: str | None) -> None:
-        disc[v] = low[v] = counter[0]
-        counter[0] += 1
-        for w in sorted(adj[v]):
+    for root in adj:
+        if root in disc or not adj[root]:
+            continue
+        disc[root] = low[root] = len(disc)
+        frames = [(root, None, iter(sorted(adj[root])))]
+        while frames:
+            v, parent, neighbours = frames[-1]
+            w = next(neighbours, None)
+            if w is None:
+                frames.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        edge = frozenset((parent, v))
+                        block = set()
+                        while True:
+                            e = stack.pop()
+                            block.add(e)
+                            if e == edge:
+                                break
+                        blocks.append(block)
+                continue
             edge = frozenset((v, w))
             if w not in disc:
                 stack.append(edge)
-                dfs(w, v)
-                low[v] = min(low[v], low[w])
-                if low[w] >= disc[v]:
-                    block = set()
-                    while True:
-                        e = stack.pop()
-                        block.add(e)
-                        if e == edge:
-                            break
-                    blocks.append(block)
+                disc[w] = low[w] = len(disc)
+                frames.append((w, v, iter(sorted(adj[w]))))
             elif w != parent and disc[w] < disc[v]:
                 stack.append(edge)
                 low[v] = min(low[v], disc[w])
-
-    for v in adj:
-        if v not in disc and adj[v]:
-            dfs(v, None)
     return blocks
 
 

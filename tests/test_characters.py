@@ -167,6 +167,12 @@ def test_character_parsing():
         character_from_dict({})
 
 
+def test_character_document_rejects_booleans():
+    for value in (True, False):
+        with pytest.raises(CharacterError, match="must be an integer"):
+            character_from_dict({"character": {"a": value, "b": 1}})
+
+
 def test_zero_character_flag():
     assert Character({"a": 0, "b": 0}).is_zero
     assert not Character({"a": 0, "b": 1}).is_zero

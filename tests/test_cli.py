@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +157,14 @@ def test_homology_without_oracle(d4d6_path):
     assert "oracle" not in report["results"]
 
 
+def test_boolean_character_value_rejected(tmp_path):
+    path = write_instance(tmp_path, "bool",
+                          [{"u": "a", "v": "b", "label": 4}], {"a": True, "b": 1})
+    code, report, text = run_cli(["classify", path])
+    assert code == EXIT_INVALID and report is None
+    assert "value for 'a' must be an integer" in text
+
+
 def test_zero_character_rejected(tmp_path):
     path = write_instance(tmp_path, "zero",
                           [{"u": "a", "v": "b", "label": 4}], {"a": 0, "b": 0})
@@ -187,3 +196,31 @@ def test_cross_check_failure_exit_code(monkeypatch, dihedral4_path):
         ["homology", "--n", "1", "--p", "2", "--oracle", dihedral4_path])
     assert code == EXIT_CROSSCHECK
     assert report["results"]["cross_check"]["ok"] is False
+
+
+def test_rational_oracle_coefficients_stay_small(monkeypatch):
+    # A generated instance (10 vertices, 27 edges, values in [-6, 6]) whose
+    # Laurent Smith form over Q once swelled to rational coefficients of
+    # ~76,000 bits and took ~20 s; the answer itself is small.
+    import artinsigma.laurent as laurent
+
+    widest = [0]
+    divmod_ = laurent.laurent_divmod
+
+    def recording_divmod(a, b):
+        q, r = divmod_(a, b)
+        for c in q.coeffs + r.coeffs:
+            widest[0] = max(widest[0], c.numerator.bit_length(), c.denominator.bit_length())
+        return q, r
+
+    monkeypatch.setattr(laurent, "laurent_divmod", recording_divmod)
+    path = Path(__file__).parent / "data" / "oracle_q_swell.json"
+    code, report, _ = run_cli(["homology", "--p", "0", "--n", "1", "--oracle", str(path)])
+    assert code == EXIT_OK
+    results = report["results"]
+    assert results["cross_check"]["ok"] is True
+    assert results["free_rank"] == 0 and results["oracle"]["free_rank"] == 0
+    t_minus_1 = {"offset": 0, "coeffs": ["-1", "1"]}
+    assert results["oracle"]["torsion"] == [t_minus_1] * 8 + [
+        {"offset": 0, "coeffs": ["-1", "1", "0", "-1", "1"]}]
+    assert widest[0] <= 64

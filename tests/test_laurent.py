@@ -212,6 +212,92 @@ def test_snf_matches_determinantal_divisors():
             assert minor_gcd(m, rank + 1).is_zero()
 
 
+def factored_poly(rng: random.Random, field: Field) -> LaurentPoly:
+    """A unit times up to three factors t^m - 1 and q_k(t^m)."""
+    p = LaurentPoly.term(field, rng.choice([1, 2, -1]) if field.char != 2 else 1,
+                         rng.randint(-2, 2))
+    for _ in range(rng.randint(0, 3)):
+        m = rng.choice([-3, -2, -1, 1, 2, 3])
+        if rng.random() < 0.5:
+            p = p * t_power_minus_one(field, m)
+        else:
+            p = p * q_poly(rng.randint(2, 3), m, field)
+    return p
+
+
+def sparse_diagonal_heavy(rng: random.Random, field: Field) -> LaurentMatrix:
+    """At most half the entries nonzero, the diagonal filled first."""
+    nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+    budget = rng.randint(1, nr * nc // 2 or 1)
+    diagonal = [(k, k) for k in range(min(nr, nc))]
+    others = [(i, j) for i in range(nr) for j in range(nc) if i != j]
+    rng.shuffle(others)
+    cells = (diagonal + others)[:budget]
+    rows = [[LaurentPoly.zero(field)] * nc for _ in range(nr)]
+    for i, j in cells:
+        rows[i][j] = factored_poly(rng, field)
+    return LaurentMatrix(field, nr, nc, rows)
+
+
+def test_snf_matches_determinantal_divisors_on_sparse_diagonal_heavy_matrices():
+    # the diagonal left by the elimination is rarely a divisibility chain
+    # here, so the gcd/lcm pass does the work
+    rng = random.Random(34)
+    for field in (F0, F2, F3):
+        for _ in range(25):
+            m = sparse_diagonal_heavy(rng, field)
+            zeros = sum(m.entry(i, j).is_zero() for i in range(m.nrows) for j in range(m.ncols))
+            assert 2 * zeros >= m.nrows * m.ncols or m.nrows * m.ncols == 1
+            factors, rank = smith_normal_form(m)
+            assert all(f == f.monic_offset0() for f in factors)
+            assert all(laurent_divmod(b, a)[1].is_zero() for a, b in zip(factors, factors[1:]))
+            prod = LaurentPoly.one(field)
+            for k, f in enumerate(factors, start=1):
+                prod = prod * f
+                assert prod.monic_offset0() == minor_gcd(m, k), (m.to_dict(), k)
+            if rank < min(m.nrows, m.ncols):
+                assert minor_gcd(m, rank + 1).is_zero()
+
+
+def test_snf_of_a_diagonal_is_its_divisibility_chain():
+    z = LaurentPoly.zero(F0)
+    m = mat(F0, [[t_power_minus_one(F0, 1), z], [z, q_poly(2, 1, F0)]])
+    assert smith_normal_form(m) == ((LaurentPoly.one(F0),
+                                     t_power_minus_one(F0, 2).monic_offset0()), 2)
+    # over F_2, t - 1 = 1 + t, so nothing merges
+    z2 = LaurentPoly.zero(F2)
+    m2 = mat(F2, [[t_power_minus_one(F2, 1), z2], [z2, q_poly(2, 1, F2)]])
+    assert smith_normal_form(m2) == ((t_power_minus_one(F2, 1),) * 2, 2)
+
+
+def test_sparse_product_matches_entrywise_definition():
+    rng = random.Random(35)
+    for field in (F0, F2, F3):
+        for _ in range(20):
+            nr, nk, nc = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+            zero_row, zero_col = rng.randrange(nr), rng.randrange(nc)
+
+            def grid(r, c, skip_row=-1, skip_col=-1):
+                return [[LaurentPoly.zero(field) if i == skip_row or j == skip_col
+                         or rng.random() < 0.5 else rand_poly(rng, field, max_span=2)
+                         for j in range(c)] for i in range(r)]
+
+            a = LaurentMatrix(field, nr, nk, grid(nr, nk, skip_row=zero_row))
+            b = LaurentMatrix(field, nk, nc, grid(nk, nc, skip_col=zero_col))
+            prod = a * b
+            assert (prod.nrows, prod.ncols) == (nr, nc)
+            for i in range(nr):
+                for j in range(nc):
+                    expected = LaurentPoly.zero(field)
+                    for k in range(nk):
+                        expected = expected + a.entry(i, k) * b.entry(k, j)
+                    assert prod.entry(i, j) == expected
+            assert all(prod.entry(zero_row, j).is_zero() for j in range(nc))
+            assert all(prod.entry(i, zero_col).is_zero() for i in range(nr))
+    with pytest.raises(ValueError):
+        LaurentMatrix.zeros(F0, 2, 3) * LaurentMatrix.zeros(F0, 2, 3)
+
+
 def test_snf_invariant_under_permutations_and_unit_scalings():
     rng = random.Random(32)
     for _ in range(15):

@@ -9,6 +9,8 @@ from artinsigma import (IN, NOT_IN, UNKNOWN, Character, EvenGraph, ZeroCharacter
                         odd_cycle_condition, product_sigma_member, sigma_verdict,
                         strong_n_link)
 
+from artinsigma.verdicts import _biconnected_blocks
+
 from genutil import random_character, random_even_fc_graph
 
 
@@ -217,6 +219,58 @@ def test_odd_cycle_condition_against_brute_force():
     for _ in range(60):
         g = random_even_fc_graph(rng, max_vertices=6, edge_p=0.6)
         assert odd_cycle_condition(g) == (not has_even_cycle(g))
+
+
+def test_odd_cycle_condition_on_long_paths_and_cycles():
+    # one DFS level per vertex: deeper than the default recursion limit
+    names = [f"v{i:04d}" for i in range(1201)]
+    path = EvenGraph(names[:1200], [(a, b, 4) for a, b in zip(names[:1199], names[1:1200])])
+    assert odd_cycle_condition(path)
+    odd = EvenGraph(names, [(a, b, 4) for a, b in zip(names, names[1:] + names[:1])])
+    assert odd_cycle_condition(odd)
+    even = EvenGraph(names[:1200],
+                     [(a, b, 4) for a, b in zip(names[:1200], names[1:1200] + names[:1])])
+    assert not odd_cycle_condition(even)
+
+
+def test_biconnected_blocks_match_recursive_lowpoint_dfs():
+    def recursive_blocks(adj):
+        disc, low, blocks, stack = {}, {}, [], []
+
+        def dfs(v, parent):
+            disc[v] = low[v] = len(disc)
+            for w in sorted(adj[v]):
+                edge = frozenset((v, w))
+                if w not in disc:
+                    stack.append(edge)
+                    dfs(w, v)
+                    low[v] = min(low[v], low[w])
+                    if low[w] >= disc[v]:
+                        block = set()
+                        while True:
+                            e = stack.pop()
+                            block.add(e)
+                            if e == edge:
+                                break
+                        blocks.append(block)
+                elif w != parent and disc[w] < disc[v]:
+                    stack.append(edge)
+                    low[v] = min(low[v], disc[w])
+
+        for v in adj:
+            if v not in disc and adj[v]:
+                dfs(v, None)
+        return blocks
+
+    rng = random.Random(63)
+    for _ in range(200):
+        vs = [f"v{i}" for i in range(rng.randint(1, 10))]
+        adj = {v: set() for v in vs}
+        for u, w in itertools.combinations(vs, 2):
+            if rng.random() < 0.35:
+                adj[u].add(w)
+                adj[w].add(u)
+        assert _biconnected_blocks(adj) == recursive_blocks(adj)
 
 
 def test_verdict_invariance_under_scaling_and_negation():
