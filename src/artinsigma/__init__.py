@@ -12,16 +12,16 @@ __version__ = "0.1.0"
 
 from .characters import (Character, CharacterError, CenterValues, Classification,
                          center_values, character_from_dict, character_to_dict, classify,
-                         dead_cliques, is_dominating, living_subgraph)
-from .conditions import (ConditionReport, LinkWitness, ZeroCharacterError,
-                         finite_dimensional_through, kernel_free_rank, raag_n_link,
-                         strong_homotopic_n_link, strong_n_link, strong_p_n_link)
+                         is_dominating)
+from .conditions import (Analysis, ConditionReport, LinkWitness, ZeroCharacterError,
+                         dead_cliques, finite_dimensional_through, kernel_free_rank,
+                         living_subgraph, raag_n_link, strong_homotopic_n_link, strong_n_link,
+                         strong_p_n_link)
 from .graphs import (EvenGraph, Finding, GraphFormatError, ValidationReport, describe_graph,
                      graph_from_dict, graph_to_dict, induced_subgraph, is_connected,
                      is_subgraph, validate_even, validate_fc)
-from .homology import (HomologyProfile, SimplicialComplex, boundary_matrices,
-                       enumerate_cliques, flag_complex, has_cone_vertex, is_d_acyclic, link,
-                       reduced_homology)
+from .homology import (HomologyProfile, SimplicialComplex, enumerate_cliques, flag_complex,
+                       has_cone_vertex, link, reduced_homology)
 from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd, q_poly,
                       smith_normal_form, t_power_minus_one)
 from .salvetti import (CrossCheckError, CrossCheckReport, ModulePresentation, TwistedComplex,

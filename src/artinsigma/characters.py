@@ -9,7 +9,8 @@ A vertex is *dead* when its value is zero; an edge is *dead* when its label
 exceeds 2 and its value is zero; a dead edge is *p-dead* for the primes p
 dividing half its label.  Removing dead vertices and the interiors of dead
 (or p-dead) edges yields the living subgraphs that all link conditions are
-evaluated in.
+evaluated in; :class:`artinsigma.conditions.Analysis` builds them, and the
+dead cliques, from the classification made here.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .graphs import EvenGraph, induced_subgraph
-from .homology import _is_prime, enumerate_cliques
+from .graphs import EvenGraph
+from .homology import prime_factors
 
 
 class CharacterError(ValueError):
@@ -55,9 +56,6 @@ class Character:
 
     def negated(self) -> "Character":
         return self.scaled(-1)
-
-    def restricted(self, vertices: Iterable[str]) -> "Character":
-        return Character({v: self.values[v] for v in vertices})
 
     def primitive_integer_values(self) -> dict[str, int]:
         """The unique positive rescaling with coprime integer values.
@@ -127,19 +125,6 @@ class Classification:
     relevant_primes: frozenset[int]
 
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def classify(g: EvenGraph, chi: Character) -> Classification:
     _check_domain(g, chi)
     dead_vertices = frozenset(v for v in g.vertices if chi.value(v) == 0)
@@ -147,7 +132,7 @@ def classify(g: EvenGraph, chi: Character) -> Classification:
         e for e, label in g.edge_items() if label > 2 and chi.edge_value(*e) == 0)
     p_dead: dict[int, set[tuple[str, str]]] = {}
     for e in dead_edges:
-        for p in _prime_factors(g.half_label(*e)):
+        for p in prime_factors(g.half_label(*e)):
             p_dead.setdefault(p, set()).add(e)
     return Classification(
         dead_vertices=dead_vertices,
@@ -155,28 +140,6 @@ def classify(g: EvenGraph, chi: Character) -> Classification:
         p_dead_edges={p: frozenset(es) for p, es in sorted(p_dead.items())},
         relevant_primes=frozenset(p_dead),
     )
-
-
-def living_subgraph(g: EvenGraph, chi: Character, p: int | None = None) -> EvenGraph:
-    """Living subgraph for a vanishing mode.
-
-    ``p=None`` removes dead vertices and all open dead edges; ``p=0`` removes
-    dead vertices only (no edge is 0-dead); a prime ``p`` removes dead
-    vertices and the open p-dead edges.  Removed edges keep any endpoints
-    that are themselves alive.
-    """
-    cls = classify(g, chi)
-    if p is None:
-        drop = cls.dead_edges
-    elif p == 0:
-        drop = frozenset()
-    elif _is_prime(p):
-        drop = cls.p_dead_edges.get(p, frozenset())
-    else:
-        raise ValueError(f"p must be None, 0 or a prime, got {p}")
-    keep = [v for v in g.vertices if v not in cls.dead_vertices]
-    drop = [e for e in drop if e[0] not in cls.dead_vertices and e[1] not in cls.dead_vertices]
-    return induced_subgraph(g, keep, drop)
 
 
 @dataclass(frozen=True)
@@ -216,50 +179,6 @@ def center_values(g: EvenGraph, chi: Character, delta: Iterable[str]) -> CenterV
         if v not in on_big_edge:
             entries.append((v, chi.value(v)))
     return CenterValues(tuple(entries))
-
-
-def dead_cliques(g: EvenGraph, chi: Character, max_size: int,
-                 p: int | None = None) -> tuple[tuple[str, ...], ...]:
-    """Cliques (including the empty one) supported entirely on dead material.
-
-    A clique qualifies when each of its vertices is dead or lies on a dead
-    edge of the clique; with ``p`` given, "dead edge" means p-dead (for
-    ``p=0`` there are none, so only cliques of dead vertices qualify).
-
-    In the global mode the result provably equals the set of cliques whose
-    clique subgroup has its center killed by the character; this equality is
-    re-checked on every call and a mismatch raises.
-    """
-    cls = classify(g, chi)
-    if p is None:
-        edges = cls.dead_edges
-    elif p == 0:
-        edges = frozenset()
-    elif _is_prime(p):
-        edges = cls.p_dead_edges.get(p, frozenset())
-    else:
-        raise ValueError(f"p must be None, 0 or a prime, got {p}")
-
-    def qualifies(clique: tuple[str, ...]) -> bool:
-        members = set(clique)
-        for v in clique:
-            if v in cls.dead_vertices:
-                continue
-            if any(v in e and e[0] in members and e[1] in members for e in edges):
-                continue
-            return False
-        return True
-
-    out = []
-    for clique in enumerate_cliques(g, max_size):
-        selected = qualifies(clique)
-        if p is None and selected != center_values(g, chi, clique).is_zero:
-            raise RuntimeError(
-                f"dead-clique/center mismatch on {clique}: "
-                f"combinatorial={selected}, center-kill={not selected}")
-        if selected:
-            out.append(clique)
-    return tuple(out)
 
 
 def is_dominating(g: EvenGraph, sub: EvenGraph) -> bool:

@@ -21,12 +21,11 @@ import sys
 from typing import IO
 
 from . import __version__
-from .characters import (Character, CharacterError, character_from_dict, character_to_dict,
-                         classify, dead_cliques, living_subgraph)
-from .conditions import (ConditionReport, kernel_free_rank, strong_n_link, strong_p_n_link)
+from .characters import Character, CharacterError, character_from_dict, character_to_dict
+from .conditions import Analysis, ConditionReport
 from .graphs import (EvenGraph, GraphFormatError, describe_graph, graph_from_dict,
                      graph_to_dict, validate_even, validate_fc)
-from .homology import _is_prime, flag_complex, link, reduced_homology
+from .homology import coeffs_label, prime_factors
 from .salvetti import CrossCheckError, build_salvetti_complex, cross_check, homology_module
 from .verdicts import Verdict, fp_verdict, homotopic_sigma_verdict, sigma_verdict
 
@@ -45,7 +44,7 @@ def load_instance(path: str) -> tuple[EvenGraph, Character, str]:
             doc = json.load(fh)
     except OSError as exc:
         raise InstanceError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # malformed JSON, or an integer too long to convert
         raise InstanceError(f"instance file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "graph" not in doc or "character" not in doc:
         raise InstanceError('instance file needs "graph" and "character" fields')
@@ -103,23 +102,23 @@ def _verdict_dict(v: Verdict) -> dict:
     }
 
 
-def _classification_dict(g: EvenGraph, chi: Character) -> dict:
-    cls = classify(g, chi)
-    living = living_subgraph(g, chi)
+def _classification_dict(ctx: Analysis) -> dict:
+    cls = ctx.classification
+    living = ctx.living()
     out = {
-        "zero_character": chi.is_zero,
+        "zero_character": ctx.chi.is_zero,
         "dead_vertices": sorted(cls.dead_vertices),
         "dead_edges": [list(e) for e in sorted(cls.dead_edges)],
         "relevant_primes": sorted(cls.relevant_primes),
         "p_dead_edges": {str(p): [list(e) for e in sorted(es)]
                          for p, es in sorted(cls.p_dead_edges.items())},
         "living_subgraph": describe_graph(living),
-        "living_subgraph_vertices_only": describe_graph(living_subgraph(g, chi, p=0)),
+        "living_subgraph_vertices_only": describe_graph(ctx.living(0)),
         "p_living_subgraphs": {},
         "p_living_equals_living": {},
     }
     for p in sorted(cls.relevant_primes):
-        lp = living_subgraph(g, chi, p=p)
+        lp = ctx.living(p)
         out["p_living_subgraphs"][str(p)] = describe_graph(lp)
         out["p_living_equals_living"][str(p)] = lp == living
     return out
@@ -137,48 +136,42 @@ def _cmd_validate(g, chi, args) -> tuple[int, dict]:
 
 
 def _cmd_classify(g, chi, args) -> tuple[int, dict]:
-    return EXIT_OK, _classification_dict(g, chi)
+    return EXIT_OK, _classification_dict(Analysis(g, chi))
 
 
 def _cmd_links(g, chi, args) -> tuple[int, dict]:
     p = args.p
     coeffs = "Z" if p is None else p
-    living = living_subgraph(g, chi, p=p)
     entries = []
-    for clique in dead_cliques(g, chi, max_size=args.n, p=p):
-        d = args.n - 1 - len(clique)
-        lk = link(g, living, clique)
-        profile = reduced_homology(flag_complex(lk), coeffs, max_degree=max(d, -1))
+    for clique, d, lk, homology in Analysis(g, chi).links(args.n, p, coeffs):
+        profile = homology()
         entries.append({
             "clique": list(clique),
             "required_degree": d,
             "link": describe_graph(lk),
-            "betti": {str(j): profile.betti_at(j) for j in range(-1, max(d, -1) + 1)},
-            "torsion": {str(j): list(profile.torsion.get(j, ()))
-                        for j in range(-1, max(d, -1) + 1)},
+            "betti": {str(j): profile.betti_at(j) for j in range(-1, d + 1)},
+            "torsion": {str(j): list(profile.torsion.get(j, ())) for j in range(-1, d + 1)},
         })
-    return EXIT_OK, {"n": args.n, "coefficients": "Z" if p is None else ("Q" if p == 0 else f"F{p}"),
+    return EXIT_OK, {"n": args.n, "coefficients": coeffs_label(coeffs),
                      "mode": "dead" if p is None else f"{p}-dead", "cliques": entries}
 
 
 def _cmd_check(g, chi, args) -> tuple[int, dict]:
-    if args.p is None:
-        report = strong_n_link(g, chi, args.n)
-    else:
-        report = strong_p_n_link(g, chi, args.n, args.p)
+    ctx = Analysis(g, chi)
+    report = ctx.strong_n_link(args.n) if args.p is None else ctx.strong_p_n_link(args.n, args.p)
     return EXIT_OK, _condition_dict(report)
 
 
 def _cmd_homology(g, chi, args) -> tuple[int, dict]:
     p, n = args.p, args.n
-    ranks = {str(k): kernel_free_rank(g, chi, p, k) for k in range(n + 1)}
+    ranks = Analysis(g, chi).free_ranks(p, n)
     result = {
         "p": p,
         "n": n,
-        "free_rank": ranks[str(n)],
-        "free_ranks_through_n": ranks,
-        "finite_dimensional_at_n": ranks[str(n)] == 0,
-        "finite_dimensional_through_n": all(r == 0 for r in ranks.values()),
+        "free_rank": ranks[n],
+        "free_ranks_through_n": {str(k): r for k, r in enumerate(ranks)},
+        "finite_dimensional_at_n": ranks[n] == 0,
+        "finite_dimensional_through_n": not any(ranks),
     }
     if args.oracle:
         complex_ = build_salvetti_complex(g, chi, p, max_n=n + 1)
@@ -189,7 +182,7 @@ def _cmd_homology(g, chi, args) -> tuple[int, dict]:
             "module": module.describe(),
         }
         try:
-            cross_check(g, chi, p, n, complex_=complex_)
+            cross_check(g, chi, p, n, complex_=complex_, formula_rank=ranks[n])
         except CrossCheckError as exc:
             result["cross_check"] = {"ok": False, "error": str(exc)}
             return EXIT_CROSSCHECK, result
@@ -198,13 +191,12 @@ def _cmd_homology(g, chi, args) -> tuple[int, dict]:
 
 
 def _cmd_verdict(g, chi, args) -> tuple[int, dict]:
-    sigma = sigma_verdict(g, chi, args.n)
-    fp = fp_verdict(g, chi, args.n)
-    homotopic = homotopic_sigma_verdict(g, chi, args.n)
+    ctx = Analysis(g, chi)
+    sigma = sigma_verdict(g, chi, args.n, analysis=ctx)
     return EXIT_OK, {
         "sigma_z": _verdict_dict(sigma),
-        "fp": _verdict_dict(fp),
-        "sigma_homotopic": _verdict_dict(homotopic),
+        "fp": _verdict_dict(fp_verdict(g, chi, args.n, sigma=sigma)),
+        "sigma_homotopic": _verdict_dict(homotopic_sigma_verdict(g, chi, args.n, analysis=ctx)),
     }
 
 
@@ -304,7 +296,7 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
         return EXIT_INVALID, None
 
     p = getattr(args, "p", None)
-    if p is not None and p != 0 and not _is_prime(p):
+    if p is not None and p != 0 and prime_factors(p) != {p}:
         out.write(f"error: --p must be 0 or a prime, got {p}\n")
         return EXIT_INVALID, None
     n = getattr(args, "n", None)

@@ -19,6 +19,11 @@ class GraphFormatError(ValueError):
     """Raised when a graph input document cannot be parsed."""
 
 
+# Classifying a character factors half of each dead edge's label by trial
+# division; up to this bound that takes a few milliseconds.
+MAX_LABEL = 2 ** 32
+
+
 class EvenGraph:
     """Finite simple graph with integer edge labels.
 
@@ -158,22 +163,21 @@ def validate_fc(g: EvenGraph) -> ValidationReport:
     clique) and infinite cyclic factors, hence a finite-type subgroup.
     The check is local to triangles, which suffices: a clique violates the
     matching property iff two of its label > 2 edges share a triangle.
+    Triangles come from the edges (u, v) and their common neighbours w after
+    v, so findings are in the lexicographic order of their vertex triples.
     """
     violations = []
-    n = len(g.vertices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                u, v, w = g.vertices[i], g.vertices[j], g.vertices[k]
-                if not (g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)):
-                    continue
-                big = [e for e in ((u, v), (u, w), (v, w)) if g.label(*e) > 2]
-                if len(big) >= 2:
-                    violations.append(Finding(
-                        f"triangle {u},{v},{w} carries {len(big)} labels > 2",
-                        vertices=(u, v, w),
-                        edges=tuple(big),
-                    ))
+    for u, v in g.edges():
+        for w in g.neighbors(v):
+            if g.index(w) <= g.index(v) or not g.has_edge(u, w):
+                continue
+            big = [e for e in ((u, v), (u, w), (v, w)) if g.label(*e) > 2]
+            if len(big) >= 2:
+                violations.append(Finding(
+                    f"triangle {u},{v},{w} carries {len(big)} labels > 2",
+                    vertices=(u, v, w),
+                    edges=tuple(big),
+                ))
     return _report(violations)
 
 
@@ -240,20 +244,29 @@ def graph_from_dict(doc: Mapping) -> EvenGraph:
     """Parse the JSON graph document ``{"vertices": [...], "edges": [...]}``.
 
     Unlike the permissive constructor, parsing rejects odd or sub-2 labels
-    outright: input files must already describe an even graph.
+    outright: input files must already describe an even graph.  Labels
+    above :data:`MAX_LABEL` are refused as well.
     """
     if not isinstance(doc, Mapping):
         raise GraphFormatError("graph document must be an object")
     vertices = doc.get("vertices")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise GraphFormatError('"vertices" must be a list of strings')
+    entries = doc.get("edges", [])
+    if not isinstance(entries, list):
+        raise GraphFormatError('"edges" must be a list of edge objects')
     edges = []
-    for entry in doc.get("edges", []):
+    for entry in entries:
         if not isinstance(entry, Mapping) or not {"u", "v", "label"} <= set(entry):
             raise GraphFormatError('each edge needs fields "u", "v", "label"')
         u, v, label = entry["u"], entry["v"], entry["label"]
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise GraphFormatError(f"edge endpoints must be vertex ids (strings), got {u!r}-{v!r}")
         if not isinstance(label, int) or label < 2 or label % 2:
             raise GraphFormatError(f"edge {u}-{v}: label must be an even integer >= 2, got {label!r}")
+        if label > MAX_LABEL:
+            raise GraphFormatError(f"edge {u}-{v}: label {label} exceeds the largest supported "
+                                   f"label {MAX_LABEL}")
         edges.append((u, v, label))
     try:
         return EvenGraph(vertices, edges)

@@ -20,20 +20,25 @@ degree -1 and acyclicity tests see the nonempty/empty distinction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .graphs import EvenGraph, induced_subgraph, is_subgraph
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def prime_factors(n: int) -> set[int]:
+    """The primes dividing n, by trial division; empty for n < 2, so an
+    integer p is prime exactly when ``prime_factors(p) == {p}``."""
+    out = set()
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out.add(n)
+    return out
 
 
 def _check_coeffs(coeffs) -> None:
@@ -42,7 +47,7 @@ def _check_coeffs(coeffs) -> None:
     if coeffs == "Z":
         return
     if isinstance(coeffs, int) and not isinstance(coeffs, bool):
-        if coeffs == 0 or _is_prime(coeffs):
+        if coeffs == 0 or prime_factors(coeffs) == {coeffs}:
             return
         raise ValueError(f"field characteristic must be 0 or a prime, got {coeffs}")
     raise ValueError(f"coefficients must be 'Z', 0 (rationals) or a prime, got {coeffs!r}")
@@ -125,7 +130,7 @@ class SimplicialComplex:
             d: tuple(sorted(group, key=lambda s: tuple(index[v] for v in s)))
             for d, group in sorted(by_dim.items())
         }
-        self._index = index
+        self._factors: dict[int, list[int]] = {}
 
     def is_empty(self) -> bool:
         return not self._by_dim
@@ -139,12 +144,6 @@ class SimplicialComplex:
             return ((),) if not self.is_empty() else ()
         return self._by_dim.get(dim, ())
 
-    def all_simplices(self) -> tuple[tuple[str, ...], ...]:
-        out = list(self.simplices(-1))
-        for d in sorted(self._by_dim):
-            out.extend(self._by_dim[d])
-        return tuple(out)
-
     def chain_rank(self, dim: int) -> int:
         """Rank of the augmented chain group: degree -1 is always 1."""
         if dim == -1:
@@ -153,10 +152,18 @@ class SimplicialComplex:
             return 0
         return len(self._by_dim.get(dim, ()))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self.vertex_order == other.vertex_order and self._by_dim == other._by_dim
+    def invariant_factors(self, k: int) -> list[int]:
+        """Invariant factors of the augmented boundary map d_k, computed once.
+
+        Above the dimension there are no k-simplices, so d_k has no columns
+        and nothing is diagonalised.
+        """
+        if k > self.dimension:
+            return []
+        if k not in self._factors:
+            self._factors[k] = integer_invariant_factors(
+                _boundary(self, k), self.chain_rank(k - 1), self.chain_rank(k))
+        return self._factors[k]
 
 
 def flag_complex(g: EvenGraph) -> SimplicialComplex:
@@ -165,18 +172,13 @@ def flag_complex(g: EvenGraph) -> SimplicialComplex:
     return SimplicialComplex(g.vertices, [c for c in cliques if c])
 
 
-def boundary_matrices(c: SimplicialComplex, max_degree: int) -> list[list[list[int]]]:
-    """Augmented boundary matrices d_0 .. d_max_degree.
-
-    d_k maps degree k to degree k-1; d_0 is the augmentation sending every
-    vertex to the empty simplex.  The face obtained by removing the i-th
-    vertex (in global order) carries the sign (-1)^i, which makes
-    consecutive matrices compose to zero.
-    """
-    return [_boundary(c, k) for k in range(max_degree + 1)]
-
-
 def _boundary(c: SimplicialComplex, k: int) -> list[list[int]]:
+    """Augmented boundary matrix d_k from degree k to degree k-1.
+
+    d_0 is the augmentation sending every vertex to the empty simplex.  The
+    face obtained by removing the i-th vertex (in global order) carries the
+    sign (-1)^i, which makes consecutive matrices compose to zero.
+    """
     cols = c.simplices(k)
     if k == 0:
         # the augmentation row exists even for the empty complex
@@ -198,12 +200,13 @@ def _boundary(c: SimplicialComplex, k: int) -> list[list[int]]:
 def integer_invariant_factors(matrix: Sequence[Sequence[int]], nrows: int, ncols: int) -> list[int]:
     """Positive invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Classical Smith reduction: the pivot is a minimal-absolute-value nonzero
-    entry, rows/columns are cleared by exact division steps, and a final
-    sweep restores the divisibility chain.  Arbitrary-precision throughout.
+    Elimination to a diagonal form: the pivot is a minimal-absolute-value
+    nonzero entry, its column and row are cleared by exact division steps,
+    and the diagonal is then turned into the divisibility chain by (gcd,
+    lcm) exchanges.  Arbitrary-precision throughout.
     """
     m = [list(row) for row in matrix]
-    factors: list[int] = []
+    diagonal: list[int] = []
     k = 0
     while k < nrows and k < ncols:
         piv = None
@@ -236,41 +239,32 @@ def integer_invariant_factors(matrix: Sequence[Sequence[int]], nrows: int, ncols
                     if q:
                         for row in m:
                             row[j] -= q * row[k]
-            residue = None
-            for i in range(k + 1, nrows):
-                if m[i][k]:
-                    residue = ("row", i)
-                    break
-            if residue is None:
-                for j in range(k + 1, ncols):
-                    if m[k][j]:
-                        residue = ("col", j)
-                        break
-            if residue is None:
-                bad = None
-                p = m[k][k]
-                for i in range(k + 1, nrows):
-                    for j in range(k + 1, ncols):
-                        if m[i][j] % p:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                m[k] = [a + b for a, b in zip(m[k], m[bad])]
-                continue
-            # a nonzero residue is strictly smaller than the old pivot; make
-            # it the new pivot and clear again
-            kind, idx = residue
-            if kind == "row":
-                m[k], m[idx] = m[idx], m[k]
-            else:
+            # a nonzero remainder is smaller than the pivot: it becomes the
+            # pivot and the clearing starts again
+            i = next((i for i in range(k + 1, nrows) if m[i][k]), None)
+            j = next((j for j in range(k + 1, ncols) if m[k][j]), None)
+            if i is not None:
+                m[k], m[i] = m[i], m[k]
+            elif j is not None:
                 for row in m:
-                    row[k], row[idx] = row[idx], row[k]
-        factors.append(abs(m[k][k]))
+                    row[k], row[j] = row[j], row[k]
+            else:
+                break
+        diagonal.append(abs(m[k][k]))
         k += 1
-    return factors
+    return _divisibility_chain(diagonal)
+
+
+def _divisibility_chain(diagonal: list[int]) -> list[int]:
+    """Invariant factors of a nonsingular diagonal matrix.  Exchanging each
+    pair of entries for (gcd, lcm) sorts every prime's exponents; units
+    divide everything and stay in front."""
+    chain = sorted(x for x in diagonal if x != 1)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return [1] * (len(diagonal) - len(chain)) + chain
 
 
 def _rank_from_factors(factors: Sequence[int], coeffs) -> int:
@@ -302,21 +296,18 @@ class HomologyProfile:
     def trivial_at(self, d: int) -> bool:
         return self.betti_at(d) == 0 and not self.torsion.get(d, ())
 
-    def trivial_through(self, d: int) -> bool:
-        return all(self.trivial_at(j) for j in range(-1, d + 1))
-
 
 def reduced_homology(c: SimplicialComplex, coeffs, max_degree: int) -> HomologyProfile:
     """Exact reduced homology of the augmented chain complex.
 
     Degrees -1 .. max_degree.  Over "Z" the profile carries both betti
     numbers and torsion; over 0 (the rationals) or a prime p only betti
-    numbers, derived from the same integer Smith forms.
+    numbers, derived from the same integer Smith forms, which the complex
+    keeps: asking again, in any degree or over other coefficients, reuses
+    them.
     """
-    _check_coeffs(coeffs)
-    factors: dict[int, list[int]] = {}
-    for k in range(0, max_degree + 2):
-        factors[k] = integer_invariant_factors(_boundary(c, k), c.chain_rank(k - 1), c.chain_rank(k))
+    label = coeffs_label(coeffs)
+    factors = {k: c.invariant_factors(k) for k in range(0, max_degree + 2)}
     betti = {}
     torsion = {}
     for d in range(-1, max_degree + 1):
@@ -327,18 +318,7 @@ def reduced_homology(c: SimplicialComplex, coeffs, max_degree: int) -> HomologyP
             torsion[d] = tuple(f for f in factors[d + 1] if f > 1)
         else:
             torsion[d] = ()
-    return HomologyProfile(coeffs_label(coeffs), max_degree, betti, torsion)
-
-
-def is_d_acyclic(c: SimplicialComplex, d: int, coeffs) -> bool:
-    """Reduced homology vanishes in all degrees <= d.
-
-    Degrees below -1 hold vacuously; d = -1 just asks the complex to be
-    nonempty.  Over Z "vanishes" includes trivial torsion.
-    """
-    if d <= -2:
-        return True
-    return reduced_homology(c, coeffs, d).trivial_through(d)
+    return HomologyProfile(label, max_degree, betti, torsion)
 
 
 def has_cone_vertex(g: EvenGraph) -> bool:

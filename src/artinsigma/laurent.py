@@ -24,14 +24,14 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .homology import _is_prime
+from .homology import prime_factors
 
 
 class Field:
     """Coefficient field: the rationals (characteristic 0) or F_p."""
 
     def __init__(self, char: int = 0):
-        if char != 0 and not _is_prime(char):
+        if char != 0 and prime_factors(char) != {char}:
             raise ValueError(f"field characteristic must be 0 or a prime, got {char}")
         self.char = char
 
@@ -367,10 +367,6 @@ class LaurentMatrix:
                 out[j] = v
             rows.append(out)
         return LaurentMatrix(self.field, self.nrows, other.ncols, rows)
-
-    def permuted(self, row_order: Sequence[int], col_order: Sequence[int]) -> "LaurentMatrix":
-        rows = [[self.entries[i][j] for j in col_order] for i in row_order]
-        return LaurentMatrix(self.field, self.nrows, self.ncols, rows)
 
     def to_dict(self) -> dict:
         return {

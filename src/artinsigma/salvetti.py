@@ -30,10 +30,6 @@ from .laurent import (Field, LaurentMatrix, LaurentPoly, q_poly, smith_normal_fo
                       t_power_minus_one)
 
 
-def _exponents(chi: Character) -> dict[str, int]:
-    return chi.primitive_integer_values()
-
-
 def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) -> LaurentPoly:
     """Differential weight of the facet of clique X obtained by removing v."""
     _check_domain(g, chi)
@@ -43,7 +39,7 @@ def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) ->
         raise ValueError(f"{v!r} is not a vertex of the clique {x_clique}")
     if not g.is_clique(x_clique):
         raise ValueError(f"{x_clique} is not a clique")
-    exps = _exponents(chi)
+    exps = chi.primitive_integer_values()
     return _coefficient_b(g, exps, x_clique, v, field)
 
 
@@ -122,7 +118,7 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int = 0,
         max_n = len(g.vertices)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    exps = _exponents(chi)
+    exps = chi.primitive_integer_values()
 
     grouped: dict[int, list[tuple[str, ...]]] = {}
     for c in enumerate_cliques(g, max_n):
@@ -204,19 +200,20 @@ class CrossCheckReport:
 
 
 def cross_check(g: EvenGraph, chi: Character, p: int, n: int,
-                complex_: TwistedComplex | None = None) -> CrossCheckReport:
+                complex_: TwistedComplex | None = None,
+                formula_rank: int | None = None) -> CrossCheckReport:
     """Compare the link-formula free rank with the chain-complex oracle.
 
-    Torsion factors are reported but not validated against anything: there
-    is no closed form for them.  A free-rank mismatch raises
-    :class:`CrossCheckError` naming the instance; this is the central
-    correctness gate of the library.
+    Either side may be passed in when already computed.  Torsion factors
+    are reported but not validated against anything: there is no closed
+    form for them.  A free-rank mismatch raises :class:`CrossCheckError`
+    naming the instance; this is the central correctness gate of the library.
     """
     from .conditions import kernel_free_rank
 
     if complex_ is None:
         complex_ = build_salvetti_complex(g, chi, p, max_n=n + 1)
-    formula = kernel_free_rank(g, chi, p, n)
+    formula = kernel_free_rank(g, chi, p, n) if formula_rank is None else formula_rank
     oracle = homology_module(complex_, n)
     instance = f"{describe_graph(g)}; chi={chi!r}; p={p}; n={n}"
     report = CrossCheckReport(p, n, formula, oracle, instance)

@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .characters import Character, classify, is_dominating, living_subgraph
-from .conditions import (ConditionReport, ZeroCharacterError, strong_homotopic_n_link,
-                         strong_n_link, strong_p_n_link)
+from .characters import Character, is_dominating
+from .conditions import Analysis, ConditionReport
 from .graphs import EvenGraph, is_connected
 
 IN = "IN"
@@ -66,14 +65,17 @@ def _witness_line(report: ConditionReport) -> str:
     return "all link witnesses passed"
 
 
-def sigma_verdict(g: EvenGraph, chi: Character, n: int) -> Verdict:
+def sigma_verdict(g: EvenGraph, chi: Character, n: int,
+                  analysis: Analysis | None = None) -> Verdict:
     """Decide membership of the character class in the degree-n homological
-    Sigma invariant, or return UNKNOWN with the reasons no rule applied."""
-    if chi.is_zero:
-        raise ZeroCharacterError("the zero character has no sphere class")
+    Sigma invariant, or return UNKNOWN with the reasons no rule applied.
+    ``analysis``, a context built for (g, chi), shares its work with other
+    questions; by default a fresh one is built.  The link conditions refuse
+    the zero character."""
+    ctx = analysis or Analysis(g, chi)
     justifications: list[Justification] = []
 
-    strong = strong_n_link(g, chi, n)
+    strong = ctx.strong_n_link(n)
     if strong.holds:
         justifications.append(Justification(
             "strong_link", True, IN,
@@ -85,14 +87,13 @@ def sigma_verdict(g: EvenGraph, chi: Character, n: int) -> Verdict:
             f"strong {n}-link condition fails ({_witness_line(strong)}); "
             "the condition is only sufficient, so nothing follows"))
 
-    cls = classify(g, chi)
-    living = living_subgraph(g, chi)
+    living = ctx.living()
     fired_p = None
     held = []
     unequal = []
-    for p in [0, *sorted(cls.relevant_primes)]:
-        if living_subgraph(g, chi, p=p) == living:
-            report = strong_p_n_link(g, chi, n, p)
+    for p in [0, *sorted(ctx.classification.relevant_primes)]:
+        if ctx.living(p) == living:
+            report = ctx.strong_p_n_link(n, p)
             if not report.holds:
                 fired_p = (p, report)
                 break
@@ -119,13 +120,12 @@ def sigma_verdict(g: EvenGraph, chi: Character, n: int) -> Verdict:
             "; ".join(reasons) if reasons else "no characteristic applies"))
 
     if n == 1 and odd_cycle_condition(g):
-        member = is_connected(living) and is_dominating(g, living)
+        connected, dominating = is_connected(living), is_dominating(g, living)
         justifications.append(Justification(
-            "sigma1_connectivity", True, IN if member else NOT_IN,
+            "sigma1_connectivity", True, IN if connected and dominating else NOT_IN,
             "every cycle of the label > 2 subgraph is odd, so degree-1 "
             "membership holds if and only if the living subgraph is connected "
-            f"and dominating (connected={is_connected(living)}, "
-            f"dominating={is_dominating(g, living)})"))
+            f"and dominating (connected={connected}, dominating={dominating})"))
     else:
         why = ("degree is not 1" if n != 1
                else "the label > 2 subgraph contains an even cycle")
@@ -154,13 +154,14 @@ def sigma_verdict(g: EvenGraph, chi: Character, n: int) -> Verdict:
     return Verdict("sigma-membership(Z)", UNKNOWN, n, tuple(justifications))
 
 
-def fp_verdict(g: EvenGraph, chi: Character, n: int) -> Verdict:
+def fp_verdict(g: EvenGraph, chi: Character, n: int, sigma: Verdict | None = None) -> Verdict:
     """Is the kernel of the character of finiteness type FP_n?
 
     Membership of a class and of its antipode coincide for these groups, so
-    the kernel property is equivalent to plain membership in degree n.
+    the kernel property is equivalent to plain membership in degree n,
+    which ``sigma`` gives when it is already decided.
     """
-    base = sigma_verdict(g, chi, n)
+    base = sigma or sigma_verdict(g, chi, n)
     if base.status == UNKNOWN:
         symmetry = Justification(
             "kernel_symmetry", False, None,
@@ -174,12 +175,12 @@ def fp_verdict(g: EvenGraph, chi: Character, n: int) -> Verdict:
     return Verdict(f"kernel-FP_{n}", base.status, n, base.justifications + (symmetry,))
 
 
-def homotopic_sigma_verdict(g: EvenGraph, chi: Character, n: int) -> Verdict:
+def homotopic_sigma_verdict(g: EvenGraph, chi: Character, n: int,
+                            analysis: Analysis | None = None) -> Verdict:
     """Homotopic membership: IN only on an exact homotopic link certificate,
-    otherwise UNKNOWN (the implication only runs one way)."""
-    if chi.is_zero:
-        raise ZeroCharacterError("the zero character has no sphere class")
-    report = strong_homotopic_n_link(g, chi, n)
+    otherwise UNKNOWN (the implication only runs one way); ``analysis`` as
+    for :func:`sigma_verdict`."""
+    report = (analysis or Analysis(g, chi)).strong_homotopic_n_link(n)
     if report.holds is True:
         j = Justification("homotopic_link", True, IN,
                           f"strong homotopic {n}-link condition holds exactly "

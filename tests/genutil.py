@@ -1,11 +1,12 @@
-"""Seeded random instance generators shared by the property and acceptance suites."""
+"""Seeded random instance generators shared by the property and acceptance
+suites, and a matrix helper shared by the Smith form tests."""
 
 from __future__ import annotations
 
 import random
 import string
 
-from artinsigma import Character, EvenGraph, validate_fc
+from artinsigma import Character, EvenGraph, LaurentMatrix, validate_fc
 
 
 def random_even_fc_graph(rng: random.Random, max_vertices: int = 6,
@@ -55,3 +56,9 @@ def random_character(rng: random.Random, g: EvenGraph, lo: int = -2, hi: int = 2
         chi = Character({v: rng.randint(lo, hi) for v in g.vertices})
         if not nonzero or not chi.is_zero:
             return chi
+
+
+def permuted(m: LaurentMatrix, row_order, col_order) -> LaurentMatrix:
+    """The matrix with its rows and columns taken in the given orders."""
+    rows = [[m.entries[i][j] for j in col_order] for i in row_order]
+    return LaurentMatrix(m.field, m.nrows, m.ncols, rows)

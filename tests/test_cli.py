@@ -1,8 +1,12 @@
+import importlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinsigma.cli import EXIT_CROSSCHECK, EXIT_INVALID, EXIT_OK, run
 
@@ -80,6 +84,66 @@ def test_malformed_file_is_input_error(tmp_path):
     odd = write_instance(tmp_path, "odd", [{"u": "a", "v": "b", "label": 3}], {"a": 1, "b": 1})
     code, report, text = run_cli(["classify", odd])
     assert code == EXIT_INVALID and report is None
+
+
+@pytest.mark.parametrize("graph, message", [
+    ({"vertices": ["a", "b"], "edges": 5}, '"edges" must be a list'),
+    ({"vertices": ["a", "b"], "edges": [{"u": ["x"], "v": "b", "label": 2}]},
+     "edge endpoints must be vertex ids"),
+])
+def test_malformed_edges_are_input_errors(tmp_path, graph, message):
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps({"graph": graph, "character": {"a": 1, "b": 1}}))
+    code, report, text = run_cli(["classify", str(path)])
+    assert code == EXIT_INVALID and report is None
+    assert message in text
+
+
+def test_overlong_json_integer_is_input_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"graph": {"vertices": ["a"]}, "character": {"a": ' + "7" * 5000 + "}}")
+    code, report, text = run_cli(["classify", str(path)])
+    assert code == EXIT_INVALID and report is None and "not valid JSON" in text
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10)
+FUZZ_COMMANDS = (["validate"], ["classify"], ["links", "--n", "2", "--p", "2"],
+                 ["check", "--n", "2"], ["homology", "--p", "3", "--n", "2"],
+                 ["verdict", "--n", "2"])
+
+
+@st.composite
+def instance_documents(draw):
+    """Instance-shaped JSON in which any part may be replaced by arbitrary JSON."""
+    def part(valid):
+        return draw(JSON_VALUES) if draw(st.integers(0, 9)) == 0 else draw(valid)
+
+    vertices = draw(st.lists(st.sampled_from("abcde"), max_size=5, unique=True))
+    pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:]]
+    edges = [part(st.just({"u": u, "v": v, "label": part(st.sampled_from((2, 4, 6)))}))
+             for u, v in draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))
+             ] if pairs else []
+    graph = {"vertices": part(st.just(vertices)), "edges": part(st.just(edges))}
+    character = {v: part(st.integers(-2, 2)) for v in vertices}
+    return part(st.just({"name": part(st.text(max_size=4)), "graph": part(st.just(graph)),
+                         "character": part(st.just(character))}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=instance_documents(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_random_documents_never_raise(doc, command):
+    # The oracle is left out: its cost grows with labels and character
+    # values without any bound yet.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps(doc))
+        code, report, text = run_cli([*command, str(path)])
+    assert code in (EXIT_OK, EXIT_INVALID)
+    assert (report is None) == text.startswith("error:")
 
 
 def test_classify_reports_p_living_comparison(example2_path):
@@ -190,8 +254,8 @@ def test_output_is_deterministic(d4d6_path):
 
 
 def test_cross_check_failure_exit_code(monkeypatch, dihedral4_path):
-    monkeypatch.setattr("artinsigma.conditions.kernel_free_rank", lambda *a, **k: 7)
-    monkeypatch.setattr("artinsigma.cli.kernel_free_rank", lambda *a, **k: 7)
+    monkeypatch.setattr("artinsigma.conditions.Analysis.free_ranks",
+                        lambda self, p, n: [7] * (n + 1))
     code, report, _ = run_cli(
         ["homology", "--n", "1", "--p", "2", "--oracle", dihedral4_path])
     assert code == EXIT_CROSSCHECK
@@ -224,3 +288,63 @@ def test_rational_oracle_coefficients_stay_small(monkeypatch):
     assert results["oracle"]["torsion"] == [t_minus_1] * 8 + [
         {"offset": 0, "coeffs": ["-1", "1", "0", "-1", "1"]}]
     assert widest[0] <= 64
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "instances"
+
+
+def count_calls(monkeypatch, *targets):
+    """Rebind every target, all names of one function, to one wrapper that
+    records the arguments of each call."""
+    module, name = targets[0].rsplit(".", 1)
+    original = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for target in targets:
+        monkeypatch.setattr(target, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["verdict", "--n", "4"],
+                                  ["homology", "--p", "2", "--n", "3", "--oracle"]])
+@pytest.mark.parametrize("demo", ["example1.json", "d4xd6.json", "d4xd4.json"])
+def test_one_context_per_command(monkeypatch, argv, demo):
+    classified = count_calls(monkeypatch, "artinsigma.conditions.classify")
+    decided = count_calls(monkeypatch, "artinsigma.verdicts.sigma_verdict",
+                          "artinsigma.cli.sigma_verdict")
+    complexes = count_calls(monkeypatch, "artinsigma.conditions.flag_complex")
+    boundaries = count_calls(monkeypatch, "artinsigma.homology._boundary")
+    code, _, _ = run_cli([*argv, str(DEMOS / demo)])
+    assert code == EXIT_OK
+    assert len(classified) == 1
+    assert len(decided) == (1 if argv[0] == "verdict" else 0)
+    links = [args[0] for args in complexes]
+    assert len(links) == len(set(links))                 # one flag complex per link graph
+    diagonalised = [(id(args[0]), args[1]) for args in boundaries]
+    assert len(diagonalised) == len(set(diagonalised))   # each (link, degree) once
+
+
+@pytest.mark.parametrize("command", ["check", "verdict"])
+def test_large_degrees_do_no_more_work(monkeypatch, command):
+    path = str(DEMOS / "example2.json")
+    factored = count_calls(monkeypatch, "artinsigma.homology.integer_invariant_factors")
+    reports = {}
+    counts = {}
+    for n in (50, 5000):
+        factored.clear()
+        code, report, _ = run_cli([command, "--n", str(n), path])
+        assert code == EXIT_OK
+        reports[n], counts[n] = report["results"], len(factored)
+    assert counts[50] == counts[5000] > 0
+    if command == "check":
+        assert reports[50]["holds"] == reports[5000]["holds"]
+        for a, b in zip(reports[50]["witnesses"], reports[5000]["witnesses"], strict=True):
+            assert b["required_degree"] - a["required_degree"] == 4950
+            assert {**a, "required_degree": 0} == {**b, "required_degree": 0}
+    else:
+        for question in ("sigma_z", "fp", "sigma_homotopic"):
+            assert reports[50][question]["status"] == reports[5000][question]["status"]

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from artinsigma import (Character, EvenGraph, ZeroCharacterError, finite_dimensional_through,
-                        is_connected, is_dominating, kernel_free_rank, living_subgraph,
-                        raag_n_link, strong_homotopic_n_link, strong_n_link, strong_p_n_link)
+from artinsigma import (Analysis, CenterValues, Character, ConditionReport, EvenGraph,
+                        ZeroCharacterError, finite_dimensional_through, is_connected,
+                        is_dominating, kernel_free_rank, living_subgraph, raag_n_link,
+                        strong_homotopic_n_link, strong_n_link, strong_p_n_link)
 
 from conftest import dihedral
 from genutil import random_character, random_even_fc_graph, random_raag
@@ -214,3 +216,41 @@ def test_strong_1_link_is_connected_and_dominating():
         living = living_subgraph(g, chi)
         expected = is_connected(living) and is_dominating(g, living)
         assert bool(strong_n_link(g, chi, 1).holds) == expected
+
+
+def test_center_recheck_raises_on_disagreement(monkeypatch, example1):
+    g, chi = example1
+    # a center that is never killed contradicts the empty clique, which is
+    # always dead-supported
+    monkeypatch.setattr("artinsigma.conditions.center_values",
+                        lambda g, chi, clique: CenterValues((("x", Fraction(1)),)))
+    with pytest.raises(RuntimeError, match="dead-clique/center mismatch on \\(\\)"):
+        strong_n_link(g, chi, 1)
+
+
+def test_raag_reverification_raises_on_disagreement(monkeypatch):
+    g = EvenGraph(["a", "b"], [("a", "b", 2)])
+    chi = Character({"a": 0, "b": 1})
+    holds = raag_n_link(g, chi, 1).holds
+    monkeypatch.setattr(Analysis, "strong_n_link",
+                        lambda self, n: ConditionReport(not holds, n, "Z", "dead",
+                                                        "homological", ()))
+    with pytest.raises(RuntimeError, match="disagrees with the strong condition"):
+        raag_n_link(g, chi, 1)
+
+
+def test_analysis_answers_like_fresh_calls():
+    rng = random.Random(56)
+    for _ in range(30):
+        g = random_even_fc_graph(rng, max_vertices=6)
+        chi = random_character(rng, g)
+        ctx = Analysis(g, chi)
+        # larger degrees first, then smaller ones, from the same context
+        for n in (3, 1, 2):
+            assert ctx.strong_n_link(n) == strong_n_link(g, chi, n)
+            assert ctx.strong_homotopic_n_link(n) == strong_homotopic_n_link(g, chi, n)
+            for p in (0, 2, 3):
+                assert ctx.strong_p_n_link(n, p) == strong_p_n_link(g, chi, n, p)
+                ranks = [kernel_free_rank(g, chi, p, k) for k in range(n + 1)]
+                assert ctx.free_ranks(p, n) == ranks
+                assert ctx.living(p) == living_subgraph(g, chi, p)

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from artinsigma import (EvenGraph, GraphFormatError, describe_graph, graph_from_dict,
+from artinsigma import (EvenGraph, Finding, GraphFormatError, describe_graph, graph_from_dict,
                         graph_to_dict, induced_subgraph, is_connected, is_subgraph,
                         validate_even, validate_fc)
+from artinsigma.graphs import MAX_LABEL
 
 from genutil import random_even_fc_graph
 
@@ -123,6 +124,68 @@ def test_graph_json_round_trip(example1):
 def test_graph_json_parse_errors(edges):
     with pytest.raises(GraphFormatError):
         graph_from_dict({"vertices": ["a", "b"], "edges": edges})
+
+
+@pytest.mark.parametrize("edges", [
+    5,
+    None,
+    [{"u": ["x"], "v": "b", "label": 2}],
+    [{"u": "a", "v": {"b": 1}, "label": 2}],
+])
+def test_graph_json_malformed_edges_are_format_errors(edges):
+    # these once escaped as TypeError: iterating an int, hashing a list
+    with pytest.raises(GraphFormatError):
+        graph_from_dict({"vertices": ["a", "b"], "edges": edges})
+
+
+def test_graph_json_refuses_labels_too_large_to_factor():
+    edge = {"u": "a", "v": "b", "label": MAX_LABEL}
+    assert graph_from_dict({"vertices": ["a", "b"], "edges": [edge]}).label("a", "b") == MAX_LABEL
+    # half of this label is the prime 2^61 - 1: trial division would not finish
+    edge["label"] = 2 * (2 ** 61 - 1)
+    with pytest.raises(GraphFormatError, match="exceeds the largest supported label"):
+        graph_from_dict({"vertices": ["a", "b"], "edges": [edge]})
+
+
+def validate_fc_by_triples(g):
+    """The definition: scan every vertex triple in order."""
+    violations = []
+    n = len(g.vertices)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                u, v, w = g.vertices[i], g.vertices[j], g.vertices[k]
+                if not (g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)):
+                    continue
+                big = [e for e in ((u, v), (u, w), (v, w)) if g.label(*e) > 2]
+                if len(big) >= 2:
+                    violations.append(Finding(
+                        f"triangle {u},{v},{w} carries {len(big)} labels > 2",
+                        vertices=(u, v, w), edges=tuple(big)))
+    return violations
+
+
+def test_validate_fc_matches_triple_scan():
+    rng = random.Random(131)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        vs = [f"v{i}" for i in range(n)]
+        rng.shuffle(vs)     # vertex order is not the order of the names
+        edges = [(vs[i], vs[j], rng.choice((2, 2, 4, 6))) for i in range(n)
+                 for j in range(i + 1, n) if rng.random() < 0.6]
+        rng.shuffle(edges)
+        g = EvenGraph(vs, edges)
+        report = validate_fc(g)
+        assert report.violations == tuple(validate_fc_by_triples(g))
+        assert report.ok == (not report.violations)
+
+
+def test_validate_fc_on_a_long_path():
+    vs = [f"v{i}" for i in range(1000)]
+    g = EvenGraph(vs, [(vs[i], vs[i + 1], 4) for i in range(999)])
+    assert validate_fc(g).ok
+    closed = EvenGraph(vs, [(vs[i], vs[i + 1], 4) for i in range(999)] + [(vs[0], vs[2], 2)])
+    assert [f.vertices for f in validate_fc(closed).violations] == [("v0", "v1", "v2")]
 
 
 def test_is_subgraph_and_connectivity(example1):

@@ -4,12 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from artinsigma import (EvenGraph, boundary_matrices, enumerate_cliques, flag_complex,
-                        has_cone_vertex, is_d_acyclic, link, living_subgraph,
-                        reduced_homology)
-from artinsigma.homology import SimplicialComplex, integer_invariant_factors
+from artinsigma import (EvenGraph, enumerate_cliques, flag_complex, has_cone_vertex, link,
+                        living_subgraph, reduced_homology)
+from artinsigma.homology import SimplicialComplex, _boundary, integer_invariant_factors
 
 from genutil import random_even_fc_graph
+
+
+def boundary_matrices(c, max_degree):
+    """Augmented boundary matrices d_0 .. d_max_degree."""
+    return [_boundary(c, k) for k in range(max_degree + 1)]
+
+
+def is_d_acyclic(c, d, coeffs):
+    """Reduced homology vanishes in every degree <= d (vacuously below -1)."""
+    profile = reduced_homology(c, coeffs, max(d, -1))
+    return all(profile.trivial_at(j) for j in range(-1, d + 1))
 
 
 # --- independent oracles ----------------------------------------------------

@@ -3,9 +3,13 @@
 import random
 from fractions import Fraction
 
-from artinsigma import (build_salvetti_complex, center_values, classify, dead_cliques,
-                        flag_complex, kernel_free_rank, living_subgraph, sigma_verdict,
-                        strong_homotopic_n_link, strong_n_link, strong_p_n_link)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from artinsigma import (Analysis, build_salvetti_complex, center_values, classify, dead_cliques,
+                        flag_complex, fp_verdict, homotopic_sigma_verdict, kernel_free_rank,
+                        living_subgraph, sigma_verdict, strong_homotopic_n_link, strong_n_link,
+                        strong_p_n_link)
 from artinsigma.homology import _boundary, enumerate_cliques
 
 from genutil import random_character, random_even_fc_graph
@@ -186,3 +190,24 @@ def _rational_rank(rows):
                 m[i] = [a - c * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_verdicts_monotone_in_degree(seed):
+    # Sigma^{n+1} is contained in Sigma^n: NOT_IN at degree n never becomes
+    # IN at n + 1.  One context serves every degree, and each verdict must
+    # equal the one a fresh context gives.
+    rng = random.Random(seed)
+    g = random_even_fc_graph(rng, max_vertices=6)
+    chi = random_character(rng, g)
+    ctx = Analysis(g, chi)
+    previous = None
+    for n in (1, 2, 3):
+        sigma = sigma_verdict(g, chi, n, analysis=ctx)
+        assert sigma == sigma_verdict(g, chi, n)
+        assert not (previous == "NOT_IN" and sigma.status == "IN")
+        assert fp_verdict(g, chi, n).status == sigma.status
+        if homotopic_sigma_verdict(g, chi, n, analysis=ctx).status == "IN":
+            assert sigma.status == "IN"
+        previous = sigma.status

@@ -7,7 +7,7 @@ from artinsigma import (Character, CrossCheckError, EvenGraph, Field,
                         smith_normal_form, t_power_minus_one)
 
 from conftest import dihedral
-from genutil import random_character, random_even_fc_graph
+from genutil import permuted, random_character, random_even_fc_graph
 
 
 def test_coefficient_b_single_vertex():
@@ -151,7 +151,7 @@ def test_snf_of_differential_invariant_under_basis_shuffle(d4d4):
         rows, cols = list(range(d.nrows)), list(range(d.ncols))
         rng.shuffle(rows)
         rng.shuffle(cols)
-        assert smith_normal_form(d.permuted(rows, cols)) == base
+        assert smith_normal_form(permuted(d, rows, cols)) == base
 
 
 def test_cross_check_named_instances(d4d6, d4d4):
