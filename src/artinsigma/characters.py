@@ -15,6 +15,7 @@ dead cliques, from the classification made here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -93,9 +94,16 @@ def character_from_dict(doc: Mapping) -> Character:
         raise CharacterError('"character" must map vertex ids to rationals')
     for v, x in values.items():
         # bool is a subclass of int, but a JSON true is not the number 1
-        if isinstance(x, bool) or not isinstance(x, (int, str)):
+        if isinstance(x, bool) or not isinstance(x, (int, str)) or (
+                isinstance(x, str) and not _RATIONAL.fullmatch(x)):
             raise CharacterError(f"value for {v!r} must be an integer or a 'p/q' string")
     return Character(values)
+
+
+# an optional minus sign, digits, and optionally a slash and a nonzero
+# denominator; each part stays within the interpreter's default limit for
+# integer strings
+_RATIONAL = re.compile(r"-?[0-9]{1,4300}(?:/(?=0*[1-9])[0-9]{1,4300})?")
 
 
 def character_to_dict(chi: Character) -> dict:

@@ -25,7 +25,7 @@ from .characters import Character, CharacterError, character_from_dict, characte
 from .conditions import Analysis, ConditionReport
 from .graphs import (EvenGraph, GraphFormatError, describe_graph, graph_from_dict,
                      graph_to_dict, validate_even, validate_fc)
-from .homology import coeffs_label, prime_factors
+from .homology import PRIME_BOUND, coeffs_label, is_prime
 from .salvetti import CrossCheckError, build_salvetti_complex, cross_check, homology_module
 from .verdicts import Verdict, fp_verdict, homotopic_sigma_verdict, sigma_verdict
 
@@ -296,7 +296,11 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
         return EXIT_INVALID, None
 
     p = getattr(args, "p", None)
-    if p is not None and p != 0 and prime_factors(p) != {p}:
+    if p is not None and p >= PRIME_BOUND:
+        out.write(f"error: --p must be below {PRIME_BOUND}, where primality is decided "
+                  f"exactly, got {p}\n")
+        return EXIT_INVALID, None
+    if p is not None and p != 0 and not is_prime(p):
         out.write(f"error: --p must be 0 or a prime, got {p}\n")
         return EXIT_INVALID, None
     n = getattr(args, "n", None)
@@ -341,3 +345,7 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:])[0])
+
+
+if __name__ == "__main__":
+    main()

@@ -24,7 +24,7 @@ from functools import partial
 from .characters import Character, center_values, classify
 from .graphs import EvenGraph, describe_graph, induced_subgraph, is_connected
 from .homology import (HomologyProfile, SimplicialComplex, coeffs_label, enumerate_cliques,
-                       flag_complex, has_cone_vertex, link, prime_factors, reduced_homology)
+                       flag_complex, has_cone_vertex, is_prime, link, reduced_homology)
 
 
 class ZeroCharacterError(ValueError):
@@ -100,7 +100,7 @@ class Analysis:
     def _edges(self, p: int | None) -> frozenset[tuple[str, str]]:
         if p is None:
             return self.classification.dead_edges
-        if p != 0 and prime_factors(p) != {p}:
+        if p != 0 and not is_prime(p):
             raise ValueError(f"p must be None, 0 or a prime, got {p}")
         return self.classification.p_dead_edges.get(p, frozenset())
 

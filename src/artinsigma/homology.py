@@ -27,8 +27,9 @@ from .graphs import EvenGraph, induced_subgraph, is_subgraph
 
 
 def prime_factors(n: int) -> set[int]:
-    """The primes dividing n, by trial division; empty for n < 2, so an
-    integer p is prime exactly when ``prime_factors(p) == {p}``."""
+    """The primes dividing n, by trial division (empty for n < 2); meant for
+    edge labels, which are bounded.  Test a characteristic with
+    :func:`is_prime`."""
     out = set()
     d = 2
     while d * d <= n:
@@ -41,13 +42,49 @@ def prime_factors(n: int) -> set[int]:
     return out
 
 
+# The smallest integer that is a strong pseudoprime to every prime base up to
+# 41 (Sorenson and Webster, Math. Comp. 2017); below it those bases decide
+# primality exactly.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the prime bases 2..41.
+
+    Exact for n < PRIME_BOUND (about 3.3e24); larger n raise ValueError,
+    since no fixed set of bases is known to decide them.
+    """
+    if n < 2:
+        return False
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is only decided below {PRIME_BOUND}, got {n}")
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_coeffs(coeffs) -> None:
     """Coefficient system: the string "Z", or an int characteristic (0 for Q,
     a prime p for F_p)."""
     if coeffs == "Z":
         return
     if isinstance(coeffs, int) and not isinstance(coeffs, bool):
-        if coeffs == 0 or prime_factors(coeffs) == {coeffs}:
+        if coeffs == 0 or is_prime(coeffs):
             return
         raise ValueError(f"field characteristic must be 0 or a prime, got {coeffs}")
     raise ValueError(f"coefficients must be 'Z', 0 (rationals) or a prime, got {coeffs!r}")

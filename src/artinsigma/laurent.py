@@ -24,14 +24,14 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .homology import prime_factors
+from .homology import is_prime
 
 
 class Field:
     """Coefficient field: the rationals (characteristic 0) or F_p."""
 
     def __init__(self, char: int = 0):
-        if char != 0 and prime_factors(char) != {char}:
+        if char != 0 and not is_prime(char):
             raise ValueError(f"field characteristic must be 0 or a prime, got {char}")
         self.char = char
 
@@ -348,25 +348,6 @@ class LaurentMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """Sparse product: only pairs of nonzero entries are multiplied."""
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch in matrix product")
-        other_rows = [[(j, b) for j, b in enumerate(row) if b.coeffs] for row in other.entries]
-        z = LaurentPoly.zero(self.field)
-        rows = []
-        for row in self.entries:
-            acc: dict[int, LaurentPoly] = {}
-            for k, a in enumerate(row):
-                if a.coeffs:
-                    for j, b in other_rows[k]:
-                        acc[j] = acc[j] + a * b if j in acc else a * b
-            out = [z] * other.ncols
-            for j, v in acc.items():
-                out[j] = v
-            rows.append(out)
-        return LaurentMatrix(self.field, self.nrows, other.ncols, rows)
 
     def to_dict(self) -> dict:
         return {

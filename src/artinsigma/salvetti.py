@@ -22,6 +22,8 @@ is a hard error naming the instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .characters import Character, _check_domain
 from .graphs import EvenGraph, describe_graph
@@ -111,6 +113,11 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int = 0,
     exponents of the deck transformation).  The sign of the facet removing
     the i-th vertex of a clique is (-1)^i in the global vertex order.
     Composites of consecutive differentials are checked to vanish.
+
+    A label-2 factor of b(v, X) is q_poly(1, m) = 1, so b(v, X) depends only
+    on v and the vertices w of X with label(v, w) != 2; each distinct weight
+    is computed once per build.  The composite check reads the differentials
+    as sparse columns of (row, weight index, sign parity).
     """
     _check_domain(g, chi)
     field = Field(p)
@@ -125,6 +132,10 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int = 0,
         grouped.setdefault(len(c), []).append(c)
     bases = [tuple(grouped.get(n, ())) for n in range(max_n + 1)]
 
+    big = {v: {w for w in g.neighbors(v) if g.label(v, w) != 2} for v in g.vertices}
+    weights: list[tuple[LaurentPoly, LaurentPoly]] = []  # (b, -b) in order of first use
+    index: dict[tuple[str, tuple[str, ...]], int] = {}
+    columns: list[list[list[tuple[int, int, int]]]] = [[]]
     diffs: list[LaurentMatrix] = [LaurentMatrix.zeros(field, 0, 0)]
     zero = LaurentPoly.zero(field)
     for n in range(1, max_n + 1):
@@ -132,19 +143,56 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int = 0,
         cols = bases[n]
         row_of = {c: i for i, c in enumerate(rows)}
         entries = [[zero] * len(cols) for _ in rows]
+        degree = []
         for j, x in enumerate(cols):
+            column = []
             for i, v in enumerate(x):
-                facet = x[:i] + x[i + 1:]
-                b = _coefficient_b(g, exps, x, v, field)
-                if i % 2:
-                    b = -b
-                entries[row_of[facet]][j] = b
+                key = (v, tuple(w for w in x if w in big[v]))
+                k = index.get(key)
+                if k is None:
+                    k = index[key] = len(weights)
+                    b = _coefficient_b(g, exps, key[1], v, field)
+                    weights.append((b, -b))
+                if weights[k][0].coeffs:
+                    row = row_of[x[:i] + x[i + 1:]]
+                    entries[row][j] = weights[k][i % 2]
+                    column.append((row, k, i % 2))
+            degree.append(column)
+        columns.append(degree)
         diffs.append(LaurentMatrix(field, len(rows), len(cols), entries))
 
-    for n in range(1, max_n):
-        if not (diffs[n] * diffs[n + 1]).is_zero():
-            raise RuntimeError(f"differential composite D_{n} D_{n + 1} is nonzero")
+    _check_composites(field, weights, columns)
     return TwistedComplex(field, bases, diffs)
+
+
+def _check_composites(field: Field, weights: list[tuple[LaurentPoly, LaurentPoly]],
+                      columns: list[list[list[tuple[int, int, int]]]]) -> None:
+    """Raise unless every entry of every D_n D_{n+1} vanishes.
+
+    An entry is the sum of the products of weights along the paths Y -> X ->
+    F; the products of sign +1 and of sign -1 are summed apart and compared.
+    Each distinct pair of weights is multiplied once.
+    """
+    zero = LaurentPoly.zero(field)
+    products: dict[tuple[int, int], LaurentPoly] = {}
+    for n in range(1, len(columns) - 1):
+        lower = columns[n]
+        for column in columns[n + 1]:
+            sides: dict[int, tuple[list[LaurentPoly], list[LaurentPoly]]] = {}
+            for x_row, a, a_odd in column:
+                for f_row, b, b_odd in lower[x_row]:
+                    pair = (a, b) if a < b else (b, a)
+                    prod = products.get(pair)
+                    if prod is None:
+                        prod = products[pair] = weights[a][0] * weights[b][0]
+                    sides.setdefault(f_row, ([], []))[a_odd ^ b_odd].append(prod)
+            for plus, minus in sides.values():
+                # the paths through a label-2 edge multiply the same two
+                # weights, so they share one product and cancel as they are
+                if len(plus) == len(minus) == 1 and plus[0] is minus[0]:
+                    continue
+                if reduce(add, plus, zero) != reduce(add, minus, zero):
+                    raise RuntimeError(f"differential composite D_{n} D_{n + 1} is nonzero")
 
 
 @dataclass(frozen=True)

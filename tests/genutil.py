@@ -1,12 +1,12 @@
 """Seeded random instance generators shared by the property and acceptance
-suites, and a matrix helper shared by the Smith form tests."""
+suites, and matrix helpers shared by the Laurent and twisted-complex tests."""
 
 from __future__ import annotations
 
 import random
 import string
 
-from artinsigma import Character, EvenGraph, LaurentMatrix, validate_fc
+from artinsigma import Character, EvenGraph, LaurentMatrix, LaurentPoly, validate_fc
 
 
 def random_even_fc_graph(rng: random.Random, max_vertices: int = 6,
@@ -62,3 +62,23 @@ def permuted(m: LaurentMatrix, row_order, col_order) -> LaurentMatrix:
     """The matrix with its rows and columns taken in the given orders."""
     rows = [[m.entries[i][j] for j in col_order] for i in row_order]
     return LaurentMatrix(m.field, m.nrows, m.ncols, rows)
+
+
+def matrix_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    """Sparse product: only pairs of nonzero entries are multiplied."""
+    if a.ncols != b.nrows:
+        raise ValueError("dimension mismatch in matrix product")
+    b_rows = [[(j, e) for j, e in enumerate(row) if e.coeffs] for row in b.entries]
+    z = LaurentPoly.zero(a.field)
+    rows = []
+    for row in a.entries:
+        acc: dict[int, LaurentPoly] = {}
+        for k, e in enumerate(row):
+            if e.coeffs:
+                for j, f in b_rows[k]:
+                    acc[j] = acc[j] + e * f if j in acc else e * f
+        out = [z] * b.ncols
+        for j, v in acc.items():
+            out[j] = v
+        rows.append(out)
+    return LaurentMatrix(a.field, a.nrows, b.ncols, rows)

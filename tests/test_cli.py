@@ -1,13 +1,18 @@
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artinsigma import __version__
 from artinsigma.cli import EXIT_CROSSCHECK, EXIT_INVALID, EXIT_OK, run
 
 
@@ -227,6 +232,55 @@ def test_boolean_character_value_rejected(tmp_path):
     code, report, text = run_cli(["classify", path])
     assert code == EXIT_INVALID and report is None
     assert "value for 'a' must be an integer" in text
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1.5", "+1", " 1", "1/0", "-1/-2", "0x10",
+                                   "1" * 4301, "1/" + "3" * 4301])
+def test_character_string_outside_documented_forms_rejected(tmp_path, value):
+    path = write_instance(tmp_path, "strings",
+                          [{"u": "a", "v": "b", "label": 4}], {"a": value, "b": -1})
+    code, report, text = run_cli(["classify", path])
+    assert code == EXIT_INVALID and report is None
+    assert "value for 'a' must be an integer or a 'p/q' string" in text
+
+
+def test_character_strings_in_documented_forms_accepted(tmp_path):
+    big = "7" * 4300
+    path = write_instance(tmp_path, "strings", [{"u": "a", "v": "b", "label": 4}],
+                          {"a": f"-{big}/{big}", "b": "-0003/06", "c": big},
+                          vertices=["a", "b", "c"])
+    code, report, _ = run_cli(["classify", path])
+    assert code == EXIT_OK
+    assert report["instance"]["character"] == {"a": "-1", "b": "-1/2", "c": big}
+
+
+def test_large_prime_characteristic_answers_in_bounded_time(dihedral4_path):
+    start = time.perf_counter()
+    code, report, _ = run_cli(["check", "--n", "1", "--p", "1000000000000000003",
+                               dihedral4_path])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert report["results"]["coefficients"] == "F1000000000000000003"
+
+
+@pytest.mark.parametrize("p", ["3215031751", "3317044064679887385961981", "10" * 20])
+def test_strong_pseudoprime_and_undecidable_characteristics_rejected(dihedral4_path, p):
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to the bases 2, 3, 5, 7;
+    # from 3317044064679887385961981 on, the fixed bases no longer decide primality
+    code, report, text = run_cli(["check", "--n", "1", "--p", p, dihedral4_path])
+    assert code == EXIT_INVALID and report is None
+    assert text.startswith("error: --p must be")
+
+
+def test_module_entry_point_runs_validate():
+    demo = Path(__file__).resolve().parent.parent / "demos" / "instances" / "example1.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "artinsigma", "validate", str(demo)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_OK
+    assert done.stdout.startswith(f"artinsigma {__version__}\n")
 
 
 def test_zero_character_rejected(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 from artinsigma import (EvenGraph, enumerate_cliques, flag_complex, has_cone_vertex, link,
                         living_subgraph, reduced_homology)
-from artinsigma.homology import SimplicialComplex, _boundary, integer_invariant_factors
+from artinsigma.homology import (PRIME_BOUND, SimplicialComplex, _boundary,
+                                 integer_invariant_factors, is_prime, prime_factors)
 
 from genutil import random_even_fc_graph
 
@@ -55,6 +56,34 @@ def reference_rank(matrix):
 
 
 # --- cliques, links, flag complexes ------------------------------------------
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 50) if is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    for n in range(20000):
+        assert is_prime(n) == (prime_factors(n) == {n})
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    # each is a strong pseudoprime to every prime base up to some bound below 41
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    for n in (561, 1105, 1729, 2465, 41 * 43, (2**31 - 1) * 4294967311):
+        assert not is_prime(n), n
+    for n in (2**31 - 1, 2**61 - 1, 1000000000000000003, PRIME_BOUND - 2):
+        assert is_prime(n) == sympy.isprime(n), n
+    rng = random.Random(49)
+    for _ in range(2000):
+        n = rng.randrange(2, PRIME_BOUND)
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_refuses_the_undecided_range():
+    with pytest.raises(ValueError, match="primality is only decided below"):
+        is_prime(PRIME_BOUND)
+
 
 def test_enumerate_cliques_triangle():
     g = EvenGraph(["a", "b", "c"], [("a", "b", 2), ("b", "c", 2), ("a", "c", 2)])

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from artinsigma import (Character, CrossCheckError, EvenGraph, Field,
+from artinsigma import (Character, CrossCheckError, EvenGraph, Field, LaurentMatrix, LaurentPoly,
                         build_salvetti_complex, coefficient_b, cross_check, homology_module,
                         smith_normal_form, t_power_minus_one)
 
-from conftest import dihedral
-from genutil import permuted, random_character, random_even_fc_graph
+from conftest import dihedral, product_of_dihedrals
+from genutil import matrix_product, permuted, random_character, random_even_fc_graph
 
 
 def test_coefficient_b_single_vertex():
@@ -83,7 +83,99 @@ def test_differentials_compose_to_zero():
         for p in (0, 2):
             complex_ = build_salvetti_complex(g, chi, p)
             for n in range(1, complex_.max_degree):
-                assert (complex_.differential(n) * complex_.differential(n + 1)).is_zero()
+                assert matrix_product(complex_.differential(n),
+                                      complex_.differential(n + 1)).is_zero()
+
+
+def test_differential_entries_match_coefficient_b():
+    # the build computes each distinct weight once and assembles sparse
+    # columns; the reference takes every entry from coefficient_b afresh
+    rng = random.Random(46)
+    for _ in range(30):
+        g = random_even_fc_graph(rng, max_vertices=7)
+        chi = random_character(rng, g, nonzero=False)
+        for p in (0, 2, 3):
+            max_n = rng.randint(1, 4)
+            complex_ = build_salvetti_complex(g, chi, p, max_n=max_n)
+            zero = LaurentPoly.zero(Field(p))
+            for n in range(1, max_n + 1):
+                rows, cols = complex_.basis(n - 1), complex_.basis(n)
+                expected = {}
+                for j, x in enumerate(cols):
+                    for i, v in enumerate(x):
+                        b = coefficient_b(g, chi, x, v, p=p)
+                        expected[rows.index(x[:i] + x[i + 1:]), j] = -b if i % 2 else b
+                d = complex_.differential(n)
+                assert (d.nrows, d.ncols) == (len(rows), len(cols))
+                for r in range(d.nrows):
+                    for c in range(d.ncols):
+                        assert d.entry(r, c) == expected.get((r, c), zero)
+
+
+def test_composite_check_fires_on_each_corrupted_weight(monkeypatch):
+    # b(v, X) depends on v and its label > 2 partners in X, and the build
+    # memoizes it under that key.  Multiplying b(u, {u, w}) by t for one edge
+    # of label > 2 leaves b(w, {u, w}) alone, so the entry of D_1 D_2 at
+    # ({u, w}, ()) no longer cancels.  (A change that depends only on v, or
+    # only on the number of partners, is a change of basis on FC graphs and
+    # keeps D^2 = 0.)
+    import artinsigma.salvetti as salvetti
+
+    g, chi = product_of_dihedrals(4, 6)
+    honest = salvetti._coefficient_b
+    for u, w in (("v", "w"), ("w", "v"), ("x", "y"), ("y", "x")):
+        def corrupted(g_, exps, partners, v, field, u=u, w=w):
+            b = honest(g_, exps, partners, v, field)
+            return b.shifted(1) if (v, tuple(partners)) == (u, (w,)) else b
+
+        monkeypatch.setattr(salvetti, "_coefficient_b", corrupted)
+        for p in (0, 5):
+            with pytest.raises(RuntimeError, match=r"differential composite D_1 D_2 is nonzero"):
+                build_salvetti_complex(g, chi, p, max_n=3)
+    monkeypatch.setattr(salvetti, "_coefficient_b", honest)
+    build_salvetti_complex(g, chi, 0, max_n=4)
+
+
+def test_composite_check_agrees_with_dense_product():
+    # one entry of one differential is corrupted; the sparse check must raise
+    # exactly when the dense product of some consecutive pair is nonzero
+    from artinsigma.salvetti import _check_composites
+
+    rng = random.Random(47)
+    fired = 0
+    for _ in range(40):
+        g = random_even_fc_graph(rng, max_vertices=6)
+        chi = random_character(rng, g)
+        p = rng.choice([0, 2, 3])
+        complex_ = build_salvetti_complex(g, chi, p, max_n=4)
+        diffs = [[list(row) for row in complex_.differential(n).entries] for n in range(1, 5)]
+        nonzero = [(n, i, j) for n, d in enumerate(diffs) for i, row in enumerate(d)
+                   for j, e in enumerate(row) if e.coeffs]
+        if not nonzero:
+            continue
+        n, i, j = rng.choice(nonzero)
+        diffs[n][i][j] = diffs[n][i][j].shifted(1) if rng.random() < 0.5 else \
+            diffs[n][i][j] + LaurentPoly.one(complex_.field)
+        weights, columns = [], [[]]
+        for d in diffs:
+            degree = [[] for _ in (d[0] if d else ())]
+            for r, row in enumerate(d):
+                for c, e in enumerate(row):
+                    if e.coeffs:
+                        degree[c].append((r, len(weights), 0))
+                        weights.append((e, -e))
+            columns.append(degree)
+        matrices = [LaurentMatrix(complex_.field, len(d), len(complex_.basis(k + 1)), d)
+                    for k, d in enumerate(diffs)]
+        expected = any(not matrix_product(a, b).is_zero()
+                       for a, b in zip(matrices, matrices[1:]))
+        if expected:
+            fired += 1
+            with pytest.raises(RuntimeError, match=r"differential composite D_\d D_\d is nonzero"):
+                _check_composites(complex_.field, weights, columns)
+        else:
+            _check_composites(complex_.field, weights, columns)
+    assert fired >= 20
 
 
 def test_basis_is_cliques_by_size(d4d6):
