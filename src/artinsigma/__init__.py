@@ -24,8 +24,9 @@ from .homology import (HomologyProfile, SimplicialComplex, enumerate_cliques, fl
                        has_cone_vertex, link, reduced_homology)
 from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd, q_poly,
                       smith_normal_form, t_power_minus_one)
-from .salvetti import (CrossCheckError, CrossCheckReport, ModulePresentation, TwistedComplex,
-                       build_salvetti_complex, coefficient_b, cross_check, homology_module)
+from .salvetti import (CrossCheckError, CrossCheckReport, ModulePresentation, OracleTooLarge,
+                       TwistedComplex, build_salvetti_complex, coefficient_b, cross_check,
+                       homology_module)
 from .verdicts import (IN, NOT_IN, UNKNOWN, Justification, RuleConflictError, Verdict,
                        dihedral_sigma_member, fp_verdict, homotopic_sigma_verdict,
                        odd_cycle_condition, product_sigma_member, sigma_verdict)

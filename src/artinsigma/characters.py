@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .graphs import EvenGraph
+from .graphs import EvenGraph, _bits
 from .homology import prime_factors
 
 
@@ -164,7 +164,7 @@ class CenterValues:
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for _, x in self.entries)
+        return not any(x for _, x in self.entries)
 
 
 def center_values(g: EvenGraph, chi: Character, delta: Iterable[str]) -> CenterValues:
@@ -172,17 +172,21 @@ def center_values(g: EvenGraph, chi: Character, delta: Iterable[str]) -> CenterV
     delta = g.sort_vertices(delta)
     if not g.is_clique(delta):
         raise ValueError(f"{tuple(delta)} is not a clique")
+    members = g.vertex_mask(delta)
     on_big_edge: set[str] = set()
     entries: list[tuple[str, Fraction]] = []
-    for i, u in enumerate(delta):
-        for v in delta[i + 1:]:
-            if g.label(u, v) > 2:
-                if u in on_big_edge or v in on_big_edge:
-                    raise ValueError(
-                        f"clique {tuple(delta)} has a vertex on two labels > 2 (FC violated)")
-                on_big_edge.update((u, v))
-                half = g.half_label(u, v)
-                entries.append((f"({u}{v})^{half}", half * chi.edge_value(u, v)))
+    for u in delta:
+        i = g.index(u)
+        # the label > 2 partners of u after it in the clique, in order
+        later = g.big_partner_masks[i] & members >> (i + 1) << (i + 1)
+        for j in _bits(later):
+            v = g.vertices[j]
+            if u in on_big_edge or v in on_big_edge:
+                raise ValueError(
+                    f"clique {tuple(delta)} has a vertex on two labels > 2 (FC violated)")
+            on_big_edge.update((u, v))
+            half = g.half_label(u, v)
+            entries.append((f"({u}{v})^{half}", half * chi.edge_value(u, v)))
     for v in delta:
         if v not in on_big_edge:
             entries.append((v, chi.value(v)))

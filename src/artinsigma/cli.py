@@ -26,12 +26,19 @@ from .conditions import Analysis, ConditionReport
 from .graphs import (EvenGraph, GraphFormatError, describe_graph, graph_from_dict,
                      graph_to_dict, validate_even, validate_fc)
 from .homology import PRIME_BOUND, coeffs_label, is_prime
-from .salvetti import CrossCheckError, build_salvetti_complex, cross_check, homology_module
+from .salvetti import (CrossCheckError, OracleTooLarge, build_salvetti_complex, cross_check,
+                       homology_module)
 from .verdicts import Verdict, fp_verdict, homotopic_sigma_verdict, sigma_verdict
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CROSSCHECK = 2
+
+# The largest accepted --n.  Degrees above a link's dimension cost no Smith
+# form, but the homology profiles and reports keep per-degree entries, so
+# their size is linear in --n (check --n 200000 took 1.8 s on a 4-vertex
+# instance).
+MAX_DEGREE = 10_000
 
 
 class InstanceError(ValueError):
@@ -307,6 +314,9 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
     if n is not None and n < 0:
         out.write("error: --n must be nonnegative\n")
         return EXIT_INVALID, None
+    if n is not None and n > MAX_DEGREE:
+        out.write(f"error: --n must be at most {MAX_DEGREE}, got {n}\n")
+        return EXIT_INVALID, None
 
     if args.command != "validate":
         even, fc = validate_even(g), validate_fc(g)
@@ -318,7 +328,11 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
             out.write("error: the zero character has no sphere class\n")
             return EXIT_INVALID, None
 
-    code, results = _COMMANDS[args.command](g, chi, args)
+    try:
+        code, results = _COMMANDS[args.command](g, chi, args)
+    except OracleTooLarge as exc:
+        out.write(f"error: {exc}\n")
+        return EXIT_INVALID, None
     params = {}
     if hasattr(args, "n"):
         params["n"] = args.n

@@ -22,9 +22,10 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .characters import Character, center_values, classify
-from .graphs import EvenGraph, describe_graph, induced_subgraph, is_connected
-from .homology import (HomologyProfile, SimplicialComplex, coeffs_label, enumerate_cliques,
-                       flag_complex, has_cone_vertex, is_prime, link, reduced_homology)
+from .graphs import EvenGraph, _bits, describe_graph, induced_subgraph, is_connected, is_subgraph
+from .homology import (HomologyProfile, SimplicialComplex, _link, coeffs_label,
+                       enumerate_cliques, flag_complex, has_cone_vertex, is_prime,
+                       reduced_homology)
 
 
 class ZeroCharacterError(ValueError):
@@ -112,7 +113,11 @@ class Analysis:
             dead = self.classification.dead_vertices
             keep = [v for v in self.g.vertices if v not in dead]
             drop = [e for e in edges if e[0] not in dead and e[1] not in dead]
-            self._living[edges] = induced_subgraph(self.g, keep, drop)
+            living = induced_subgraph(self.g, keep, drop)
+            # every link of the mode is taken in it (see _select)
+            if not is_subgraph(living, self.g):
+                raise RuntimeError("living subgraph is not a subgraph of the graph")
+            self._living[edges] = living
         return self._living[edges]
 
     def links(self, n: int, p: int | None = None, coeffs="Z"):
@@ -132,19 +137,24 @@ class Analysis:
     def _select(self, edges: frozenset, living: EvenGraph, cliques):
         """(clique, link) for each of ``cliques`` whose every vertex is dead
         or on an edge of ``edges`` inside it (see :func:`dead_cliques`)."""
-        dead = self.classification.dead_vertices
+        g = self.g
+        dead = g.vertex_mask(self.classification.dead_vertices)
+        partners = [0] * len(g.vertices)   # bit j of partners[i]: edge {i, j} in edges
+        for u, v in edges:
+            i, j = g.index(u), g.index(v)
+            partners[i] |= 1 << j
+            partners[j] |= 1 << i
+        living_mask = g.vertex_mask(living.vertices)
         check_center = edges == self.classification.dead_edges
         for clique in cliques:
-            members = set(clique)
-            selected = all(
-                v in dead or any(v in e and e[0] in members and e[1] in members for e in edges)
-                for v in clique)
-            if check_center and selected != center_values(self.g, self.chi, clique).is_zero:
+            members = g.vertex_mask(clique)
+            selected = all(partners[i] & members for i in _bits(members & ~dead))
+            if check_center and selected != center_values(g, self.chi, clique).is_zero:
                 raise RuntimeError(
                     f"dead-clique/center mismatch on {clique}: "
                     f"combinatorial={selected}, center-kill={not selected}")
             if selected:
-                yield clique, link(self.g, living, clique)
+                yield clique, _link(g, living, living_mask, clique)
 
     def _homology(self, lk: EvenGraph, coeffs, d: int) -> HomologyProfile:
         if lk not in self._complexes:

@@ -40,10 +40,14 @@ class EvenGraph:
         self.vertices: tuple[str, ...] = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        index = self._index = {v: i for i, v in enumerate(self.vertices)}
         labels: dict[tuple[str, str], int] = {}
+        # bit j of nbr[i] (big[i]) is set when vertex j is a neighbour (a
+        # label > 2 partner) of vertex i, in the vertex order
+        nbr = [0] * len(self.vertices)
+        big = [0] * len(self.vertices)
         for u, v, label in edges:
-            if u not in self._index or v not in self._index:
+            if u not in index or v not in index:
                 raise ValueError(f"edge {u!r}-{v!r} mentions an unknown vertex")
             if u == v:
                 raise ValueError(f"loop at vertex {u!r}")
@@ -53,12 +57,16 @@ class EvenGraph:
             if key in labels:
                 raise ValueError(f"duplicate edge {u!r}-{v!r}")
             labels[key] = label
+            i, j = index[u], index[v]
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+            if label > 2:
+                big[i] |= 1 << j
+                big[j] |= 1 << i
         self._labels = labels
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for (u, v) in labels:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: tuple(sorted(ws, key=self._index.__getitem__)) for v, ws in adj.items()}
+        self._edges = tuple(sorted(labels, key=lambda e: (index[e[0]], index[e[1]])))
+        self.neighbor_masks: tuple[int, ...] = tuple(nbr)
+        self.big_partner_masks: tuple[int, ...] = tuple(big)
 
     # -- basic queries ----------------------------------------------------
 
@@ -90,11 +98,12 @@ class EvenGraph:
         return label // 2
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return self._adj[v]
+        """The neighbours of v in the vertex order."""
+        return tuple(self.vertices[j] for j in _bits(self.neighbor_masks[self._index[v]]))
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges as canonical pairs, sorted by vertex order."""
-        return tuple(sorted(self._labels, key=lambda e: (self._index[e[0]], self._index[e[1]])))
+        return self._edges
 
     def edge_items(self) -> tuple[tuple[tuple[str, str], int], ...]:
         return tuple((e, self._labels[e]) for e in self.edges())
@@ -102,12 +111,27 @@ class EvenGraph:
     def num_edges(self) -> int:
         return len(self._labels)
 
-    def is_clique(self, vs: Iterable[str]) -> bool:
-        vs = list(vs)
+    def vertex_mask(self, vs: Iterable[str]) -> int:
+        """Bit mask of the given vertices in the vertex order."""
+        mask = 0
         for v in vs:
-            if v not in self._index:
+            mask |= 1 << self._index[v]
+        return mask
+
+    def is_clique(self, vs: Iterable[str]) -> bool:
+        """Distinct vertices of the graph, pairwise adjacent."""
+        index = self._index
+        positions = []
+        mask = 0
+        for v in vs:
+            if v not in index:
                 return False
-        return all(self.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+            positions.append(index[v])
+            mask |= 1 << index[v]
+        if mask.bit_count() != len(positions):
+            return False
+        nbr = self.neighbor_masks
+        return all(mask & ~nbr[i] == 1 << i for i in positions)
 
     def sort_vertices(self, vs: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(vs, key=self._index.__getitem__))
@@ -123,6 +147,16 @@ class EvenGraph:
     def __repr__(self) -> str:
         es = ", ".join(f"{u}-{v}:{l}" for (u, v), l in self.edge_items())
         return f"EvenGraph([{', '.join(self.vertices)}]; {es})"
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,17 +201,16 @@ def validate_fc(g: EvenGraph) -> ValidationReport:
     v, so findings are in the lexicographic order of their vertex triples.
     """
     violations = []
+    nbr, big = g.neighbor_masks, g.big_partner_masks
     for u, v in g.edges():
-        for w in g.neighbors(v):
-            if g.index(w) <= g.index(v) or not g.has_edge(u, w):
+        i, j = g.index(u), g.index(v)
+        for k in _bits(nbr[i] & nbr[j] >> (j + 1) << (j + 1)):
+            if (big[i] >> j & 1) + (big[i] >> k & 1) + (big[j] >> k & 1) < 2:
                 continue
-            big = [e for e in ((u, v), (u, w), (v, w)) if g.label(*e) > 2]
-            if len(big) >= 2:
-                violations.append(Finding(
-                    f"triangle {u},{v},{w} carries {len(big)} labels > 2",
-                    vertices=(u, v, w),
-                    edges=tuple(big),
-                ))
+            w = g.vertices[k]
+            edges = tuple(e for e in ((u, v), (u, w), (v, w)) if g.label(*e) > 2)
+            violations.append(Finding(f"triangle {u},{v},{w} carries {len(edges)} labels > 2",
+                                      vertices=(u, v, w), edges=edges))
     return _report(violations)
 
 
@@ -188,19 +221,26 @@ def induced_subgraph(g: EvenGraph, keep_vertices: Iterable[str],
     Dropping an edge keeps both endpoints; the inherited vertex order is the
     ambient one restricted to the kept vertices.
     """
-    keep = set(keep_vertices)
-    for v in keep:
+    keep = 0
+    for v in keep_vertices:
         if not g.has_vertex(v):
             raise ValueError(f"unknown vertex {v!r}")
+        keep |= 1 << g.index(v)
     dropped = set()
     for (u, v) in drop_edges:
         if not g.has_edge(u, v):
             raise ValueError(f"unknown edge {u!r}-{v!r}")
         dropped.add(g.edge_key(u, v))
-    vs = [v for v in g.vertices if v in keep]
-    es = [(u, v, label) for (u, v), label in g.edge_items()
-          if u in keep and v in keep and (u, v) not in dropped]
-    return EvenGraph(vs, es)
+    vs, labels = g.vertices, g._labels
+    kept = _bits(keep)
+    es = []
+    for i in kept:
+        # the kept neighbours after vertex i
+        for j in _bits(g.neighbor_masks[i] & keep >> (i + 1) << (i + 1)):
+            e = (vs[i], vs[j])
+            if e not in dropped:
+                es.append((*e, labels[e]))
+    return EvenGraph([vs[i] for i in kept], es)
 
 
 def is_subgraph(g1: EvenGraph, g2: EvenGraph) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .graphs import EvenGraph, induced_subgraph, is_subgraph
+from .graphs import EvenGraph, _bits, induced_subgraph, is_subgraph
 
 
 def prime_factors(n: int) -> set[int]:
@@ -105,20 +105,21 @@ def enumerate_cliques(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...
     """All cliques of size <= max_size, including the empty clique.
 
     Order: by size, then lexicographically in the global vertex order, so
-    every downstream basis and report is deterministic.
+    every downstream basis and report is deterministic.  Each clique is
+    extended by the vertices in the mask of its common neighbours after its
+    last vertex.
     """
+    vs, nbr = g.vertices, g.neighbor_masks
     by_size: list[list[tuple[str, ...]]] = [[()]]
-    current: list[tuple[str, ...]] = [()]
+    current: list[tuple[tuple[str, ...], int]] = [((), (1 << len(vs)) - 1)]
     for size in range(1, max_size + 1):
         nxt = []
-        for clique in current:
-            start = g.index(clique[-1]) + 1 if clique else 0
-            for v in g.vertices[start:]:
-                if all(g.has_edge(u, v) for u in clique):
-                    nxt.append(clique + (v,))
+        for clique, later in current:
+            for i in _bits(later):
+                nxt.append((clique + (vs[i],), later & nbr[i] >> (i + 1) << (i + 1)))
         if not nxt:
             break
-        by_size.append(nxt)
+        by_size.append([clique for clique, _ in nxt])
         current = nxt
     return tuple(c for group in by_size for c in group)
 
@@ -132,12 +133,19 @@ def link(g_ambient: EvenGraph, gamma1: EvenGraph, delta: Sequence[str]) -> EvenG
     """
     if not is_subgraph(gamma1, g_ambient):
         raise ValueError("gamma1 is not a subgraph of the ambient graph")
-    delta = list(delta)
+    return _link(g_ambient, gamma1, g_ambient.vertex_mask(gamma1.vertices), list(delta))
+
+
+def _link(g_ambient: EvenGraph, gamma1: EvenGraph, gamma1_mask: int,
+          delta: Sequence[str]) -> EvenGraph:
+    """:func:`link` for a ``gamma1`` already known to be a subgraph of
+    ``g_ambient``, whose vertices are the bits of ``gamma1_mask``."""
     if not g_ambient.is_clique(delta):
         raise ValueError(f"{tuple(delta)} is not a clique of the ambient graph")
-    keep = [w for w in gamma1.vertices
-            if all(g_ambient.has_edge(v, w) for v in delta)]
-    return induced_subgraph(gamma1, keep)
+    keep = gamma1_mask
+    for v in delta:
+        keep &= g_ambient.neighbor_masks[g_ambient.index(v)]
+    return induced_subgraph(gamma1, [g_ambient.vertices[i] for i in _bits(keep)])
 
 
 class SimplicialComplex:
@@ -168,6 +176,17 @@ class SimplicialComplex:
             for d, group in sorted(by_dim.items())
         }
         self._factors: dict[int, list[int]] = {}
+
+    @classmethod
+    def _of_closed(cls, vertex_order: tuple[str, ...],
+                   by_dim: dict[int, tuple[tuple[str, ...], ...]]) -> "SimplicialComplex":
+        """A complex from simplices already downward closed and grouped by
+        dimension, each group sorted as the constructor sorts it."""
+        c = cls.__new__(cls)
+        c.vertex_order = vertex_order
+        c._by_dim = by_dim
+        c._factors = {}
+        return c
 
     def is_empty(self) -> bool:
         return not self._by_dim
@@ -205,8 +224,13 @@ class SimplicialComplex:
 
 def flag_complex(g: EvenGraph) -> SimplicialComplex:
     """Flag complex of a graph: one (k-1)-simplex per k-clique."""
-    cliques = enumerate_cliques(g, len(g.vertices))
-    return SimplicialComplex(g.vertices, [c for c in cliques if c])
+    by_dim: dict[int, list[tuple[str, ...]]] = {}
+    for c in enumerate_cliques(g, len(g.vertices)):
+        if c:
+            by_dim.setdefault(len(c) - 1, []).append(c)
+    # every face of a clique is a clique, and the enumeration order is the
+    # constructor's order within each dimension
+    return SimplicialComplex._of_closed(g.vertices, {d: tuple(cs) for d, cs in by_dim.items()})
 
 
 def _boundary(c: SimplicialComplex, k: int) -> list[list[int]]:
@@ -237,59 +261,106 @@ def _boundary(c: SimplicialComplex, k: int) -> list[list[int]]:
 def integer_invariant_factors(matrix: Sequence[Sequence[int]], nrows: int, ncols: int) -> list[int]:
     """Positive invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Elimination to a diagonal form: the pivot is a minimal-absolute-value
-    nonzero entry, its column and row are cleared by exact division steps,
-    and the diagonal is then turned into the divisibility chain by (gcd,
-    lcm) exchanges.  Arbitrary-precision throughout.
+    Sparse elimination in the manner of Dumas, Saunders and Villard (J. Symb.
+    Comput., 2001), as in :func:`artinsigma.laurent.smith_normal_form`: each
+    row holds only its nonzero entries, and a column index lists the rows of
+    each column.  The pivot is an entry of smallest absolute value (the
+    first unit found).  It clears its column by row operations, and a
+    nonzero remainder becomes the new pivot.  Then the pivot row is cleared
+    by column operations, which touch no other row and are skipped for a
+    unit pivot.  The diagonal left at the end is turned into the
+    divisibility chain by (gcd, lcm) exchanges.  Arbitrary-precision
+    throughout.
     """
-    m = [list(row) for row in matrix]
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, entries in enumerate(matrix):
+        row = {j: a for j, a in enumerate(entries) if a}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
     diagonal: list[int] = []
-    k = 0
-    while k < nrows and k < ncols:
-        piv = None
-        best = 0
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                a = m[i][j]
-                if a and (piv is None or abs(a) < best):
-                    piv, best = (i, j), abs(a)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        m[k], m[i0] = m[i0], m[k]
-        for row in m:
-            row[k], row[j0] = row[j0], row[k]
+    while rows:
+        i0, j0 = _min_abs_entry(rows)
         while True:
-            p = m[k][k]
-            for i in range(k + 1, nrows):
-                if m[i][k]:
-                    q = m[i][k] // p
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[k])]
-            for j in range(k + 1, ncols):
-                if m[k][j]:
-                    q = m[k][j] // p
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[k]
-            # a nonzero remainder is smaller than the pivot: it becomes the
-            # pivot and the clearing starts again
-            i = next((i for i in range(k + 1, nrows) if m[i][k]), None)
-            j = next((j for j in range(k + 1, ncols) if m[k][j]), None)
-            if i is not None:
-                m[k], m[i] = m[i], m[k]
-            elif j is not None:
-                for row in m:
-                    row[k], row[j] = row[j], row[k]
-            else:
+            i0 = _clear_column(rows, cols, i0, j0)
+            j = _clear_row(rows[i0], cols, i0, j0)
+            if j is None:
                 break
-        diagonal.append(abs(m[k][k]))
-        k += 1
+            j0 = j
+        row = rows.pop(i0)
+        diagonal.append(abs(row[j0]))
+        for j in row:
+            cols[j].discard(i0)
     return _divisibility_chain(diagonal)
+
+
+def _min_abs_entry(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
+    """Position of a nonzero entry of smallest absolute value (the first
+    unit found)."""
+    best, best_abs = None, 0
+    for i, row in rows.items():
+        for j, a in row.items():
+            if best is None or abs(a) < best_abs:
+                best, best_abs = (i, j), abs(a)
+                if best_abs == 1:
+                    return best
+    return best
+
+
+def _clear_column(rows: dict[int, dict[int, int]], cols: dict[int, set[int]],
+                  i0: int, j0: int) -> int:
+    """Reduce column j0 to the single entry in the returned pivot row: every
+    other row loses a multiple of the pivot row, and while remainders are
+    left, the smallest becomes the pivot and the pass repeats."""
+    while True:
+        pivot_row = rows[i0]
+        pivot = pivot_row[j0]
+        best, best_abs = None, 0
+        for i in list(cols[j0]):
+            if i == i0:
+                continue
+            row = rows[i]
+            q, r = divmod(row[j0], pivot)
+            if q:
+                for j, a in pivot_row.items():
+                    v = r if j == j0 else row.get(j, 0) - q * a
+                    if v:
+                        row[j] = v
+                        cols[j].add(i)
+                    elif j in row:
+                        del row[j]
+                        cols[j].discard(i)
+                if not row:
+                    del rows[i]
+            if r and (best is None or abs(r) < best_abs):
+                best, best_abs = i, abs(r)
+        if best is None:
+            return i0
+        i0 = best
+
+
+def _clear_row(pivot_row: dict[int, int], cols: dict[int, set[int]],
+               i0: int, j0: int) -> int | None:
+    """Clear the pivot row by column operations once column j0 holds only
+    the pivot, leaving the remainder of each entry.  Returns the column of
+    the smallest nonzero remainder, the next pivot, or None when there is
+    none (always for a unit pivot)."""
+    pivot = pivot_row[j0]
+    if pivot in (1, -1):
+        return None
+    best, best_abs = None, 0
+    for j in [j for j in pivot_row if j != j0]:
+        r = pivot_row[j] % pivot
+        if r:
+            pivot_row[j] = r
+            if best is None or abs(r) < best_abs:
+                best, best_abs = j, abs(r)
+        else:
+            del pivot_row[j]
+            cols[j].discard(i0)
+    return best
 
 
 def _divisibility_chain(diagonal: list[int]) -> list[int]:
@@ -364,4 +435,4 @@ def has_cone_vertex(g: EvenGraph) -> bool:
     if not g.vertices:
         return False
     n = len(g.vertices)
-    return any(len(g.neighbors(v)) == n - 1 for v in g.vertices)
+    return any(m.bit_count() == n - 1 for m in g.neighbor_masks)

@@ -343,12 +343,6 @@ class LaurentMatrix:
         z = LaurentPoly.zero(field)
         return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def to_dict(self) -> dict:
         return {
             "rows": self.nrows,

@@ -32,6 +32,39 @@ from .laurent import (Field, LaurentMatrix, LaurentPoly, q_poly, smith_normal_fo
                       t_power_minus_one)
 
 
+# The oracle's polynomials are dense, so its cost grows with the span of the
+# differential weights.  On one label-4 edge at degree 1 (2-vCPU VM),
+# chi = (1, 1000) (largest span 2,001) took 0.45 s over F_2 and 3.6 s over
+# Q, and chi = (1, 2500) (span 5,001) 1.7 s over F_2 and 28 s over Q.
+# Larger spans are refused before anything is built.
+MAX_ORACLE_SPAN = 2_048
+
+
+class OracleTooLarge(ValueError):
+    """The twisted complex would carry a weight beyond :data:`MAX_ORACLE_SPAN`."""
+
+
+def _max_weight_span(g: EvenGraph, chi: Character, max_n: int) -> int:
+    """Largest span of a weight b(v, X) over the cliques X of size <= max_n.
+
+    t^m - 1 has span |m| and q_poly(l, m) has span (l - 1) |m|, where m are
+    the primitive integer values; on an FC graph a clique holds at most one
+    label > 2 partner w of v, and only cliques of size >= 2 hold one.
+    """
+    if max_n < 1:
+        return 0
+    exps = chi.primitive_integer_values()
+    span = 0
+    for v in g.vertices:
+        partner = 0
+        if max_n >= 2:
+            partner = max(((g.half_label(v, w) - 1) * abs(exps[v] + exps[w])
+                           for w in g.neighbors(v) if g.label(v, w) != 2), default=0)
+        if exps[v]:     # b(v, X) = 0 otherwise
+            span = max(span, abs(exps[v]) + partner)
+    return span
+
+
 def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) -> LaurentPoly:
     """Differential weight of the facet of clique X obtained by removing v."""
     _check_domain(g, chi)
@@ -112,7 +145,9 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int = 0,
     Character values are first rescaled to a primitive integer vector (the
     exponents of the deck transformation).  The sign of the facet removing
     the i-th vertex of a clique is (-1)^i in the global vertex order.
-    Composites of consecutive differentials are checked to vanish.
+    Composites of consecutive differentials are checked to vanish.  A
+    weight span above :data:`MAX_ORACLE_SPAN` raises :class:`OracleTooLarge`
+    before anything is built.
 
     A label-2 factor of b(v, X) is q_poly(1, m) = 1, so b(v, X) depends only
     on v and the vertices w of X with label(v, w) != 2; each distinct weight
@@ -125,6 +160,10 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int = 0,
         max_n = len(g.vertices)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
+    span = _max_weight_span(g, chi, max_n)
+    if span > MAX_ORACLE_SPAN:
+        raise OracleTooLarge(f"the oracle is refused: a differential weight would have span "
+                             f"{span}, above the budget of {MAX_ORACLE_SPAN}")
     exps = chi.primitive_integer_values()
 
     grouped: dict[int, list[tuple[str, ...]]] = {}

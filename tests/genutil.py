@@ -1,12 +1,14 @@
 """Seeded random instance generators shared by the property and acceptance
-suites, and matrix helpers shared by the Laurent and twisted-complex tests."""
+suites, matrix helpers shared by the Laurent and twisted-complex tests, and
+plain reference versions of the bitmask graph kernels."""
 
 from __future__ import annotations
 
 import random
 import string
 
-from artinsigma import Character, EvenGraph, LaurentMatrix, LaurentPoly, validate_fc
+from artinsigma import (CenterValues, Character, EvenGraph, LaurentMatrix, LaurentPoly,
+                        validate_fc)
 
 
 def random_even_fc_graph(rng: random.Random, max_vertices: int = 6,
@@ -64,6 +66,14 @@ def permuted(m: LaurentMatrix, row_order, col_order) -> LaurentMatrix:
     return LaurentMatrix(m.field, m.nrows, m.ncols, rows)
 
 
+def matrix_entry(m: LaurentMatrix, i: int, j: int) -> LaurentPoly:
+    return m.entries[i][j]
+
+
+def matrix_is_zero(m: LaurentMatrix) -> bool:
+    return all(e.is_zero() for row in m.entries for e in row)
+
+
 def matrix_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """Sparse product: only pairs of nonzero entries are multiplied."""
     if a.ncols != b.nrows:
@@ -82,3 +92,48 @@ def matrix_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
             out[j] = v
         rows.append(out)
     return LaurentMatrix(a.field, a.nrows, b.ncols, rows)
+
+
+def enumerate_cliques_scan(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...]:
+    """Reference clique enumeration: each clique is extended by every later
+    vertex adjacent (by ``has_edge``) to all of its members."""
+    by_size: list[list[tuple[str, ...]]] = [[()]]
+    current: list[tuple[str, ...]] = [()]
+    for _ in range(max_size):
+        nxt = []
+        for clique in current:
+            start = g.index(clique[-1]) + 1 if clique else 0
+            for v in g.vertices[start:]:
+                if all(g.has_edge(u, v) for u in clique):
+                    nxt.append(clique + (v,))
+        if not nxt:
+            break
+        by_size.append(nxt)
+        current = nxt
+    return tuple(c for group in by_size for c in group)
+
+
+def center_values_pairwise(g: EvenGraph, chi: Character, delta) -> CenterValues:
+    """Reference center values: the label of every pair of the clique is
+    looked up, in lexicographic order of the pairs."""
+    if set(chi.values) != set(g.vertices):
+        raise ValueError("character domain mismatch")
+    delta = g.sort_vertices(delta)
+    if not all(g.has_vertex(v) for v in delta) or not all(
+            g.has_edge(u, v) for i, u in enumerate(delta) for v in delta[i + 1:]):
+        raise ValueError(f"{tuple(delta)} is not a clique")
+    on_big_edge: set[str] = set()
+    entries = []
+    for i, u in enumerate(delta):
+        for v in delta[i + 1:]:
+            if g.label(u, v) > 2:
+                if u in on_big_edge or v in on_big_edge:
+                    raise ValueError(
+                        f"clique {tuple(delta)} has a vertex on two labels > 2 (FC violated)")
+                on_big_edge.update((u, v))
+                half = g.half_label(u, v)
+                entries.append((f"({u}{v})^{half}", half * chi.edge_value(u, v)))
+    for v in delta:
+        if v not in on_big_edge:
+            entries.append((v, chi.value(v)))
+    return CenterValues(tuple(entries))

@@ -9,7 +9,7 @@ from artinsigma.graphs import EvenGraph
 from artinsigma.homology import enumerate_cliques
 
 from conftest import dihedral
-from genutil import random_character, random_even_fc_graph
+from genutil import center_values_pairwise, random_character, random_even_fc_graph
 
 
 def test_classify_example1(example1):
@@ -89,6 +89,37 @@ def test_center_values_example1(example1):
     assert center_values(g, chi, []).is_zero
     with pytest.raises(ValueError):
         center_values(g, chi, ["b", "c"])  # not a clique
+
+
+def outcome(f, *args):
+    try:
+        return "entries", f(*args).entries
+    except (ValueError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_center_values_match_pairwise_labels():
+    # FC and non-FC graphs, odd labels, shuffled vertex order; every clique in
+    # shuffled order, and random vertex lists that may repeat a vertex, name
+    # one the graph lacks or not be cliques
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        vs = rng.sample("abcdefgh", n)
+        edges = [(u, v, rng.choice((2, 2, 3, 4, 6)))
+                 for i, u in enumerate(vs) for v in vs[i + 1:] if rng.random() < 0.6]
+        g = EvenGraph(vs, edges)
+        chi = Character({v: rng.randint(-2, 2) for v in vs})
+        deltas = [rng.sample(c, len(c)) for c in enumerate_cliques(g, n)]
+        deltas += [rng.choices(vs + ["z"], k=rng.randint(0, 4)) for _ in range(5)]
+        for delta in deltas:
+            got = outcome(center_values, g, chi, delta)
+            assert got == outcome(center_values_pairwise, g, chi, delta)
+            seen.add(got[0] if got[0] == "entries" else
+                     next(k for k in ("not a clique", "FC violated", "odd label", "'z'")
+                          if k in got[1]))
+    assert seen == {"entries", "not a clique", "FC violated", "odd label", "'z'"}
 
 
 def test_dead_cliques_example1(example1):

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinsigma import __version__
-from artinsigma.cli import EXIT_CROSSCHECK, EXIT_INVALID, EXIT_OK, run
+from artinsigma.cli import EXIT_CROSSCHECK, EXIT_INVALID, EXIT_OK, MAX_DEGREE, run
+from artinsigma.salvetti import MAX_ORACLE_SPAN
 
 
 def write_instance(tmp_path, name, graph_edges, character, vertices=None):
@@ -402,3 +403,45 @@ def test_large_degrees_do_no_more_work(monkeypatch, command):
     else:
         for question in ("sigma_z", "fp", "sigma_homotopic"):
             assert reports[50][question]["status"] == reports[5000][question]["status"]
+
+
+@pytest.mark.parametrize("n", ["10000", "10001", str(10 ** 30)])
+def test_degree_is_capped(example2_path, n):
+    start = time.perf_counter()
+    code, report, text = run_cli(["check", "--n", n, example2_path])
+    assert time.perf_counter() - start < 5.0
+    if int(n) <= MAX_DEGREE:
+        assert code == EXIT_OK and report["results"]["n"] == int(n)
+    else:
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INVALID and report is None
+        assert text == f"error: --n must be at most {MAX_DEGREE}, got {n}\n"
+
+
+def test_oracle_refused_above_span_budget(tmp_path):
+    # b(w, {v, w}) = (t^100000 - 1) q_poly(2, 100001) has span 200001
+    path = write_instance(tmp_path, "wide", [{"u": "v", "v": "w", "label": 4}],
+                          {"v": 1, "w": 100000})
+    start = time.perf_counter()
+    code, report, text = run_cli(["homology", "--p", "2", "--n", "1", "--oracle", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INVALID and report is None
+    assert text == (f"error: the oracle is refused: a differential weight would have span "
+                    f"200001, above the budget of {MAX_ORACLE_SPAN}\n")
+    # the link formula alone still answers
+    code, report, _ = run_cli(["homology", "--p", "2", "--n", "1", path])
+    assert code == EXIT_OK and report["results"]["free_rank"] == 0
+
+
+def test_oracle_span_budget_boundary(tmp_path):
+    # largest weights b(w, {v, w}) = (t^1023 - 1) q_poly(2, 1025), span 2048,
+    # and (t^1024 - 1) q_poly(2, 1025), span 2049
+    for w, code in ((1023, EXIT_OK), (1024, EXIT_INVALID)):
+        path = write_instance(tmp_path, f"edge-{w}", [{"u": "v", "v": "w", "label": 4}],
+                              {"v": 2 if w == 1023 else 1, "w": w})
+        got, report, text = run_cli(["homology", "--p", "2", "--n", "1", "--oracle", path])
+        assert got == code
+        if code == EXIT_OK:
+            assert report["results"]["cross_check"] == {"ok": True}
+        else:
+            assert "span 2049" in text

@@ -1,5 +1,6 @@
 import itertools
 import random
+import string
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from artinsigma import (EvenGraph, enumerate_cliques, flag_complex, has_cone_ver
 from artinsigma.homology import (PRIME_BOUND, SimplicialComplex, _boundary,
                                  integer_invariant_factors, is_prime, prime_factors)
 
-from genutil import random_even_fc_graph
+from genutil import enumerate_cliques_scan, random_even_fc_graph
 
 
 def boundary_matrices(c, max_degree):
@@ -108,6 +109,42 @@ def test_enumerate_cliques_random_matches_brute_force():
         g = random_even_fc_graph(rng, max_vertices=6)
         for max_size in (2, 3, len(g.vertices)):
             assert sorted(enumerate_cliques(g, max_size)) == sorted(brute_force_cliques(g, max_size))
+
+
+def random_graph(rng: random.Random, max_vertices: int) -> EvenGraph:
+    """Any density, vertex order unlike the names' order, edges given in
+    either orientation; labels are irrelevant to cliques."""
+    n = rng.randint(0, max_vertices)
+    vs = rng.sample(string.ascii_lowercase, n)
+    density = rng.random()
+    edges = []
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            u, v = (vs[i], vs[j]) if rng.random() < 0.5 else (vs[j], vs[i])
+            edges.append((u, v, rng.choice((2, 4, 6))))
+    rng.shuffle(edges)
+    return EvenGraph(vs, edges)
+
+
+def test_enumerate_cliques_matches_has_edge_scan():
+    rng = random.Random(31)
+    for _ in range(300):
+        g = random_graph(rng, 14)
+        n = len(g.vertices)
+        for max_size in sorted({0, 1, 2, rng.randint(0, n), n}):
+            assert enumerate_cliques(g, max_size) == enumerate_cliques_scan(g, max_size)
+
+
+def test_flag_complex_matches_closed_simplices():
+    rng = random.Random(32)
+    for _ in range(150):
+        g = random_graph(rng, 10)
+        ours = flag_complex(g)
+        closed = SimplicialComplex(g.vertices, [c for c in enumerate_cliques_scan(g, 10) if c])
+        assert ours.vertex_order == closed.vertex_order == g.vertices
+        assert ours.dimension == closed.dimension and ours.is_empty() == closed.is_empty()
+        for d in range(-1, closed.dimension + 2):
+            assert ours.simplices(d) == closed.simplices(d)
 
 
 def test_link_example1(example1):
@@ -214,6 +251,40 @@ def test_integer_snf_against_sympy():
         theirs = smith_normal_form(sympy.Matrix(m))
         diag = [abs(theirs[i, i]) for i in range(min(nr, nc))]
         assert ours == [d for d in diag if d]
+
+
+def sympy_invariant_factors(m, nr, nc):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    if not nr or not nc:
+        return []
+    theirs = smith_normal_form(sympy.Matrix(m))
+    return [d for d in (abs(theirs[i, i]) for i in range(min(nr, nc))) if d]
+
+
+def test_sparse_integer_snf_against_sympy_on_sign_matrices():
+    rng = random.Random(25)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.random()
+        m = [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(nc)]
+             for _ in range(nr)]
+        assert integer_invariant_factors(m, nr, nc) == sympy_invariant_factors(m, nr, nc)
+
+
+def test_sparse_integer_snf_against_sympy_on_flag_complex_boundaries():
+    rng = random.Random(26)
+    checked = 0
+    for _ in range(40):
+        g = random_even_fc_graph(rng, max_vertices=9, edge_p=rng.uniform(0.3, 0.8))
+        c = flag_complex(g)
+        for k in range(c.dimension + 1):
+            nr, nc = c.chain_rank(k - 1), c.chain_rank(k)
+            m = _boundary(c, k)
+            assert integer_invariant_factors(m, nr, nc) == sympy_invariant_factors(m, nr, nc)
+            checked += nr * nc
+    assert checked > 5000
 
 
 def test_integer_snf_divisibility_chain():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from artinsigma import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd,
                         q_poly, smith_normal_form, t_power_minus_one)
 
-from genutil import matrix_product, permuted
+from genutil import matrix_entry, matrix_product, permuted
 
 F0 = Field(0)
 F2 = Field(2)
@@ -174,13 +174,13 @@ def laurent_det(m: LaurentMatrix) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.one(m.field)
     if n == 1:
-        return m.entry(0, 0)
+        return matrix_entry(m, 0, 0)
     total = LaurentPoly.zero(m.field)
     for j in range(n):
         sub = LaurentMatrix(m.field, n - 1, n - 1,
-                            [[m.entry(i, k) for k in range(n) if k != j]
+                            [[matrix_entry(m, i, k) for k in range(n) if k != j]
                              for i in range(1, n)])
-        term = m.entry(0, j) * laurent_det(sub)
+        term = matrix_entry(m, 0, j) * laurent_det(sub)
         total = total + (term if j % 2 == 0 else -term)
     return total
 
@@ -191,7 +191,7 @@ def minor_gcd(m: LaurentMatrix, k: int) -> LaurentPoly:
     for rows in combinations(range(m.nrows), k):
         for cols in combinations(range(m.ncols), k):
             sub = LaurentMatrix(m.field, k, k,
-                                [[m.entry(i, j) for j in cols] for i in rows])
+                                [[matrix_entry(m, i, j) for j in cols] for i in rows])
             acc = laurent_gcd(acc, laurent_det(sub))
     return acc
 
@@ -248,7 +248,8 @@ def test_snf_matches_determinantal_divisors_on_sparse_diagonal_heavy_matrices():
     for field in (F0, F2, F3):
         for _ in range(25):
             m = sparse_diagonal_heavy(rng, field)
-            zeros = sum(m.entry(i, j).is_zero() for i in range(m.nrows) for j in range(m.ncols))
+            zeros = sum(matrix_entry(m, i, j).is_zero()
+                        for i in range(m.nrows) for j in range(m.ncols))
             assert 2 * zeros >= m.nrows * m.ncols or m.nrows * m.ncols == 1
             factors, rank = smith_normal_form(m)
             assert all(f == f.monic_offset0() for f in factors)
@@ -292,10 +293,10 @@ def test_sparse_product_matches_entrywise_definition():
                 for j in range(nc):
                     expected = LaurentPoly.zero(field)
                     for k in range(nk):
-                        expected = expected + a.entry(i, k) * b.entry(k, j)
-                    assert prod.entry(i, j) == expected
-            assert all(prod.entry(zero_row, j).is_zero() for j in range(nc))
-            assert all(prod.entry(i, zero_col).is_zero() for i in range(nr))
+                        expected = expected + matrix_entry(a, i, k) * matrix_entry(b, k, j)
+                    assert matrix_entry(prod, i, j) == expected
+            assert all(matrix_entry(prod, zero_row, j).is_zero() for j in range(nc))
+            assert all(matrix_entry(prod, i, zero_col).is_zero() for i in range(nr))
     with pytest.raises(ValueError):
         matrix_product(LaurentMatrix.zeros(F0, 2, 3), LaurentMatrix.zeros(F0, 2, 3))
 

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from artinsigma import (Character, CrossCheckError, EvenGraph, Field, LaurentMatrix, LaurentPoly,
-                        build_salvetti_complex, coefficient_b, cross_check, homology_module,
-                        smith_normal_form, t_power_minus_one)
+                        OracleTooLarge, build_salvetti_complex, coefficient_b, cross_check,
+                        homology_module, smith_normal_form, t_power_minus_one)
+from artinsigma.salvetti import MAX_ORACLE_SPAN, _max_weight_span
 
 from conftest import dihedral, product_of_dihedrals
-from genutil import matrix_product, permuted, random_character, random_even_fc_graph
+from genutil import (matrix_entry, matrix_is_zero, matrix_product, permuted, random_character,
+                     random_even_fc_graph)
 
 
 def test_coefficient_b_single_vertex():
@@ -64,15 +66,15 @@ def test_build_single_vertex():
     complex_ = build_salvetti_complex(g, chi, 0, max_n=1)
     d1 = complex_.differential(1)
     assert d1.nrows == 1 and d1.ncols == 1
-    assert d1.entry(0, 0) == t_power_minus_one(Field(0), 1)
+    assert matrix_entry(d1, 0, 0) == t_power_minus_one(Field(0), 1)
 
 
 def test_build_dihedral_degree_two_vanishes_mod_p():
     g, chi = dihedral(2)
     complex_ = build_salvetti_complex(g, chi, 2, max_n=2)
-    assert complex_.differential(2).is_zero()
+    assert matrix_is_zero(complex_.differential(2))
     complex3 = build_salvetti_complex(g, chi, 3, max_n=2)
-    assert not complex3.differential(2).is_zero()
+    assert not matrix_is_zero(complex3.differential(2))
 
 
 def test_differentials_compose_to_zero():
@@ -83,8 +85,8 @@ def test_differentials_compose_to_zero():
         for p in (0, 2):
             complex_ = build_salvetti_complex(g, chi, p)
             for n in range(1, complex_.max_degree):
-                assert matrix_product(complex_.differential(n),
-                                      complex_.differential(n + 1)).is_zero()
+                assert matrix_is_zero(matrix_product(complex_.differential(n),
+                                                     complex_.differential(n + 1)))
 
 
 def test_differential_entries_match_coefficient_b():
@@ -109,7 +111,7 @@ def test_differential_entries_match_coefficient_b():
                 assert (d.nrows, d.ncols) == (len(rows), len(cols))
                 for r in range(d.nrows):
                     for c in range(d.ncols):
-                        assert d.entry(r, c) == expected.get((r, c), zero)
+                        assert matrix_entry(d, r, c) == expected.get((r, c), zero)
 
 
 def test_composite_check_fires_on_each_corrupted_weight(monkeypatch):
@@ -167,7 +169,7 @@ def test_composite_check_agrees_with_dense_product():
             columns.append(degree)
         matrices = [LaurentMatrix(complex_.field, len(d), len(complex_.basis(k + 1)), d)
                     for k, d in enumerate(diffs)]
-        expected = any(not matrix_product(a, b).is_zero()
+        expected = any(not matrix_is_zero(matrix_product(a, b))
                        for a, b in zip(matrices, matrices[1:]))
         if expected:
             fired += 1
@@ -294,3 +296,29 @@ def test_complex_json_dump(d4d6):
     assert dump["bases"]["1"] == [["v"], ["w"], ["x"], ["y"]]
     entry = dump["differentials"]["1"]["entries"][0][0]
     assert set(entry) == {"offset", "coeffs"}
+
+
+def test_max_weight_span_is_the_largest_entry_span():
+    # over Q a product of weights has the sum of their spans, and every
+    # weight b(v, X) with |X| <= max_n is an entry of some differential
+    rng = random.Random(77)
+    for _ in range(40):
+        g = random_even_fc_graph(rng, max_vertices=6)
+        chi = random_character(rng, g, lo=-3, hi=3)
+        for max_n in range(4):
+            complex_ = build_salvetti_complex(g, chi, 0, max_n=max_n)
+            spans = [e.span for n in range(1, max_n + 1)
+                     for row in complex_.differential(n).entries for e in row if e.coeffs]
+            assert _max_weight_span(g, chi, max_n) == max(spans, default=0)
+
+
+def test_build_refuses_spans_above_the_budget():
+    g = EvenGraph(["v", "w"], [("v", "w", 4)])
+    chi = Character({"v": 1, "w": 100000})
+    assert _max_weight_span(g, chi, 1) == 100000
+    assert _max_weight_span(g, chi, 2) == 200001 > MAX_ORACLE_SPAN
+    build_salvetti_complex(g, Character({"v": 1, "w": 1023}), 2)   # span 2047
+    with pytest.raises(OracleTooLarge, match="span 200001, above the budget of 2048"):
+        build_salvetti_complex(g, chi, 2)
+    with pytest.raises(OracleTooLarge):
+        cross_check(g, chi, 2, 1)
