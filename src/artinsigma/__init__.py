@@ -20,8 +20,8 @@ from .conditions import (Analysis, ConditionReport, LinkWitness, ZeroCharacterEr
 from .graphs import (EvenGraph, Finding, GraphFormatError, ValidationReport, describe_graph,
                      graph_from_dict, graph_to_dict, induced_subgraph, is_connected,
                      is_subgraph, validate_even, validate_fc)
-from .homology import (HomologyProfile, SimplicialComplex, enumerate_cliques, flag_complex,
-                       has_cone_vertex, link, reduced_homology)
+from .homology import (HomologyProfile, SimplicialComplex, TooManyCliques, enumerate_cliques,
+                       flag_complex, has_cone_vertex, link, reduced_homology)
 from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd, q_poly,
                       smith_normal_form, t_power_minus_one)
 from .salvetti import (CrossCheckError, CrossCheckReport, ModulePresentation, OracleTooLarge,

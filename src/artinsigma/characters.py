@@ -51,13 +51,6 @@ class Character:
         """The zero character is flagged: it has no sphere class."""
         return all(x == 0 for x in self.values.values())
 
-    def scaled(self, c: Fraction | int) -> "Character":
-        c = Fraction(c)
-        return Character({v: x * c for v, x in self.values.items()})
-
-    def negated(self) -> "Character":
-        return self.scaled(-1)
-
     def primitive_integer_values(self) -> dict[str, int]:
         """The unique positive rescaling with coprime integer values.
 
@@ -172,25 +165,37 @@ def center_values(g: EvenGraph, chi: Character, delta: Iterable[str]) -> CenterV
     delta = g.sort_vertices(delta)
     if not g.is_clique(delta):
         raise ValueError(f"{tuple(delta)} is not a clique")
-    members = g.vertex_mask(delta)
-    on_big_edge: set[str] = set()
-    entries: list[tuple[str, Fraction]] = []
-    for u in delta:
-        i = g.index(u)
-        # the label > 2 partners of u after it in the clique, in order
-        later = g.big_partner_masks[i] & members >> (i + 1) << (i + 1)
-        for j in _bits(later):
-            v = g.vertices[j]
-            if u in on_big_edge or v in on_big_edge:
-                raise ValueError(
-                    f"clique {tuple(delta)} has a vertex on two labels > 2 (FC violated)")
-            on_big_edge.update((u, v))
-            half = g.half_label(u, v)
-            entries.append((f"({u}{v})^{half}", half * chi.edge_value(u, v)))
-    for v in delta:
-        if v not in on_big_edge:
-            entries.append((v, chi.value(v)))
+    vs = g.vertices
+    pairs, leftover = _center_generators(g, g.vertex_mask(delta))
+    entries = [(f"({vs[i]}{vs[j]})^{half}", half * chi.edge_value(vs[i], vs[j]))
+               for i, j, half in pairs]
+    entries.extend((vs[i], chi.value(vs[i])) for i in _bits(leftover))
     return CenterValues(tuple(entries))
+
+
+def _center_generators(g: EvenGraph, members: int) -> tuple[list[tuple[int, int, int]], int]:
+    """The standard generators of the center of the clique subgroup on the
+    vertex mask ``members`` (see :class:`CenterValues`): the label > 2 pairs
+    as (i, j, half label) with i < j, in the order of i and then j, and the
+    mask of the leftover vertices.  Every pair of the clique is visited, so a
+    vertex on two labels > 2 (FC violated) or an odd label raises ValueError
+    wherever it is."""
+    big, vs = g.big_partner_masks, g.vertices
+    on_big_edge = 0
+    pairs = []
+    for i in _bits(members):
+        # the label > 2 partners of vertex i after it in the clique
+        later = big[i] & members >> (i + 1) << (i + 1)
+        if not later:
+            continue
+        for j in _bits(later):
+            if (on_big_edge >> i | on_big_edge >> j) & 1:
+                clique = tuple(vs[k] for k in _bits(members))
+                raise ValueError(
+                    f"clique {clique} has a vertex on two labels > 2 (FC violated)")
+            on_big_edge |= 1 << i | 1 << j
+            pairs.append((i, j, g.half_label(vs[i], vs[j])))
+    return pairs, members & ~on_big_edge
 
 
 def is_dominating(g: EvenGraph, sub: EvenGraph) -> bool:

@@ -25,7 +25,7 @@ from .characters import Character, CharacterError, character_from_dict, characte
 from .conditions import Analysis, ConditionReport
 from .graphs import (EvenGraph, GraphFormatError, describe_graph, graph_from_dict,
                      graph_to_dict, validate_even, validate_fc)
-from .homology import PRIME_BOUND, coeffs_label, is_prime
+from .homology import PRIME_BOUND, TooManyCliques, coeffs_label, is_prime
 from .salvetti import (CrossCheckError, OracleTooLarge, build_salvetti_complex, cross_check,
                        homology_module)
 from .verdicts import Verdict, fp_verdict, homotopic_sigma_verdict, sigma_verdict
@@ -330,7 +330,7 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
 
     try:
         code, results = _COMMANDS[args.command](g, chi, args)
-    except OracleTooLarge as exc:
+    except (OracleTooLarge, TooManyCliques) as exc:
         out.write(f"error: {exc}\n")
         return EXIT_INVALID, None
     params = {}

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .characters import Character, center_values, classify
+from .characters import Character, _center_generators, classify
 from .graphs import EvenGraph, _bits, describe_graph, induced_subgraph, is_connected, is_subgraph
-from .homology import (HomologyProfile, SimplicialComplex, _link, coeffs_label,
+from .homology import (HomologyProfile, SimplicialComplex, _link_mask, coeffs_label,
                        enumerate_cliques, flag_complex, has_cone_vertex, is_prime,
                        reduced_homology)
 
@@ -83,19 +83,25 @@ class Analysis:
 
     A *mode* is ``None`` (all dead edges), ``0`` (none) or a prime p (the
     p-dead edges).  The classification is made on construction; the clique
-    enumeration, each mode's living subgraph and dead cliques, and each
-    link's flag complex, which keeps the integer Smith forms that serve Z, Q
-    and every F_p, are built on first use and kept.
+    enumeration, each mode's living subgraph and dead cliques, each distinct
+    link (one graph per vertex mask) and each link's flag complex, which
+    keeps the integer Smith forms that serve Z, Q and every F_p, are built
+    on first use and kept.
     """
 
     def __init__(self, g: EvenGraph, chi: Character):
         self.g = g
         self.chi = chi
-        self.classification = classify(g, chi)
+        self.classification = classify(g, chi)   # checks the domain
+        # the center re-check reads the values on their own (see _center_killed)
+        ints = chi.primitive_integer_values()
+        self._values = [ints[v] for v in g.vertices]
+        self._zero_values = g.vertex_mask(v for v in g.vertices if not ints[v])
         self._cliques: dict[int, tuple[tuple[str, ...], ...]] = {}
         # keyed by the dead edges a mode removes, so modes that agree share them
         self._living: dict[frozenset, EvenGraph] = {}
         self._dead: dict[tuple[frozenset, int], list[tuple[tuple[str, ...], EvenGraph]]] = {}
+        self._links: dict[frozenset, dict[int, EvenGraph]] = {}
         self._complexes: dict[EvenGraph, SimplicialComplex] = {}
 
     def _edges(self, p: int | None) -> frozenset[tuple[str, str]]:
@@ -145,16 +151,29 @@ class Analysis:
             partners[i] |= 1 << j
             partners[j] |= 1 << i
         living_mask = g.vertex_mask(living.vertices)
+        links = self._links.setdefault(edges, {})
         check_center = edges == self.classification.dead_edges
         for clique in cliques:
             members = g.vertex_mask(clique)
             selected = all(partners[i] & members for i in _bits(members & ~dead))
-            if check_center and selected != center_values(g, self.chi, clique).is_zero:
+            if check_center and selected != self._center_killed(members):
                 raise RuntimeError(
                     f"dead-clique/center mismatch on {clique}: "
                     f"combinatorial={selected}, center-kill={not selected}")
             if selected:
-                yield clique, _link(g, living, living_mask, clique)
+                mask = _link_mask(g, living_mask, clique)
+                if mask not in links:
+                    links[mask] = induced_subgraph(living, [g.vertices[i] for i in _bits(mask)])
+                yield clique, links[mask]
+
+    def _center_killed(self, members: int) -> bool:
+        """Whether chi kills the center of the clique subgroup on the vertex
+        mask ``members``: read from the values and labels, independently of
+        the classification, on the primitive integer values (a positive
+        rescaling keeps every zero)."""
+        pairs, leftover = _center_generators(self.g, members)
+        m = self._values
+        return not leftover & ~self._zero_values and all(m[i] + m[j] == 0 for i, j, _ in pairs)
 
     def _homology(self, lk: EvenGraph, coeffs, d: int) -> HomologyProfile:
         if lk not in self._complexes:

@@ -67,6 +67,7 @@ class EvenGraph:
         self._edges = tuple(sorted(labels, key=lambda e: (index[e[0]], index[e[1]])))
         self.neighbor_masks: tuple[int, ...] = tuple(nbr)
         self.big_partner_masks: tuple[int, ...] = tuple(big)
+        self._description: str | None = None   # see describe_graph
 
     # -- basic queries ----------------------------------------------------
 
@@ -270,7 +271,14 @@ def is_connected(g: EvenGraph) -> bool:
 
 
 def describe_graph(g: EvenGraph) -> str:
-    """One-line deterministic rendering used in reports and witnesses."""
+    """One-line deterministic rendering used in reports and witnesses, made
+    once per graph and kept on it."""
+    if g._description is None:
+        g._description = _describe(g)
+    return g._description
+
+
+def _describe(g: EvenGraph) -> str:
     if not g.vertices:
         return "empty graph"
     vs = ",".join(g.vertices)

@@ -125,10 +125,6 @@ class LaurentPoly:
         return cls(field, 0, [c])
 
     @classmethod
-    def term(cls, field: Field, c, k: int) -> "LaurentPoly":
-        return cls(field, k, [c])
-
-    @classmethod
     def from_terms(cls, field: Field, terms: dict[int, object]) -> "LaurentPoly":
         if not terms:
             return cls.zero(field)
@@ -148,17 +144,6 @@ class LaurentPoly:
     def span(self) -> int:
         """Euclidean size: top exponent minus bottom exponent (0 for units)."""
         return len(self.coeffs) - 1
-
-    @property
-    def degree(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no degree")
-        return self.offset + len(self.coeffs) - 1
-
-    def coefficient(self, k: int):
-        if self.offset <= k < self.offset + len(self.coeffs):
-            return self.coeffs[k - self.offset]
-        return self.field.zero
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -197,16 +182,6 @@ class LaurentPoly:
                 if b:
                     cs[i + j] = f.add(cs[i + j], f.mul(a, b))
         return LaurentPoly._of_elements(f, self.offset + other.offset, cs)
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by the unit t^k."""
-        if self.is_zero():
-            return self
-        return LaurentPoly(self.field, self.offset + k, self.coeffs)
-
-    def scaled(self, c) -> "LaurentPoly":
-        return LaurentPoly(self.field, self.offset, [self.field.mul(x, self.field.coerce(c))
-                                                     for x in self.coeffs])
 
     def monic_offset0(self) -> "LaurentPoly":
         """Canonical associate: lowest exponent 0, top coefficient 1."""

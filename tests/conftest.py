@@ -4,6 +4,8 @@ import pytest
 
 from artinsigma import Character, EvenGraph
 
+from genutil import product_of_dihedrals
+
 
 @pytest.fixture
 def example1():
@@ -28,15 +30,6 @@ def example2():
     return g, chi
 
 
-def product_of_dihedrals(label1: int, label2: int) -> tuple[EvenGraph, Character]:
-    """Complete graph on four vertices: two disjoint labeled edges, rest 2."""
-    g = EvenGraph(["v", "w", "x", "y"],
-                  [("v", "w", label1), ("x", "y", label2),
-                   ("v", "x", 2), ("v", "y", 2), ("w", "x", 2), ("w", "y", 2)])
-    chi = Character({"v": 1, "w": -1, "x": 1, "y": -1})
-    return g, chi
-
-
 @pytest.fixture
 def d4d6():
     return product_of_dihedrals(4, 6)
@@ -45,10 +38,3 @@ def d4d6():
 @pytest.fixture
 def d4d4():
     return product_of_dihedrals(4, 4)
-
-
-def dihedral(half_label: int) -> tuple[EvenGraph, Character]:
-    """Single edge with label 2*half_label and the difference character."""
-    g = EvenGraph(["v", "w"], [("v", "w", 2 * half_label)])
-    chi = Character({"v": 1, "w": -1})
-    return g, chi

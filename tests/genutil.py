@@ -1,14 +1,58 @@
-"""Seeded random instance generators shared by the property and acceptance
-suites, matrix helpers shared by the Laurent and twisted-complex tests, and
-plain reference versions of the bitmask graph kernels."""
+"""Seeded random instance generators and the small fixed instances shared by
+the suites, character and polynomial helpers that only tests need, matrix
+helpers shared by the Laurent and twisted-complex tests, and plain reference
+versions of the bitmask graph kernels."""
 
 from __future__ import annotations
 
 import random
 import string
+from fractions import Fraction
 
-from artinsigma import (CenterValues, Character, EvenGraph, LaurentMatrix, LaurentPoly,
+from artinsigma import (CenterValues, Character, EvenGraph, Field, LaurentMatrix, LaurentPoly,
                         validate_fc)
+
+
+def dihedral(half_label: int) -> tuple[EvenGraph, Character]:
+    """Single edge with label 2*half_label and the difference character."""
+    g = EvenGraph(["v", "w"], [("v", "w", 2 * half_label)])
+    chi = Character({"v": 1, "w": -1})
+    return g, chi
+
+
+def product_of_dihedrals(label1: int, label2: int) -> tuple[EvenGraph, Character]:
+    """Complete graph on four vertices: two disjoint labeled edges, rest 2."""
+    g = EvenGraph(["v", "w", "x", "y"],
+                  [("v", "w", label1), ("x", "y", label2),
+                   ("v", "x", 2), ("v", "y", 2), ("w", "x", 2), ("w", "y", 2)])
+    chi = Character({"v": 1, "w": -1, "x": 1, "y": -1})
+    return g, chi
+
+
+def scaled_character(chi: Character, c: Fraction | int) -> Character:
+    c = Fraction(c)
+    return Character({v: x * c for v, x in chi.values.items()})
+
+
+def negated_character(chi: Character) -> Character:
+    return scaled_character(chi, -1)
+
+
+def poly_term(field: Field, c, k: int) -> LaurentPoly:
+    """The monomial c t^k."""
+    return LaurentPoly(field, k, [c])
+
+
+def poly_shifted(p: LaurentPoly, k: int) -> LaurentPoly:
+    """p times the unit t^k."""
+    if p.is_zero():
+        return p
+    return LaurentPoly(p.field, p.offset + k, p.coeffs)
+
+
+def poly_scaled(p: LaurentPoly, c) -> LaurentPoly:
+    f = p.field
+    return LaurentPoly(f, p.offset, [f.mul(x, f.coerce(c)) for x in p.coeffs])
 
 
 def random_even_fc_graph(rng: random.Random, max_vertices: int = 6,
@@ -50,6 +94,13 @@ def random_raag(rng: random.Random, max_vertices: int = 7, edge_p: float = 0.5) 
     edges = [(vs[i], vs[j], 2) for i in range(n) for j in range(i + 1, n)
              if rng.random() < edge_p]
     return EvenGraph(vs, edges)
+
+
+def alternating_complete_graph(size: int) -> tuple[EvenGraph, Character]:
+    """K_size with every label 2, and values 0, 1, 0, 1, ... in vertex order."""
+    vs = [f"v{i:03d}" for i in range(size)]
+    g = EvenGraph(vs, [(vs[i], vs[j], 2) for i in range(size) for j in range(i + 1, size)])
+    return g, Character({v: i % 2 for i, v in enumerate(vs)})
 
 
 def random_character(rng: random.Random, g: EvenGraph, lo: int = -2, hi: int = 2,

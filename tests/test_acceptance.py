@@ -16,8 +16,7 @@ from artinsigma.cli import run as cli_run
 from artinsigma.graphs import graph_to_dict
 from artinsigma.laurent import Field, t_power_minus_one
 
-from conftest import dihedral
-from genutil import random_character, random_even_fc_graph, random_raag
+from genutil import dihedral, random_character, random_even_fc_graph, random_raag
 
 EXAMPLE1 = ("example-1", [("a", "b", 4), ("c", "d", 4), ("a", "c", 2), ("b", "d", 2),
                           ("a", "d", 2)], {"a": 1, "b": -1, "c": 0, "d": 1})

@@ -8,8 +8,8 @@ from artinsigma import (Character, CharacterError, center_values, character_from
 from artinsigma.graphs import EvenGraph
 from artinsigma.homology import enumerate_cliques
 
-from conftest import dihedral
-from genutil import center_values_pairwise, random_character, random_even_fc_graph
+from genutil import (center_values_pairwise, dihedral, random_character, random_even_fc_graph,
+                     scaled_character)
 
 
 def test_classify_example1(example1):
@@ -155,7 +155,7 @@ def test_vanishing_data_scale_invariant():
     for _ in range(30):
         g = random_even_fc_graph(rng)
         chi = random_character(rng, g)
-        scaled = chi.scaled(Fraction(3, 2))
+        scaled = scaled_character(chi, Fraction(3, 2))
         assert classify(g, chi) == classify(g, scaled)
         assert living_subgraph(g, chi) == living_subgraph(g, scaled)
         assert dead_cliques(g, chi, 3) == dead_cliques(g, scaled, 3)

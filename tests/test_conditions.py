@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from artinsigma import (Analysis, CenterValues, Character, ConditionReport, EvenGraph,
-                        ZeroCharacterError, finite_dimensional_through, is_connected,
-                        is_dominating, kernel_free_rank, living_subgraph, raag_n_link,
+from artinsigma import (Analysis, Character, ConditionReport, EvenGraph,
+                        ZeroCharacterError, center_values, enumerate_cliques,
+                        finite_dimensional_through, is_connected, is_dominating,
+                        kernel_free_rank, living_subgraph, raag_n_link,
                         strong_homotopic_n_link, strong_n_link, strong_p_n_link)
 
-from conftest import dihedral
-from genutil import random_character, random_even_fc_graph, random_raag
+from genutil import dihedral, random_character, random_even_fc_graph, random_raag
 
 
 def test_example1_strong_link_all_degrees_by_cones(example1):
@@ -222,8 +222,8 @@ def test_center_recheck_raises_on_disagreement(monkeypatch, example1):
     g, chi = example1
     # a center that is never killed contradicts the empty clique, which is
     # always dead-supported
-    monkeypatch.setattr("artinsigma.conditions.center_values",
-                        lambda g, chi, clique: CenterValues((("x", Fraction(1)),)))
+    monkeypatch.setattr("artinsigma.conditions.Analysis._center_killed",
+                        lambda self, members: False)
     with pytest.raises(RuntimeError, match="dead-clique/center mismatch on \\(\\)"):
         strong_n_link(g, chi, 1)
 
@@ -254,3 +254,42 @@ def test_analysis_answers_like_fresh_calls():
                 ranks = [kernel_free_rank(g, chi, p, k) for k in range(n + 1)]
                 assert ctx.free_ranks(p, n) == ranks
                 assert ctx.living(p) == living_subgraph(g, chi, p)
+
+
+def test_center_zero_test_matches_center_values():
+    # the context's zero test on primitive integer values against the public
+    # route's Fraction entries, on every clique of size <= 4; rational values
+    # make the rescaling to primitive integers matter
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(300):
+        g = random_even_fc_graph(rng, max_vertices=8)
+        chi = Character({v: Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                         for v in g.vertices})
+        ctx = Analysis(g, chi)
+        for clique in enumerate_cliques(g, 4):
+            killed = ctx._center_killed(g.vertex_mask(clique))
+            assert killed == center_values(g, chi, clique).is_zero, (g, chi, clique)
+            outcomes.add(killed)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("edges, clique", [
+    # a on two labels > 2
+    ([("a", "b", 4), ("a", "c", 6), ("b", "c", 2)], ("a", "b", "c")),
+    # b on two labels > 2, found after the nonzero generator (ab)^2
+    ([("a", "b", 4), ("a", "c", 2), ("a", "d", 2), ("b", "c", 2), ("b", "d", 4),
+      ("c", "d", 2)], ("a", "b", "c", "d")),
+    # an odd label
+    ([("a", "b", 3), ("a", "c", 2), ("b", "c", 2)], ("a", "b", "c")),
+])
+def test_center_zero_test_raises_as_center_values(edges, clique):
+    g = EvenGraph(["a", "b", "c", "d"], edges)
+    chi = Character({"a": 1, "b": 1, "c": 0, "d": 1})
+    ctx = Analysis(g, chi)
+    with pytest.raises(ValueError) as public:
+        center_values(g, chi, clique)
+    with pytest.raises(ValueError) as context:
+        ctx._center_killed(g.vertex_mask(clique))
+    assert type(context.value) is type(public.value)
+    assert str(context.value) == str(public.value)

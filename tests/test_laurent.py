@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from artinsigma import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd,
                         q_poly, smith_normal_form, t_power_minus_one)
 
-from genutil import matrix_entry, matrix_product, permuted
+from genutil import matrix_entry, matrix_product, permuted, poly_shifted, poly_term
 
 F0 = Field(0)
 F2 = Field(2)
@@ -34,7 +34,7 @@ def test_normalization_strips_zero_ends():
 
 
 def test_units_are_single_terms():
-    assert LaurentPoly.term(F0, 3, -2).is_unit()
+    assert poly_term(F0, 3, -2).is_unit()
     assert not t_power_minus_one(F0, 1).is_unit()
     assert not LaurentPoly.zero(F0).is_unit()
 
@@ -216,8 +216,7 @@ def test_snf_matches_determinantal_divisors():
 
 def factored_poly(rng: random.Random, field: Field) -> LaurentPoly:
     """A unit times up to three factors t^m - 1 and q_k(t^m)."""
-    p = LaurentPoly.term(field, rng.choice([1, 2, -1]) if field.char != 2 else 1,
-                         rng.randint(-2, 2))
+    p = poly_term(field, rng.choice([1, 2, -1]) if field.char != 2 else 1, rng.randint(-2, 2))
     for _ in range(rng.randint(0, 3)):
         m = rng.choice([-3, -2, -1, 1, 2, 3])
         if rng.random() < 0.5:
@@ -317,7 +316,7 @@ def test_snf_invariant_under_permutations_and_unit_scalings():
         assert smith_normal_form(permuted(m, rows, cols)) == base
         # multiplying a whole row by a unit t^k is an allowed basis change
         shifts = [rng.randint(-2, 2) for _ in range(nr)]
-        scaled_rows = [[e.shifted(k) for e in row] for k, row in zip(shifts, m.entries)]
+        scaled_rows = [[poly_shifted(e, k) for e in row] for k, row in zip(shifts, m.entries)]
         scaled = LaurentMatrix(field, nr, nc, scaled_rows)
         assert smith_normal_form(scaled) == base
 

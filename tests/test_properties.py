@@ -12,7 +12,8 @@ from artinsigma import (Analysis, build_salvetti_complex, center_values, classif
                         strong_p_n_link)
 from artinsigma.homology import _boundary, enumerate_cliques
 
-from genutil import matrix_is_zero, matrix_product, random_character, random_even_fc_graph
+from genutil import (matrix_is_zero, matrix_product, negated_character, random_character,
+                     random_even_fc_graph, scaled_character)
 
 
 def test_boundary_composites_vanish_simplicial():
@@ -86,8 +87,8 @@ def test_verdict_symmetry_and_scale_invariance():
         chi = random_character(rng, g)
         n = rng.randint(1, 3)
         status = sigma_verdict(g, chi, n).status
-        assert sigma_verdict(g, chi.negated(), n).status == status
-        assert sigma_verdict(g, chi.scaled(Fraction(5, 2)), n).status == status
+        assert sigma_verdict(g, negated_character(chi), n).status == status
+        assert sigma_verdict(g, scaled_character(chi, Fraction(5, 2)), n).status == status
 
 
 def test_free_rank_bridge_to_p_condition():
@@ -132,8 +133,8 @@ def test_kernel_free_rank_scale_invariant():
         for p in (0, 2):
             for n in (1, 2):
                 base = kernel_free_rank(g, chi, p, n)
-                assert kernel_free_rank(g, chi.scaled(Fraction(3, 4)), p, n) == base
-                assert kernel_free_rank(g, chi.scaled(2), p, n) == base
+                assert kernel_free_rank(g, scaled_character(chi, Fraction(3, 4)), p, n) == base
+                assert kernel_free_rank(g, scaled_character(chi, 2), p, n) == base
 
 
 def test_all_label_2_cross_check_characteristic_zero():

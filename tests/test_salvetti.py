@@ -7,9 +7,9 @@ from artinsigma import (Character, CrossCheckError, EvenGraph, Field, LaurentMat
                         homology_module, smith_normal_form, t_power_minus_one)
 from artinsigma.salvetti import MAX_ORACLE_SPAN, _max_weight_span
 
-from conftest import dihedral, product_of_dihedrals
-from genutil import (matrix_entry, matrix_is_zero, matrix_product, permuted, random_character,
-                     random_even_fc_graph)
+from genutil import (dihedral, matrix_entry, matrix_is_zero, matrix_product, permuted,
+                     poly_scaled, poly_shifted, product_of_dihedrals, random_character,
+                     random_even_fc_graph, scaled_character)
 
 
 def test_coefficient_b_single_vertex():
@@ -23,7 +23,7 @@ def test_coefficient_b_dihedral_edge():
         g, chi = dihedral(half)
         b = coefficient_b(g, chi, ["v", "w"], "v")
         # value of the edge is zero, so the geometric factor is the constant half
-        expected = t_power_minus_one(Field(0), 1).scaled(half)
+        expected = poly_scaled(t_power_minus_one(Field(0), 1), half)
         assert b == expected
         over_p = coefficient_b(g, chi, ["v", "w"], "v", p=half if half in (2, 3) else 2)
         assert over_p.is_zero()
@@ -128,7 +128,7 @@ def test_composite_check_fires_on_each_corrupted_weight(monkeypatch):
     for u, w in (("v", "w"), ("w", "v"), ("x", "y"), ("y", "x")):
         def corrupted(g_, exps, partners, v, field, u=u, w=w):
             b = honest(g_, exps, partners, v, field)
-            return b.shifted(1) if (v, tuple(partners)) == (u, (w,)) else b
+            return poly_shifted(b, 1) if (v, tuple(partners)) == (u, (w,)) else b
 
         monkeypatch.setattr(salvetti, "_coefficient_b", corrupted)
         for p in (0, 5):
@@ -156,7 +156,7 @@ def test_composite_check_agrees_with_dense_product():
         if not nonzero:
             continue
         n, i, j = rng.choice(nonzero)
-        diffs[n][i][j] = diffs[n][i][j].shifted(1) if rng.random() < 0.5 else \
+        diffs[n][i][j] = poly_shifted(diffs[n][i][j], 1) if rng.random() < 0.5 else \
             diffs[n][i][j] + LaurentPoly.one(complex_.field)
         weights, columns = [], [[]]
         for d in diffs:
@@ -279,7 +279,7 @@ def test_scale_invariance_of_free_rank():
     for _ in range(10):
         g = random_even_fc_graph(rng, max_vertices=5)
         chi = random_character(rng, g)
-        doubled = chi.scaled(2)
+        doubled = scaled_character(chi, 2)
         for p in (0, 2):
             complex_a = build_salvetti_complex(g, chi, p, max_n=3)
             complex_b = build_salvetti_complex(g, doubled, p, max_n=3)

@@ -11,7 +11,8 @@ from artinsigma import (IN, NOT_IN, UNKNOWN, Character, EvenGraph, ZeroCharacter
 
 from artinsigma.verdicts import _biconnected_blocks
 
-from genutil import random_character, random_even_fc_graph
+from genutil import (negated_character, random_character, random_even_fc_graph,
+                     scaled_character)
 
 
 def fired_rules(verdict):
@@ -280,8 +281,8 @@ def test_verdict_invariance_under_scaling_and_negation():
         chi = random_character(rng, g)
         n = rng.randint(1, 3)
         base = sigma_verdict(g, chi, n).status
-        assert sigma_verdict(g, chi.negated(), n).status == base
-        assert sigma_verdict(g, chi.scaled(Fraction(7, 3)), n).status == base
+        assert sigma_verdict(g, negated_character(chi), n).status == base
+        assert sigma_verdict(g, scaled_character(chi, Fraction(7, 3)), n).status == base
 
 
 def test_sufficient_and_obstruction_rules_never_conflict():
