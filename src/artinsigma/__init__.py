@@ -14,9 +14,8 @@ from .characters import (Character, CharacterError, CenterValues, Classification
                          center_values, character_from_dict, character_to_dict, classify,
                          is_dominating)
 from .conditions import (Analysis, ConditionReport, LinkWitness, ZeroCharacterError,
-                         dead_cliques, finite_dimensional_through, kernel_free_rank,
-                         living_subgraph, raag_n_link, strong_homotopic_n_link, strong_n_link,
-                         strong_p_n_link)
+                         dead_cliques, kernel_free_rank, living_subgraph, raag_n_link,
+                         strong_homotopic_n_link, strong_n_link, strong_p_n_link)
 from .graphs import (EvenGraph, Finding, GraphFormatError, ValidationReport, describe_graph,
                      graph_from_dict, graph_to_dict, induced_subgraph, is_connected,
                      is_subgraph, validate_even, validate_fc)
@@ -25,10 +24,9 @@ from .homology import (HomologyProfile, SimplicialComplex, TooManyCliques, enume
 from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd, q_poly,
                       smith_normal_form, t_power_minus_one)
 from .salvetti import (CrossCheckError, CrossCheckReport, ModulePresentation, OracleTooLarge,
-                       TwistedComplex, build_salvetti_complex, coefficient_b, cross_check,
-                       homology_module)
+                       TwistedComplex, build_salvetti_complex, cross_check, homology_module)
 from .verdicts import (IN, NOT_IN, UNKNOWN, Justification, RuleConflictError, Verdict,
-                       dihedral_sigma_member, fp_verdict, homotopic_sigma_verdict,
-                       odd_cycle_condition, product_sigma_member, sigma_verdict)
+                       fp_verdict, homotopic_sigma_verdict, odd_cycle_condition,
+                       product_sigma_member, sigma_verdict)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,7 @@ character and an optional name:
      "character": {"a": 1, "b": "-1"}}
 
 Exit codes: 0 analysis completed (verdict content is in the report),
-1 validation or input error, 2 internal cross-check mismatch.  Reports are
+1 validation, input or usage error, 2 internal cross-check mismatch.  Reports are
 deterministic: identical input yields byte-identical output, and the
 ``--json`` file carries exactly the data rendered as text.
 """
@@ -265,8 +265,17 @@ def _scalar(x) -> str:
 # entry points
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as input errors do; argparse's own 2 would read
+    as a cross-check mismatch."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="artinsigma",
         description="Sigma-invariant verdicts and kernel homology for even Artin groups of FC type")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -351,9 +360,13 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
     }
     _render(report, out)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            out.write(f"error: cannot write the JSON report: {exc}\n")
+            return EXIT_INVALID, None
     return code, report
 
 

@@ -311,11 +311,3 @@ def kernel_free_rank(g: EvenGraph, chi: Character, p: int, n: int) -> int:
     """
     return Analysis(g, chi).free_ranks(p, n)[n] if n >= 0 else 0
 
-
-def finite_dimensional_through(g: EvenGraph, chi: Character, p: int, n: int) -> bool:
-    """Whether kernel homology is finite dimensional in all degrees 0..n.
-
-    Equivalent to the strong p-n-link condition: a degree has infinite
-    dimension exactly when its module has positive free rank.
-    """
-    return not any(Analysis(g, chi).free_ranks(p, n))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import EvenGraph, _bits, induced_subgraph, is_subgraph
 
@@ -170,42 +170,16 @@ def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, delta: Sequence[str]) -> 
 class SimplicialComplex:
     """Finite abstract simplicial complex over an ordered vertex set.
 
-    Simplices are stored downward closed; the empty simplex is present
-    exactly when the complex is nonempty.  Within each dimension, simplices
-    are sorted lexicographically in the vertex order.
+    Built from its simplices already downward closed and grouped by
+    dimension, each group sorted lexicographically in the vertex order; the
+    empty simplex is present exactly when the complex is nonempty.
     """
 
-    def __init__(self, vertex_order: Iterable[str], simplices: Iterable[Sequence[str]]):
-        self.vertex_order = tuple(vertex_order)
-        index = {v: i for i, v in enumerate(self.vertex_order)}
-        closed: set[tuple[str, ...]] = set()
-        for s in simplices:
-            vs = tuple(sorted(set(s), key=index.__getitem__))
-            for v in vs:
-                if v not in index:
-                    raise ValueError(f"simplex vertex {v!r} not in vertex order")
-            for mask in range(1 << len(vs)):
-                closed.add(tuple(v for i, v in enumerate(vs) if mask >> i & 1))
-        closed.discard(())
-        by_dim: dict[int, list[tuple[str, ...]]] = {}
-        for s in closed:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {
-            d: tuple(sorted(group, key=lambda s: tuple(index[v] for v in s)))
-            for d, group in sorted(by_dim.items())
-        }
+    def __init__(self, vertex_order: tuple[str, ...],
+                 by_dim: dict[int, tuple[tuple[str, ...], ...]]):
+        self.vertex_order = vertex_order
+        self._by_dim = by_dim
         self._factors: dict[int, list[int]] = {}
-
-    @classmethod
-    def _of_closed(cls, vertex_order: tuple[str, ...],
-                   by_dim: dict[int, tuple[tuple[str, ...], ...]]) -> "SimplicialComplex":
-        """A complex from simplices already downward closed and grouped by
-        dimension, each group sorted as the constructor sorts it."""
-        c = cls.__new__(cls)
-        c.vertex_order = vertex_order
-        c._by_dim = by_dim
-        c._factors = {}
-        return c
 
     def is_empty(self) -> bool:
         return not self._by_dim
@@ -249,7 +223,7 @@ def flag_complex(g: EvenGraph) -> SimplicialComplex:
             by_dim.setdefault(len(c) - 1, []).append(c)
     # every face of a clique is a clique, and the enumeration order is the
     # constructor's order within each dimension
-    return SimplicialComplex._of_closed(g.vertices, {d: tuple(cs) for d, cs in by_dim.items()})
+    return SimplicialComplex(g.vertices, {d: tuple(cs) for d, cs in by_dim.items()})
 
 
 def _boundary(c: SimplicialComplex, k: int) -> list[list[int]]:
@@ -278,107 +252,107 @@ def _boundary(c: SimplicialComplex, k: int) -> list[list[int]]:
 
 
 def integer_invariant_factors(matrix: Sequence[Sequence[int]], nrows: int, ncols: int) -> list[int]:
-    """Positive invariant factors d_1 | d_2 | ... of an integer matrix.
-
-    Sparse elimination in the manner of Dumas, Saunders and Villard (J. Symb.
-    Comput., 2001), as in :func:`artinsigma.laurent.smith_normal_form`: each
-    row holds only its nonzero entries, and a column index lists the rows of
-    each column.  The pivot is an entry of smallest absolute value (the
-    first unit found).  It clears its column by row operations, and a
-    nonzero remainder becomes the new pivot.  Then the pivot row is cleared
-    by column operations, which touch no other row and are skipped for a
-    unit pivot.  The diagonal left at the end is turned into the
-    divisibility chain by (gcd, lcm) exchanges.  Arbitrary-precision
-    throughout.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    """Positive invariant factors d_1 | d_2 | ... of an integer matrix:
+    :func:`_smith_diagonal` with the absolute value as size, then the
+    divisibility chain.  Arbitrary-precision throughout."""
+    rows = {}
     for i, entries in enumerate(matrix):
         row = {j: a for j, a in enumerate(entries) if a}
         if row:
             rows[i] = row
-            for j in row:
-                cols.setdefault(j, set()).add(i)
-    diagonal: list[int] = []
+    return _divisibility_chain([abs(d) for d in _smith_diagonal(rows, abs, divmod)])
+
+
+def _smith_diagonal(rows: dict[int, dict], size, divmod_) -> list:
+    """Nonzero diagonal left by a sparse Smith-form elimination over a
+    Euclidean ring, in the manner of Dumas, Saunders and Villard (*On
+    efficient sparse integer matrix Smith normal forms*, J. Symb. Comput.
+    2001).  Serves Z here and F[t, t^-1] in :mod:`artinsigma.laurent`.
+
+    ``rows`` maps each row index to its nonzero entries by column and is
+    consumed.  The ring enters only through ``size``, its Euclidean size
+    (0 for zero, 1 for units), and ``divmod_``, a division whose remainder
+    is smaller than the divisor.  The pivot is an entry of smallest size
+    (the first unit found).  It clears its column by row operations, and
+    while remainders are left the smallest becomes the pivot.  Then the
+    pivot row is cleared by column operations, which touch no other row and
+    are skipped for a unit pivot; a nonzero remainder there again becomes
+    the pivot.  The cleared pivot row and column are dropped.  No
+    divisibility sweep runs between pivots: the caller turns the diagonal
+    into the chain d_1 | d_2 | ... .
+    """
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    diagonal = []
     while rows:
-        i0, j0 = _min_abs_entry(rows)
+        i0, j0 = _smallest_entry(rows, size)
         while True:
-            i0 = _clear_column(rows, cols, i0, j0)
-            j = _clear_row(rows[i0], cols, i0, j0)
-            if j is None:
+            while True:     # column j0: every other row loses a multiple of the pivot row
+                pivot_row = rows[i0]
+                pivot = pivot_row[j0]
+                best, best_size = None, 0
+                for i in sorted(cols[j0]):
+                    if i == i0:
+                        continue
+                    row = rows[i]
+                    q, r = divmod_(row[j0], pivot)
+                    if size(q):
+                        neg_q = -q
+                        for j, a in pivot_row.items():
+                            if j == j0:
+                                v = r
+                            else:
+                                cur = row.get(j)
+                                v = neg_q * a if cur is None else cur + neg_q * a
+                            if size(v):
+                                row[j] = v
+                                cols[j].add(i)
+                            elif j in row:
+                                del row[j]
+                                cols[j].discard(i)
+                        if not row:
+                            del rows[i]
+                    s = size(r)
+                    if s and (best is None or s < best_size):
+                        best, best_size = i, s
+                if best is None:
+                    break
+                i0 = best
+            if size(pivot) == 1:
                 break
-            j0 = j
+            best, best_size = None, 0
+            for j in [j for j in pivot_row if j != j0]:     # row i0: keep remainders
+                r = divmod_(pivot_row[j], pivot)[1]
+                s = size(r)
+                if s:
+                    pivot_row[j] = r
+                    if best is None or s < best_size:
+                        best, best_size = j, s
+                else:
+                    del pivot_row[j]
+                    cols[j].discard(i0)
+            if best is None:
+                break
+            j0 = best
         row = rows.pop(i0)
-        diagonal.append(abs(row[j0]))
+        diagonal.append(row[j0])
         for j in row:
             cols[j].discard(i0)
-    return _divisibility_chain(diagonal)
+    return diagonal
 
 
-def _min_abs_entry(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
-    """Position of a nonzero entry of smallest absolute value (the first
-    unit found)."""
-    best, best_abs = None, 0
+def _smallest_entry(rows: dict[int, dict], size) -> tuple[int, int]:
+    """Position of a nonzero entry of smallest size (the first unit found)."""
+    best, best_size = None, 0
     for i, row in rows.items():
         for j, a in row.items():
-            if best is None or abs(a) < best_abs:
-                best, best_abs = (i, j), abs(a)
-                if best_abs == 1:
+            s = size(a)
+            if best is None or s < best_size:
+                best, best_size = (i, j), s
+                if s == 1:
                     return best
-    return best
-
-
-def _clear_column(rows: dict[int, dict[int, int]], cols: dict[int, set[int]],
-                  i0: int, j0: int) -> int:
-    """Reduce column j0 to the single entry in the returned pivot row: every
-    other row loses a multiple of the pivot row, and while remainders are
-    left, the smallest becomes the pivot and the pass repeats."""
-    while True:
-        pivot_row = rows[i0]
-        pivot = pivot_row[j0]
-        best, best_abs = None, 0
-        for i in list(cols[j0]):
-            if i == i0:
-                continue
-            row = rows[i]
-            q, r = divmod(row[j0], pivot)
-            if q:
-                for j, a in pivot_row.items():
-                    v = r if j == j0 else row.get(j, 0) - q * a
-                    if v:
-                        row[j] = v
-                        cols[j].add(i)
-                    elif j in row:
-                        del row[j]
-                        cols[j].discard(i)
-                if not row:
-                    del rows[i]
-            if r and (best is None or abs(r) < best_abs):
-                best, best_abs = i, abs(r)
-        if best is None:
-            return i0
-        i0 = best
-
-
-def _clear_row(pivot_row: dict[int, int], cols: dict[int, set[int]],
-               i0: int, j0: int) -> int | None:
-    """Clear the pivot row by column operations once column j0 holds only
-    the pivot, leaving the remainder of each entry.  Returns the column of
-    the smallest nonzero remainder, the next pivot, or None when there is
-    none (always for a unit pivot)."""
-    pivot = pivot_row[j0]
-    if pivot in (1, -1):
-        return None
-    best, best_abs = None, 0
-    for j in [j for j in pivot_row if j != j0]:
-        r = pivot_row[j] % pivot
-        if r:
-            pivot_row[j] = r
-            if best is None or abs(r) < best_abs:
-                best, best_abs = j, abs(r)
-        else:
-            del pivot_row[j]
-            cols[j].discard(i0)
     return best
 
 

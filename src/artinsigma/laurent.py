@@ -5,14 +5,12 @@ nonzero element by the exponent span of its support.  Division with
 remainder shifts both operands to honest polynomials, divides there, and
 shifts back, so remainders have strictly smaller span.
 
-The Smith normal form is a sparse elimination in the manner of Dumas,
-Saunders and Villard (*On efficient sparse integer matrix Smith normal
-forms*, J. Symb. Comput. 2001): rows store only their nonzero entries, a
-minimal-span pivot clears its column and then its row, and the pivot row and
-column are dropped.  No divisibility sweep runs between pivots; the diagonal
-left at the end is turned into the chain d_1 | d_2 | ... by replacing pairs
-(a, b) with (gcd, lcm).  Invariant factors are canonicalized to lowest
-exponent 0 with leading coefficient 1.
+The Smith normal form is the sparse elimination the integer Smith form
+also uses (:func:`artinsigma.homology._smith_diagonal`), with the number of
+stored coefficients as the Euclidean size; the diagonal it leaves is turned
+into the chain d_1 | d_2 | ... by replacing pairs (a, b) with (gcd, lcm).
+Invariant factors are canonicalized to lowest exponent 0 with leading
+coefficient 1.
 
 Coefficients are exact: Fraction for characteristic 0, integers mod p for a
 prime p.  No floating point anywhere.
@@ -22,9 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .homology import is_prime
+from .homology import _smith_diagonal, is_prime
 
 
 class Field:
@@ -80,10 +79,11 @@ class LaurentPoly:
 
     The first and last stored coefficients are nonzero; the zero polynomial
     is the empty coefficient tuple at offset 0.  Units are exactly the
-    single-term elements c * t^k.
+    single-term elements c * t^k.  ``size``, the number of stored
+    coefficients, is the Euclidean size: 0 for zero, 1 for units.
     """
 
-    __slots__ = ("field", "offset", "coeffs")
+    __slots__ = ("field", "offset", "coeffs", "size")
 
     def __init__(self, field: Field, offset: int, coeffs: Iterable):
         self._store(field, offset, [field.coerce(c) for c in coeffs])
@@ -109,6 +109,7 @@ class LaurentPoly:
         self.field = field
         self.offset = offset
         self.coeffs = tuple(cs)
+        self.size = len(cs)
 
     # -- constructors ------------------------------------------------------
 
@@ -138,12 +139,12 @@ class LaurentPoly:
         return not self.coeffs
 
     def is_unit(self) -> bool:
-        return len(self.coeffs) == 1
+        return self.size == 1
 
     @property
     def span(self) -> int:
-        """Euclidean size: top exponent minus bottom exponent (0 for units)."""
-        return len(self.coeffs) - 1
+        """Top exponent minus bottom exponent (0 for units)."""
+        return self.size - 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -326,125 +327,24 @@ class LaurentMatrix:
         }
 
 
-def smith_normal_form(matrix: LaurentMatrix) -> tuple[tuple[LaurentPoly, ...], int]:
-    """Invariant factors d_1 | d_2 | ... and the rank of a Laurent matrix.
+_size = attrgetter("size")
 
-    Sparse elimination in the manner of Dumas, Saunders and Villard (J. Symb.
-    Comput., 2001): each row holds only its nonzero entries.  A minimal-span
-    pivot clears its column by row operations, and a nonzero remainder of
-    smaller span becomes the new pivot.  Once the column holds the pivot
-    alone, the pivot row is cleared by column operations, which touch no
-    other row; a nonzero remainder there again becomes the pivot.  The
-    cleared pivot row and column are then dropped.  No divisibility sweep
-    runs between pivots: the diagonal left at the end is turned into the
-    divisibility chain by gcd/lcm exchanges (:func:`_divisibility_chain`).
+
+def smith_normal_form(matrix: LaurentMatrix) -> tuple[tuple[LaurentPoly, ...], int]:
+    """Invariant factors d_1 | d_2 | ... and the rank of a Laurent matrix:
+    the sparse elimination :func:`artinsigma.homology._smith_diagonal` with
+    the coefficient count as size, then :func:`_divisibility_chain`.
 
     Factors are canonical associates (lowest exponent 0, leading coefficient
     1); the rank is their count.  Unit factors are reported as 1.
     """
-    rows: dict[int, dict[int, LaurentPoly]] = {}
-    cols: dict[int, set[int]] = {}
+    rows = {}
     for i, entries in enumerate(matrix.entries):
-        row = {j: e for j, e in enumerate(entries) if e.coeffs}
+        row = {j: e for j, e in enumerate(entries) if e.size}
         if row:
             rows[i] = row
-            for j in row:
-                cols.setdefault(j, set()).add(i)
-    diagonal: list[LaurentPoly] = []
-    while rows:
-        i0, j0 = _min_span_entry(rows)
-        while True:
-            i0 = _clear_column(rows, cols, i0, j0)
-            j = _clear_row(rows[i0], cols, i0, j0)
-            if j is None:
-                break
-            j0 = j
-        row = rows.pop(i0)
-        diagonal.append(row[j0])
-        for j in row:
-            cols[j].discard(i0)
-    factors = _divisibility_chain(matrix.field, diagonal)
+    factors = _divisibility_chain(matrix.field, _smith_diagonal(rows, _size, laurent_divmod))
     return factors, len(factors)
-
-
-def _min_span_entry(rows: dict[int, dict[int, LaurentPoly]]) -> tuple[int, int]:
-    """Position of a nonzero entry of minimal span (the first unit found)."""
-    best, best_len = None, 0
-    for i, row in rows.items():
-        for j, e in row.items():
-            if best is None or len(e.coeffs) < best_len:
-                best, best_len = (i, j), len(e.coeffs)
-                if best_len == 1:
-                    return best
-    return best
-
-
-def _clear_column(rows: dict[int, dict[int, LaurentPoly]], cols: dict[int, set[int]],
-                  i0: int, j0: int) -> int:
-    """Reduce column j0 to the single entry in the returned pivot row.
-
-    Every other row loses a multiple of the pivot row; while remainders are
-    left, the one of smallest span becomes the pivot and the pass repeats.
-    """
-    while True:
-        pivot_row = rows[i0]
-        pivot = pivot_row[j0]
-        best = None
-        for i in sorted(cols[j0]):
-            if i == i0:
-                continue
-            row = rows[i]
-            q, r = laurent_divmod(row[j0], pivot)
-            if q.coeffs:
-                _subtract_multiple(row, i, -q, pivot_row, j0, r, cols)
-                if not row:
-                    del rows[i]
-            if r.coeffs and (best is None or r.span < rows[best][j0].span):
-                best = i
-        if best is None:
-            return i0
-        i0 = best
-
-
-def _subtract_multiple(row: dict[int, LaurentPoly], i: int, neg_q: LaurentPoly,
-                       pivot_row: dict[int, LaurentPoly], j0: int, remainder: LaurentPoly,
-                       cols: dict[int, set[int]]) -> None:
-    """row += neg_q * pivot_row in place, where column j0 is known to become
-    ``remainder``; keeps the column index of row ``i`` in step."""
-    for j, e in pivot_row.items():
-        if j == j0:
-            v = remainder
-        else:
-            cur = row.get(j)
-            v = neg_q * e if cur is None else cur + neg_q * e
-        if v.coeffs:
-            row[j] = v
-            cols[j].add(i)
-        elif j in row:
-            del row[j]
-            cols[j].discard(i)
-
-
-def _clear_row(pivot_row: dict[int, LaurentPoly], cols: dict[int, set[int]],
-               i0: int, j0: int) -> int | None:
-    """Clear the pivot row by column operations once column j0 holds only
-    the pivot; such an operation changes the pivot row alone, leaving the
-    remainder of each entry.  Returns the column of the smallest nonzero
-    remainder, the next pivot, or None when every remainder is zero."""
-    pivot = pivot_row[j0]
-    if pivot.is_unit():
-        return None
-    best = None
-    for j in [j for j in pivot_row if j != j0]:
-        r = laurent_divmod(pivot_row[j], pivot)[1]
-        if r.coeffs:
-            pivot_row[j] = r
-            if best is None or r.span < pivot_row[best].span:
-                best = j
-        else:
-            del pivot_row[j]
-            cols[j].discard(i0)
-    return best
 
 
 def _divisibility_chain(field: Field, diagonal: list[LaurentPoly]) -> tuple[LaurentPoly, ...]:

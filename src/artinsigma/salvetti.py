@@ -65,19 +65,6 @@ def _max_weight_span(g: EvenGraph, chi: Character, max_n: int) -> int:
     return span
 
 
-def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) -> LaurentPoly:
-    """Differential weight of the facet of clique X obtained by removing v."""
-    _check_domain(g, chi)
-    field = Field(p)
-    x_clique = g.sort_vertices(x_clique)
-    if v not in x_clique:
-        raise ValueError(f"{v!r} is not a vertex of the clique {x_clique}")
-    if not g.is_clique(x_clique):
-        raise ValueError(f"{x_clique} is not a clique")
-    exps = chi.primitive_integer_values()
-    return _coefficient_b(g, exps, x_clique, v, field)
-
-
 def _coefficient_b(g: EvenGraph, exps: dict[str, int], x_clique, v: str,
                    field: Field) -> LaurentPoly:
     out = t_power_minus_one(field, exps[v])

@@ -193,27 +193,6 @@ def homotopic_sigma_verdict(g: EvenGraph, chi: Character, n: int,
     return Verdict("sigma-membership(homotopy)", UNKNOWN, n, (j,))
 
 
-def dihedral_sigma_member(label, m_x, m_y, n: int = 1) -> bool:
-    """Membership for a single dihedral Artin group.
-
-    Odd-type groups (odd label, or the string "odd") have full invariants;
-    even-type groups with label >= 4 exclude exactly the classes of the
-    character sending the generators to 1 and -1 and its negative, i.e. a
-    class is a member iff the generator values do not cancel.
-    """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if (m_x, m_y) == (0, 0):
-        raise ValueError("the zero restriction has no sphere class")
-    if label == "odd":
-        return True
-    if not isinstance(label, int) or label < 3:
-        raise ValueError(f"label must be an integer >= 3 or 'odd', got {label!r}")
-    if label % 2:
-        return True
-    return m_x + m_y != 0
-
-
 def product_sigma_member(g: EvenGraph, delta: Sequence[str], chi: Character, m: int) -> bool:
     """Closed-form membership on a clique (a product of dihedral and infinite
     cyclic factors).

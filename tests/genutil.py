@@ -1,7 +1,8 @@
 """Seeded random instance generators and the small fixed instances shared by
 the suites, character and polynomial helpers that only tests need, matrix
 helpers shared by the Laurent and twisted-complex tests, and plain reference
-versions of the bitmask graph kernels."""
+versions of the bitmask graph kernels, the flag-complex closure, the twisted
+differential weight and two closed-form criteria."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import random
 import string
 from fractions import Fraction
 
-from artinsigma import (CenterValues, Character, EvenGraph, Field, LaurentMatrix, LaurentPoly,
-                        validate_fc)
+from artinsigma import (Analysis, CenterValues, Character, EvenGraph, Field, LaurentMatrix,
+                        LaurentPoly, SimplicialComplex, validate_fc)
+from artinsigma import salvetti
+from artinsigma.characters import _check_domain
 
 
 def dihedral(half_label: int) -> tuple[EvenGraph, Character]:
@@ -188,3 +191,69 @@ def center_values_pairwise(g: EvenGraph, chi: Character, delta) -> CenterValues:
         if v not in on_big_edge:
             entries.append((v, chi.value(v)))
     return CenterValues(tuple(entries))
+
+
+def closed_complex(vertex_order, simplices) -> SimplicialComplex:
+    """Reference complex: the downward closure of ``simplices``, grouped by
+    dimension and sorted lexicographically in the vertex order."""
+    vertex_order = tuple(vertex_order)
+    index = {v: i for i, v in enumerate(vertex_order)}
+    closed: set[tuple[str, ...]] = set()
+    for s in simplices:
+        vs = tuple(sorted(set(s), key=index.__getitem__))
+        for v in vs:
+            if v not in index:
+                raise ValueError(f"simplex vertex {v!r} not in vertex order")
+        for mask in range(1 << len(vs)):
+            closed.add(tuple(v for i, v in enumerate(vs) if mask >> i & 1))
+    closed.discard(())
+    by_dim: dict[int, list[tuple[str, ...]]] = {}
+    for s in closed:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    return SimplicialComplex(vertex_order, {
+        d: tuple(sorted(group, key=lambda s: tuple(index[v] for v in s)))
+        for d, group in sorted(by_dim.items())
+    })
+
+
+def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) -> LaurentPoly:
+    """Differential weight of the facet of clique X obtained by removing v."""
+    _check_domain(g, chi)
+    field = Field(p)
+    x_clique = g.sort_vertices(x_clique)
+    if v not in x_clique:
+        raise ValueError(f"{v!r} is not a vertex of the clique {x_clique}")
+    if not g.is_clique(x_clique):
+        raise ValueError(f"{x_clique} is not a clique")
+    exps = chi.primitive_integer_values()
+    return salvetti._coefficient_b(g, exps, x_clique, v, field)
+
+
+def finite_dimensional_through(g: EvenGraph, chi: Character, p: int, n: int) -> bool:
+    """Whether kernel homology is finite dimensional in all degrees 0..n.
+
+    Equivalent to the strong p-n-link condition: a degree has infinite
+    dimension exactly when its module has positive free rank.
+    """
+    return not any(Analysis(g, chi).free_ranks(p, n))
+
+
+def dihedral_sigma_member(label, m_x, m_y, n: int = 1) -> bool:
+    """Membership for a single dihedral Artin group.
+
+    Odd-type groups (odd label, or the string "odd") have full invariants;
+    even-type groups with label >= 4 exclude exactly the classes of the
+    character sending the generators to 1 and -1 and its negative, i.e. a
+    class is a member iff the generator values do not cancel.
+    """
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    if (m_x, m_y) == (0, 0):
+        raise ValueError("the zero restriction has no sphere class")
+    if label == "odd":
+        return True
+    if not isinstance(label, int) or label < 3:
+        raise ValueError(f"label must be an integer >= 3 or 'odd', got {label!r}")
+    if label % 2:
+        return True
+    return m_x + m_y != 0

@@ -445,3 +445,31 @@ def test_oracle_span_budget_boundary(tmp_path):
             assert report["results"]["cross_check"] == {"ok": True}
         else:
             assert "span 2049" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["verdict", "--n", "x", "INSTANCE"],      # --n is not an integer
+    ["frobnicate", "INSTANCE"],               # unknown command
+    ["verdict", "--n", "1"],                  # no instance argument
+])
+def test_usage_errors_exit_1(dihedral4_path, capsys, argv):
+    argv = [dihedral4_path if a == "INSTANCE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(argv, out=io.StringIO())
+    assert exc.value.code == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verdict", "--help"], out=io.StringIO())
+    assert exc.value.code == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_unwritable_json_path_is_input_error(tmp_path, dihedral4_path):
+    json_path = tmp_path / "missing-dir" / "out.json"
+    code, report, text = run_cli(["verdict", "--n", "1", dihedral4_path, "--json", str(json_path)])
+    assert code == EXIT_INVALID and report is None
+    assert text.splitlines()[-1].startswith("error: cannot write the JSON report: ")
+    assert not json_path.exists()

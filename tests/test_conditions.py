@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from artinsigma import (Analysis, Character, ConditionReport, EvenGraph,
-                        ZeroCharacterError, center_values, enumerate_cliques,
-                        finite_dimensional_through, is_connected, is_dominating,
-                        kernel_free_rank, living_subgraph, raag_n_link,
+                        ZeroCharacterError, center_values, enumerate_cliques, is_connected,
+                        is_dominating, kernel_free_rank, living_subgraph, raag_n_link,
                         strong_homotopic_n_link, strong_n_link, strong_p_n_link)
 
-from genutil import dihedral, random_character, random_even_fc_graph, random_raag
+from genutil import (dihedral, finite_dimensional_through, random_character,
+                     random_even_fc_graph, random_raag)
 
 
 def test_example1_strong_link_all_degrees_by_cones(example1):

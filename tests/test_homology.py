@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from artinsigma import (EvenGraph, enumerate_cliques, flag_complex, has_cone_vertex, link,
-                        living_subgraph, reduced_homology)
-from artinsigma.homology import (PRIME_BOUND, SimplicialComplex, _boundary,
-                                 integer_invariant_factors, is_prime, prime_factors)
+from artinsigma import (EvenGraph, Field, LaurentMatrix, LaurentPoly, enumerate_cliques,
+                        flag_complex, has_cone_vertex, link, living_subgraph, reduced_homology,
+                        smith_normal_form)
+from artinsigma.homology import (PRIME_BOUND, _boundary, integer_invariant_factors, is_prime,
+                                 prime_factors)
 
-from genutil import enumerate_cliques_scan, random_even_fc_graph
+from genutil import closed_complex, enumerate_cliques_scan, random_even_fc_graph
 
 
 def boundary_matrices(c, max_degree):
@@ -140,7 +141,7 @@ def test_flag_complex_matches_closed_simplices():
     for _ in range(150):
         g = random_graph(rng, 10)
         ours = flag_complex(g)
-        closed = SimplicialComplex(g.vertices, [c for c in enumerate_cliques_scan(g, 10) if c])
+        closed = closed_complex(g.vertices, [c for c in enumerate_cliques_scan(g, 10) if c])
         assert ours.vertex_order == closed.vertex_order == g.vertices
         assert ours.dimension == closed.dimension and ours.is_empty() == closed.is_empty()
         for d in range(-1, closed.dimension + 2):
@@ -298,6 +299,61 @@ def test_integer_snf_divisibility_chain():
         assert len(factors) == reference_rank(m)
 
 
+# minimal 6-vertex triangulation of the projective plane
+RP2_TRIANGLES = ("123", "134", "145", "156", "126", "235", "246", "245", "346", "356")
+
+
+def rp2_subdivision_graph() -> EvenGraph:
+    """Comparability graph of the faces of the 6-vertex projective plane: its
+    flag complex is the barycentric subdivision, with H_1 = Z/2."""
+    faces = sorted({"".join(f) for t in RP2_TRIANGLES for k in (1, 2, 3)
+                    for f in itertools.combinations(t, k)})
+    edges = [(u, v, 2) for u, v in itertools.combinations(faces, 2)
+             if set(u) < set(v) or set(v) < set(u)]
+    return EvenGraph(faces, edges)
+
+
+def mixed(rng: random.Random, m: list[list[int]], nrows: int, ncols: int) -> list[list[int]]:
+    """``m`` after random elementary row and column operations: the same
+    invariant factors, but larger entries and non-unit pivots."""
+    m = [list(row) for row in m]
+    for _ in range(nrows + ncols):
+        k = rng.choice((-3, -2, 2, 3))
+        if nrows > 1 and rng.random() < 0.5:
+            a, b = rng.sample(range(nrows), 2)
+            m[b] = [x + k * y for x, y in zip(m[b], m[a])]
+        elif ncols > 1:
+            a, b = rng.sample(range(ncols), 2)
+            for row in m:
+                row[b] += k * row[a]
+    return m
+
+
+def test_integer_and_laurent_smith_forms_agree_on_ranks():
+    # One elimination serves both rings.  On an integer matrix read as a
+    # constant Laurent matrix, the rank over Q is the number of integer
+    # invariant factors, and over F_p the number of them prime to p.
+    rng = random.Random(27)
+    complexes = [flag_complex(rp2_subdivision_graph())]
+    complexes += [flag_complex(random_graph(rng, 7)) for _ in range(40)]
+    torsion = 0
+    for c in complexes:
+        for k in range(c.dimension + 1):
+            nr, nc = c.chain_rank(k - 1), c.chain_rank(k)
+            boundary = _boundary(c, k)
+            factors = integer_invariant_factors(boundary, nr, nc)
+            torsion += sum(1 for d in factors if d > 1)
+            for m in (boundary, mixed(rng, boundary, nr, nc)):
+                assert integer_invariant_factors(m, nr, nc) == factors
+                for p in (0, 2, 3):
+                    f = Field(p)
+                    constant = LaurentMatrix(f, nr, nc, [[LaurentPoly.constant(f, a) for a in row]
+                                                         for row in m])
+                    assert smith_normal_form(constant)[1] == sum(1 for d in factors
+                                                                 if p == 0 or d % p)
+    assert torsion > 0
+
+
 def test_homology_square_circle():
     g = EvenGraph(["a", "b", "c", "d"],
                   [("a", "b", 2), ("b", "c", 2), ("c", "d", 2), ("a", "d", 2)])
@@ -320,10 +376,8 @@ def test_homology_empty_complex():
 
 
 def test_homology_torsion_projective_plane():
-    # minimal 6-vertex triangulation; textbook: H0 = 0, H1 = Z/2 reduced
-    faces = ["123", "134", "145", "156", "126", "235", "246", "245", "346", "356"]
-    vertices = list("123456")
-    c = SimplicialComplex(vertices, [tuple(f) for f in faces])
+    # textbook: H0 = 0, H1 = Z/2 reduced
+    c = closed_complex("123456", [tuple(f) for f in RP2_TRIANGLES])
     z = reduced_homology(c, "Z", 2)
     assert z.betti_at(0) == 0 and z.betti_at(1) == 0 and z.betti_at(2) == 0
     assert z.torsion[1] == (2,)

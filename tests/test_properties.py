@@ -110,7 +110,7 @@ def test_membership_implies_finite_dimensional_kernel_homology():
     # homology must be finite dimensional through degree n over every field;
     # this ties the verdict rules, the link formula and the chain complex
     # together across modules
-    from artinsigma import finite_dimensional_through
+    from genutil import finite_dimensional_through
 
     rng = random.Random(111)
     hits = 0

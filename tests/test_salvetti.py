@@ -3,12 +3,12 @@ import random
 import pytest
 
 from artinsigma import (Character, CrossCheckError, EvenGraph, Field, LaurentMatrix, LaurentPoly,
-                        OracleTooLarge, build_salvetti_complex, coefficient_b, cross_check,
-                        homology_module, smith_normal_form, t_power_minus_one)
+                        OracleTooLarge, build_salvetti_complex, cross_check, homology_module,
+                        smith_normal_form, t_power_minus_one)
 from artinsigma.salvetti import MAX_ORACLE_SPAN, _max_weight_span
 
-from genutil import (dihedral, matrix_entry, matrix_is_zero, matrix_product, permuted,
-                     poly_scaled, poly_shifted, product_of_dihedrals, random_character,
+from genutil import (coefficient_b, dihedral, matrix_entry, matrix_is_zero, matrix_product,
+                     permuted, poly_scaled, poly_shifted, product_of_dihedrals, random_character,
                      random_even_fc_graph, scaled_character)
 
 

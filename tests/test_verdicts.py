@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from artinsigma import (IN, NOT_IN, UNKNOWN, Character, EvenGraph, ZeroCharacterError,
-                        dihedral_sigma_member, fp_verdict, homotopic_sigma_verdict,
-                        odd_cycle_condition, product_sigma_member, sigma_verdict,
-                        strong_n_link)
+                        fp_verdict, homotopic_sigma_verdict, odd_cycle_condition,
+                        product_sigma_member, sigma_verdict, strong_n_link)
 
 from artinsigma.verdicts import _biconnected_blocks
 
-from genutil import (negated_character, random_character, random_even_fc_graph,
-                     scaled_character)
+from genutil import (dihedral_sigma_member, negated_character, random_character,
+                     random_even_fc_graph, scaled_character)
 
 
 def fired_rules(verdict):
