@@ -23,9 +23,8 @@ from functools import partial
 
 from .characters import Character, _center_generators, classify
 from .graphs import EvenGraph, _bits, describe_graph, induced_subgraph, is_connected, is_subgraph
-from .homology import (HomologyProfile, SimplicialComplex, _link_mask, coeffs_label,
-                       enumerate_cliques, flag_complex, has_cone_vertex, is_prime,
-                       reduced_homology)
+from .homology import (HomologyProfile, SimplicialComplex, _cliques, _link_mask, coeffs_label,
+                       flag_complex, has_cone_vertex, is_prime, reduced_homology, strong_core)
 
 
 class ZeroCharacterError(ValueError):
@@ -83,10 +82,11 @@ class Analysis:
 
     A *mode* is ``None`` (all dead edges), ``0`` (none) or a prime p (the
     p-dead edges).  The classification is made on construction; the clique
-    enumeration, each mode's living subgraph and dead cliques, each distinct
-    link (one graph per vertex mask) and each link's flag complex, which
-    keeps the integer Smith forms that serve Z, Q and every F_p, are built
-    on first use and kept.
+    enumeration (as vertex masks), each mode's living subgraph and dead
+    cliques, each distinct link (one graph per vertex mask), its
+    strong-collapse core and the core's flag complex, which keeps the
+    integer Smith forms that serve Z, Q and every F_p, are built on first
+    use and kept.  Links whose cores are one graph share one complex.
     """
 
     def __init__(self, g: EvenGraph, chi: Character):
@@ -97,12 +97,15 @@ class Analysis:
         ints = chi.primitive_integer_values()
         self._values = [ints[v] for v in g.vertices]
         self._zero_values = g.vertex_mask(v for v in g.vertices if not ints[v])
-        self._cliques: dict[int, tuple[tuple[str, ...], ...]] = {}
+        self._dead_vertices = g.vertex_mask(self.classification.dead_vertices)
+        self._cliques: dict[int, list[int]] = {}
         # keyed by the dead edges a mode removes, so modes that agree share them
         self._living: dict[frozenset, EvenGraph] = {}
-        self._dead: dict[tuple[frozenset, int], list[tuple[tuple[str, ...], EvenGraph]]] = {}
+        self._adjacency: dict[frozenset, list[int]] = {}
+        self._dead: dict[tuple[frozenset, int], list[tuple[tuple[str, ...], EvenGraph, int]]] = {}
         self._links: dict[frozenset, dict[int, EvenGraph]] = {}
-        self._complexes: dict[EvenGraph, SimplicialComplex] = {}
+        self._cores: dict[tuple[frozenset, int], tuple[int, ...]] = {}
+        self._complexes: dict[tuple[int, ...], SimplicialComplex] = {}
 
     def _edges(self, p: int | None) -> frozenset[tuple[str, str]]:
         if p is None:
@@ -116,14 +119,21 @@ class Analysis:
         edges of the mode removed; removed edges keep their living endpoints."""
         edges = self._edges(p)
         if edges not in self._living:
+            g = self.g
             dead = self.classification.dead_vertices
-            keep = [v for v in self.g.vertices if v not in dead]
+            keep = [v for v in g.vertices if v not in dead]
             drop = [e for e in edges if e[0] not in dead and e[1] not in dead]
-            living = induced_subgraph(self.g, keep, drop)
+            living = induced_subgraph(g, keep, drop)
             # every link of the mode is taken in it (see _select)
-            if not is_subgraph(living, self.g):
+            if not is_subgraph(living, g):
                 raise RuntimeError("living subgraph is not a subgraph of the graph")
             self._living[edges] = living
+            # its neighbour masks in the vertex positions of g, for the cores
+            at = [g.index(v) for v in living.vertices]
+            adjacency = [0] * len(g.vertices)
+            for k, m in enumerate(living.neighbor_masks):
+                adjacency[at[k]] = sum(1 << at[j] for j in _bits(m))
+            self._adjacency[edges] = adjacency
         return self._living[edges]
 
     def links(self, n: int, p: int | None = None, coeffs="Z"):
@@ -134,37 +144,43 @@ class Analysis:
         living, edges = self.living(p), self._edges(p)
         if (edges, n) not in self._dead:
             if n not in self._cliques:
-                self._cliques[n] = enumerate_cliques(self.g, n)
+                g = self.g
+                self._cliques[n] = _cliques(g.neighbor_masks, (1 << len(g.vertices)) - 1, n)
             self._dead[edges, n] = list(self._select(edges, living, self._cliques[n]))
-        for clique, lk in self._dead[edges, n]:
+        for clique, lk, mask in self._dead[edges, n]:
             d = n - 1 - len(clique)
-            yield clique, d, lk, partial(self._homology, lk, coeffs, d)
+            yield clique, d, lk, partial(self._homology, edges, mask, coeffs, d)
 
-    def _select(self, edges: frozenset, living: EvenGraph, cliques):
-        """(clique, link) for each of ``cliques`` whose every vertex is dead
-        or on an edge of ``edges`` inside it (see :func:`dead_cliques`)."""
+    def _select(self, edges: frozenset, living: EvenGraph, cliques: list[int]):
+        """(clique, link, link mask) for each clique, given by its vertex
+        mask, whose every vertex is dead or on an edge of ``edges`` inside it
+        (see :func:`dead_cliques`)."""
         g = self.g
-        dead = g.vertex_mask(self.classification.dead_vertices)
-        partners = [0] * len(g.vertices)   # bit j of partners[i]: edge {i, j} in edges
+        vs, dead = g.vertices, self._dead_vertices
+        partners = [0] * len(vs)   # bit j of partners[i]: edge {i, j} in edges
+        on_edges = 0
         for u, v in edges:
             i, j = g.index(u), g.index(v)
             partners[i] |= 1 << j
             partners[j] |= 1 << i
+            on_edges |= 1 << i | 1 << j
         living_mask = g.vertex_mask(living.vertices)
         links = self._links.setdefault(edges, {})
         check_center = edges == self.classification.dead_edges
-        for clique in cliques:
-            members = g.vertex_mask(clique)
-            selected = all(partners[i] & members for i in _bits(members & ~dead))
+        for members in cliques:
+            alive = members & ~dead
+            # a living vertex on no edge of ``edges`` rules the clique out at once
+            selected = not alive & ~on_edges and all(partners[i] & members for i in _bits(alive))
             if check_center and selected != self._center_killed(members):
+                clique = tuple(vs[i] for i in _bits(members))
                 raise RuntimeError(
                     f"dead-clique/center mismatch on {clique}: "
                     f"combinatorial={selected}, center-kill={not selected}")
             if selected:
-                mask = _link_mask(g, living_mask, clique)
+                mask = _link_mask(g, living_mask, members)
                 if mask not in links:
-                    links[mask] = induced_subgraph(living, [g.vertices[i] for i in _bits(mask)])
-                yield clique, links[mask]
+                    links[mask] = induced_subgraph(living, [vs[i] for i in _bits(mask)])
+                yield tuple([vs[i] for i in _bits(members)]), links[mask], mask
 
     def _center_killed(self, members: int) -> bool:
         """Whether chi kills the center of the clique subgroup on the vertex
@@ -175,10 +191,18 @@ class Analysis:
         m = self._values
         return not leftover & ~self._zero_values and all(m[i] + m[j] == 0 for i, j, _ in pairs)
 
-    def _homology(self, lk: EvenGraph, coeffs, d: int) -> HomologyProfile:
-        if lk not in self._complexes:
-            self._complexes[lk] = flag_complex(lk)
-        return reduced_homology(self._complexes[lk], coeffs, d)
+    def _homology(self, edges: frozenset, mask: int, coeffs, d: int) -> HomologyProfile:
+        """Reduced homology of the flag complex of the link on ``mask`` in
+        the living subgraph of ``edges``, read on its strong-collapse core,
+        which is homotopy equivalent."""
+        key = self._cores.get((edges, mask))
+        if key is None:
+            adjacency = self._adjacency[edges]
+            core = strong_core(self.g.vertices, adjacency, mask)
+            key = self._cores[edges, mask] = core.neighbor_masks
+            if key not in self._complexes:
+                self._complexes[key] = flag_complex(core)
+        return reduced_homology(self._complexes[key], coeffs, d)
 
     # -- conditions -------------------------------------------------------
 

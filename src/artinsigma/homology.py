@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import EvenGraph, _bits, induced_subgraph, is_subgraph
 
@@ -104,8 +104,10 @@ def coeffs_label(coeffs) -> str:
 # The most cliques one enumeration may hold.  Measured on a 2-vCPU machine
 # with K_n, all labels 2 and values alternating 0 and 1: `verdict --n 4` on
 # K60 (523,686 cliques of size <= 4) takes 4 s and on K83 (1,932,988) 17 s
-# and 410 MB, and `links --n 3` on K40, whose links are K20 with a flag
-# complex of 2^20 cliques, takes 3 s.  K120 (8,502,671) would take minutes.
+# and 410 MB; K120 (8,502,671) would take minutes and is refused at once.
+# Link homology reads the flag complex of a link's strong-collapse core,
+# which for these links (complete graphs) is one vertex, so `links --n 3`
+# on K42, whose full link complexes would hold 2^21 cliques, takes 0.2 s.
 MAX_CLIQUES = 2_000_000
 
 
@@ -117,14 +119,25 @@ def enumerate_cliques(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...
     """All cliques of size <= max_size, including the empty clique.
 
     Order: by size, then lexicographically in the global vertex order, so
-    every downstream basis and report is deterministic.  Each clique is
-    extended by the vertices in the mask of its common neighbours after its
-    last vertex.  Each size is counted from those masks before it is built,
-    and a total above :data:`MAX_CLIQUES` raises :class:`TooManyCliques`.
+    every downstream basis and report is deterministic.  A total above
+    :data:`MAX_CLIQUES` raises :class:`TooManyCliques` (see :func:`_cliques`).
     """
-    vs, nbr = g.vertices, g.neighbor_masks
-    by_size: list[list[tuple[str, ...]]] = [[()]]
-    current: list[tuple[tuple[str, ...], int]] = [((), (1 << len(vs)) - 1)]
+    full = (1 << len(g.vertices)) - 1
+    return tuple(_named(g.vertices, _cliques(g.neighbor_masks, full, max_size)).values())
+
+
+def _cliques(nbr: Sequence[int], within: int, max_size: int) -> list[int]:
+    """The vertex masks of the cliques of size <= max_size on the vertex
+    mask ``within`` of the graph with neighbour masks ``nbr``, in the order
+    of :func:`enumerate_cliques`.
+
+    Each clique is extended by the vertices in the mask of its common
+    neighbours after its last vertex.  Each size is counted from those masks
+    before it is built, and a total above :data:`MAX_CLIQUES` raises
+    :class:`TooManyCliques`.
+    """
+    out = [0]
+    current = [(0, within)]
     total = 1
     for size in range(1, max_size + 1):
         total += sum(later.bit_count() for _, later in current)
@@ -132,14 +145,25 @@ def enumerate_cliques(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...
             raise TooManyCliques(f"the clique enumeration is refused: {total} cliques of size "
                                  f"at most {size}, above the budget of {MAX_CLIQUES}")
         nxt = []
-        for clique, later in current:
+        for members, later in current:
             for i in _bits(later):
-                nxt.append((clique + (vs[i],), later & nbr[i] >> (i + 1) << (i + 1)))
+                nxt.append((members | 1 << i, later & nbr[i] >> (i + 1) << (i + 1)))
         if not nxt:
             break
-        by_size.append([clique for clique, _ in nxt])
+        out.extend(members for members, _ in nxt)
         current = nxt
-    return tuple(c for group in by_size for c in group)
+    return out
+
+
+def _named(vs: Sequence[str], cliques: list[int]) -> dict[int, tuple[str, ...]]:
+    """Each clique mask of ``cliques``, in the order of :func:`_cliques`,
+    with its vertex names: the names of the clique without its last vertex,
+    which comes earlier, and the last name."""
+    names: dict[int, tuple[str, ...]] = {}
+    for members in cliques:
+        last = members.bit_length() - 1
+        names[members] = names[members ^ 1 << last] + (vs[last],) if members else ()
+    return names
 
 
 def link(g_ambient: EvenGraph, gamma1: EvenGraph, delta: Sequence[str]) -> EvenGraph:
@@ -151,20 +175,67 @@ def link(g_ambient: EvenGraph, gamma1: EvenGraph, delta: Sequence[str]) -> EvenG
     """
     if not is_subgraph(gamma1, g_ambient):
         raise ValueError("gamma1 is not a subgraph of the ambient graph")
-    keep = _link_mask(g_ambient, g_ambient.vertex_mask(gamma1.vertices), list(delta))
+    if not g_ambient.is_clique(delta):
+        raise ValueError(f"{tuple(delta)} is not a clique of the ambient graph")
+    keep = _link_mask(g_ambient, g_ambient.vertex_mask(gamma1.vertices),
+                      g_ambient.vertex_mask(delta))
     return induced_subgraph(gamma1, [g_ambient.vertices[i] for i in _bits(keep)])
 
 
-def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, delta: Sequence[str]) -> int:
-    """Vertex mask of the link of the clique ``delta`` inside the subgraph of
-    ``g_ambient`` on the bits of ``gamma1_mask``: those bits adjacent in the
-    ambient graph to every vertex of ``delta``."""
-    if not g_ambient.is_clique(delta):
-        raise ValueError(f"{tuple(delta)} is not a clique of the ambient graph")
+def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, members: int) -> int:
+    """Vertex mask of the link of the clique on the vertex mask ``members``
+    inside the subgraph of ``g_ambient`` on the bits of ``gamma1_mask``:
+    those bits adjacent in the ambient graph to every vertex of the clique.
+    Raises ValueError when ``members`` is not a clique of the ambient graph."""
+    nbr = g_ambient.neighbor_masks
     keep = gamma1_mask
-    for v in delta:
-        keep &= g_ambient.neighbor_masks[g_ambient.index(v)]
+    for i in _bits(members):
+        if members & ~nbr[i] != 1 << i:
+            clique = tuple(g_ambient.vertices[k] for k in _bits(members))
+            raise ValueError(f"{clique} is not a clique of the ambient graph")
+        keep &= nbr[i]
     return keep
+
+
+class CoreGraph(NamedTuple):
+    """A graph given by its vertex names and their neighbour masks, bit t
+    standing for the t-th name: the form in which :func:`strong_core` keeps
+    a core.  :func:`flag_complex` and :func:`has_cone_vertex` read it as
+    they read an :class:`EvenGraph`."""
+
+    vertices: tuple[str, ...]
+    neighbor_masks: tuple[int, ...]
+
+
+def strong_core(vs: Sequence[str], nbr: Sequence[int], mask: int) -> CoreGraph:
+    """A strong-collapse core of the flag complex of the graph with vertex
+    names ``vs`` and neighbour masks ``nbr``, induced on the vertex mask
+    ``mask``.
+
+    A vertex v whose closed neighbourhood N[v] lies inside N[w] for some
+    neighbour w is dominated: every maximal simplex through v contains w,
+    so deleting v is a strong collapse, a homotopy equivalence (Barmak and
+    Minian, *Strong homotopy types, nerves and collapses*, Discrete Comput.
+    Geom. 2012).  Dominated vertices are deleted, lowest first, until none
+    is left; the flag complex of what remains has the reduced homology of
+    the whole over every coefficient ring.  The core comes renumbered 0, 1,
+    ... in vertex order, so cores whose neighbour masks agree have one flag
+    complex, simplex for simplex, up to the names.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for v in _bits(mask):
+            closed = nbr[v] & mask | 1 << v
+            for w in _bits(closed ^ 1 << v):
+                if not closed & ~(nbr[w] | 1 << w):
+                    mask ^= 1 << v
+                    changed = True
+                    break
+    positions = _bits(mask)
+    rank = {i: t for t, i in enumerate(positions)}
+    return CoreGraph(tuple(vs[i] for i in positions),
+                     tuple(sum(1 << rank[j] for j in _bits(nbr[i] & mask)) for i in positions))
 
 
 class SimplicialComplex:
@@ -215,10 +286,11 @@ class SimplicialComplex:
         return self._factors[k]
 
 
-def flag_complex(g: EvenGraph) -> SimplicialComplex:
+def flag_complex(g: EvenGraph | CoreGraph) -> SimplicialComplex:
     """Flag complex of a graph: one (k-1)-simplex per k-clique."""
     by_dim: dict[int, list[tuple[str, ...]]] = {}
-    for c in enumerate_cliques(g, len(g.vertices)):
+    n = len(g.vertices)
+    for c in _named(g.vertices, _cliques(g.neighbor_masks, (1 << n) - 1, n)).values():
         if c:
             by_dim.setdefault(len(c) - 1, []).append(c)
     # every face of a clique is a clique, and the enumeration order is the
@@ -277,9 +349,11 @@ def _smith_diagonal(rows: dict[int, dict], size, divmod_) -> list:
     while remainders are left the smallest becomes the pivot.  Then the
     pivot row is cleared by column operations, which touch no other row and
     are skipped for a unit pivot; a nonzero remainder there again becomes
-    the pivot.  The cleared pivot row and column are dropped.  No
-    divisibility sweep runs between pivots: the caller turns the diagonal
-    into the chain d_1 | d_2 | ... .
+    the pivot.  A remainder that becomes the pivot must be smaller than the
+    pivot it divided, or RuntimeError is raised, so a size that disagrees
+    with the division fails instead of looping.  The cleared pivot row and
+    column are dropped.  No divisibility sweep runs between pivots: the
+    caller turns the diagonal into the chain d_1 | d_2 | ... .
     """
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
@@ -319,6 +393,7 @@ def _smith_diagonal(rows: dict[int, dict], size, divmod_) -> list:
                         best, best_size = i, s
                 if best is None:
                     break
+                _check_falls(best_size, size(pivot))
                 i0 = best
             if size(pivot) == 1:
                 break
@@ -335,12 +410,24 @@ def _smith_diagonal(rows: dict[int, dict], size, divmod_) -> list:
                     cols[j].discard(i0)
             if best is None:
                 break
+            _check_falls(best_size, size(pivot))
             j0 = best
         row = rows.pop(i0)
         diagonal.append(row[j0])
         for j in row:
             cols[j].discard(i0)
     return diagonal
+
+
+def _check_falls(new_size, old_size) -> None:
+    """A remainder that becomes the pivot must be strictly smaller than the
+    pivot it divided; then every switch lowers the pivot size and the
+    elimination ends.  A size that disagrees with the ring's division would
+    otherwise loop forever."""
+    if not 0 < new_size < old_size:
+        raise RuntimeError(f"Smith form: a remainder of size {new_size} does not fall below "
+                           f"its divisor's size {old_size}; the size function disagrees "
+                           f"with the ring's division")
 
 
 def _smallest_entry(rows: dict[int, dict], size) -> tuple[int, int]:
@@ -422,7 +509,7 @@ def reduced_homology(c: SimplicialComplex, coeffs, max_degree: int) -> HomologyP
     return HomologyProfile(label, max_degree, betti, torsion)
 
 
-def has_cone_vertex(g: EvenGraph) -> bool:
+def has_cone_vertex(g: EvenGraph | CoreGraph) -> bool:
     """A vertex adjacent to every other one cones off the flag complex,
     which is then contractible (hence acyclic over every coefficient ring)."""
     if not g.vertices:

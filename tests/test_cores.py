@@ -1,0 +1,129 @@
+"""Strong-collapse cores: the link homology the conditions read.
+
+The analysis context computes the reduced homology of each link's flag
+complex on its strong-collapse core.  A strong collapse is a homotopy
+equivalence, so the core's homology must equal the full complex's over Z
+(betti numbers and torsion), Q and every F_p; these tests compare the two
+on random graphs, on the barycentric projective plane (whose torsion must
+survive) and on every link of random instances.
+"""
+
+from __future__ import annotations
+
+import random
+
+from artinsigma import (Analysis, Character, EvenGraph, flag_complex, has_cone_vertex,
+                        reduced_homology, strong_homotopic_n_link, strong_n_link)
+from artinsigma.homology import strong_core
+
+from genutil import random_character, random_even_fc_graph, random_raag
+from test_homology import rp2_subdivision_graph
+
+COEFFICIENTS = ("Z", 0, 2, 3)
+
+
+def core_of(g: EvenGraph):
+    return strong_core(g.vertices, g.neighbor_masks, (1 << len(g.vertices)) - 1)
+
+
+def profiles(g, top: int) -> list:
+    c = flag_complex(g)
+    return [(p.betti, p.torsion) for p in (reduced_homology(c, k, top) for k in COEFFICIENTS)]
+
+
+def dominated(g: EvenGraph) -> list[str]:
+    """Vertices v with N[v] inside N[w] for a neighbour w, from edge lookups."""
+    closed = {v: {v, *g.neighbors(v)} for v in g.vertices}
+    return [v for v in g.vertices if any(closed[v] <= closed[w] for w in g.neighbors(v))]
+
+
+def test_core_homology_equals_full_homology():
+    rng = random.Random(81)
+    graphs = [rp2_subdivision_graph()]
+    graphs += [random_raag(rng, max_vertices=10, edge_p=rng.choice((0.3, 0.5, 0.7, 0.9)))
+               for _ in range(300)]
+    full_vertices = core_vertices = 0
+    for g in graphs:
+        core = core_of(g)
+        top = max(len(g.vertices) - 1, 0)
+        assert profiles(core, top) == profiles(g, top)
+        full_vertices += len(g.vertices)
+        core_vertices += len(core.vertices)
+    assert core_vertices < full_vertices / 2
+
+
+def test_projective_plane_is_its_own_core():
+    g = rp2_subdivision_graph()
+    core = core_of(g)
+    assert core.vertices == g.vertices
+    z = reduced_homology(flag_complex(core), "Z", 2)
+    assert z.torsion[1] == (2,) and all(z.betti_at(d) == 0 for d in range(-1, 3))
+
+
+def test_core_has_no_dominated_vertex():
+    rng = random.Random(82)
+    for _ in range(300):
+        g = random_raag(rng, max_vertices=10, edge_p=rng.choice((0.3, 0.6, 0.9)))
+        core = core_of(g)
+        kept = EvenGraph(core.vertices, [(u, v, 2) for u, v in g.edges()
+                                         if u in core.vertices and v in core.vertices])
+        assert dominated(kept) == []
+        assert bool(core.vertices) == bool(g.vertices)
+        assert tuple(kept.neighbor_masks) == core.neighbor_masks
+
+
+def test_coned_graph_has_one_vertex_core():
+    rng = random.Random(83)
+    for _ in range(200):
+        g = random_raag(rng, max_vertices=9, edge_p=rng.random())
+        edges = [(u, v, 2) for u, v in g.edges()]
+        coned = EvenGraph([*g.vertices, "z"], [*edges, *((v, "z", 2) for v in g.vertices)])
+        assert has_cone_vertex(coned)
+        assert len(core_of(coned).vertices) == 1
+        if has_cone_vertex(g):
+            assert len(core_of(g).vertices) == 1
+
+
+def square_and_four_points() -> tuple[EvenGraph, Character]:
+    """Dead vertices x and y: x is joined to the 4-cycle abcd, y to the four
+    isolated vertices efgh.  Both links are their own 4-vertex cores, the
+    circle and four points, with different homology."""
+    square = [("a", "b", 2), ("b", "c", 2), ("c", "d", 2), ("a", "d", 2)]
+    edges = [*square, *((v, "x", 2) for v in "abcd"), *((v, "y", 2) for v in "efgh")]
+    g = EvenGraph([*"abcdefgh", "x", "y"], edges)
+    return g, Character({**{v: 1 for v in "abcdefgh"}, "x": 0, "y": 0})
+
+
+def test_analysis_links_read_core_homology():
+    # every link of every mode, against the full flag complex of the link graph
+    rng = random.Random(84)
+    instances = [square_and_four_points()]
+    for _ in range(150):
+        g = random_even_fc_graph(rng, max_vertices=10, edge_p=rng.choice((0.4, 0.7)))
+        instances.append((g, random_character(rng, g)))
+    for g, chi in instances:
+        ctx = Analysis(g, chi)
+        for p in (None, 0, *sorted(ctx.classification.relevant_primes)):
+            for coeffs in COEFFICIENTS:
+                for _, d, lk, homology in ctx.links(3, p, coeffs):
+                    assert homology() == reduced_homology(flag_complex(lk), coeffs, d)
+
+
+def test_homotopic_ok_implies_homological_ok():
+    rng = random.Random(85)
+    seen = 0
+    for _ in range(150):
+        g = random_even_fc_graph(rng, max_vertices=8, edge_p=0.7)
+        chi = random_character(rng, g)
+        for n in (1, 2, 3):
+            homotopic = strong_homotopic_n_link(g, chi, n)
+            homological = strong_n_link(g, chi, n)
+            pairs = list(zip(homotopic.witnesses, homological.witnesses, strict=True))
+            for a, b in pairs:
+                assert a.clique == b.clique and a.link == b.link
+                if a.status == "ok":
+                    assert b.status == "ok"
+                    seen += 1
+            if homotopic.holds:
+                assert homological.holds
+    assert seen > 100

@@ -2,14 +2,15 @@ import itertools
 import random
 import string
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
 from artinsigma import (EvenGraph, Field, LaurentMatrix, LaurentPoly, enumerate_cliques,
-                        flag_complex, has_cone_vertex, link, living_subgraph, reduced_homology,
-                        smith_normal_form)
-from artinsigma.homology import (PRIME_BOUND, _boundary, integer_invariant_factors, is_prime,
-                                 prime_factors)
+                        flag_complex, has_cone_vertex, laurent_divmod, link, living_subgraph,
+                        reduced_homology, smith_normal_form)
+from artinsigma.homology import (PRIME_BOUND, _boundary, _smith_diagonal,
+                                 integer_invariant_factors, is_prime, prime_factors)
 
 from genutil import closed_complex, enumerate_cliques_scan, random_even_fc_graph
 
@@ -459,3 +460,24 @@ def test_coefficient_spec_validation(example1):
         reduced_homology(c, 4, 1)  # composite characteristic
     with pytest.raises(ValueError):
         reduced_homology(c, "R", 1)
+
+
+def test_smith_form_fails_on_a_size_that_disagrees_with_division():
+    # Sizes that do not fall with the remainders of the ring's division: the
+    # elimination must raise instead of looping.  Without the check, the two
+    # Laurent matrices below make it spin forever.  The rows are consumed.
+    f2, f3 = Field(2), Field(3)
+    laurent_cases = {
+        "offset": (lambda: {0: {0: LaurentPoly(f2, -2, [1, 1, 0, 1])},
+                            1: {0: LaurentPoly(f2, -1, [1, 1]), 1: LaurentPoly(f2, -1, [1])}}, 2),
+        "span": (lambda: {0: {0: LaurentPoly(f3, -2, [1])}, 1: {0: LaurentPoly(f3, 2, [1])}}, 1),
+    }
+    for name, (rows, rank) in laurent_cases.items():
+        with pytest.raises(RuntimeError, match="size function disagrees"):
+            _smith_diagonal(rows(), attrgetter(name), laurent_divmod)
+        # the true size diagonalises the same matrix
+        assert len(_smith_diagonal(rows(), attrgetter("size"), laurent_divmod)) == rank
+    # over Z, a size that ranks larger integers as smaller
+    with pytest.raises(RuntimeError, match="size function disagrees"):
+        _smith_diagonal({0: {0: 2}, 1: {0: 3}}, lambda a: 1000 - abs(a) if a else 0, divmod)
+    assert _smith_diagonal({0: {0: 2}, 1: {0: 3}}, abs, divmod) in ([1], [-1])

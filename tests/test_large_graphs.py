@@ -6,8 +6,10 @@ of them is dead, and each has the same link, the complete graph on the
 living half.  The reports of ``verdict --n 4`` and ``links --n 3`` on K30
 and of ``verdict --n 4`` on K60 (523,686 cliques, under the clique budget)
 are pinned by SHA-256 digests of their text and ``--json`` output, and the
-analysis context must build that one link, and describe it, once.  K120
-(about 8.5 million cliques) is refused.
+analysis context must build that one link, and describe it, once.  On K42
+the links are K21, whose full flag complexes would pass the clique budget;
+``links --n 3`` reads their one-vertex strong-collapse cores.  K120 (about
+8.5 million cliques) is refused, in under a second.
 
 After a deliberate change of output, regenerate the digests with
 
@@ -21,6 +23,7 @@ import io
 import json
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -140,6 +143,37 @@ def test_clique_budget_is_inclusive(monkeypatch):
     with pytest.raises(TooManyCliques, match="6 cliques of size at most 2, above the "
                                              "budget of 5"):
         enumerate_cliques(g, 2)
+
+
+def _timed_run(size: int, argv) -> tuple[int, str, dict | None, float]:
+    """Exit code, text and JSON reports, and seconds spent in ``run`` alone
+    (writing the instance file is not timed)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _instance_file(tmp, size)
+        text = io.StringIO()
+        start = time.perf_counter()
+        code, report = run([*argv, str(path)], out=text)
+        elapsed = time.perf_counter() - start
+    return code, text.getvalue(), report, elapsed
+
+
+def test_k42_links_read_the_one_vertex_core():
+    # the link of every dead clique is K21, whose full flag complex (2^21
+    # cliques) is over the clique budget; its core is one vertex
+    code, _, report, elapsed = _timed_run(42, ("links", "--n", "3"))
+    assert code == 0 and elapsed < 10
+    entries = report["results"]["cliques"]
+    assert len(entries) == 1 + 21 + 210 + 1330
+    for entry in entries:
+        d = entry["required_degree"]
+        assert entry["betti"] == {str(j): 0 for j in range(-1, d + 1)}
+        assert entry["torsion"] == {str(j): [] for j in range(-1, d + 1)}
+
+
+def test_clique_budget_refuses_k120_at_once():
+    code, text, report, elapsed = _timed_run(120, ("verdict", "--n", "4"))
+    assert code == 1 and report is None and text.startswith("error: the clique enumeration")
+    assert elapsed < 1
 
 
 if __name__ == "__main__":
