@@ -9,8 +9,9 @@ Smith-diagonalizing the twisted chain complex.
 Run:  python demos/dihedral_homology.py
 """
 
-from artinsigma import (Character, EvenGraph, build_salvetti_complex, homology_module,
-                        kernel_free_rank)
+import json
+
+from artinsigma import Analysis, Character, EvenGraph, build_salvetti_complex, homology_module
 
 
 def main() -> None:
@@ -22,9 +23,9 @@ def main() -> None:
         g = EvenGraph(["v", "w"], [("v", "w", 2 * half)])
         chi = Character({"v": 1, "w": -1})
         for p in chars:
-            rank = kernel_free_rank(g, chi, p, 1)
-            complex_ = build_salvetti_complex(g, chi, p, max_n=2)
-            module = homology_module(complex_, 1)
+            rank = Analysis(g, chi).free_ranks(p, 1)[1]
+            twisted = build_salvetti_complex(g, chi, p, max_n=2)
+            module = homology_module(twisted, 1)
             marker = "<- free, infinite dimensional" if module.free_rank else ""
             print(f"{2 * half:>6} {p:>5} {rank:>13} {module.describe():>24}  {marker}")
         print()
@@ -32,10 +33,8 @@ def main() -> None:
     print("The differential dump of the label-4 complex in characteristic 2:")
     g = EvenGraph(["v", "w"], [("v", "w", 4)])
     chi = Character({"v": 1, "w": -1})
-    complex_ = build_salvetti_complex(g, chi, 2, max_n=2)
-    import json
-
-    print(json.dumps(complex_.to_dict()["differentials"], indent=2, sort_keys=True))
+    twisted = build_salvetti_complex(g, chi, 2, max_n=2)
+    print(json.dumps(twisted.to_dict()["differentials"], indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -10,9 +10,8 @@ characteristic-2 module has free rank 1.
 Run:  python demos/product_graphs.py
 """
 
-from artinsigma import (Character, EvenGraph, build_salvetti_complex, classify, cross_check,
-                        describe_graph, homology_module, kernel_free_rank, living_subgraph,
-                        sigma_verdict, strong_n_link, strong_p_n_link)
+from artinsigma import (Analysis, Character, EvenGraph, build_salvetti_complex, cross_check,
+                        describe_graph, homology_module, sigma_verdict)
 
 
 def product_graph(label1: int, label2: int) -> tuple[EvenGraph, Character]:
@@ -25,22 +24,22 @@ def product_graph(label1: int, label2: int) -> tuple[EvenGraph, Character]:
 def analyse(label1: int, label2: int) -> None:
     g, chi = product_graph(label1, label2)
     print(f"== labels {label1} and {label2} ==")
-    print(f"living subgraph: {describe_graph(living_subgraph(g, chi))}")
+    ctx = Analysis(g, chi)
+    print(f"living subgraph: {describe_graph(ctx.living())}")
 
-    print(f"strong 2-link over Z: {strong_n_link(g, chi, 2).holds}")
-    primes = sorted({0, 2, 3, 5, *classify(g, chi).relevant_primes})
+    print(f"strong 2-link over Z: {ctx.strong_n_link(2).holds}")
+    primes = sorted({0, 2, 3, 5, *ctx.classification.relevant_primes})
     for p in primes:
-        report = strong_p_n_link(g, chi, 2, p)
-        rank = kernel_free_rank(g, chi, p, 2)
-        complex_ = build_salvetti_complex(g, chi, p, max_n=3)
-        module = homology_module(complex_, 2)
-        check = cross_check(g, chi, p, 2, complex_=complex_)
+        report = ctx.strong_p_n_link(2, p)
+        rank = ctx.free_ranks(p, 2)[2]
+        twisted = build_salvetti_complex(g, chi, p, max_n=3)
+        module = homology_module(twisted, 2)
+        cross_check(g, chi, p, 2, twisted, rank)   # raises on a mismatch
         status = "finite" if rank == 0 else "INFINITE"
         print(f"  char {p}: p-2-link {str(report.holds):5s}  "
-              f"H_2 = {module.describe():20s} ({status}; cross-check "
-              f"{'ok' if check.matched else 'MISMATCH'})")
+              f"H_2 = {module.describe():20s} ({status}; cross-check ok)")
 
-    verdict = sigma_verdict(g, chi, 2)
+    verdict = sigma_verdict(ctx, 2)
     print(f"degree-2 membership: {verdict.status}")
     for j in verdict.justifications:
         if j.fired:

@@ -9,8 +9,7 @@ obstruction fires.
 Run:  python demos/worked_examples.py
 """
 
-from artinsigma import (Character, EvenGraph, classify, dead_cliques, describe_graph,
-                        fp_verdict, link, living_subgraph, sigma_verdict, strong_n_link)
+from artinsigma import Analysis, Character, EvenGraph, describe_graph, fp_verdict, sigma_verdict
 
 
 def analyse(title: str, g: EvenGraph, chi: Character, n: int) -> None:
@@ -18,29 +17,28 @@ def analyse(title: str, g: EvenGraph, chi: Character, n: int) -> None:
     print(f"graph: {describe_graph(g)}")
     print(f"character: {chi!r}")
 
-    cls = classify(g, chi)
+    ctx = Analysis(g, chi)
+    cls = ctx.classification
     print(f"dead vertices: {sorted(cls.dead_vertices)}")
     print(f"dead edges:    {sorted(cls.dead_edges)} (relevant primes {sorted(cls.relevant_primes)})")
-    living = living_subgraph(g, chi)
-    print(f"living subgraph: {describe_graph(living)}")
+    print(f"living subgraph: {describe_graph(ctx.living())}")
 
     print(f"dead-supported cliques up to size {n}:")
-    for clique in dead_cliques(g, chi, n):
-        lk = link(g, living, clique)
+    for clique, _, lk, _ in ctx.links(n):
         print(f"  {{{','.join(clique)}}}: link = {describe_graph(lk)}")
 
-    report = strong_n_link(g, chi, n)
+    report = ctx.strong_n_link(n)
     print(f"strong {n}-link condition: {report.holds}")
     for w in report.witnesses:
         print(f"  clique {{{','.join(w.clique)}}}: needs {w.required_degree}-acyclic link "
               f"-> {w.status} (via {w.via})")
 
-    verdict = sigma_verdict(g, chi, n)
+    verdict = sigma_verdict(ctx, n)
     print(f"membership in degree {n}: {verdict.status}")
     for j in verdict.justifications:
         if j.fired:
             print(f"  [{j.rule}] {j.detail}")
-    fp = fp_verdict(g, chi, n)
+    fp = fp_verdict(verdict)
     print(f"kernel of type FP_{n}: {fp.status}")
     print()
 

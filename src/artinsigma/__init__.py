@@ -13,9 +13,7 @@ __version__ = "0.1.0"
 from .characters import (Character, CharacterError, CenterValues, Classification,
                          center_values, character_from_dict, character_to_dict, classify,
                          is_dominating)
-from .conditions import (Analysis, ConditionReport, LinkWitness, ZeroCharacterError,
-                         dead_cliques, kernel_free_rank, living_subgraph, raag_n_link,
-                         strong_homotopic_n_link, strong_n_link, strong_p_n_link)
+from .conditions import Analysis, ConditionReport, LinkWitness, ZeroCharacterError
 from .graphs import (EvenGraph, Finding, GraphFormatError, ValidationReport, describe_graph,
                      graph_from_dict, graph_to_dict, induced_subgraph, is_connected,
                      is_subgraph, validate_even, validate_fc)
@@ -23,8 +21,8 @@ from .homology import (HomologyProfile, SimplicialComplex, TooManyCliques, enume
                        flag_complex, has_cone_vertex, link, reduced_homology)
 from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd, q_poly,
                       smith_normal_form, t_power_minus_one)
-from .salvetti import (CrossCheckError, CrossCheckReport, ModulePresentation, OracleTooLarge,
-                       TwistedComplex, build_salvetti_complex, cross_check, homology_module)
+from .salvetti import (CrossCheckError, ModulePresentation, OracleTooLarge, TwistedComplex,
+                       build_salvetti_complex, cross_check, homology_module)
 from .verdicts import (IN, NOT_IN, UNKNOWN, Justification, RuleConflictError, Verdict,
                        fp_verdict, homotopic_sigma_verdict, odd_cycle_condition,
                        product_sigma_member, sigma_verdict)

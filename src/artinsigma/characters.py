@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .graphs import EvenGraph, _bits
@@ -59,8 +60,6 @@ class Character:
         of its image, so values are cleared of denominators and divided by
         their gcd.  The zero character maps to all zeros.
         """
-        from math import gcd, lcm
-
         denom = lcm(*(x.denominator for x in self.values.values())) if self.values else 1
         ints = {v: int(x * denom) for v, x in self.values.items()}
         g = gcd(*ints.values()) if ints else 0

@@ -181,15 +181,15 @@ def _cmd_homology(g, chi, args) -> tuple[int, dict]:
         "finite_dimensional_through_n": not any(ranks),
     }
     if args.oracle:
-        complex_ = build_salvetti_complex(g, chi, p, max_n=n + 1)
-        module = homology_module(complex_, n)
+        twisted = build_salvetti_complex(g, chi, p, max_n=n + 1)
+        module = homology_module(twisted, n)
         result["oracle"] = {
             "free_rank": module.free_rank,
             "torsion": [f.to_dict() for f in module.torsion],
             "module": module.describe(),
         }
         try:
-            cross_check(g, chi, p, n, complex_=complex_, formula_rank=ranks[n])
+            cross_check(g, chi, p, n, twisted, ranks[n])
         except CrossCheckError as exc:
             result["cross_check"] = {"ok": False, "error": str(exc)}
             return EXIT_CROSSCHECK, result
@@ -199,11 +199,11 @@ def _cmd_homology(g, chi, args) -> tuple[int, dict]:
 
 def _cmd_verdict(g, chi, args) -> tuple[int, dict]:
     ctx = Analysis(g, chi)
-    sigma = sigma_verdict(g, chi, args.n, analysis=ctx)
+    sigma = sigma_verdict(ctx, args.n)
     return EXIT_OK, {
         "sigma_z": _verdict_dict(sigma),
-        "fp": _verdict_dict(fp_verdict(g, chi, args.n, sigma=sigma)),
-        "sigma_homotopic": _verdict_dict(homotopic_sigma_verdict(g, chi, args.n, analysis=ctx)),
+        "fp": _verdict_dict(fp_verdict(sigma)),
+        "sigma_homotopic": _verdict_dict(homotopic_sigma_verdict(ctx, args.n)),
     }
 
 

@@ -78,7 +78,8 @@ def _acyclicity_witness(clique, d: int, lk: EvenGraph, homology) -> LinkWitness:
 
 
 class Analysis:
-    """One instance (g, chi) and everything the link conditions read from it.
+    """One instance (g, chi) and everything the link conditions read from it:
+    the library's one way to ask a question of an instance.
 
     A *mode* is ``None`` (all dead edges), ``0`` (none) or a prime p (the
     p-dead edges).  The classification is made on construction; the clique
@@ -115,8 +116,13 @@ class Analysis:
         return self.classification.p_dead_edges.get(p, frozenset())
 
     def living(self, p: int | None = None) -> EvenGraph:
-        """Living subgraph of mode ``p``: the dead vertices and the open dead
-        edges of the mode removed; removed edges keep their living endpoints."""
+        """Living subgraph of mode ``p``.
+
+        ``p=None`` removes dead vertices and all open dead edges; ``p=0``
+        removes dead vertices only (no edge is 0-dead); a prime ``p`` removes
+        dead vertices and the open p-dead edges.  Removed edges keep any
+        endpoints that are themselves alive.
+        """
         edges = self._edges(p)
         if edges not in self._living:
             g = self.g
@@ -140,7 +146,16 @@ class Analysis:
         """Each dead clique D of mode ``p`` with |D| <= n, as a tuple (D,
         required degree n - 1 - |D|, link of D in the living subgraph,
         homology), where ``homology()`` is the reduced homology of the link's
-        flag complex over ``coeffs`` through the required degree."""
+        flag complex over ``coeffs`` through the required degree.
+
+        A clique, the empty one included, is dead when each of its vertices
+        is dead or lies on a dead edge of the clique; with ``p`` given, "dead
+        edge" means p-dead (for ``p=0`` there are none, so only cliques of
+        dead vertices qualify).  In the global mode the dead cliques provably
+        are the cliques whose clique subgroup has its center killed by the
+        character; this equality is re-checked for every clique and a
+        mismatch raises.
+        """
         living, edges = self.living(p), self._edges(p)
         if (edges, n) not in self._dead:
             if n not in self._cliques:
@@ -154,7 +169,7 @@ class Analysis:
     def _select(self, edges: frozenset, living: EvenGraph, cliques: list[int]):
         """(clique, link, link mask) for each clique, given by its vertex
         mask, whose every vertex is dead or on an edge of ``edges`` inside it
-        (see :func:`dead_cliques`)."""
+        (the dead cliques of :meth:`links`)."""
         g = self.g
         vs, dead = g.vertices, self._dead_vertices
         partners = [0] * len(vs)   # bit j of partners[i]: edge {i, j} in edges
@@ -214,12 +229,21 @@ class Analysis:
         return ConditionReport(holds, n, coeffs_label(coeffs), mode, "homological", witnesses)
 
     def strong_n_link(self, n: int) -> ConditionReport:
+        """Strong n-link condition over Z (sufficient for membership in degree n)."""
         return self._link_condition(n, None, "Z")
 
     def strong_p_n_link(self, n: int, p: int) -> ConditionReport:
+        """Strong p-n-link condition with field coefficients of characteristic p
+        (p = 0 means the rationals)."""
         return self._link_condition(n, p, p)
 
     def strong_homotopic_n_link(self, n: int) -> ConditionReport:
+        """Three-valued homotopic variant: links must be (n-1-|D|)-connected.
+
+        Degrees -1 (nonempty) and 0 (connected) are decided exactly, as are
+        coned links (contractible) and homological failures (connectivity
+        implies acyclicity).  Anything else stays unknown.
+        """
         _require_nonzero(self.chi)
         witnesses = []
         for clique, d, lk, homology in self.links(n):
@@ -246,6 +270,12 @@ class Analysis:
         return ConditionReport(holds, n, "Z", "dead", "homotopic", tuple(witnesses))
 
     def raag_n_link(self, n: int) -> ConditionReport:
+        """n-link condition for the all-labels-2 case.
+
+        For these groups the condition ranges over cliques of dead vertices
+        and links in the vertex-living subgraph; it must coincide with the
+        strong n-link condition, which is re-verified on every call.
+        """
         if any(label != 2 for _, label in self.g.edge_items()):
             raise ValueError("the n-link condition in this form needs all labels equal to 2")
         report = replace(self._link_condition(n, 0, "Z"), mode="dead-vertices")
@@ -257,81 +287,18 @@ class Analysis:
         return report
 
     def free_ranks(self, p: int, n: int) -> list[int]:
-        """Free ranks of kernel homology over characteristic p in degrees 0..n
-        (see :func:`kernel_free_rank`), from one pass over the links."""
+        """Free ranks of the kernel homology over F[t, t^-1], F of
+        characteristic p, in degrees 0..n, from one pass over the links.
+
+        Closed form: the rank in degree k is the sum over p-dead cliques D of
+        size <= k of the reduced betti number in degree k - 1 - |D| of the
+        flag complex of the link of D in the p-living subgraph, with
+        coefficients of characteristic p.  Invariant under positive
+        rescaling of the character.
+        """
         ranks = [0] * (n + 1)
         for clique, _, _, homology in self.links(n, p, p):
             profile = homology()
             for k in range(len(clique), n + 1):
                 ranks[k] += profile.betti_at(k - 1 - len(clique))
         return ranks
-
-
-def living_subgraph(g: EvenGraph, chi: Character, p: int | None = None) -> EvenGraph:
-    """Living subgraph for a vanishing mode.
-
-    ``p=None`` removes dead vertices and all open dead edges; ``p=0`` removes
-    dead vertices only (no edge is 0-dead); a prime ``p`` removes dead
-    vertices and the open p-dead edges.  Removed edges keep any endpoints
-    that are themselves alive.
-    """
-    return Analysis(g, chi).living(p)
-
-
-def dead_cliques(g: EvenGraph, chi: Character, max_size: int,
-                 p: int | None = None) -> tuple[tuple[str, ...], ...]:
-    """Cliques (including the empty one) supported entirely on dead material.
-
-    A clique qualifies when each of its vertices is dead or lies on a dead
-    edge of the clique; with ``p`` given, "dead edge" means p-dead (for
-    ``p=0`` there are none, so only cliques of dead vertices qualify).
-
-    In the global mode the result provably equals the set of cliques whose
-    clique subgroup has its center killed by the character; this equality is
-    re-checked for every clique and a mismatch raises.
-    """
-    return tuple(clique for clique, *_ in Analysis(g, chi).links(max_size, p))
-
-
-def strong_n_link(g: EvenGraph, chi: Character, n: int) -> ConditionReport:
-    """Strong n-link condition over Z (sufficient for membership in degree n)."""
-    return Analysis(g, chi).strong_n_link(n)
-
-
-def strong_p_n_link(g: EvenGraph, chi: Character, n: int, p: int) -> ConditionReport:
-    """Strong p-n-link condition with field coefficients of characteristic p
-    (p = 0 means the rationals)."""
-    return Analysis(g, chi).strong_p_n_link(n, p)
-
-
-def strong_homotopic_n_link(g: EvenGraph, chi: Character, n: int) -> ConditionReport:
-    """Three-valued homotopic variant: links must be (n-1-|D|)-connected.
-
-    Degrees -1 (nonempty) and 0 (connected) are decided exactly, as are
-    coned links (contractible) and homological failures (connectivity
-    implies acyclicity).  Anything else stays unknown.
-    """
-    return Analysis(g, chi).strong_homotopic_n_link(n)
-
-
-def raag_n_link(g: EvenGraph, chi: Character, n: int) -> ConditionReport:
-    """n-link condition for the all-labels-2 case.
-
-    For these groups the condition ranges over cliques of dead vertices and
-    links in the vertex-living subgraph; it must coincide with the strong
-    n-link condition, which is re-verified on every call.
-    """
-    return Analysis(g, chi).raag_n_link(n)
-
-
-def kernel_free_rank(g: EvenGraph, chi: Character, p: int, n: int) -> int:
-    """Free rank of the degree-n kernel homology over F[t, t^-1].
-
-    Closed form: the sum over p-dead-supported cliques D of size <= n of the
-    reduced betti number in degree n - 1 - |D| of the flag complex of the
-    link of D in the p-living subgraph, with coefficients of characteristic
-    p.  Invariant under positive rescaling of the character.  Zero in
-    negative degrees.
-    """
-    return Analysis(g, chi).free_ranks(p, n)[n] if n >= 0 else 0
-

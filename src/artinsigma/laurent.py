@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .homology import _smith_diagonal, is_prime
+from .homology import _smith_diagonal, coeffs_label, is_prime
 
 
 class Field:
@@ -71,7 +71,7 @@ class Field:
         return hash(("Field", self.char))
 
     def __repr__(self) -> str:
-        return "Q" if self.char == 0 else f"F{self.char}"
+        return coeffs_label(self.char)
 
 
 class LaurentPoly:

@@ -237,20 +237,20 @@ class ModulePresentation:
         return " + ".join(parts) if parts else "0"
 
 
-def homology_module(complex_: TwistedComplex, n: int) -> ModulePresentation:
+def homology_module(twisted: TwistedComplex, n: int) -> ModulePresentation:
     """Homology of the twisted complex in degree n, as a module presentation.
 
     Requires degrees n and n+1 to be built: the free rank is
     dim C_n - rank D_n - rank D_{n+1} and the torsion is the chain of
     non-unit invariant factors of D_{n+1}.
     """
-    if not 0 <= n <= complex_.max_degree - 1:
+    if not 0 <= n <= twisted.max_degree - 1:
         raise ValueError(
             f"degree {n} out of range: homology needs degrees n and n+1 "
-            f"(complex built through {complex_.max_degree})")
-    dim = len(complex_.basis(n))
-    rank_out = complex_.rank(n) if n >= 1 else 0
-    factors, rank_in = complex_.snf(n + 1)
+            f"(complex built through {twisted.max_degree})")
+    dim = len(twisted.basis(n))
+    rank_out = twisted.rank(n) if n >= 1 else 0
+    factors, rank_in = twisted.snf(n + 1)
     free_rank = dim - rank_out - rank_in
     torsion = tuple(f for f in factors if not f.is_unit())
     return ModulePresentation(free_rank, torsion)
@@ -260,39 +260,19 @@ class CrossCheckError(AssertionError):
     """The closed-form free rank and the chain-complex free rank disagree."""
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    characteristic: int
-    degree: int
-    formula_rank: int
-    oracle: ModulePresentation
-    instance: str
+def cross_check(g: EvenGraph, chi: Character, p: int, n: int, twisted: TwistedComplex,
+                formula: int) -> None:
+    """Compare the link-formula free rank ``formula`` in degree n over
+    characteristic p (see ``Analysis.free_ranks``) with the free rank of the
+    twisted complex of (g, chi), built through degree n + 1.
 
-    @property
-    def matched(self) -> bool:
-        return self.formula_rank == self.oracle.free_rank
-
-
-def cross_check(g: EvenGraph, chi: Character, p: int, n: int,
-                complex_: TwistedComplex | None = None,
-                formula_rank: int | None = None) -> CrossCheckReport:
-    """Compare the link-formula free rank with the chain-complex oracle.
-
-    Either side may be passed in when already computed.  Torsion factors
-    are reported but not validated against anything: there is no closed
+    Torsion factors are not validated against anything: there is no closed
     form for them.  A free-rank mismatch raises :class:`CrossCheckError`
     naming the instance; this is the central correctness gate of the library.
     """
-    from .conditions import kernel_free_rank
-
-    if complex_ is None:
-        complex_ = build_salvetti_complex(g, chi, p, max_n=n + 1)
-    formula = kernel_free_rank(g, chi, p, n) if formula_rank is None else formula_rank
-    oracle = homology_module(complex_, n)
-    instance = f"{describe_graph(g)}; chi={chi!r}; p={p}; n={n}"
-    report = CrossCheckReport(p, n, formula, oracle, instance)
-    if not report.matched:
+    oracle = homology_module(twisted, n).free_rank
+    if formula != oracle:
+        instance = f"{describe_graph(g)}; chi={chi!r}; p={p}; n={n}"
         raise CrossCheckError(
             f"free-rank mismatch: link formula gives {formula}, "
-            f"chain complex gives {oracle.free_rank} on [{instance}]")
-    return report
+            f"chain complex gives {oracle} on [{instance}]")

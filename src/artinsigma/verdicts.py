@@ -29,7 +29,8 @@ from typing import Sequence
 
 from .characters import Character, is_dominating
 from .conditions import Analysis, ConditionReport
-from .graphs import EvenGraph, is_connected
+from .graphs import EvenGraph, _bits, is_connected
+from .homology import coeffs_label
 
 IN = "IN"
 NOT_IN = "NOT_IN"
@@ -65,14 +66,11 @@ def _witness_line(report: ConditionReport) -> str:
     return "all link witnesses passed"
 
 
-def sigma_verdict(g: EvenGraph, chi: Character, n: int,
-                  analysis: Analysis | None = None) -> Verdict:
-    """Decide membership of the character class in the degree-n homological
-    Sigma invariant, or return UNKNOWN with the reasons no rule applied.
-    ``analysis``, a context built for (g, chi), shares its work with other
-    questions; by default a fresh one is built.  The link conditions refuse
-    the zero character."""
-    ctx = analysis or Analysis(g, chi)
+def sigma_verdict(ctx: Analysis, n: int) -> Verdict:
+    """Decide membership of the class of the context's character in the
+    degree-n homological Sigma invariant, or return UNKNOWN with the reasons
+    no rule applied.  The link conditions refuse the zero character."""
+    g, chi = ctx.g, ctx.chi
     justifications: list[Justification] = []
 
     strong = ctx.strong_n_link(n)
@@ -102,12 +100,11 @@ def sigma_verdict(g: EvenGraph, chi: Character, n: int,
             unequal.append(p)
     if fired_p is not None:
         p, report = fired_p
-        field = "Q" if p == 0 else f"F{p}"
         justifications.append(Justification(
             "p_local_obstruction", True, NOT_IN,
             f"the {p}-living subgraph equals the living subgraph and the strong "
             f"{p}-{n}-link condition fails ({_witness_line(report)}); kernel "
-            f"homology over {field} is infinite dimensional in some degree <= {n}"))
+            f"homology over {coeffs_label(p)} is infinite dimensional in some degree <= {n}"))
     else:
         reasons = []
         if held:
@@ -154,14 +151,14 @@ def sigma_verdict(g: EvenGraph, chi: Character, n: int,
     return Verdict("sigma-membership(Z)", UNKNOWN, n, tuple(justifications))
 
 
-def fp_verdict(g: EvenGraph, chi: Character, n: int, sigma: Verdict | None = None) -> Verdict:
-    """Is the kernel of the character of finiteness type FP_n?
+def fp_verdict(base: Verdict) -> Verdict:
+    """Is the kernel of the character of finiteness type FP_n, n the degree
+    of the membership verdict ``base`` (from :func:`sigma_verdict`)?
 
     Membership of a class and of its antipode coincide for these groups, so
-    the kernel property is equivalent to plain membership in degree n,
-    which ``sigma`` gives when it is already decided.
+    the kernel property is equivalent to plain membership in degree n.
     """
-    base = sigma or sigma_verdict(g, chi, n)
+    n = base.degree
     if base.status == UNKNOWN:
         symmetry = Justification(
             "kernel_symmetry", False, None,
@@ -175,12 +172,10 @@ def fp_verdict(g: EvenGraph, chi: Character, n: int, sigma: Verdict | None = Non
     return Verdict(f"kernel-FP_{n}", base.status, n, base.justifications + (symmetry,))
 
 
-def homotopic_sigma_verdict(g: EvenGraph, chi: Character, n: int,
-                            analysis: Analysis | None = None) -> Verdict:
+def homotopic_sigma_verdict(ctx: Analysis, n: int) -> Verdict:
     """Homotopic membership: IN only on an exact homotopic link certificate,
-    otherwise UNKNOWN (the implication only runs one way); ``analysis`` as
-    for :func:`sigma_verdict`."""
-    report = (analysis or Analysis(g, chi)).strong_homotopic_n_link(n)
+    otherwise UNKNOWN (the implication only runs one way)."""
+    report = ctx.strong_homotopic_n_link(n)
     if report.holds is True:
         j = Justification("homotopic_link", True, IN,
                           f"strong homotopic {n}-link condition holds exactly "
@@ -217,15 +212,6 @@ def product_sigma_member(g: EvenGraph, delta: Sequence[str], chi: Character, m: 
         return True
     covered = {v for e in big_edges for v in e}
     return any(values[v] != 0 for v in delta if v not in covered)
-
-
-def _big_label_subgraph(g: EvenGraph) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for (u, v), label in g.edge_items():
-        if label > 2:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
 
 
 def _biconnected_blocks(adj: dict[str, set[str]]) -> list[set[frozenset[str]]]:
@@ -281,7 +267,8 @@ def odd_cycle_condition(g: EvenGraph) -> bool:
     cycle (any other block contains three independent paths between two
     vertices, two of which always close an even cycle).
     """
-    adj = _big_label_subgraph(g)
+    vs = g.vertices
+    adj = {v: {vs[j] for j in _bits(m)} for v, m in zip(vs, g.big_partner_masks)}
     for block in _biconnected_blocks(adj):
         if len(block) == 1:
             continue

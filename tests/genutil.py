@@ -32,6 +32,11 @@ def product_of_dihedrals(label1: int, label2: int) -> tuple[EvenGraph, Character
     return g, chi
 
 
+def dead_cliques(g: EvenGraph, chi: Character, max_size: int, p: int | None = None):
+    """The dead cliques of mode ``p`` with at most ``max_size`` vertices."""
+    return tuple(clique for clique, *_ in Analysis(g, chi).links(max_size, p))
+
+
 def scaled_character(chi: Character, c: Fraction | int) -> Character:
     c = Fraction(c)
     return Character({v: x * c for v, x in chi.values.items()})

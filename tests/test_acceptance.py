@@ -8,15 +8,13 @@ tolerances.
 import json
 import random
 
-from artinsigma import (IN, NOT_IN, UNKNOWN, build_salvetti_complex, classify, cross_check,
-                        dead_cliques, fp_verdict, homology_module, is_connected,
-                        is_dominating, kernel_free_rank, living_subgraph, raag_n_link,
-                        sigma_verdict, strong_n_link, strong_p_n_link)
+from artinsigma import (IN, NOT_IN, UNKNOWN, Analysis, build_salvetti_complex, cross_check,
+                        fp_verdict, homology_module, is_connected, is_dominating, sigma_verdict)
 from artinsigma.cli import run as cli_run
 from artinsigma.graphs import graph_to_dict
 from artinsigma.laurent import Field, t_power_minus_one
 
-from genutil import dihedral, random_character, random_even_fc_graph, random_raag
+from genutil import dead_cliques, dihedral, random_character, random_even_fc_graph, random_raag
 
 EXAMPLE1 = ("example-1", [("a", "b", 4), ("c", "d", 4), ("a", "c", 2), ("b", "d", 2),
                           ("a", "d", 2)], {"a": 1, "b": -1, "c": 0, "d": 1})
@@ -44,7 +42,7 @@ def _verdict_via_cli(tmp_path, name, g, chi, n):
 def test_criterion_1_example1_membership(tmp_path, example1):
     g, chi = example1
     assert dead_cliques(g, chi, 3) == ((), ("c",), ("a", "b"))
-    report = strong_n_link(g, chi, 3)
+    report = Analysis(g, chi).strong_n_link(3)
     assert report.holds is True
     assert len(report.witnesses) == 3
     assert all(w.via == "cone" for w in report.witnesses)
@@ -55,10 +53,10 @@ def test_criterion_1_example1_membership(tmp_path, example1):
 
 def test_criterion_2_example2_obstruction(tmp_path, example2):
     g, chi = example2
-    report = strong_n_link(g, chi, 1)
+    report = Analysis(g, chi).strong_n_link(1)
     assert report.holds is False
     assert [w.clique for w in report.witnesses if w.status == "fail"] == [()]
-    assert living_subgraph(g, chi, p=2) == living_subgraph(g, chi)
+    assert Analysis(g, chi).living(2) == Analysis(g, chi).living()
     sigma = _verdict_via_cli(tmp_path, "example-2", g, chi, 1)
     assert sigma["status"] == NOT_IN
     fired = [j["rule"] for j in sigma["justifications"] if j["fired"]]
@@ -73,7 +71,7 @@ def test_criterion_3_dihedral_family():
             g, chi = dihedral(half)
             complex_ = build_salvetti_complex(g, chi, p, max_n=2)
             module = homology_module(complex_, 1)
-            rank = kernel_free_rank(g, chi, p, 1)
+            rank = Analysis(g, chi).free_ranks(p, 1)[1]
             if p != 0 and half % p == 0:
                 assert module.free_rank == 1 and module.torsion == (), (half, p)
                 assert rank == 1
@@ -87,13 +85,13 @@ def test_criterion_3_dihedral_family():
 
 def test_criterion_4_d4d6(tmp_path, d4d6):
     g, chi = d4d6
-    z_report = strong_n_link(g, chi, 2)
+    z_report = Analysis(g, chi).strong_n_link(2)
     assert z_report.holds is False
     failing = [w for w in z_report.witnesses if w.status == "fail"]
     assert [w.clique for w in failing] == [()] and failing[0].failing_degree == 1
     for p in (0, 2, 3, 5):
-        assert strong_p_n_link(g, chi, 2, p).holds is True
-        assert kernel_free_rank(g, chi, p, 2) == 0  # degree 2 stays finite dimensional
+        assert Analysis(g, chi).strong_p_n_link(2, p).holds is True
+        assert Analysis(g, chi).free_ranks(p, 2)[2] == 0  # degree 2 stays finite dimensional
     sigma = _verdict_via_cli(tmp_path, "d4xd6", g, chi, 2)
     assert sigma["status"] == NOT_IN
     fired = [j["rule"] for j in sigma["justifications"] if j["fired"]]
@@ -105,13 +103,14 @@ def test_criterion_4_d4d6(tmp_path, d4d6):
 
 def test_criterion_5_d4d4(d4d4):
     g, chi = d4d4
-    assert strong_p_n_link(g, chi, 2, 2).holds is False
-    rank = kernel_free_rank(g, chi, 2, 2)
+    ctx = Analysis(g, chi)
+    assert ctx.strong_p_n_link(2, 2).holds is False
+    ranks = ctx.free_ranks(2, 2)
     complex_ = build_salvetti_complex(g, chi, 2, max_n=3)
     oracle = homology_module(complex_, 2)
-    assert rank == 1 == oracle.free_rank
-    assert not all(kernel_free_rank(g, chi, 2, k) == 0 for k in range(3))
-    assert cross_check(g, chi, 2, 2, complex_=complex_).matched
+    assert ranks[2] == 1 == oracle.free_rank
+    assert any(ranks)
+    cross_check(g, chi, 2, 2, complex_, ranks[2])
     print("ACCEPTANCE 5 PASS: d4xd4 fails the 2-2 condition, free rank 1 from both "
           "routes, degree-2 homology infinite dimensional in characteristic 2")
 
@@ -124,11 +123,12 @@ def test_criterion_6_oracle_equivalence():
         g = random_even_fc_graph(rng, max_vertices=6)
         chi = random_character(rng, g)
         graphs += 1
-        for p in sorted({0, *classify(g, chi).relevant_primes}):
+        ctx = Analysis(g, chi)
+        for p in sorted({0, *ctx.classification.relevant_primes}):
             complex_ = build_salvetti_complex(g, chi, p, max_n=5)
+            ranks = ctx.free_ranks(p, 4)
             for n in range(5):
-                report = cross_check(g, chi, p, n, complex_=complex_)
-                assert report.matched
+                cross_check(g, chi, p, n, complex_, ranks[n])
                 checks += 1
     assert graphs >= 200 and checks >= 200
     print(f"ACCEPTANCE 6 PASS: link-formula free rank == chain-complex free rank on "
@@ -143,7 +143,7 @@ def test_criterion_7_raag_reduction():
         chi = random_character(rng, g)
         graphs += 1
         for n in (1, 2, 3):
-            assert raag_n_link(g, chi, n).holds == strong_n_link(g, chi, n).holds
+            assert Analysis(g, chi).raag_n_link(n).holds == Analysis(g, chi).strong_n_link(n).holds
         dead = {v for v in g.vertices if chi.value(v) == 0}
         from artinsigma.homology import enumerate_cliques
 
@@ -189,12 +189,12 @@ def test_criterion_9_sigma1_exact(tmp_path):
             continue
         chi = random_character(rng, g)
         accepted += 1
-        verdict = sigma_verdict(g, chi, 1)
+        verdict = sigma_verdict(Analysis(g, chi), 1)
         assert verdict.status != UNKNOWN
-        living = living_subgraph(g, chi)
+        living = Analysis(g, chi).living()
         expected = IN if (is_connected(living) and is_dominating(g, living)) else NOT_IN
         assert verdict.status == expected
-        assert fp_verdict(g, chi, 1).status == expected
+        assert fp_verdict(sigma_verdict(Analysis(g, chi), 1)).status == expected
         if accepted == 1:
             sigma = _verdict_via_cli(tmp_path, "sigma1-sample", g, chi, 1)
             assert sigma["status"] == expected

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from artinsigma import (Character, CharacterError, center_values, character_from_dict,
-                        classify, dead_cliques, is_dominating, living_subgraph)
+from artinsigma import (Analysis, Character, CharacterError, center_values, character_from_dict,
+                        classify, is_dominating)
 from artinsigma.graphs import EvenGraph
 from artinsigma.homology import enumerate_cliques
 
-from genutil import (center_values_pairwise, dihedral, random_character, random_even_fc_graph,
-                     scaled_character)
+from genutil import (center_values_pairwise, dead_cliques, dihedral, random_character,
+                     random_even_fc_graph, scaled_character)
 
 
 def test_classify_example1(example1):
@@ -45,21 +45,21 @@ def test_classify_domain_mismatch(example1):
 
 def test_living_subgraph_example1(example1):
     g, chi = example1
-    living = living_subgraph(g, chi)
+    living = Analysis(g, chi).living()
     assert living.vertices == ("a", "b", "d")
     assert living.edges() == (("a", "d"), ("b", "d"))
 
 
 def test_living_subgraph_example2(example2):
     g, chi = example2
-    living = living_subgraph(g, chi)
+    living = Analysis(g, chi).living()
     assert living.vertices == ("a", "b", "d")
     assert living.edges() == (("b", "d"),)
 
 
 def test_living_subgraph_p5_is_whole_graph(d4d6):
     g, chi = d4d6
-    assert living_subgraph(g, chi, p=5) == g
+    assert Analysis(g, chi).living(5) == g
 
 
 def test_living_subgraph_containments():
@@ -68,10 +68,10 @@ def test_living_subgraph_containments():
         g = random_even_fc_graph(rng)
         chi = random_character(rng, g, nonzero=False)
         cls = classify(g, chi)
-        l_global = living_subgraph(g, chi)
-        l0 = living_subgraph(g, chi, p=0)
+        l_global = Analysis(g, chi).living()
+        l0 = Analysis(g, chi).living(0)
         for p in [0, 5, 7, *cls.relevant_primes]:
-            lp = living_subgraph(g, chi, p=p)
+            lp = Analysis(g, chi).living(p)
             assert set(l_global.edges()) <= set(lp.edges()) <= set(l0.edges())
             assert lp.vertices == l0.vertices == l_global.vertices
             if p and all(g.half_label(*e) % p for e in cls.dead_edges):
@@ -157,7 +157,7 @@ def test_vanishing_data_scale_invariant():
         chi = random_character(rng, g)
         scaled = scaled_character(chi, Fraction(3, 2))
         assert classify(g, chi) == classify(g, scaled)
-        assert living_subgraph(g, chi) == living_subgraph(g, scaled)
+        assert Analysis(g, chi).living() == Analysis(g, scaled).living()
         assert dead_cliques(g, chi, 3) == dead_cliques(g, scaled, 3)
 
 
@@ -181,7 +181,7 @@ def test_raag_dead_cliques_are_dead_vertex_cliques():
 def test_is_dominating(example1):
     g, chi = example1
     assert is_dominating(g, g)
-    assert is_dominating(g, living_subgraph(g, chi))
+    assert is_dominating(g, Analysis(g, chi).living())
     assert not is_dominating(g, EvenGraph([]))
     with pytest.raises(ValueError):
         is_dominating(g, EvenGraph(["z"]))

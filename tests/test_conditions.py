@@ -5,8 +5,7 @@ import pytest
 
 from artinsigma import (Analysis, Character, ConditionReport, EvenGraph,
                         ZeroCharacterError, center_values, enumerate_cliques, is_connected,
-                        is_dominating, kernel_free_rank, living_subgraph, raag_n_link,
-                        strong_homotopic_n_link, strong_n_link, strong_p_n_link)
+                        is_dominating)
 
 from genutil import (dihedral, finite_dimensional_through, random_character,
                      random_even_fc_graph, random_raag)
@@ -15,7 +14,7 @@ from genutil import (dihedral, finite_dimensional_through, random_character,
 def test_example1_strong_link_all_degrees_by_cones(example1):
     g, chi = example1
     for n in range(1, 5):
-        report = strong_n_link(g, chi, n)
+        report = Analysis(g, chi).strong_n_link(n)
         assert report.holds is True
         expected = [c for c in [(), ("c",), ("a", "b")] if len(c) <= n]
         assert [w.clique for w in report.witnesses] == expected
@@ -24,7 +23,7 @@ def test_example1_strong_link_all_degrees_by_cones(example1):
 
 def test_example2_strong_1_link_fails_at_empty_clique(example2):
     g, chi = example2
-    report = strong_n_link(g, chi, 1)
+    report = Analysis(g, chi).strong_n_link(1)
     assert report.holds is False
     failing = [w for w in report.witnesses if w.status == "fail"]
     assert [w.clique for w in failing] == [()]
@@ -33,7 +32,7 @@ def test_example2_strong_1_link_fails_at_empty_clique(example2):
 
 def test_d4d6_strong_2_link_fails_over_z(d4d6):
     g, chi = d4d6
-    report = strong_n_link(g, chi, 2)
+    report = Analysis(g, chi).strong_n_link(2)
     assert report.holds is False
     failing = {w.clique: w for w in report.witnesses if w.status == "fail"}
     assert set(failing) == {()}
@@ -42,7 +41,7 @@ def test_d4d6_strong_2_link_fails_over_z(d4d6):
 
 def test_d4d6_strong_3_link_fails_at_edge_clique(d4d6):
     g, chi = d4d6
-    report = strong_n_link(g, chi, 3)
+    report = Analysis(g, chi).strong_n_link(3)
     assert report.holds is False
     failing = {w.clique for w in report.witnesses if w.status == "fail"}
     assert ("v", "w") in failing  # its link is two isolated vertices
@@ -51,12 +50,12 @@ def test_d4d6_strong_3_link_fails_at_edge_clique(d4d6):
 def test_d4d6_p_local_conditions_hold(d4d6):
     g, chi = d4d6
     for p in (0, 2, 3, 5):
-        assert strong_p_n_link(g, chi, 2, p).holds is True
+        assert Analysis(g, chi).strong_p_n_link(2, p).holds is True
 
 
 def test_d4d4_p2_condition_fails(d4d4):
     g, chi = d4d4
-    report = strong_p_n_link(g, chi, 2, 2)
+    report = Analysis(g, chi).strong_p_n_link(2, 2)
     assert report.holds is False
     assert any(w.clique == () and w.failing_degree == 1 for w in report.witnesses)
 
@@ -64,31 +63,31 @@ def test_d4d4_p2_condition_fails(d4d4):
 def test_strong_p_n_link_rejects_composite(d4d4):
     g, chi = d4d4
     with pytest.raises(ValueError):
-        strong_p_n_link(g, chi, 2, 4)
+        Analysis(g, chi).strong_p_n_link(2, 4)
 
 
 def test_zero_character_rejected(example1):
     g, _ = example1
     zero = Character({v: 0 for v in g.vertices})
     with pytest.raises(ZeroCharacterError):
-        strong_n_link(g, zero, 1)
+        Analysis(g, zero).strong_n_link(1)
     with pytest.raises(ZeroCharacterError):
-        strong_homotopic_n_link(g, zero, 1)
+        Analysis(g, zero).strong_homotopic_n_link(1)
 
 
 def test_homotopic_example2_fails(example2):
     g, chi = example2
-    report = strong_homotopic_n_link(g, chi, 1)
+    report = Analysis(g, chi).strong_homotopic_n_link(1)
     assert report.holds is False
     assert any(w.via == "connectivity" and w.status == "fail" for w in report.witnesses)
 
 
 def test_homotopic_example1_exact_true(example1):
     g, chi = example1
-    assert strong_homotopic_n_link(g, chi, 1).holds is True
+    assert Analysis(g, chi).strong_homotopic_n_link(1).holds is True
     # in degree 3 the required connectivities exceed 0, but every link is a
     # cone, which settles them exactly
-    report = strong_homotopic_n_link(g, chi, 3)
+    report = Analysis(g, chi).strong_homotopic_n_link(3)
     assert report.holds is True
     assert all(w.via in ("cone", "vacuous") for w in report.witnesses)
 
@@ -102,14 +101,14 @@ def test_homotopic_unknown_when_only_homology_is_available():
                       [(vs[i], vs[(i + 1) % 6], 2) for i in range(6)] +
                       [("z", "a", 4)])
     chi = Character({"a": 1, "b": -1, "c": 1, "d": -1, "e": 1, "f": -1, "z": -1})
-    report = strong_homotopic_n_link(cycle, chi, 2)
+    report = Analysis(cycle, chi).strong_homotopic_n_link(2)
     assert report.holds is False
 
     # path on 4 vertices hanging off a dead vertex: acyclic but not coned
     path = EvenGraph(["p", "q", "r", "s"],
                      [("p", "q", 2), ("q", "r", 2), ("r", "s", 2)])
     chi2 = Character({"p": 1, "q": 1, "r": 1, "s": 1})
-    report2 = strong_homotopic_n_link(path, chi2, 2)
+    report2 = Analysis(path, chi2).strong_homotopic_n_link(2)
     assert report2.holds is None
     assert any(w.status == "unknown" for w in report2.witnesses)
 
@@ -121,9 +120,9 @@ def test_homotopic_true_implies_homological_true():
         g = random_even_fc_graph(rng, max_vertices=5)
         chi = random_character(rng, g)
         n = rng.randint(1, 3)
-        homotopic = strong_homotopic_n_link(g, chi, n)
+        homotopic = Analysis(g, chi).strong_homotopic_n_link(n)
         if homotopic.holds is True:
-            assert strong_n_link(g, chi, n).holds is True
+            assert Analysis(g, chi).strong_n_link(n).holds is True
             hits += 1
     assert hits > 5
 
@@ -133,12 +132,12 @@ def test_kernel_free_rank_dihedral():
         for p in (0, 2, 3, 5):
             g, chi = dihedral(half)
             expected = 1 if p != 0 and half % p == 0 else 0
-            assert kernel_free_rank(g, chi, p, 1) == expected
+            assert Analysis(g, chi).free_ranks(p, 1)[1] == expected
 
 
 def test_kernel_free_rank_d4d4(d4d4):
     g, chi = d4d4
-    assert kernel_free_rank(g, chi, 2, 2) == 1
+    assert Analysis(g, chi).free_ranks(2, 2)[2] == 1
 
 
 def test_finite_dimensional_through(d4d6, d4d4):
@@ -160,33 +159,33 @@ def test_finite_dimensionality_matches_p_condition():
         for p in sorted({0, 2, *classify(g, chi).relevant_primes}):
             for n in (1, 2):
                 assert finite_dimensional_through(g, chi, p, n) == \
-                    bool(strong_p_n_link(g, chi, n, p).holds)
+                    bool(Analysis(g, chi).strong_p_n_link(n, p).holds)
 
 
 def test_raag_two_isolated_vertices():
     g = EvenGraph(["a", "b"])
     chi = Character({"a": 1, "b": 1})
-    assert raag_n_link(g, chi, 1).holds is False
+    assert Analysis(g, chi).raag_n_link(1).holds is False
 
 
 def test_raag_four_cycle_all_alive():
     g = EvenGraph(["a", "b", "c", "d"],
                   [("a", "b", 2), ("b", "c", 2), ("c", "d", 2), ("a", "d", 2)])
     chi = Character({v: 1 for v in "abcd"})
-    assert raag_n_link(g, chi, 1).holds is True
+    assert Analysis(g, chi).raag_n_link(1).holds is True
 
 
 def test_raag_single_vertex():
     g = EvenGraph(["a"])
     chi = Character({"a": 1})
     for n in (1, 2, 3):
-        assert raag_n_link(g, chi, n).holds is True
+        assert Analysis(g, chi).raag_n_link(n).holds is True
 
 
 def test_raag_rejects_bigger_labels(example1):
     g, chi = example1
     with pytest.raises(ValueError):
-        raag_n_link(g, chi, 1)
+        Analysis(g, chi).raag_n_link(1)
 
 
 def test_raag_agrees_with_strong_condition():
@@ -195,7 +194,7 @@ def test_raag_agrees_with_strong_condition():
         g = random_raag(rng, max_vertices=6)
         chi = random_character(rng, g)
         for n in (1, 2, 3):
-            assert raag_n_link(g, chi, n).holds == strong_n_link(g, chi, n).holds
+            assert Analysis(g, chi).raag_n_link(n).holds == Analysis(g, chi).strong_n_link(n).holds
 
 
 def test_strong_condition_monotone_in_degree():
@@ -203,9 +202,9 @@ def test_strong_condition_monotone_in_degree():
     for _ in range(40):
         g = random_even_fc_graph(rng, max_vertices=5)
         chi = random_character(rng, g)
-        if strong_n_link(g, chi, 3).holds:
-            assert strong_n_link(g, chi, 2).holds
-            assert strong_n_link(g, chi, 1).holds
+        if Analysis(g, chi).strong_n_link(3).holds:
+            assert Analysis(g, chi).strong_n_link(2).holds
+            assert Analysis(g, chi).strong_n_link(1).holds
 
 
 def test_strong_1_link_is_connected_and_dominating():
@@ -213,9 +212,9 @@ def test_strong_1_link_is_connected_and_dominating():
     for _ in range(60):
         g = random_even_fc_graph(rng)
         chi = random_character(rng, g)
-        living = living_subgraph(g, chi)
+        living = Analysis(g, chi).living()
         expected = is_connected(living) and is_dominating(g, living)
-        assert bool(strong_n_link(g, chi, 1).holds) == expected
+        assert bool(Analysis(g, chi).strong_n_link(1).holds) == expected
 
 
 def test_center_recheck_raises_on_disagreement(monkeypatch, example1):
@@ -225,18 +224,18 @@ def test_center_recheck_raises_on_disagreement(monkeypatch, example1):
     monkeypatch.setattr("artinsigma.conditions.Analysis._center_killed",
                         lambda self, members: False)
     with pytest.raises(RuntimeError, match="dead-clique/center mismatch on \\(\\)"):
-        strong_n_link(g, chi, 1)
+        Analysis(g, chi).strong_n_link(1)
 
 
 def test_raag_reverification_raises_on_disagreement(monkeypatch):
     g = EvenGraph(["a", "b"], [("a", "b", 2)])
     chi = Character({"a": 0, "b": 1})
-    holds = raag_n_link(g, chi, 1).holds
+    holds = Analysis(g, chi).raag_n_link(1).holds
     monkeypatch.setattr(Analysis, "strong_n_link",
                         lambda self, n: ConditionReport(not holds, n, "Z", "dead",
                                                         "homological", ()))
     with pytest.raises(RuntimeError, match="disagrees with the strong condition"):
-        raag_n_link(g, chi, 1)
+        Analysis(g, chi).raag_n_link(1)
 
 
 def test_analysis_answers_like_fresh_calls():
@@ -247,13 +246,13 @@ def test_analysis_answers_like_fresh_calls():
         ctx = Analysis(g, chi)
         # larger degrees first, then smaller ones, from the same context
         for n in (3, 1, 2):
-            assert ctx.strong_n_link(n) == strong_n_link(g, chi, n)
-            assert ctx.strong_homotopic_n_link(n) == strong_homotopic_n_link(g, chi, n)
+            assert ctx.strong_n_link(n) == Analysis(g, chi).strong_n_link(n)
+            assert ctx.strong_homotopic_n_link(n) == Analysis(g, chi).strong_homotopic_n_link(n)
             for p in (0, 2, 3):
-                assert ctx.strong_p_n_link(n, p) == strong_p_n_link(g, chi, n, p)
-                ranks = [kernel_free_rank(g, chi, p, k) for k in range(n + 1)]
+                assert ctx.strong_p_n_link(n, p) == Analysis(g, chi).strong_p_n_link(n, p)
+                ranks = [Analysis(g, chi).free_ranks(p, k)[k] for k in range(n + 1)]
                 assert ctx.free_ranks(p, n) == ranks
-                assert ctx.living(p) == living_subgraph(g, chi, p)
+                assert ctx.living(p) == Analysis(g, chi).living(p)
 
 
 def test_center_zero_test_matches_center_values():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from artinsigma import (Analysis, Character, EvenGraph, flag_complex, has_cone_vertex,
-                        reduced_homology, strong_homotopic_n_link, strong_n_link)
+                        reduced_homology)
 from artinsigma.homology import strong_core
 
 from genutil import random_character, random_even_fc_graph, random_raag
@@ -116,8 +116,8 @@ def test_homotopic_ok_implies_homological_ok():
         g = random_even_fc_graph(rng, max_vertices=8, edge_p=0.7)
         chi = random_character(rng, g)
         for n in (1, 2, 3):
-            homotopic = strong_homotopic_n_link(g, chi, n)
-            homological = strong_n_link(g, chi, n)
+            homotopic = Analysis(g, chi).strong_homotopic_n_link(n)
+            homological = Analysis(g, chi).strong_n_link(n)
             pairs = list(zip(homotopic.witnesses, homological.witnesses, strict=True))
             for a, b in pairs:
                 assert a.clique == b.clique and a.link == b.link

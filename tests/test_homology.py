@@ -6,9 +6,9 @@ from operator import attrgetter
 
 import pytest
 
-from artinsigma import (EvenGraph, Field, LaurentMatrix, LaurentPoly, enumerate_cliques,
-                        flag_complex, has_cone_vertex, laurent_divmod, link, living_subgraph,
-                        reduced_homology, smith_normal_form)
+from artinsigma import (Analysis, EvenGraph, Field, LaurentMatrix, LaurentPoly, enumerate_cliques,
+                        flag_complex, has_cone_vertex, laurent_divmod, link, reduced_homology,
+                        smith_normal_form)
 from artinsigma.homology import (PRIME_BOUND, _boundary, _smith_diagonal,
                                  integer_invariant_factors, is_prime, prime_factors)
 
@@ -151,7 +151,7 @@ def test_flag_complex_matches_closed_simplices():
 
 def test_link_example1(example1):
     g, chi = example1
-    living = living_subgraph(g, chi)
+    living = Analysis(g, chi).living()
     lk_c = link(g, living, ["c"])
     assert lk_c.vertices == ("a", "d") and lk_c.edges() == (("a", "d"),)
     lk_ab = link(g, living, ["a", "b"])
@@ -187,7 +187,7 @@ def test_flag_complex_two_glued_triangles(d4d6):
     # remove the open label-4 edge from the complete graph: the cliques are
     # exactly the subsets avoiding {v, w} together
     g, chi = d4d6
-    living = living_subgraph(g, chi, p=2)
+    living = Analysis(g, chi).living(2)
     c = flag_complex(living)
     expected = sorted(c for size in range(1, 5)
                       for c in itertools.combinations("vwxy", size)
@@ -442,7 +442,7 @@ def test_is_d_acyclic_degenerate_degrees(example1):
     assert not is_d_acyclic(empty, -1, "Z")
     assert is_d_acyclic(empty, -2, "Z")
     g, chi = example1
-    path = living_subgraph(g, chi)
+    path = Analysis(g, chi).living()
     assert is_d_acyclic(flag_complex(path), 0, "Z")
 
 

@@ -6,14 +6,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinsigma import (Analysis, build_salvetti_complex, center_values, classify, dead_cliques,
-                        flag_complex, fp_verdict, homotopic_sigma_verdict, kernel_free_rank,
-                        living_subgraph, sigma_verdict, strong_homotopic_n_link, strong_n_link,
-                        strong_p_n_link)
+from artinsigma import (Analysis, build_salvetti_complex, center_values, classify, cross_check,
+                        flag_complex, fp_verdict, homotopic_sigma_verdict, sigma_verdict)
 from artinsigma.homology import _boundary, enumerate_cliques
 
-from genutil import (matrix_is_zero, matrix_product, negated_character, random_character,
-                     random_even_fc_graph, scaled_character)
+from genutil import (dead_cliques, matrix_is_zero, matrix_product, negated_character,
+                     random_character, random_even_fc_graph, scaled_character)
 
 
 def test_boundary_composites_vanish_simplicial():
@@ -48,15 +46,15 @@ def test_living_subgraph_containment_chain():
         g = random_even_fc_graph(rng)
         chi = random_character(rng, g, nonzero=False)
         cls = classify(g, chi)
-        l_dead = living_subgraph(g, chi)
-        l_vertices = living_subgraph(g, chi, p=0)
+        l_dead = Analysis(g, chi).living()
+        l_vertices = Analysis(g, chi).living(0)
         for p in sorted({0, 2, 3, 5, *cls.relevant_primes}):
-            lp = living_subgraph(g, chi, p=p)
+            lp = Analysis(g, chi).living(p)
             assert set(l_dead.edges()) <= set(lp.edges()) <= set(l_vertices.edges())
         # the living subgraph is the intersection of all p-living ones
         union_of_drops = set()
         for p in cls.relevant_primes:
-            union_of_drops |= set(l_vertices.edges()) - set(living_subgraph(g, chi, p=p).edges())
+            union_of_drops |= set(l_vertices.edges()) - set(Analysis(g, chi).living(p).edges())
         assert set(l_vertices.edges()) - set(l_dead.edges()) == union_of_drops
 
 
@@ -76,8 +74,8 @@ def test_homotopic_true_implies_homological_true():
         g = random_even_fc_graph(rng, max_vertices=5)
         chi = random_character(rng, g)
         n = rng.randint(1, 3)
-        if strong_homotopic_n_link(g, chi, n).holds is True:
-            assert strong_n_link(g, chi, n).holds is True
+        if Analysis(g, chi).strong_homotopic_n_link(n).holds is True:
+            assert Analysis(g, chi).strong_n_link(n).holds is True
 
 
 def test_verdict_symmetry_and_scale_invariance():
@@ -86,9 +84,9 @@ def test_verdict_symmetry_and_scale_invariance():
         g = random_even_fc_graph(rng, max_vertices=5)
         chi = random_character(rng, g)
         n = rng.randint(1, 3)
-        status = sigma_verdict(g, chi, n).status
-        assert sigma_verdict(g, negated_character(chi), n).status == status
-        assert sigma_verdict(g, scaled_character(chi, Fraction(5, 2)), n).status == status
+        status = sigma_verdict(Analysis(g, chi), n).status
+        assert sigma_verdict(Analysis(g, negated_character(chi)), n).status == status
+        assert sigma_verdict(Analysis(g, scaled_character(chi, Fraction(5, 2))), n).status == status
 
 
 def test_free_rank_bridge_to_p_condition():
@@ -101,8 +99,8 @@ def test_free_rank_bridge_to_p_condition():
         cls = classify(g, chi)
         for p in sorted({0, *cls.relevant_primes}):
             for n in (1, 2):
-                vanishing = all(kernel_free_rank(g, chi, p, k) == 0 for k in range(n + 1))
-                assert vanishing == bool(strong_p_n_link(g, chi, n, p).holds)
+                vanishing = all(Analysis(g, chi).free_ranks(p, k)[k] == 0 for k in range(n + 1))
+                assert vanishing == bool(Analysis(g, chi).strong_p_n_link(n, p).holds)
 
 
 def test_membership_implies_finite_dimensional_kernel_homology():
@@ -118,7 +116,7 @@ def test_membership_implies_finite_dimensional_kernel_homology():
         g = random_even_fc_graph(rng, max_vertices=5)
         chi = random_character(rng, g)
         n = rng.randint(1, 3)
-        if sigma_verdict(g, chi, n).status == "IN":
+        if sigma_verdict(Analysis(g, chi), n).status == "IN":
             hits += 1
             for p in sorted({0, *classify(g, chi).relevant_primes}):
                 assert finite_dimensional_through(g, chi, p, n)
@@ -132,9 +130,9 @@ def test_kernel_free_rank_scale_invariant():
         chi = random_character(rng, g)
         for p in (0, 2):
             for n in (1, 2):
-                base = kernel_free_rank(g, chi, p, n)
-                assert kernel_free_rank(g, scaled_character(chi, Fraction(3, 4)), p, n) == base
-                assert kernel_free_rank(g, scaled_character(chi, 2), p, n) == base
+                base = Analysis(g, chi).free_ranks(p, n)[n]
+                for c in (Fraction(3, 4), 2):
+                    assert Analysis(g, scaled_character(chi, c)).free_ranks(p, n)[n] == base
 
 
 def test_all_label_2_cross_check_characteristic_zero():
@@ -147,10 +145,9 @@ def test_all_label_2_cross_check_characteristic_zero():
         g = random_raag(rng, max_vertices=6)
         chi = random_character(rng, g)
         complex_ = build_salvetti_complex(g, chi, 0, max_n=4)
+        ranks = Analysis(g, chi).free_ranks(0, 3)
         for n in range(4):
-            from artinsigma import cross_check
-
-            assert cross_check(g, chi, 0, n, complex_=complex_).matched
+            cross_check(g, chi, 0, n, complex_, ranks[n])
 
 
 def test_salvetti_specialization_rank_probe():
@@ -206,10 +203,10 @@ def test_verdicts_monotone_in_degree(seed):
     ctx = Analysis(g, chi)
     previous = None
     for n in (1, 2, 3):
-        sigma = sigma_verdict(g, chi, n, analysis=ctx)
-        assert sigma == sigma_verdict(g, chi, n)
+        sigma = sigma_verdict(ctx, n)
+        assert sigma == sigma_verdict(Analysis(g, chi), n)
         assert not (previous == "NOT_IN" and sigma.status == "IN")
-        assert fp_verdict(g, chi, n).status == sigma.status
-        if homotopic_sigma_verdict(g, chi, n, analysis=ctx).status == "IN":
+        assert fp_verdict(sigma_verdict(Analysis(g, chi), n)).status == sigma.status
+        if homotopic_sigma_verdict(ctx, n).status == "IN":
             assert sigma.status == "IN"
         previous = sigma.status

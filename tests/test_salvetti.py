@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from artinsigma import (Character, CrossCheckError, EvenGraph, Field, LaurentMatrix, LaurentPoly,
-                        OracleTooLarge, build_salvetti_complex, cross_check, homology_module,
-                        smith_normal_form, t_power_minus_one)
+from artinsigma import (Analysis, Character, CrossCheckError, EvenGraph, Field, LaurentMatrix,
+                        LaurentPoly, OracleTooLarge, build_salvetti_complex, cross_check,
+                        homology_module, smith_normal_form, t_power_minus_one)
 from artinsigma.salvetti import MAX_ORACLE_SPAN, _max_weight_span
 
 from genutil import (coefficient_b, dihedral, matrix_entry, matrix_is_zero, matrix_product,
@@ -249,29 +249,19 @@ def test_snf_of_differential_invariant_under_basis_shuffle(d4d4):
 
 
 def test_cross_check_named_instances(d4d6, d4d4):
-    g, chi = dihedral(2)
-    report = cross_check(g, chi, 2, 1)
-    assert report.matched and report.formula_rank == 1
+    for (g, chi), n, rank in ((dihedral(2), 1, 1), (d4d6, 2, 0), (d4d4, 2, 1)):
+        formula = Analysis(g, chi).free_ranks(2, n)[n]
+        twisted = build_salvetti_complex(g, chi, 2, max_n=n + 1)
+        assert formula == rank == homology_module(twisted, n).free_rank
+        cross_check(g, chi, 2, n, twisted, formula)
 
-    g, chi = d4d6
-    report = cross_check(g, chi, 2, 2)
-    assert report.matched and report.formula_rank == 0
 
+def test_cross_check_error_reporting(d4d4):
     g, chi = d4d4
-    report = cross_check(g, chi, 2, 2)
-    assert report.matched and report.formula_rank == 1
-    assert homology_module(build_salvetti_complex(g, chi, 2, max_n=3), 2).free_rank == 1
-
-
-def test_cross_check_error_reporting(monkeypatch, d4d4):
-    g, chi = d4d4
-
-    def broken(*args, **kwargs):
-        return 99
-
-    monkeypatch.setattr("artinsigma.conditions.kernel_free_rank", broken)
-    with pytest.raises(CrossCheckError, match="99"):
-        cross_check(g, chi, 2, 2)
+    twisted = build_salvetti_complex(g, chi, 2, max_n=3)
+    with pytest.raises(CrossCheckError,
+                       match=r"link formula gives 99, chain complex gives 1 on \[.*; p=2; n=2\]"):
+        cross_check(g, chi, 2, 2, twisted, 99)
 
 
 def test_scale_invariance_of_free_rank():
@@ -321,4 +311,4 @@ def test_build_refuses_spans_above_the_budget():
     with pytest.raises(OracleTooLarge, match="span 200001, above the budget of 2048"):
         build_salvetti_complex(g, chi, 2)
     with pytest.raises(OracleTooLarge):
-        cross_check(g, chi, 2, 1)
+        build_salvetti_complex(g, chi, 2, max_n=2)

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from artinsigma import (IN, NOT_IN, UNKNOWN, Character, EvenGraph, ZeroCharacterError,
+from artinsigma import (IN, NOT_IN, UNKNOWN, Analysis, Character, EvenGraph, ZeroCharacterError,
                         fp_verdict, homotopic_sigma_verdict, odd_cycle_condition,
-                        product_sigma_member, sigma_verdict, strong_n_link)
+                        product_sigma_member, sigma_verdict)
 
 from artinsigma.verdicts import _biconnected_blocks
 
@@ -20,14 +20,14 @@ def fired_rules(verdict):
 
 def test_example1_in_by_strong_link(example1):
     g, chi = example1
-    v = sigma_verdict(g, chi, 3)
+    v = sigma_verdict(Analysis(g, chi), 3)
     assert v.status == IN
     assert fired_rules(v)[0] == "strong_link"
 
 
 def test_example2_not_in_by_p_local(example2):
     g, chi = example2
-    v = sigma_verdict(g, chi, 1)
+    v = sigma_verdict(Analysis(g, chi), 1)
     assert v.status == NOT_IN
     assert "p_local_obstruction" in fired_rules(v)
     detail = next(j.detail for j in v.justifications
@@ -37,7 +37,7 @@ def test_example2_not_in_by_p_local(example2):
 
 def test_d4d6_not_in_by_product_rule_only(d4d6):
     g, chi = d4d6
-    v = sigma_verdict(g, chi, 2)
+    v = sigma_verdict(Analysis(g, chi), 2)
     assert v.status == NOT_IN
     rules = fired_rules(v)
     assert rules == ["dihedral_product"]
@@ -50,7 +50,7 @@ def test_d4d6_not_in_by_product_rule_only(d4d6):
 def test_d4d6_degree_1_in(d4d6):
     # below the number of dihedral factors, membership is automatic
     g, chi = d4d6
-    v = sigma_verdict(g, chi, 1)
+    v = sigma_verdict(Analysis(g, chi), 1)
     assert v.status == IN
 
 
@@ -61,8 +61,8 @@ def test_unknown_instance_lists_silent_rules():
     g = EvenGraph(["a", "b", "c", "d"],
                   [("a", "b", 4), ("c", "d", 6), ("a", "c", 2), ("b", "d", 2)])
     chi = Character({"a": 1, "b": -1, "c": 1, "d": -1})
-    assert strong_n_link(g, chi, 2).holds is False
-    v = sigma_verdict(g, chi, 2)
+    assert Analysis(g, chi).strong_n_link(2).holds is False
+    v = sigma_verdict(Analysis(g, chi), 2)
     assert v.status == UNKNOWN
     assert not fired_rules(v)
     assert all(j.detail for j in v.justifications)
@@ -72,42 +72,42 @@ def test_unknown_instance_decided_in_degree_one():
     g = EvenGraph(["a", "b", "c", "d"],
                   [("a", "b", 4), ("c", "d", 6), ("a", "c", 2), ("b", "d", 2)])
     chi = Character({"a": 1, "b": -1, "c": 1, "d": -1})
-    v = sigma_verdict(g, chi, 1)
+    v = sigma_verdict(Analysis(g, chi), 1)
     assert v.status == NOT_IN
     assert "sigma1_connectivity" in fired_rules(v)
 
 
 def test_fp_verdict_forwards_status(example1, example2):
     g, chi = example1
-    fp = fp_verdict(g, chi, 2)
+    fp = fp_verdict(sigma_verdict(Analysis(g, chi), 2))
     assert fp.status == IN and fp.question == "kernel-FP_2"
     assert fp.justifications[-1].rule == "kernel_symmetry"
     g, chi = example2
-    assert fp_verdict(g, chi, 1).status == NOT_IN
+    assert fp_verdict(sigma_verdict(Analysis(g, chi), 1)).status == NOT_IN
 
 
 def test_fp_verdict_d4d6(d4d6):
     g, chi = d4d6
-    assert fp_verdict(g, chi, 2).status == NOT_IN
+    assert fp_verdict(sigma_verdict(Analysis(g, chi), 2)).status == NOT_IN
 
 
 def test_homotopic_verdicts(example1, example2):
     g, chi = example1
-    assert homotopic_sigma_verdict(g, chi, 1).status == IN
-    assert homotopic_sigma_verdict(g, chi, 3).status == IN
+    assert homotopic_sigma_verdict(Analysis(g, chi), 1).status == IN
+    assert homotopic_sigma_verdict(Analysis(g, chi), 3).status == IN
     g, chi = example2
     # the homotopic condition fails exactly, but failure of a sufficient
     # condition proves nothing: stay unknown
-    assert homotopic_sigma_verdict(g, chi, 1).status == UNKNOWN
+    assert homotopic_sigma_verdict(Analysis(g, chi), 1).status == UNKNOWN
 
 
 def test_zero_character_rejected(example1):
     g, _ = example1
     zero = Character({v: 0 for v in g.vertices})
     with pytest.raises(ZeroCharacterError):
-        sigma_verdict(g, zero, 1)
+        sigma_verdict(Analysis(g, zero), 1)
     with pytest.raises(ZeroCharacterError):
-        homotopic_sigma_verdict(g, zero, 1)
+        homotopic_sigma_verdict(Analysis(g, zero), 1)
 
 
 def test_dihedral_sigma_member():
@@ -171,7 +171,7 @@ def test_product_rule_consistent_with_link_machinery():
         chi = random_character(rng, g)
         m = rng.randint(1, 3)
         if not product_sigma_member(g, vs, chi, m):
-            assert strong_n_link(g, chi, m).holds is False
+            assert Analysis(g, chi).strong_n_link(m).holds is False
             checked += 1
     assert checked
 
@@ -279,9 +279,9 @@ def test_verdict_invariance_under_scaling_and_negation():
         g = random_even_fc_graph(rng, max_vertices=5)
         chi = random_character(rng, g)
         n = rng.randint(1, 3)
-        base = sigma_verdict(g, chi, n).status
-        assert sigma_verdict(g, negated_character(chi), n).status == base
-        assert sigma_verdict(g, scaled_character(chi, Fraction(7, 3)), n).status == base
+        base = sigma_verdict(Analysis(g, chi), n).status
+        assert sigma_verdict(Analysis(g, negated_character(chi)), n).status == base
+        assert sigma_verdict(Analysis(g, scaled_character(chi, Fraction(7, 3))), n).status == base
 
 
 def test_sufficient_and_obstruction_rules_never_conflict():
@@ -290,6 +290,6 @@ def test_sufficient_and_obstruction_rules_never_conflict():
         g = random_even_fc_graph(rng, max_vertices=6)
         chi = random_character(rng, g)
         n = rng.randint(1, 3)
-        v = sigma_verdict(g, chi, n)  # raises RuleConflictError on conflict
+        v = sigma_verdict(Analysis(g, chi), n)  # raises RuleConflictError on conflict
         statuses = {j.status for j in v.justifications if j.fired}
         assert not ({IN, NOT_IN} <= statuses)
