@@ -34,7 +34,7 @@ def analyse(label1: int, label2: int) -> None:
         rank = ctx.free_ranks(p, 2)[2]
         twisted = build_salvetti_complex(g, chi, p, max_n=3)
         module = homology_module(twisted, 2)
-        cross_check(g, chi, p, 2, twisted, rank)   # raises on a mismatch
+        cross_check(g, chi, 2, twisted, rank)   # raises on a mismatch
         status = "finite" if rank == 0 else "INFINITE"
         print(f"  char {p}: p-2-link {str(report.holds):5s}  "
               f"H_2 = {module.describe():20s} ({status}; cross-check ok)")

@@ -10,15 +10,14 @@ oracle diagonalized by Smith normal form.  All arithmetic is exact.
 
 __version__ = "0.1.0"
 
-from .characters import (Character, CharacterError, CenterValues, Classification,
-                         center_values, character_from_dict, character_to_dict, classify,
-                         is_dominating)
+from .characters import (Character, CharacterError, Classification, character_from_dict,
+                         character_to_dict, classify, is_dominating)
 from .conditions import Analysis, ConditionReport, LinkWitness, ZeroCharacterError
 from .graphs import (EvenGraph, Finding, GraphFormatError, ValidationReport, describe_graph,
                      graph_from_dict, graph_to_dict, induced_subgraph, is_connected,
                      is_subgraph, validate_even, validate_fc)
 from .homology import (HomologyProfile, SimplicialComplex, TooManyCliques, enumerate_cliques,
-                       flag_complex, has_cone_vertex, link, reduced_homology)
+                       flag_complex, has_cone_vertex, reduced_homology)
 from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd, q_poly,
                       smith_normal_form, t_power_minus_one)
 from .salvetti import (CrossCheckError, ModulePresentation, OracleTooLarge, TwistedComplex,

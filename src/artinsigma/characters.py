@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .graphs import EvenGraph, _bits
 from .homology import prime_factors
@@ -142,43 +142,16 @@ def classify(g: EvenGraph, chi: Character) -> Classification:
     )
 
 
-@dataclass(frozen=True)
-class CenterValues:
-    """Character values on the standard generators of a clique subgroup's center.
-
-    A clique of an even FC graph generates a direct product of one dihedral
-    group per label > 2 edge and one infinite cyclic group per leftover
-    vertex; the center is generated by (uv)^l for each such edge (value
-    l * (m_u + m_v)) and by each leftover vertex (value m_v).
-    """
-
-    entries: tuple[tuple[str, Fraction], ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(x for _, x in self.entries)
-
-
-def center_values(g: EvenGraph, chi: Character, delta: Iterable[str]) -> CenterValues:
-    _check_domain(g, chi)
-    delta = g.sort_vertices(delta)
-    if not g.is_clique(delta):
-        raise ValueError(f"{tuple(delta)} is not a clique")
-    vs = g.vertices
-    pairs, leftover = _center_generators(g, g.vertex_mask(delta))
-    entries = [(f"({vs[i]}{vs[j]})^{half}", half * chi.edge_value(vs[i], vs[j]))
-               for i, j, half in pairs]
-    entries.extend((vs[i], chi.value(vs[i])) for i in _bits(leftover))
-    return CenterValues(tuple(entries))
-
-
 def _center_generators(g: EvenGraph, members: int) -> tuple[list[tuple[int, int, int]], int]:
     """The standard generators of the center of the clique subgroup on the
-    vertex mask ``members`` (see :class:`CenterValues`): the label > 2 pairs
-    as (i, j, half label) with i < j, in the order of i and then j, and the
-    mask of the leftover vertices.  Every pair of the clique is visited, so a
-    vertex on two labels > 2 (FC violated) or an odd label raises ValueError
-    wherever it is."""
+    vertex mask ``members``: the label > 2 pairs as (i, j, half label) with
+    i < j, in the order of i and then j, and the mask of the leftover
+    vertices.  A clique of an even FC graph generates a direct product of
+    one dihedral group per label > 2 edge and one infinite cyclic group per
+    leftover vertex; the center is generated by (uv)^l for each such edge
+    (value l * (m_u + m_v)) and by each leftover vertex (value m_v).  Every
+    pair of the clique is visited, so a vertex on two labels > 2 (FC
+    violated) or an odd label raises ValueError wherever it is."""
     big, vs = g.big_partner_masks, g.vertices
     on_big_edge = 0
     pairs = []

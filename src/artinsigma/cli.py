@@ -25,7 +25,7 @@ from .characters import Character, CharacterError, character_from_dict, characte
 from .conditions import Analysis, ConditionReport
 from .graphs import (EvenGraph, GraphFormatError, describe_graph, graph_from_dict,
                      graph_to_dict, validate_even, validate_fc)
-from .homology import PRIME_BOUND, TooManyCliques, coeffs_label, is_prime
+from .homology import TooManyCliques, coeffs_label
 from .salvetti import (CrossCheckError, OracleTooLarge, build_salvetti_complex, cross_check,
                        homology_module)
 from .verdicts import Verdict, fp_verdict, homotopic_sigma_verdict, sigma_verdict
@@ -148,9 +148,8 @@ def _cmd_classify(g, chi, args) -> tuple[int, dict]:
 
 def _cmd_links(g, chi, args) -> tuple[int, dict]:
     p = args.p
-    coeffs = "Z" if p is None else p
     entries = []
-    for clique, d, lk, homology in Analysis(g, chi).links(args.n, p, coeffs):
+    for clique, d, lk, homology in Analysis(g, chi).links(args.n, p, p):
         profile = homology()
         entries.append({
             "clique": list(clique),
@@ -159,7 +158,7 @@ def _cmd_links(g, chi, args) -> tuple[int, dict]:
             "betti": {str(j): profile.betti_at(j) for j in range(-1, d + 1)},
             "torsion": {str(j): list(profile.torsion.get(j, ())) for j in range(-1, d + 1)},
         })
-    return EXIT_OK, {"n": args.n, "coefficients": coeffs_label(coeffs),
+    return EXIT_OK, {"n": args.n, "coefficients": coeffs_label(p),
                      "mode": "dead" if p is None else f"{p}-dead", "cliques": entries}
 
 
@@ -189,7 +188,7 @@ def _cmd_homology(g, chi, args) -> tuple[int, dict]:
             "module": module.describe(),
         }
         try:
-            cross_check(g, chi, p, n, twisted, ranks[n])
+            cross_check(g, chi, n, twisted, ranks[n])
         except CrossCheckError as exc:
             result["cross_check"] = {"ok": False, "error": str(exc)}
             return EXIT_CROSSCHECK, result
@@ -311,13 +310,10 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
         out.write(f"error: {exc}\n")
         return EXIT_INVALID, None
 
-    p = getattr(args, "p", None)
-    if p is not None and p >= PRIME_BOUND:
-        out.write(f"error: --p must be below {PRIME_BOUND}, where primality is decided "
-                  f"exactly, got {p}\n")
-        return EXIT_INVALID, None
-    if p is not None and p != 0 and not is_prime(p):
-        out.write(f"error: --p must be 0 or a prime, got {p}\n")
+    try:
+        coeffs_label(getattr(args, "p", None))
+    except ValueError as exc:
+        out.write(f"error: --p {exc}\n")
         return EXIT_INVALID, None
     n = getattr(args, "n", None)
     if n is not None and n < 0:

@@ -23,8 +23,8 @@ from functools import partial
 
 from .characters import Character, _center_generators, classify
 from .graphs import EvenGraph, _bits, describe_graph, induced_subgraph, is_connected, is_subgraph
-from .homology import (HomologyProfile, SimplicialComplex, _cliques, _link_mask, coeffs_label,
-                       flag_complex, has_cone_vertex, is_prime, reduced_homology, strong_core)
+from .homology import (HomologyProfile, SimplicialComplex, _cliques, _link_mask, _require_field,
+                       coeffs_label, flag_complex, has_cone_vertex, reduced_homology, strong_core)
 
 
 class ZeroCharacterError(ValueError):
@@ -81,13 +81,14 @@ class Analysis:
     """One instance (g, chi) and everything the link conditions read from it:
     the library's one way to ask a question of an instance.
 
-    A *mode* is ``None`` (all dead edges), ``0`` (none) or a prime p (the
-    p-dead edges).  The classification is made on construction; the clique
-    enumeration (as vertex masks), each mode's living subgraph and dead
-    cliques, each distinct link (one graph per vertex mask), its
-    strong-collapse core and the core's flag complex, which keeps the
-    integer Smith forms that serve Z, Q and every F_p, are built on first
-    use and kept.  Links whose cores are one graph share one complex.
+    A *mode* is a coefficient value (:func:`coeffs_label`): ``None`` (all
+    dead edges), ``0`` (none) or a prime p (the p-dead edges).  The
+    classification is made on construction; the clique enumeration (as
+    vertex masks), each mode's living subgraph and dead cliques, each
+    distinct link (one graph per vertex mask), its strong-collapse core and
+    the core's flag complex, which keeps the integer Smith forms that serve
+    Z, Q and every F_p, are built on first use and kept.  Links whose cores
+    are one graph share one complex.
     """
 
     def __init__(self, g: EvenGraph, chi: Character):
@@ -109,10 +110,9 @@ class Analysis:
         self._complexes: dict[tuple[int, ...], SimplicialComplex] = {}
 
     def _edges(self, p: int | None) -> frozenset[tuple[str, str]]:
+        coeffs_label(p)
         if p is None:
             return self.classification.dead_edges
-        if p != 0 and not is_prime(p):
-            raise ValueError(f"p must be None, 0 or a prime, got {p}")
         return self.classification.p_dead_edges.get(p, frozenset())
 
     def living(self, p: int | None = None) -> EvenGraph:
@@ -142,11 +142,12 @@ class Analysis:
             self._adjacency[edges] = adjacency
         return self._living[edges]
 
-    def links(self, n: int, p: int | None = None, coeffs="Z"):
+    def links(self, n: int, p: int | None = None, coeffs: int | None = None):
         """Each dead clique D of mode ``p`` with |D| <= n, as a tuple (D,
         required degree n - 1 - |D|, link of D in the living subgraph,
         homology), where ``homology()`` is the reduced homology of the link's
-        flag complex over ``coeffs`` through the required degree.
+        flag complex over ``coeffs`` through the required degree.  Both ``p``
+        and ``coeffs`` are checked by :func:`coeffs_label` at the first step.
 
         A clique, the empty one included, is dead when each of its vertices
         is dead or lies on a dead edge of the clique; with ``p`` given, "dead
@@ -156,6 +157,7 @@ class Analysis:
         character; this equality is re-checked for every clique and a
         mismatch raises.
         """
+        coeffs_label(coeffs)
         living, edges = self.living(p), self._edges(p)
         if (edges, n) not in self._dead:
             if n not in self._cliques:
@@ -230,11 +232,12 @@ class Analysis:
 
     def strong_n_link(self, n: int) -> ConditionReport:
         """Strong n-link condition over Z (sufficient for membership in degree n)."""
-        return self._link_condition(n, None, "Z")
+        return self._link_condition(n, None, None)
 
     def strong_p_n_link(self, n: int, p: int) -> ConditionReport:
         """Strong p-n-link condition with field coefficients of characteristic p
-        (p = 0 means the rationals)."""
+        (0 for the rationals); None (Z) raises ValueError."""
+        _require_field(p)
         return self._link_condition(n, p, p)
 
     def strong_homotopic_n_link(self, n: int) -> ConditionReport:
@@ -278,7 +281,7 @@ class Analysis:
         """
         if any(label != 2 for _, label in self.g.edge_items()):
             raise ValueError("the n-link condition in this form needs all labels equal to 2")
-        report = replace(self._link_condition(n, 0, "Z"), mode="dead-vertices")
+        report = replace(self._link_condition(n, 0, None), mode="dead-vertices")
         strong = self.strong_n_link(n)
         if strong.holds is not report.holds:
             raise RuntimeError(
@@ -293,9 +296,10 @@ class Analysis:
         Closed form: the rank in degree k is the sum over p-dead cliques D of
         size <= k of the reduced betti number in degree k - 1 - |D| of the
         flag complex of the link of D in the p-living subgraph, with
-        coefficients of characteristic p.  Invariant under positive
-        rescaling of the character.
+        coefficients of characteristic p (None, which is Z, raises
+        ValueError).  Invariant under positive rescaling of the character.
         """
+        _require_field(p)
         ranks = [0] * (n + 1)
         for clique, _, _, homology in self.links(n, p, p):
             profile = homology()

@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .graphs import EvenGraph, _bits, induced_subgraph, is_subgraph
+from .graphs import EvenGraph, _bits
 
 
 def prime_factors(n: int) -> set[int]:
     """The primes dividing n, by trial division (empty for n < 2); meant for
-    edge labels, which are bounded.  Test a characteristic with
-    :func:`is_prime`."""
+    edge labels, which are bounded.  Check a characteristic with
+    :func:`coeffs_label`."""
     out = set()
     d = 2
     while d * d <= n:
@@ -78,23 +78,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_coeffs(coeffs) -> None:
-    """Coefficient system: the string "Z", or an int characteristic (0 for Q,
-    a prime p for F_p)."""
-    if coeffs == "Z":
-        return
-    if isinstance(coeffs, int) and not isinstance(coeffs, bool):
-        if coeffs == 0 or is_prime(coeffs):
-            return
-        raise ValueError(f"field characteristic must be 0 or a prime, got {coeffs}")
-    raise ValueError(f"coefficients must be 'Z', 0 (rationals) or a prime, got {coeffs!r}")
-
-
-def coeffs_label(coeffs) -> str:
-    _check_coeffs(coeffs)
-    if coeffs == "Z":
+def coeffs_label(p: int | None) -> str:
+    """The name of the coefficients ``p`` ("Z" for None, "Q" for 0, "F<p>"
+    for a prime p), and the library's one check of such a value: anything
+    else raises ValueError."""
+    if p is None:
         return "Z"
-    return "Q" if coeffs == 0 else f"F{coeffs}"
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise ValueError(f"coefficients must be None (Z), 0 (Q) or a prime, got {p!r}")
+    if p >= PRIME_BOUND:
+        raise ValueError(f"must be below {PRIME_BOUND}, where primality is decided exactly, "
+                         f"got {p}")
+    if p != 0 and not is_prime(p):
+        raise ValueError(f"must be 0 or a prime, got {p}")
+    return "Q" if p == 0 else f"F{p}"
+
+
+def _require_field(p: int) -> None:
+    """The check of :func:`coeffs_label` where a field is needed: None is refused too."""
+    if p is None:
+        raise ValueError("a field characteristic is needed: 0 (Q) or a prime, not None (Z)")
+    coeffs_label(p)
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +168,6 @@ def _named(vs: Sequence[str], cliques: list[int]) -> dict[int, tuple[str, ...]]:
         last = members.bit_length() - 1
         names[members] = names[members ^ 1 << last] + (vs[last],) if members else ()
     return names
-
-
-def link(g_ambient: EvenGraph, gamma1: EvenGraph, delta: Sequence[str]) -> EvenGraph:
-    """Link of the clique ``delta`` taken inside the subgraph ``gamma1``.
-
-    Adjacency to ``delta`` is tested in the ambient graph; the returned graph
-    is the subgraph of ``gamma1`` induced on the adjacent vertices.  The link
-    of the empty clique is ``gamma1`` itself.
-    """
-    if not is_subgraph(gamma1, g_ambient):
-        raise ValueError("gamma1 is not a subgraph of the ambient graph")
-    if not g_ambient.is_clique(delta):
-        raise ValueError(f"{tuple(delta)} is not a clique of the ambient graph")
-    keep = _link_mask(g_ambient, g_ambient.vertex_mask(gamma1.vertices),
-                      g_ambient.vertex_mask(delta))
-    return induced_subgraph(gamma1, [g_ambient.vertices[i] for i in _bits(keep)])
 
 
 def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, members: int) -> int:
@@ -455,10 +443,10 @@ def _divisibility_chain(diagonal: list[int]) -> list[int]:
     return [1] * (len(diagonal) - len(chain)) + chain
 
 
-def _rank_from_factors(factors: Sequence[int], coeffs) -> int:
-    if coeffs == "Z" or coeffs == 0:
+def _rank_from_factors(factors: Sequence[int], p: int | None) -> int:
+    if not p:
         return len(factors)
-    return sum(1 for d in factors if d % coeffs)
+    return sum(1 for d in factors if d % p)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +457,9 @@ def _rank_from_factors(factors: Sequence[int], coeffs) -> int:
 class HomologyProfile:
     """Reduced homology per degree: betti numbers and, over Z, torsion.
 
-    ``torsion[d]`` is the elementary-divisor chain of the torsion subgroup
-    of reduced H_d; it is always empty over a field.
+    ``coefficients`` is a label of :func:`coeffs_label`.  ``torsion[d]`` is
+    the elementary-divisor chain of the torsion subgroup of reduced H_d; it
+    is always empty over a field.
     """
 
     coefficients: str
@@ -485,27 +474,24 @@ class HomologyProfile:
         return self.betti_at(d) == 0 and not self.torsion.get(d, ())
 
 
-def reduced_homology(c: SimplicialComplex, coeffs, max_degree: int) -> HomologyProfile:
+def reduced_homology(c: SimplicialComplex, p: int | None, max_degree: int) -> HomologyProfile:
     """Exact reduced homology of the augmented chain complex.
 
-    Degrees -1 .. max_degree.  Over "Z" the profile carries both betti
-    numbers and torsion; over 0 (the rationals) or a prime p only betti
+    Degrees -1 .. max_degree.  Over Z (``p`` None) the profile carries both
+    betti numbers and torsion; over Q (0) or F_p (a prime p) only betti
     numbers, derived from the same integer Smith forms, which the complex
     keeps: asking again, in any degree or over other coefficients, reuses
     them.
     """
-    label = coeffs_label(coeffs)
+    label = coeffs_label(p)
     factors = {k: c.invariant_factors(k) for k in range(0, max_degree + 2)}
     betti = {}
     torsion = {}
     for d in range(-1, max_degree + 1):
-        rank_in = _rank_from_factors(factors[d + 1], coeffs)
-        rank_out = _rank_from_factors(factors[d], coeffs) if d >= 0 else 0
+        rank_in = _rank_from_factors(factors[d + 1], p)
+        rank_out = _rank_from_factors(factors[d], p) if d >= 0 else 0
         betti[d] = c.chain_rank(d) - rank_out - rank_in
-        if coeffs == "Z":
-            torsion[d] = tuple(f for f in factors[d + 1] if f > 1)
-        else:
-            torsion[d] = ()
+        torsion[d] = tuple(f for f in factors[d + 1] if f > 1) if p is None else ()
     return HomologyProfile(label, max_degree, betti, torsion)
 
 

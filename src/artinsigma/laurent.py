@@ -23,15 +23,14 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .homology import _smith_diagonal, coeffs_label, is_prime
+from .homology import _require_field, _smith_diagonal, coeffs_label
 
 
 class Field:
-    """Coefficient field: the rationals (characteristic 0) or F_p."""
+    """Coefficient field of characteristic ``char``: Q for 0, F_p for a prime p."""
 
-    def __init__(self, char: int = 0):
-        if char != 0 and not is_prime(char):
-            raise ValueError(f"field characteristic must be 0 or a prime, got {char}")
+    def __init__(self, char: int):
+        _require_field(char)
         self.char = char
 
     def coerce(self, x):

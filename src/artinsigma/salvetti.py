@@ -125,9 +125,9 @@ class TwistedComplex:
         }
 
 
-def build_salvetti_complex(g: EvenGraph, chi: Character, p: int = 0,
+def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
                            max_n: int | None = None) -> TwistedComplex:
-    """Assemble the twisted complex through degree ``max_n``.
+    """Assemble the twisted complex over ``Field(p)`` through degree ``max_n``.
 
     Character values are first rescaled to a primitive integer vector (the
     exponents of the deck transformation).  The sign of the facet removing
@@ -260,11 +260,12 @@ class CrossCheckError(AssertionError):
     """The closed-form free rank and the chain-complex free rank disagree."""
 
 
-def cross_check(g: EvenGraph, chi: Character, p: int, n: int, twisted: TwistedComplex,
+def cross_check(g: EvenGraph, chi: Character, n: int, twisted: TwistedComplex,
                 formula: int) -> None:
-    """Compare the link-formula free rank ``formula`` in degree n over
-    characteristic p (see ``Analysis.free_ranks``) with the free rank of the
-    twisted complex of (g, chi), built through degree n + 1.
+    """Compare the link-formula free rank ``formula`` in degree n (see
+    ``Analysis.free_ranks``) with the free rank of the twisted complex of
+    (g, chi), built through degree n + 1; the characteristic p is the
+    complex's own, ``twisted.field.char``.
 
     Torsion factors are not validated against anything: there is no closed
     form for them.  A free-rank mismatch raises :class:`CrossCheckError`
@@ -272,7 +273,7 @@ def cross_check(g: EvenGraph, chi: Character, p: int, n: int, twisted: TwistedCo
     """
     oracle = homology_module(twisted, n).free_rank
     if formula != oracle:
-        instance = f"{describe_graph(g)}; chi={chi!r}; p={p}; n={n}"
+        instance = f"{describe_graph(g)}; chi={chi!r}; p={twisted.field.char}; n={n}"
         raise CrossCheckError(
             f"free-rank mismatch: link formula gives {formula}, "
             f"chain complex gives {oracle} on [{instance}]")

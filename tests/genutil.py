@@ -1,19 +1,23 @@
 """Seeded random instance generators and the small fixed instances shared by
 the suites, character and polynomial helpers that only tests need, matrix
 helpers shared by the Laurent and twisted-complex tests, and plain reference
-versions of the bitmask graph kernels, the flag-complex closure, the twisted
-differential weight and two closed-form criteria."""
+versions of the bitmask graph kernels, the links of cliques, the clique-center
+values, the flag-complex closure, the twisted differential weight and two
+closed-form criteria."""
 
 from __future__ import annotations
 
 import random
 import string
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
-from artinsigma import (Analysis, CenterValues, Character, EvenGraph, Field, LaurentMatrix,
-                        LaurentPoly, SimplicialComplex, validate_fc)
+from artinsigma import (Analysis, Character, EvenGraph, Field, LaurentMatrix, LaurentPoly,
+                        SimplicialComplex, induced_subgraph, is_subgraph, validate_fc)
 from artinsigma import salvetti
-from artinsigma.characters import _check_domain
+from artinsigma.characters import _center_generators, _check_domain
+from artinsigma.graphs import _bits
 
 
 def dihedral(half_label: int) -> tuple[EvenGraph, Character]:
@@ -170,6 +174,46 @@ def enumerate_cliques_scan(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...]
         by_size.append(nxt)
         current = nxt
     return tuple(c for group in by_size for c in group)
+
+
+def link(g_ambient: EvenGraph, gamma1: EvenGraph, delta: Sequence[str]) -> EvenGraph:
+    """Link of the clique ``delta`` taken inside the subgraph ``gamma1``.
+
+    Adjacency to ``delta`` is tested in the ambient graph; the returned graph
+    is the subgraph of ``gamma1`` induced on the adjacent vertices.  The link
+    of the empty clique is ``gamma1`` itself.
+    """
+    if not is_subgraph(gamma1, g_ambient):
+        raise ValueError("gamma1 is not a subgraph of the ambient graph")
+    if not g_ambient.is_clique(delta):
+        raise ValueError(f"{tuple(delta)} is not a clique of the ambient graph")
+    return induced_subgraph(gamma1, [v for v in gamma1.vertices
+                                     if all(g_ambient.has_edge(u, v) for u in delta)])
+
+
+@dataclass(frozen=True)
+class CenterValues:
+    """Character values on the standard generators of a clique subgroup's
+    center (see ``characters._center_generators``)."""
+
+    entries: tuple[tuple[str, Fraction], ...]
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(x for _, x in self.entries)
+
+
+def center_values(g: EvenGraph, chi: Character, delta: Iterable[str]) -> CenterValues:
+    _check_domain(g, chi)
+    delta = g.sort_vertices(delta)
+    if not g.is_clique(delta):
+        raise ValueError(f"{tuple(delta)} is not a clique")
+    vs = g.vertices
+    pairs, leftover = _center_generators(g, g.vertex_mask(delta))
+    entries = [(f"({vs[i]}{vs[j]})^{half}", half * chi.edge_value(vs[i], vs[j]))
+               for i, j, half in pairs]
+    entries.extend((vs[i], chi.value(vs[i])) for i in _bits(leftover))
+    return CenterValues(tuple(entries))
 
 
 def center_values_pairwise(g: EvenGraph, chi: Character, delta) -> CenterValues:

@@ -110,7 +110,7 @@ def test_criterion_5_d4d4(d4d4):
     oracle = homology_module(complex_, 2)
     assert ranks[2] == 1 == oracle.free_rank
     assert any(ranks)
-    cross_check(g, chi, 2, 2, complex_, ranks[2])
+    cross_check(g, chi, 2, complex_, ranks[2])
     print("ACCEPTANCE 5 PASS: d4xd4 fails the 2-2 condition, free rank 1 from both "
           "routes, degree-2 homology infinite dimensional in characteristic 2")
 
@@ -128,7 +128,7 @@ def test_criterion_6_oracle_equivalence():
             complex_ = build_salvetti_complex(g, chi, p, max_n=5)
             ranks = ctx.free_ranks(p, 4)
             for n in range(5):
-                cross_check(g, chi, p, n, complex_, ranks[n])
+                cross_check(g, chi, n, complex_, ranks[n])
                 checks += 1
     assert graphs >= 200 and checks >= 200
     print(f"ACCEPTANCE 6 PASS: link-formula free rank == chain-complex free rank on "

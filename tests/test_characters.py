@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from artinsigma import (Analysis, Character, CharacterError, center_values, character_from_dict,
-                        classify, is_dominating)
+from artinsigma import (Analysis, Character, CharacterError, character_from_dict, classify,
+                        is_dominating)
 from artinsigma.graphs import EvenGraph
 from artinsigma.homology import enumerate_cliques
 
-from genutil import (center_values_pairwise, dead_cliques, dihedral, random_character,
-                     random_even_fc_graph, scaled_character)
+from genutil import (center_values, center_values_pairwise, dead_cliques, dihedral,
+                     random_character, random_even_fc_graph, scaled_character)
 
 
 def test_classify_example1(example1):

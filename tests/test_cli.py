@@ -273,6 +273,20 @@ def test_strong_pseudoprime_and_undecidable_characteristics_rejected(dihedral4_p
     assert text.startswith("error: --p must be")
 
 
+@pytest.mark.parametrize("p, line", [
+    ("6", "error: --p must be 0 or a prime, got 6\n"),
+    ("-3", "error: --p must be 0 or a prime, got -3\n"),
+    ("3317044064679887385961981",
+     "error: --p must be below 3317044064679887385961981, where primality is decided "
+     "exactly, got 3317044064679887385961981\n"),
+])
+@pytest.mark.parametrize("command", ["links", "check", "homology"])
+def test_bad_characteristic_error_lines(dihedral4_path, command, p, line):
+    code, report, text = run_cli([command, "--n", "1", "--p", p, dihedral4_path])
+    assert code == EXIT_INVALID and report is None
+    assert text == line
+
+
 def test_module_entry_point_runs_validate():
     demo = Path(__file__).resolve().parent.parent / "demos" / "instances" / "example1.json"
     src = Path(__file__).resolve().parent.parent / "src"

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from artinsigma import (Analysis, Character, ConditionReport, EvenGraph,
-                        ZeroCharacterError, center_values, enumerate_cliques, is_connected,
-                        is_dominating)
+from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, ZeroCharacterError,
+                        enumerate_cliques, is_connected, is_dominating)
 
-from genutil import (dihedral, finite_dimensional_through, random_character,
+from genutil import (center_values, dihedral, finite_dimensional_through, random_character,
                      random_even_fc_graph, random_raag)
 
 

@@ -7,12 +7,12 @@ from operator import attrgetter
 import pytest
 
 from artinsigma import (Analysis, EvenGraph, Field, LaurentMatrix, LaurentPoly, enumerate_cliques,
-                        flag_complex, has_cone_vertex, laurent_divmod, link, reduced_homology,
+                        flag_complex, has_cone_vertex, laurent_divmod, reduced_homology,
                         smith_normal_form)
 from artinsigma.homology import (PRIME_BOUND, _boundary, _smith_diagonal,
                                  integer_invariant_factors, is_prime, prime_factors)
 
-from genutil import closed_complex, enumerate_cliques_scan, random_even_fc_graph
+from genutil import closed_complex, enumerate_cliques_scan, link, random_even_fc_graph
 
 
 def boundary_matrices(c, max_degree):
@@ -358,28 +358,28 @@ def test_integer_and_laurent_smith_forms_agree_on_ranks():
 def test_homology_square_circle():
     g = EvenGraph(["a", "b", "c", "d"],
                   [("a", "b", 2), ("b", "c", 2), ("c", "d", 2), ("a", "d", 2)])
-    profile = reduced_homology(flag_complex(g), "Z", 2)
+    profile = reduced_homology(flag_complex(g), None, 2)
     assert profile.betti_at(0) == 0 and profile.betti_at(1) == 1 and profile.betti_at(2) == 0
     assert not profile.torsion[1]
 
 
 def test_homology_two_points():
     g = EvenGraph(["a", "b"])
-    for coeffs in ("Z", 0, 2, 3):
+    for coeffs in (None, 0, 2, 3):
         profile = reduced_homology(flag_complex(g), coeffs, 1)
         assert profile.betti_at(-1) == 0
         assert profile.betti_at(0) == 1
 
 
 def test_homology_empty_complex():
-    profile = reduced_homology(flag_complex(EvenGraph([])), "Z", 0)
+    profile = reduced_homology(flag_complex(EvenGraph([])), None, 0)
     assert profile.betti_at(-1) == 1 and profile.betti_at(0) == 0
 
 
 def test_homology_torsion_projective_plane():
     # textbook: H0 = 0, H1 = Z/2 reduced
     c = closed_complex("123456", [tuple(f) for f in RP2_TRIANGLES])
-    z = reduced_homology(c, "Z", 2)
+    z = reduced_homology(c, None, 2)
     assert z.betti_at(0) == 0 and z.betti_at(1) == 0 and z.betti_at(2) == 0
     assert z.torsion[1] == (2,)
     q = reduced_homology(c, 0, 2)
@@ -396,7 +396,7 @@ def test_field_betti_match_integer_betti_without_torsion():
         g = random_even_fc_graph(rng, max_vertices=6)
         c = flag_complex(g)
         top = max(c.dimension, 0)
-        z = reduced_homology(c, "Z", top)
+        z = reduced_homology(c, None, top)
         if any(z.torsion[d] for d in z.torsion):
             continue
         for p in (0, 2, 3, 5):
@@ -412,8 +412,8 @@ def test_homology_invariant_under_vertex_relabeling():
         rng.shuffle(perm)
         g2 = EvenGraph(perm, [(u, v, l) for (u, v), l in g.edge_items()])
         top = max(flag_complex(g).dimension, 0)
-        a = reduced_homology(flag_complex(g), "Z", top)
-        b = reduced_homology(flag_complex(g2), "Z", top)
+        a = reduced_homology(flag_complex(g), None, top)
+        b = reduced_homology(flag_complex(g2), None, top)
         assert a.betti == b.betti and a.torsion == b.torsion
 
 
@@ -432,18 +432,18 @@ def test_cone_implies_acyclic():
         assert has_cone_vertex(coned)
         c = flag_complex(coned)
         for d in range(-1, c.dimension + 1):
-            assert is_d_acyclic(c, d, "Z")
+            assert is_d_acyclic(c, d, None)
         found += 1
     assert found
 
 
 def test_is_d_acyclic_degenerate_degrees(example1):
     empty = flag_complex(EvenGraph([]))
-    assert not is_d_acyclic(empty, -1, "Z")
-    assert is_d_acyclic(empty, -2, "Z")
+    assert not is_d_acyclic(empty, -1, None)
+    assert is_d_acyclic(empty, -2, None)
     g, chi = example1
     path = Analysis(g, chi).living()
-    assert is_d_acyclic(flag_complex(path), 0, "Z")
+    assert is_d_acyclic(flag_complex(path), 0, None)
 
 
 def test_has_cone_vertex():

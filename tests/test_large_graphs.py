@@ -29,11 +29,11 @@ from pathlib import Path
 import pytest
 
 from artinsigma import (Analysis, EvenGraph, TooManyCliques, character_to_dict,
-                        enumerate_cliques, graph_to_dict, link)
+                        enumerate_cliques, graph_to_dict)
 from artinsigma import conditions, graphs, homology
 from artinsigma.cli import run
 
-from genutil import alternating_complete_graph, random_character, random_even_fc_graph
+from genutil import alternating_complete_graph, link, random_character, random_even_fc_graph
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "large_graph_digests.json"
 COMMANDS = ((30, ("verdict", "--n", "4")), (30, ("links", "--n", "3")),
@@ -106,7 +106,7 @@ def test_complete_graph_builds_and_describes_its_one_link_once(monkeypatch, argv
 
 
 def test_one_link_graph_per_distinct_mask(monkeypatch):
-    # the links of every mode, against the public link() of each dead clique;
+    # the links of every mode, against the reference link() of each dead clique;
     # modes that remove the same dead edges share one living subgraph object
     built, _ = _count_link_work(monkeypatch)
     rng = random.Random(71)

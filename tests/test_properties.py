@@ -6,12 +6,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinsigma import (Analysis, build_salvetti_complex, center_values, classify, cross_check,
-                        flag_complex, fp_verdict, homotopic_sigma_verdict, sigma_verdict)
+from artinsigma import (Analysis, build_salvetti_complex, classify, cross_check, flag_complex,
+                        fp_verdict, homotopic_sigma_verdict, sigma_verdict)
 from artinsigma.homology import _boundary, enumerate_cliques
 
-from genutil import (dead_cliques, matrix_is_zero, matrix_product, negated_character,
-                     random_character, random_even_fc_graph, scaled_character)
+from genutil import (center_values, dead_cliques, matrix_is_zero, matrix_product,
+                     negated_character, random_character, random_even_fc_graph,
+                     scaled_character)
 
 
 def test_boundary_composites_vanish_simplicial():
@@ -147,7 +148,7 @@ def test_all_label_2_cross_check_characteristic_zero():
         complex_ = build_salvetti_complex(g, chi, 0, max_n=4)
         ranks = Analysis(g, chi).free_ranks(0, 3)
         for n in range(4):
-            cross_check(g, chi, 0, n, complex_, ranks[n])
+            cross_check(g, chi, n, complex_, ranks[n])
 
 
 def test_salvetti_specialization_rank_probe():

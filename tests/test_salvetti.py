@@ -253,7 +253,7 @@ def test_cross_check_named_instances(d4d6, d4d4):
         formula = Analysis(g, chi).free_ranks(2, n)[n]
         twisted = build_salvetti_complex(g, chi, 2, max_n=n + 1)
         assert formula == rank == homology_module(twisted, n).free_rank
-        cross_check(g, chi, 2, n, twisted, formula)
+        cross_check(g, chi, n, twisted, formula)
 
 
 def test_cross_check_error_reporting(d4d4):
@@ -261,7 +261,7 @@ def test_cross_check_error_reporting(d4d4):
     twisted = build_salvetti_complex(g, chi, 2, max_n=3)
     with pytest.raises(CrossCheckError,
                        match=r"link formula gives 99, chain complex gives 1 on \[.*; p=2; n=2\]"):
-        cross_check(g, chi, 2, 2, twisted, 99)
+        cross_check(g, chi, 2, twisted, 99)
 
 
 def test_scale_invariance_of_free_rank():
