@@ -34,7 +34,12 @@ def main() -> None:
     g = EvenGraph(["v", "w"], [("v", "w", 4)])
     chi = Character({"v": 1, "w": -1})
     twisted = build_salvetti_complex(g, chi, 2, max_n=2)
-    print(json.dumps(twisted.to_dict()["differentials"], indent=2, sort_keys=True))
+    dump = {}
+    for n in range(1, twisted.max_degree + 1):
+        d = twisted.differential(n)
+        dump[str(n)] = {"rows": d.nrows, "cols": d.ncols,
+                        "entries": [[e.to_dict() for e in row] for row in d.entries]}
+    print(json.dumps(dump, indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

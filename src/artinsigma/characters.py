@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import EvenGraph, _bits
 from .homology import prime_factors
@@ -60,7 +60,7 @@ class Character:
         of its image, so values are cleared of denominators and divided by
         their gcd.  The zero character maps to all zeros.
         """
-        denom = lcm(*(x.denominator for x in self.values.values())) if self.values else 1
+        denom = lcm(*[x.denominator for x in self.values.values()]) if self.values else 1
         ints = {v: int(x * denom) for v, x in self.values.items()}
         g = gcd(*ints.values()) if ints else 0
         if g == 0:
@@ -142,32 +142,40 @@ def classify(g: EvenGraph, chi: Character) -> Classification:
     )
 
 
-def _center_generators(g: EvenGraph, members: int) -> tuple[list[tuple[int, int, int]], int]:
-    """The standard generators of the center of the clique subgroup on the
-    vertex mask ``members``: the label > 2 pairs as (i, j, half label) with
-    i < j, in the order of i and then j, and the mask of the leftover
-    vertices.  A clique of an even FC graph generates a direct product of
-    one dihedral group per label > 2 edge and one infinite cyclic group per
-    leftover vertex; the center is generated by (uv)^l for each such edge
-    (value l * (m_u + m_v)) and by each leftover vertex (value m_v).  Every
-    pair of the clique is visited, so a vertex on two labels > 2 (FC
-    violated) or an odd label raises ValueError wherever it is."""
+def _center_states(g: EvenGraph, values: Sequence[int], cliques: Iterable[int]):
+    """The center of the clique subgroup on each vertex mask of ``cliques``,
+    in turn, as (the mask of the clique's vertices on label > 2 edges, whether
+    m_u + m_v = 0 on each of those edges), m being the integer ``values``.
+    A clique of an even FC graph generates a direct product of one dihedral
+    group per label > 2 edge and one infinite cyclic group per leftover
+    vertex, so its center is generated by (uv)^l per such edge (value
+    l * (m_u + m_v)) and by the leftover vertices (value m_v).
+
+    A clique's state is its parent's (the clique without its highest vertex,
+    which comes earlier, as in :func:`artinsigma.homology._cliques`) plus the
+    edges of the highest vertex.  A vertex on two labels > 2 (FC violated)
+    or an odd label raises ValueError on the first clique that holds it.
+    """
     big, vs = g.big_partner_masks, g.vertices
-    on_big_edge = 0
-    pairs = []
-    for i in _bits(members):
-        # the label > 2 partners of vertex i after it in the clique
-        later = big[i] & members >> (i + 1) << (i + 1)
-        if not later:
-            continue
-        for j in _bits(later):
-            if (on_big_edge >> i | on_big_edge >> j) & 1:
-                clique = tuple(vs[k] for k in _bits(members))
-                raise ValueError(
-                    f"clique {clique} has a vertex on two labels > 2 (FC violated)")
-            on_big_edge |= 1 << i | 1 << j
-            pairs.append((i, j, g.half_label(vs[i], vs[j])))
-    return pairs, members & ~on_big_edge
+    plain = (0, True)
+    states = {}     # kept for the cliques with a label > 2 edge; the rest are plain
+    for members in cliques:
+        state = plain
+        if members:
+            top = members.bit_length() - 1
+            parent = members ^ 1 << top
+            on_big, vanish = states.get(parent, plain)
+            for j in _bits(big[top] & parent):
+                if (on_big >> j | on_big >> top) & 1:
+                    clique = tuple([vs[k] for k in _bits(members)])
+                    raise ValueError(
+                        f"clique {clique} has a vertex on two labels > 2 (FC violated)")
+                on_big |= 1 << j | 1 << top
+                g.half_label(vs[j], vs[top])     # raises on an odd label
+                vanish = vanish and values[j] + values[top] == 0
+            if on_big:
+                state = states[members] = on_big, vanish
+        yield state
 
 
 def is_dominating(g: EvenGraph, sub: EvenGraph) -> bool:

@@ -154,7 +154,7 @@ def _cmd_links(g, chi, args) -> tuple[int, dict]:
         entries.append({
             "clique": list(clique),
             "required_degree": d,
-            "link": describe_graph(lk),
+            "link": lk.description,
             "betti": {str(j): profile.betti_at(j) for j in range(-1, d + 1)},
             "torsion": {str(j): list(profile.torsion.get(j, ())) for j in range(-1, d + 1)},
         })
@@ -299,10 +299,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: a parser per command cost about 1 ms and left
+# cyclic garbage behind.  Parsing keeps no state between calls.
+_PARSER = _build_parser()
+
+
 def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
     """Run one command; returns (exit code, report dict)."""
     out = out if out is not None else sys.stdout
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         g, chi, name = load_instance(args.instance)
@@ -338,11 +343,7 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
     except (OracleTooLarge, TooManyCliques) as exc:
         out.write(f"error: {exc}\n")
         return EXIT_INVALID, None
-    params = {}
-    if hasattr(args, "n"):
-        params["n"] = args.n
-    if hasattr(args, "p"):
-        params["p"] = args.p
+    params = {k: getattr(args, k) for k in ("n", "p") if hasattr(args, k)}
     if getattr(args, "oracle", False):
         params["oracle"] = True
     report = {

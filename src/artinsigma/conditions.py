@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .characters import Character, _center_generators, classify
-from .graphs import EvenGraph, _bits, describe_graph, induced_subgraph, is_connected, is_subgraph
+from .characters import Character, _center_states, classify
+from .graphs import (EvenGraph, MaskGraph, _bits, induced_subgraph, is_connected, is_subgraph,
+                     mask_subgraph)
 from .homology import (HomologyProfile, SimplicialComplex, _cliques, _link_mask, _require_field,
                        coeffs_label, flag_complex, has_cone_vertex, reduced_homology, strong_core)
 
@@ -65,8 +66,8 @@ def _first_nonvanishing(profile: HomologyProfile, d: int) -> int | None:
     return None
 
 
-def _acyclicity_witness(clique, d: int, lk: EvenGraph, homology) -> LinkWitness:
-    desc = describe_graph(lk)
+def _acyclicity_witness(clique, d: int, lk: MaskGraph, homology) -> LinkWitness:
+    desc = lk.description
     if d <= -2:
         return LinkWitness(clique, d, desc, "ok", None, "vacuous")
     if has_cone_vertex(lk):
@@ -85,35 +86,42 @@ class Analysis:
     dead edges), ``0`` (none) or a prime p (the p-dead edges).  The
     classification is made on construction; the clique enumeration (as
     vertex masks), each mode's living subgraph and dead cliques, each
-    distinct link (one graph per vertex mask), its strong-collapse core and
-    the core's flag complex, which keeps the integer Smith forms that serve
-    Z, Q and every F_p, are built on first use and kept.  Links whose cores
-    are one graph share one complex.
+    distinct link (one :class:`MaskGraph` per vertex mask, with its
+    description), its strong-collapse core and the core's flag complex,
+    which keeps the integer Smith forms that serve Z, Q and every F_p, are
+    built on first use and kept.  Links whose cores are one graph share one
+    complex.
     """
 
     def __init__(self, g: EvenGraph, chi: Character):
         self.g = g
         self.chi = chi
         self.classification = classify(g, chi)   # checks the domain
-        # the center re-check reads the values on their own (see _center_killed)
+        # the center re-check reads the values on their own, made primitive
+        # integers (a positive rescaling keeps every zero)
         ints = chi.primitive_integer_values()
         self._values = [ints[v] for v in g.vertices]
-        self._zero_values = g.vertex_mask(v for v in g.vertices if not ints[v])
+        self._nonzero_values = g.vertex_mask(v for v in g.vertices if ints[v])
         self._dead_vertices = g.vertex_mask(self.classification.dead_vertices)
         self._cliques: dict[int, list[int]] = {}
-        # keyed by the dead edges a mode removes, so modes that agree share them
+        # keyed by the edges a mode removes (see _edges), so modes that agree share them
         self._living: dict[frozenset, EvenGraph] = {}
         self._adjacency: dict[frozenset, list[int]] = {}
-        self._dead: dict[tuple[frozenset, int], list[tuple[tuple[str, ...], EvenGraph, int]]] = {}
-        self._links: dict[frozenset, dict[int, EvenGraph]] = {}
+        self._dead: dict[tuple[frozenset, int], list[tuple[tuple[str, ...], MaskGraph, int]]] = {}
+        self._links: dict[frozenset, dict[int, MaskGraph]] = {}
         self._cores: dict[tuple[frozenset, int], tuple[int, ...]] = {}
         self._complexes: dict[tuple[int, ...], SimplicialComplex] = {}
 
     def _edges(self, p: int | None) -> frozenset[tuple[str, str]]:
+        """The key of mode ``p``: the dead edges its living subgraph removes.
+        A dead edge has both endpoints dead or both alive, so the living
+        subgraph and dead cliques of a mode depend on its key alone, and two
+        modes have one living subgraph exactly when their keys agree."""
         coeffs_label(p)
-        if p is None:
-            return self.classification.dead_edges
-        return self.classification.p_dead_edges.get(p, frozenset())
+        cls = self.classification
+        edges = cls.dead_edges if p is None else cls.p_dead_edges.get(p, frozenset())
+        dead = cls.dead_vertices
+        return frozenset([e for e in edges if e[0] not in dead and e[1] not in dead])
 
     def living(self, p: int | None = None) -> EvenGraph:
         """Living subgraph of mode ``p``.
@@ -127,14 +135,12 @@ class Analysis:
         if edges not in self._living:
             g = self.g
             dead = self.classification.dead_vertices
-            keep = [v for v in g.vertices if v not in dead]
-            drop = [e for e in edges if e[0] not in dead and e[1] not in dead]
-            living = induced_subgraph(g, keep, drop)
+            living = induced_subgraph(g, [v for v in g.vertices if v not in dead], edges)
             # every link of the mode is taken in it (see _select)
             if not is_subgraph(living, g):
                 raise RuntimeError("living subgraph is not a subgraph of the graph")
             self._living[edges] = living
-            # its neighbour masks in the vertex positions of g, for the cores
+            # its neighbour masks in the vertex positions of g, for the links and cores
             at = [g.index(v) for v in living.vertices]
             adjacency = [0] * len(g.vertices)
             for k, m in enumerate(living.neighbor_masks):
@@ -144,10 +150,11 @@ class Analysis:
 
     def links(self, n: int, p: int | None = None, coeffs: int | None = None):
         """Each dead clique D of mode ``p`` with |D| <= n, as a tuple (D,
-        required degree n - 1 - |D|, link of D in the living subgraph,
-        homology), where ``homology()`` is the reduced homology of the link's
-        flag complex over ``coeffs`` through the required degree.  Both ``p``
-        and ``coeffs`` are checked by :func:`coeffs_label` at the first step.
+        required degree n - 1 - |D|, link of D in the living subgraph as a
+        :class:`MaskGraph`, homology), where ``homology()`` is the reduced
+        homology of the link's flag complex over ``coeffs`` through the
+        required degree.  Both ``p`` and ``coeffs`` are checked by
+        :func:`coeffs_label` at the first step.
 
         A clique, the empty one included, is dead when each of its vertices
         is dead or lies on a dead edge of the clique; with ``p`` given, "dead
@@ -158,20 +165,23 @@ class Analysis:
         mismatch raises.
         """
         coeffs_label(coeffs)
-        living, edges = self.living(p), self._edges(p)
+        self.living(p)      # builds the neighbour masks that _select reads
+        edges = self._edges(p)
         if (edges, n) not in self._dead:
             if n not in self._cliques:
                 g = self.g
                 self._cliques[n] = _cliques(g.neighbor_masks, (1 << len(g.vertices)) - 1, n)
-            self._dead[edges, n] = list(self._select(edges, living, self._cliques[n]))
+            self._dead[edges, n] = list(self._select(edges, self._cliques[n]))
         for clique, lk, mask in self._dead[edges, n]:
             d = n - 1 - len(clique)
             yield clique, d, lk, partial(self._homology, edges, mask, coeffs, d)
 
-    def _select(self, edges: frozenset, living: EvenGraph, cliques: list[int]):
+    def _select(self, edges: frozenset, cliques: list[int]):
         """(clique, link, link mask) for each clique, given by its vertex
         mask, whose every vertex is dead or on an edge of ``edges`` inside it
-        (the dead cliques of :meth:`links`)."""
+        (the dead cliques of :meth:`links`).  In the global mode each
+        clique's selection is checked against its center (see
+        :func:`_center_states`), carried along the walk."""
         g = self.g
         vs, dead = g.vertices, self._dead_vertices
         partners = [0] * len(vs)   # bit j of partners[i]: edge {i, j} in edges
@@ -181,32 +191,26 @@ class Analysis:
             partners[i] |= 1 << j
             partners[j] |= 1 << i
             on_edges |= 1 << i | 1 << j
-        living_mask = g.vertex_mask(living.vertices)
+        adjacency = self._adjacency[edges]
+        living_mask = (1 << len(vs)) - 1 & ~dead
         links = self._links.setdefault(edges, {})
-        check_center = edges == self.classification.dead_edges
+        states = _center_states(g, self._values, cliques) if edges == self._edges(None) else None
         for members in cliques:
             alive = members & ~dead
             # a living vertex on no edge of ``edges`` rules the clique out at once
             selected = not alive & ~on_edges and all(partners[i] & members for i in _bits(alive))
-            if check_center and selected != self._center_killed(members):
-                clique = tuple(vs[i] for i in _bits(members))
-                raise RuntimeError(
-                    f"dead-clique/center mismatch on {clique}: "
-                    f"combinatorial={selected}, center-kill={not selected}")
+            if states is not None:
+                on_big, vanish = next(states)
+                if selected != (vanish and not members & ~on_big & self._nonzero_values):
+                    clique = tuple([vs[i] for i in _bits(members)])
+                    raise RuntimeError(
+                        f"dead-clique/center mismatch on {clique}: "
+                        f"combinatorial={selected}, center-kill={not selected}")
             if selected:
                 mask = _link_mask(g, living_mask, members)
                 if mask not in links:
-                    links[mask] = induced_subgraph(living, [vs[i] for i in _bits(mask)])
+                    links[mask] = mask_subgraph(g, adjacency, mask)
                 yield tuple([vs[i] for i in _bits(members)]), links[mask], mask
-
-    def _center_killed(self, members: int) -> bool:
-        """Whether chi kills the center of the clique subgroup on the vertex
-        mask ``members``: read from the values and labels, independently of
-        the classification, on the primitive integer values (a positive
-        rescaling keeps every zero)."""
-        pairs, leftover = _center_generators(self.g, members)
-        m = self._values
-        return not leftover & ~self._zero_values and all(m[i] + m[j] == 0 for i, j, _ in pairs)
 
     def _homology(self, edges: frozenset, mask: int, coeffs, d: int) -> HomologyProfile:
         """Reduced homology of the flag complex of the link on ``mask`` in
@@ -225,7 +229,7 @@ class Analysis:
 
     def _link_condition(self, n: int, p: int | None, coeffs) -> ConditionReport:
         _require_nonzero(self.chi)
-        witnesses = tuple(_acyclicity_witness(*entry) for entry in self.links(n, p, coeffs))
+        witnesses = tuple([_acyclicity_witness(*entry) for entry in self.links(n, p, coeffs)])
         holds = all(w.status == "ok" for w in witnesses)
         mode = "dead" if p is None else f"{p}-dead"
         return ConditionReport(holds, n, coeffs_label(coeffs), mode, "homological", witnesses)
@@ -257,37 +261,16 @@ class Analysis:
                     w = replace(w, status="unknown")
             elif d == -1:
                 ok = bool(lk.vertices)
-                w = LinkWitness(clique, d, describe_graph(lk), "ok" if ok else "fail",
+                w = LinkWitness(clique, d, lk.description, "ok" if ok else "fail",
                                 None if ok else -1, "nonempty")
             else:
                 ok = is_connected(lk)
-                w = LinkWitness(clique, d, describe_graph(lk), "ok" if ok else "fail",
+                w = LinkWitness(clique, d, lk.description, "ok" if ok else "fail",
                                 None if ok else (0 if lk.vertices else -1), "connectivity")
             witnesses.append(w)
-        if any(w.status == "fail" for w in witnesses):
-            holds = False
-        elif all(w.status == "ok" for w in witnesses):
-            holds = True
-        else:
-            holds = None
+        statuses = {w.status for w in witnesses}
+        holds = False if "fail" in statuses else None if "unknown" in statuses else True
         return ConditionReport(holds, n, "Z", "dead", "homotopic", tuple(witnesses))
-
-    def raag_n_link(self, n: int) -> ConditionReport:
-        """n-link condition for the all-labels-2 case.
-
-        For these groups the condition ranges over cliques of dead vertices
-        and links in the vertex-living subgraph; it must coincide with the
-        strong n-link condition, which is re-verified on every call.
-        """
-        if any(label != 2 for _, label in self.g.edge_items()):
-            raise ValueError("the n-link condition in this form needs all labels equal to 2")
-        report = replace(self._link_condition(n, 0, None), mode="dead-vertices")
-        strong = self.strong_n_link(n)
-        if strong.holds is not report.holds:
-            raise RuntimeError(
-                f"n-link condition ({report.holds}) disagrees with the strong condition "
-                f"({strong.holds}) on an all-labels-2 graph")
-        return report
 
     def free_ranks(self, p: int, n: int) -> list[int]:
         """Free ranks of the kernel homology over F[t, t^-1], F of

@@ -12,7 +12,7 @@ downstream, so all outputs are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -67,7 +67,6 @@ class EvenGraph:
         self._edges = tuple(sorted(labels, key=lambda e: (index[e[0]], index[e[1]])))
         self.neighbor_masks: tuple[int, ...] = tuple(nbr)
         self.big_partner_masks: tuple[int, ...] = tuple(big)
-        self._description: str | None = None   # see describe_graph
 
     # -- basic queries ----------------------------------------------------
 
@@ -100,17 +99,14 @@ class EvenGraph:
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         """The neighbours of v in the vertex order."""
-        return tuple(self.vertices[j] for j in _bits(self.neighbor_masks[self._index[v]]))
+        return tuple([self.vertices[j] for j in _bits(self.neighbor_masks[self._index[v]])])
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges as canonical pairs, sorted by vertex order."""
         return self._edges
 
     def edge_items(self) -> tuple[tuple[tuple[str, str], int], ...]:
-        return tuple((e, self._labels[e]) for e in self.edges())
-
-    def num_edges(self) -> int:
-        return len(self._labels)
+        return tuple([(e, self._labels[e]) for e in self.edges()])
 
     def vertex_mask(self, vs: Iterable[str]) -> int:
         """Bit mask of the given vertices in the vertex order."""
@@ -209,7 +205,7 @@ def validate_fc(g: EvenGraph) -> ValidationReport:
             if (big[i] >> j & 1) + (big[i] >> k & 1) + (big[j] >> k & 1) < 2:
                 continue
             w = g.vertices[k]
-            edges = tuple(e for e in ((u, v), (u, w), (v, w)) if g.label(*e) > 2)
+            edges = tuple([e for e in ((u, v), (u, w), (v, w)) if g.label(*e) > 2])
             violations.append(Finding(f"triangle {u},{v},{w} carries {len(edges)} labels > 2",
                                       vertices=(u, v, w), edges=edges))
     return _report(violations)
@@ -255,37 +251,65 @@ def is_subgraph(g1: EvenGraph, g2: EvenGraph) -> bool:
     return True
 
 
-def is_connected(g: EvenGraph) -> bool:
+class MaskGraph(NamedTuple):
+    """A graph as vertex names, their neighbour masks (bit t standing for the
+    t-th name) and its description, the form in which links are yielded; it
+    is read as an :class:`EvenGraph` is, by the functions that read masks."""
+
+    vertices: tuple[str, ...]
+    neighbor_masks: tuple[int, ...]
+    description: str
+
+
+def mask_subgraph(g: EvenGraph, adjacency: Sequence[int], mask: int) -> MaskGraph:
+    """The subgraph on the vertex mask ``mask`` of the subgraph of ``g`` with
+    neighbour masks ``adjacency`` (in the positions of g), described as
+    :func:`describe_graph` describes it as an :class:`EvenGraph`."""
+    vs, labels = g.vertices, g._labels
+    positions = _bits(mask)
+    edges = []
+    for i in positions:
+        for j in _bits(adjacency[i] & mask >> (i + 1) << (i + 1)):
+            edges.append(f"{vs[i]}-{vs[j]}:{labels[vs[i], vs[j]]}")
+    names = [vs[i] for i in positions]
+    return MaskGraph(tuple(names), _renumbered(adjacency, mask), _describe(names, edges))
+
+
+def _renumbered(nbr: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The neighbour masks ``nbr`` of the vertices on ``mask``, restricted to
+    it and renumbered 0, 1, ... in vertex order."""
+    positions = _bits(mask)
+    rank = {i: t for t, i in enumerate(positions)}
+    return tuple([sum(1 << rank[j] for j in _bits(nbr[i] & mask)) for i in positions])
+
+
+def is_connected(g: EvenGraph | MaskGraph) -> bool:
     """Graph connectivity; the empty graph counts as disconnected."""
     if not g.vertices:
         return False
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
+    seen, stack = 1, [0]
     while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
+        new = g.neighbor_masks[stack.pop()] & ~seen
+        seen |= new
+        stack.extend(_bits(new))
+    return seen == (1 << len(g.vertices)) - 1
 
 
-def describe_graph(g: EvenGraph) -> str:
-    """One-line deterministic rendering used in reports and witnesses, made
-    once per graph and kept on it."""
-    if g._description is None:
-        g._description = _describe(g)
-    return g._description
+def describe_graph(g: EvenGraph | MaskGraph) -> str:
+    """One-line deterministic rendering used in reports and witnesses; a
+    :class:`MaskGraph` carries its own."""
+    if isinstance(g, MaskGraph):
+        return g.description
+    return _describe(g.vertices, [f"{u}-{v}:{l}" for (u, v), l in g.edge_items()])
 
 
-def _describe(g: EvenGraph) -> str:
-    if not g.vertices:
+def _describe(vertices: Sequence[str], edges: list[str]) -> str:
+    if not vertices:
         return "empty graph"
-    vs = ",".join(g.vertices)
-    if not g.num_edges():
+    vs = ",".join(vertices)
+    if not edges:
         return f"vertices {vs}; no edges"
-    es = " ".join(f"{u}-{v}:{l}" for (u, v), l in g.edge_items())
-    return f"vertices {vs}; edges {es}"
+    return f"vertices {vs}; edges {' '.join(edges)}"
 
 
 def graph_from_dict(doc: Mapping) -> EvenGraph:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .graphs import EvenGraph, _bits
+from .graphs import EvenGraph, MaskGraph, _bits, _renumbered
 
 
 def prime_factors(n: int) -> set[int]:
@@ -179,7 +179,7 @@ def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, members: int) -> int:
     keep = gamma1_mask
     for i in _bits(members):
         if members & ~nbr[i] != 1 << i:
-            clique = tuple(g_ambient.vertices[k] for k in _bits(members))
+            clique = tuple([g_ambient.vertices[k] for k in _bits(members)])
             raise ValueError(f"{clique} is not a clique of the ambient graph")
         keep &= nbr[i]
     return keep
@@ -220,10 +220,7 @@ def strong_core(vs: Sequence[str], nbr: Sequence[int], mask: int) -> CoreGraph:
                     mask ^= 1 << v
                     changed = True
                     break
-    positions = _bits(mask)
-    rank = {i: t for t, i in enumerate(positions)}
-    return CoreGraph(tuple(vs[i] for i in positions),
-                     tuple(sum(1 << rank[j] for j in _bits(nbr[i] & mask)) for i in positions))
+    return CoreGraph(tuple([vs[i] for i in _bits(mask)]), _renumbered(nbr, mask))
 
 
 class SimplicialComplex:
@@ -491,11 +488,11 @@ def reduced_homology(c: SimplicialComplex, p: int | None, max_degree: int) -> Ho
         rank_in = _rank_from_factors(factors[d + 1], p)
         rank_out = _rank_from_factors(factors[d], p) if d >= 0 else 0
         betti[d] = c.chain_rank(d) - rank_out - rank_in
-        torsion[d] = tuple(f for f in factors[d + 1] if f > 1) if p is None else ()
+        torsion[d] = tuple([f for f in factors[d + 1] if f > 1]) if p is None else ()
     return HomologyProfile(label, max_degree, betti, torsion)
 
 
-def has_cone_vertex(g: EvenGraph | CoreGraph) -> bool:
+def has_cone_vertex(g: EvenGraph | CoreGraph | MaskGraph) -> bool:
     """A vertex adjacent to every other one cones off the flag complex,
     which is then contractible (hence acyclic over every coefficient ring)."""
     if not g.vertices:

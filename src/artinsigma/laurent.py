@@ -305,7 +305,7 @@ class LaurentMatrix:
 
     def __init__(self, field: Field, nrows: int, ncols: int,
                  entries: Sequence[Sequence[LaurentPoly]]):
-        entries = tuple(tuple(row) for row in entries)
+        entries = tuple([tuple(row) for row in entries])
         if len(entries) != nrows or any(len(row) != ncols for row in entries):
             raise ValueError("entry grid does not match the stated dimensions")
         self.field = field
@@ -317,13 +317,6 @@ class LaurentMatrix:
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "LaurentMatrix":
         z = LaurentPoly.zero(field)
         return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.nrows,
-            "cols": self.ncols,
-            "entries": [[e.to_dict() for e in row] for row in self.entries],
-        }
 
 
 _size = attrgetter("size")
@@ -374,4 +367,4 @@ def _divisibility_chain(field: Field, diagonal: list[LaurentPoly]) -> tuple[Laur
         mult[laurent_divmod(a * b, g)[0].monic_offset0()] += k
     one = LaurentPoly.one(field)
     units = len(diagonal) - sum(mult.values())
-    return (one,) * units + tuple(d for d in values for _ in range(mult[d]))
+    return (one,) * units + tuple([d for d in values for _ in range(mult[d])])

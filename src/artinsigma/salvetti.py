@@ -115,15 +115,6 @@ class TwistedComplex:
     def rank(self, n: int) -> int:
         return self.snf(n)[1]
 
-    def to_dict(self) -> dict:
-        """Matrix dump for external verification."""
-        return {
-            "characteristic": self.field.char,
-            "bases": {str(n): [list(c) for c in b] for n, b in enumerate(self.bases)},
-            "differentials": {str(n): self._diff[n].to_dict()
-                              for n in range(1, self.max_degree + 1)},
-        }
-
 
 def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
                            max_n: int | None = None) -> TwistedComplex:
@@ -173,7 +164,7 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
         for j, x in enumerate(cols):
             column = []
             for i, v in enumerate(x):
-                key = (v, tuple(w for w in x if w in big[v]))
+                key = (v, tuple([w for w in x if w in big[v]]))
                 k = index.get(key)
                 if k is None:
                     k = index[key] = len(weights)
@@ -252,7 +243,7 @@ def homology_module(twisted: TwistedComplex, n: int) -> ModulePresentation:
     rank_out = twisted.rank(n) if n >= 1 else 0
     factors, rank_in = twisted.snf(n + 1)
     free_rank = dim - rank_out - rank_in
-    torsion = tuple(f for f in factors if not f.is_unit())
+    torsion = tuple([f for f in factors if not f.is_unit()])
     return ModulePresentation(free_rank, torsion)
 
 

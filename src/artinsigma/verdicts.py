@@ -24,6 +24,7 @@ implementation bug, and is checked).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,12 +86,13 @@ def sigma_verdict(ctx: Analysis, n: int) -> Verdict:
             f"strong {n}-link condition fails ({_witness_line(strong)}); "
             "the condition is only sufficient, so nothing follows"))
 
-    living = ctx.living()
+    # modes whose keys agree have one living subgraph (see Analysis._edges)
+    living_key = ctx._edges(None)
     fired_p = None
     held = []
     unequal = []
     for p in [0, *sorted(ctx.classification.relevant_primes)]:
-        if ctx.living(p) == living:
+        if ctx._edges(p) == living_key:
             report = ctx.strong_p_n_link(n, p)
             if not report.holds:
                 fired_p = (p, report)
@@ -117,6 +119,7 @@ def sigma_verdict(ctx: Analysis, n: int) -> Verdict:
             "; ".join(reasons) if reasons else "no characteristic applies"))
 
     if n == 1 and odd_cycle_condition(g):
+        living = ctx.living()
         connected, dominating = is_connected(living), is_dominating(g, living)
         justifications.append(Justification(
             "sigma1_connectivity", True, IN if connected and dominating else NOT_IN,
@@ -272,12 +275,8 @@ def odd_cycle_condition(g: EvenGraph) -> bool:
     for block in _biconnected_blocks(adj):
         if len(block) == 1:
             continue
-        vertices = {v for e in block for v in e}
-        degree = {v: 0 for v in vertices}
-        for e in block:
-            for v in e:
-                degree[v] += 1
-        is_cycle = len(block) == len(vertices) and all(d == 2 for d in degree.values())
+        degree = Counter(v for e in block for v in e)
+        is_cycle = len(block) == len(degree) and all(d == 2 for d in degree.values())
         if not is_cycle or len(block) % 2 == 0:
             return False
     return True

@@ -1,22 +1,24 @@
 """Seeded random instance generators and the small fixed instances shared by
 the suites, character and polynomial helpers that only tests need, matrix
-helpers shared by the Laurent and twisted-complex tests, and plain reference
-versions of the bitmask graph kernels, the links of cliques, the clique-center
-values, the flag-complex closure, the twisted differential weight and two
-closed-form criteria."""
+helpers and the JSON dumps of matrices and twisted complexes shared by the
+Laurent and twisted-complex tests, the all-labels-2 n-link condition, and
+plain reference versions of the bitmask graph kernels, the links of cliques,
+the clique-center generators and values, the flag-complex closure, the
+twisted differential weight and two closed-form criteria."""
 
 from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from artinsigma import (Analysis, Character, EvenGraph, Field, LaurentMatrix, LaurentPoly,
-                        SimplicialComplex, induced_subgraph, is_subgraph, validate_fc)
+from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, Field, LaurentMatrix,
+                        LaurentPoly, SimplicialComplex, induced_subgraph, is_subgraph,
+                        validate_fc)
 from artinsigma import salvetti
-from artinsigma.characters import _center_generators, _check_domain
+from artinsigma.characters import _check_domain
 from artinsigma.graphs import _bits
 
 
@@ -191,10 +193,33 @@ def link(g_ambient: EvenGraph, gamma1: EvenGraph, delta: Sequence[str]) -> EvenG
                                      if all(g_ambient.has_edge(u, v) for u in delta)])
 
 
+def center_generators(g: EvenGraph, members: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Reference for ``characters._center_states``, from scratch: the
+    standard generators of the center of the clique subgroup on the vertex
+    mask ``members``, as the label > 2 pairs (i, j, half label) with i < j,
+    in the order of i and then j, and the mask of the leftover vertices.
+    Every pair of the clique is visited, so a vertex on two labels > 2 (FC
+    violated) or an odd label raises ValueError wherever it is."""
+    big, vs = g.big_partner_masks, g.vertices
+    on_big_edge = 0
+    pairs = []
+    for i in _bits(members):
+        # the label > 2 partners of vertex i after it in the clique
+        later = big[i] & members >> (i + 1) << (i + 1)
+        for j in _bits(later):
+            if (on_big_edge >> i | on_big_edge >> j) & 1:
+                clique = tuple([vs[k] for k in _bits(members)])
+                raise ValueError(
+                    f"clique {clique} has a vertex on two labels > 2 (FC violated)")
+            on_big_edge |= 1 << i | 1 << j
+            pairs.append((i, j, g.half_label(vs[i], vs[j])))
+    return pairs, members & ~on_big_edge
+
+
 @dataclass(frozen=True)
 class CenterValues:
     """Character values on the standard generators of a clique subgroup's
-    center (see ``characters._center_generators``)."""
+    center (see :func:`center_generators`)."""
 
     entries: tuple[tuple[str, Fraction], ...]
 
@@ -209,7 +234,7 @@ def center_values(g: EvenGraph, chi: Character, delta: Iterable[str]) -> CenterV
     if not g.is_clique(delta):
         raise ValueError(f"{tuple(delta)} is not a clique")
     vs = g.vertices
-    pairs, leftover = _center_generators(g, g.vertex_mask(delta))
+    pairs, leftover = center_generators(g, g.vertex_mask(delta))
     entries = [(f"({vs[i]}{vs[j]})^{half}", half * chi.edge_value(vs[i], vs[j]))
                for i, j, half in pairs]
     entries.extend((vs[i], chi.value(vs[i])) for i in _bits(leftover))
@@ -306,3 +331,41 @@ def dihedral_sigma_member(label, m_x, m_y, n: int = 1) -> bool:
     if label % 2:
         return True
     return m_x + m_y != 0
+
+
+def raag_n_link(ctx: Analysis, n: int) -> ConditionReport:
+    """n-link condition for the all-labels-2 case.
+
+    For these groups the condition ranges over cliques of dead vertices and
+    links in the vertex-living subgraph; it must coincide with the strong
+    n-link condition, which is re-verified on every call.
+    """
+    if any(label != 2 for _, label in ctx.g.edge_items()):
+        raise ValueError("the n-link condition in this form needs all labels equal to 2")
+    report = replace(ctx._link_condition(n, 0, None), mode="dead-vertices")
+    strong = ctx.strong_n_link(n)
+    if strong.holds is not report.holds:
+        raise RuntimeError(
+            f"n-link condition ({report.holds}) disagrees with the strong condition "
+            f"({strong.holds}) on an all-labels-2 graph")
+    return report
+
+
+def matrix_to_dict(m: LaurentMatrix) -> dict:
+    """JSON dump of a Laurent matrix, entries in ``LaurentPoly.to_dict`` form."""
+    return {
+        "rows": m.nrows,
+        "cols": m.ncols,
+        "entries": [[e.to_dict() for e in row] for row in m.entries],
+    }
+
+
+def complex_to_dict(twisted: salvetti.TwistedComplex) -> dict:
+    """JSON dump of a twisted complex for external verification: its
+    characteristic, bases and differentials."""
+    return {
+        "characteristic": twisted.field.char,
+        "bases": {str(n): [list(c) for c in b] for n, b in enumerate(twisted.bases)},
+        "differentials": {str(n): matrix_to_dict(twisted.differential(n))
+                          for n in range(1, twisted.max_degree + 1)},
+    }

@@ -14,7 +14,8 @@ from artinsigma.cli import run as cli_run
 from artinsigma.graphs import graph_to_dict
 from artinsigma.laurent import Field, t_power_minus_one
 
-from genutil import dead_cliques, dihedral, random_character, random_even_fc_graph, random_raag
+from genutil import (dead_cliques, dihedral, raag_n_link, random_character, random_even_fc_graph,
+                     random_raag)
 
 EXAMPLE1 = ("example-1", [("a", "b", 4), ("c", "d", 4), ("a", "c", 2), ("b", "d", 2),
                           ("a", "d", 2)], {"a": 1, "b": -1, "c": 0, "d": 1})
@@ -143,7 +144,8 @@ def test_criterion_7_raag_reduction():
         chi = random_character(rng, g)
         graphs += 1
         for n in (1, 2, 3):
-            assert Analysis(g, chi).raag_n_link(n).holds == Analysis(g, chi).strong_n_link(n).holds
+            assert raag_n_link(Analysis(g, chi), n).holds == \
+                Analysis(g, chi).strong_n_link(n).holds
         dead = {v for v in g.vertices if chi.value(v) == 0}
         from artinsigma.homology import enumerate_cliques
 

@@ -487,3 +487,48 @@ def test_unwritable_json_path_is_input_error(tmp_path, dihedral4_path):
     assert code == EXIT_INVALID and report is None
     assert text.splitlines()[-1].startswith("error: cannot write the JSON report: ")
     assert not json_path.exists()
+
+
+def test_run_reuses_the_parser_built_at_import(monkeypatch, example2_path):
+    def refuse():
+        raise AssertionError("run built a parser")
+    monkeypatch.setattr("artinsigma.cli._build_parser", refuse)
+    code, report, _ = run_cli(["check", "--n", "1", example2_path])
+    assert code == EXIT_OK and report["command"] == "check"
+
+
+def fresh_process(argv) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of one command run in
+    a new interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "artinsigma", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_answers_each_command_as_a_fresh_process(monkeypatch, capsys,
+                                                            example2_path):
+    # a usage error, links with --p and then without it, then check, in one
+    # process: nothing of one command's arguments may reach the next
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = (["links", "--n", "x", example2_path],
+                ["links", "--n", "2", "--p", "2", example2_path],
+                ["links", "--n", "2", example2_path],
+                ["check", "--n", "2", example2_path])
+    codes, reports = [], []
+    for argv in sequence:
+        out = io.StringIO()
+        try:
+            code, report = run(argv, out=out)
+        except SystemExit as exc:
+            code, report = exc.code, None
+        err = capsys.readouterr().err
+        assert (code, out.getvalue(), err) == fresh_process(argv)
+        assert err.startswith("usage: artinsigma links ") == (report is None)
+        codes.append(code)
+        reports.append(report)
+    assert codes == [EXIT_INVALID, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert [r["parameters"]["p"] for r in reports[1:]] == [2, None, None]
+    assert reports[2]["results"]["coefficients"] == "Z"

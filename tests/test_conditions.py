@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, ZeroCharacterError,
-                        enumerate_cliques, is_connected, is_dominating)
+                        is_connected, is_dominating)
+from artinsigma.characters import _center_states
+from artinsigma.graphs import _bits
+from artinsigma.homology import _cliques
 
-from genutil import (center_values, dihedral, finite_dimensional_through, random_character,
-                     random_even_fc_graph, random_raag)
+from genutil import (center_generators, center_values, dihedral, finite_dimensional_through,
+                     raag_n_link, random_character, random_even_fc_graph, random_raag)
 
 
 def test_example1_strong_link_all_degrees_by_cones(example1):
@@ -164,27 +167,27 @@ def test_finite_dimensionality_matches_p_condition():
 def test_raag_two_isolated_vertices():
     g = EvenGraph(["a", "b"])
     chi = Character({"a": 1, "b": 1})
-    assert Analysis(g, chi).raag_n_link(1).holds is False
+    assert raag_n_link(Analysis(g, chi), 1).holds is False
 
 
 def test_raag_four_cycle_all_alive():
     g = EvenGraph(["a", "b", "c", "d"],
                   [("a", "b", 2), ("b", "c", 2), ("c", "d", 2), ("a", "d", 2)])
     chi = Character({v: 1 for v in "abcd"})
-    assert Analysis(g, chi).raag_n_link(1).holds is True
+    assert raag_n_link(Analysis(g, chi), 1).holds is True
 
 
 def test_raag_single_vertex():
     g = EvenGraph(["a"])
     chi = Character({"a": 1})
     for n in (1, 2, 3):
-        assert Analysis(g, chi).raag_n_link(n).holds is True
+        assert raag_n_link(Analysis(g, chi), n).holds is True
 
 
 def test_raag_rejects_bigger_labels(example1):
     g, chi = example1
     with pytest.raises(ValueError):
-        Analysis(g, chi).raag_n_link(1)
+        raag_n_link(Analysis(g, chi), 1)
 
 
 def test_raag_agrees_with_strong_condition():
@@ -193,7 +196,8 @@ def test_raag_agrees_with_strong_condition():
         g = random_raag(rng, max_vertices=6)
         chi = random_character(rng, g)
         for n in (1, 2, 3):
-            assert Analysis(g, chi).raag_n_link(n).holds == Analysis(g, chi).strong_n_link(n).holds
+            assert raag_n_link(Analysis(g, chi), n).holds == \
+                Analysis(g, chi).strong_n_link(n).holds
 
 
 def test_strong_condition_monotone_in_degree():
@@ -220,8 +224,8 @@ def test_center_recheck_raises_on_disagreement(monkeypatch, example1):
     g, chi = example1
     # a center that is never killed contradicts the empty clique, which is
     # always dead-supported
-    monkeypatch.setattr("artinsigma.conditions.Analysis._center_killed",
-                        lambda self, members: False)
+    monkeypatch.setattr("artinsigma.conditions._center_states",
+                        lambda g, values, cliques: ((0, False) for _ in cliques))
     with pytest.raises(RuntimeError, match="dead-clique/center mismatch on \\(\\)"):
         Analysis(g, chi).strong_n_link(1)
 
@@ -229,12 +233,12 @@ def test_center_recheck_raises_on_disagreement(monkeypatch, example1):
 def test_raag_reverification_raises_on_disagreement(monkeypatch):
     g = EvenGraph(["a", "b"], [("a", "b", 2)])
     chi = Character({"a": 0, "b": 1})
-    holds = Analysis(g, chi).raag_n_link(1).holds
+    holds = raag_n_link(Analysis(g, chi), 1).holds
     monkeypatch.setattr(Analysis, "strong_n_link",
                         lambda self, n: ConditionReport(not holds, n, "Z", "dead",
                                                         "homological", ()))
     with pytest.raises(RuntimeError, match="disagrees with the strong condition"):
-        Analysis(g, chi).raag_n_link(1)
+        raag_n_link(Analysis(g, chi), 1)
 
 
 def test_analysis_answers_like_fresh_calls():
@@ -255,18 +259,26 @@ def test_analysis_answers_like_fresh_calls():
 
 
 def test_center_zero_test_matches_center_values():
-    # the context's zero test on primitive integer values against the public
-    # route's Fraction entries, on every clique of size <= 4; rational values
-    # make the rescaling to primitive integers matter
+    # the center states carried along the clique walk, on primitive integer
+    # values, against the from-scratch generators and the Fraction entries of
+    # the public route, on every clique of size <= 4; rational values make
+    # the rescaling to primitive integers matter
     rng = random.Random(61)
     outcomes = set()
     for _ in range(300):
         g = random_even_fc_graph(rng, max_vertices=8)
         chi = Character({v: Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
                          for v in g.vertices})
-        ctx = Analysis(g, chi)
-        for clique in enumerate_cliques(g, 4):
-            killed = ctx._center_killed(g.vertex_mask(clique))
+        ints = chi.primitive_integer_values()
+        m = [ints[v] for v in g.vertices]
+        cliques = _cliques(g.neighbor_masks, (1 << len(g.vertices)) - 1, 4)
+        for members, (on_big, vanish) in zip(cliques, _center_states(g, m, cliques),
+                                             strict=True):
+            pairs, leftover = center_generators(g, members)
+            assert on_big == members & ~leftover
+            assert vanish == all(m[i] + m[j] == 0 for i, j, _ in pairs)
+            killed = vanish and not any(m[i] for i in _bits(leftover))
+            clique = tuple([g.vertices[i] for i in _bits(members)])
             assert killed == center_values(g, chi, clique).is_zero, (g, chi, clique)
             outcomes.add(killed)
     assert outcomes == {True, False}
@@ -275,19 +287,20 @@ def test_center_zero_test_matches_center_values():
 @pytest.mark.parametrize("edges, clique", [
     # a on two labels > 2
     ([("a", "b", 4), ("a", "c", 6), ("b", "c", 2)], ("a", "b", "c")),
-    # b on two labels > 2, found after the nonzero generator (ab)^2
+    # b on two labels > 2, first held by the clique {a, b, d}
     ([("a", "b", 4), ("a", "c", 2), ("a", "d", 2), ("b", "c", 2), ("b", "d", 4),
-      ("c", "d", 2)], ("a", "b", "c", "d")),
-    # an odd label
+      ("c", "d", 2)], ("a", "b", "d")),
+    # an odd label (the message names the edge, not the clique)
     ([("a", "b", 3), ("a", "c", 2), ("b", "c", 2)], ("a", "b", "c")),
 ])
 def test_center_zero_test_raises_as_center_values(edges, clique):
+    # the context's walk raises, on the first clique that holds the fault,
+    # what the from-scratch route raises on that clique
     g = EvenGraph(["a", "b", "c", "d"], edges)
     chi = Character({"a": 1, "b": 1, "c": 0, "d": 1})
-    ctx = Analysis(g, chi)
     with pytest.raises(ValueError) as public:
         center_values(g, chi, clique)
     with pytest.raises(ValueError) as context:
-        ctx._center_killed(g.vertex_mask(clique))
+        Analysis(g, chi).strong_n_link(4)
     assert type(context.value) is type(public.value)
     assert str(context.value) == str(public.value)

@@ -54,7 +54,7 @@ def test_induced_subgraph_identity_and_single_vertex(example1):
     g, _ = example1
     assert induced_subgraph(g, g.vertices) == g
     single = induced_subgraph(g, ["a"])
-    assert single.vertices == ("a",) and single.num_edges() == 0
+    assert single.vertices == ("a",) and not single.edges()
 
 
 def test_induced_subgraph_drop_edge(example1):

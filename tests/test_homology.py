@@ -155,7 +155,7 @@ def test_link_example1(example1):
     lk_c = link(g, living, ["c"])
     assert lk_c.vertices == ("a", "d") and lk_c.edges() == (("a", "d"),)
     lk_ab = link(g, living, ["a", "b"])
-    assert lk_ab.vertices == ("d",) and lk_ab.num_edges() == 0
+    assert lk_ab.vertices == ("d",) and not lk_ab.edges()
     assert link(g, living, []) == living
 
 

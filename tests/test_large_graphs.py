@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from artinsigma import (Analysis, EvenGraph, TooManyCliques, character_to_dict,
-                        enumerate_cliques, graph_to_dict)
+                        describe_graph, enumerate_cliques, graph_to_dict)
 from artinsigma import conditions, graphs, homology
 from artinsigma.cli import run
 
@@ -76,20 +76,27 @@ def test_complete_graph_reports_match_recorded_digests():
 
 
 def _count_link_work(monkeypatch) -> tuple[list, list]:
-    """Record the source graph of every ``induced_subgraph`` call made by the
-    analysis context, and every graph whose description is computed."""
+    """Record each living subgraph ("living") and each link ("link") the
+    analysis context builds, and the vertices of every graph whose
+    description is computed."""
     built, described = [], []
-    induced, describe = conditions.induced_subgraph, graphs._describe
+    induced, build, describe = (conditions.induced_subgraph, conditions.mask_subgraph,
+                                graphs._describe)
 
     def counting_induced(g, *args):
-        built.append(g)
+        built.append("living")
         return induced(g, *args)
 
-    def counting_describe(g):
-        described.append(g)
-        return describe(g)
+    def counting_build(g, *args):
+        built.append("link")
+        return build(g, *args)
+
+    def counting_describe(vertices, edges):
+        described.append(tuple(vertices))
+        return describe(vertices, edges)
 
     monkeypatch.setattr(conditions, "induced_subgraph", counting_induced)
+    monkeypatch.setattr(conditions, "mask_subgraph", counting_build)
     monkeypatch.setattr(graphs, "_describe", counting_describe)
     return built, described
 
@@ -100,9 +107,9 @@ def test_complete_graph_builds_and_describes_its_one_link_once(monkeypatch, argv
     code, _, _ = _run(30, argv)
     assert code == 0
     # one living subgraph (no edge is dead, so every mode shares it) and one link
-    assert len(built) == 2
+    assert built == ["living", "link"]
     living_vertices = [f"v{i:03d}" for i in range(1, 30, 2)]
-    assert [g.vertices for g in described] == [tuple(living_vertices)]
+    assert described == [tuple(living_vertices)]
 
 
 def test_one_link_graph_per_distinct_mask(monkeypatch):
@@ -115,15 +122,14 @@ def test_one_link_graph_per_distinct_mask(monkeypatch):
         chi = random_character(rng, g)
         ctx = Analysis(g, chi)
         built.clear()
-        livings, distinct = [], {}
+        distinct = {}
         for p in (None, 0, *sorted(ctx.classification.relevant_primes)):
             living = ctx.living(p)
-            livings.append(living)
             for clique, _, lk, _ in ctx.links(3, p):
-                assert lk == link(g, living, clique)
+                ref = link(g, living, clique)
+                assert lk == (ref.vertices, ref.neighbor_masks, describe_graph(ref))
                 assert distinct.setdefault((id(living), lk.vertices), lk) is lk
-        links_built = [src for src in built if any(src is living for living in livings)]
-        assert len(links_built) == len(distinct)
+        assert built.count("link") == len(distinct)
 
 
 def test_clique_budget_refuses_k120():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from artinsigma import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd,
                         q_poly, smith_normal_form, t_power_minus_one)
 
-from genutil import matrix_entry, matrix_product, permuted, poly_shifted, poly_term
+from genutil import (matrix_entry, matrix_product, matrix_to_dict, permuted, poly_shifted,
+                     poly_term)
 
 F0 = Field(0)
 F2 = Field(2)
@@ -209,7 +210,7 @@ def test_snf_matches_determinantal_divisors():
         prod = LaurentPoly.one(field)
         for k, f in enumerate(factors, start=1):
             prod = prod * f
-            assert prod.monic_offset0() == minor_gcd(m, k), (m.to_dict(), k)
+            assert prod.monic_offset0() == minor_gcd(m, k), (matrix_to_dict(m), k)
         if rank < min(nr, nc):
             assert minor_gcd(m, rank + 1).is_zero()
 
@@ -256,7 +257,7 @@ def test_snf_matches_determinantal_divisors_on_sparse_diagonal_heavy_matrices():
             prod = LaurentPoly.one(field)
             for k, f in enumerate(factors, start=1):
                 prod = prod * f
-                assert prod.monic_offset0() == minor_gcd(m, k), (m.to_dict(), k)
+                assert prod.monic_offset0() == minor_gcd(m, k), (matrix_to_dict(m), k)
             if rank < min(m.nrows, m.ncols):
                 assert minor_gcd(m, rank + 1).is_zero()
 
@@ -355,9 +356,9 @@ def test_snf_rank_matches_random_evaluation_probe():
 
 def test_matrix_serialization_round_trip():
     m = mat(F0, [[t_power_minus_one(F0, -2), LaurentPoly.constant(F0, Fraction(1, 2))]])
-    d = m.to_dict()
+    d = matrix_to_dict(m)
     assert d["rows"] == 1 and d["cols"] == 2
     assert d["entries"][0][0] == {"offset": -2, "coeffs": ["1", "0", "-1"]}
     assert d["entries"][0][1] == {"offset": 0, "coeffs": ["1/2"]}
-    f2 = mat(F2, [[t_power_minus_one(F2, 1)]]).to_dict()
+    f2 = matrix_to_dict(mat(F2, [[t_power_minus_one(F2, 1)]]))
     assert f2["entries"][0][0] == {"offset": 0, "coeffs": [1, 1]}

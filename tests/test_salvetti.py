@@ -7,9 +7,9 @@ from artinsigma import (Analysis, Character, CrossCheckError, EvenGraph, Field, 
                         homology_module, smith_normal_form, t_power_minus_one)
 from artinsigma.salvetti import MAX_ORACLE_SPAN, _max_weight_span
 
-from genutil import (coefficient_b, dihedral, matrix_entry, matrix_is_zero, matrix_product,
-                     permuted, poly_scaled, poly_shifted, product_of_dihedrals, random_character,
-                     random_even_fc_graph, scaled_character)
+from genutil import (coefficient_b, complex_to_dict, dihedral, matrix_entry, matrix_is_zero,
+                     matrix_product, permuted, poly_scaled, poly_shifted, product_of_dihedrals,
+                     random_character, random_even_fc_graph, scaled_character)
 
 
 def test_coefficient_b_single_vertex():
@@ -281,7 +281,7 @@ def test_scale_invariance_of_free_rank():
 def test_complex_json_dump(d4d6):
     g, chi = d4d6
     complex_ = build_salvetti_complex(g, chi, 2, max_n=2)
-    dump = complex_.to_dict()
+    dump = complex_to_dict(complex_)
     assert dump["characteristic"] == 2
     assert dump["bases"]["1"] == [["v"], ["w"], ["x"], ["y"]]
     entry = dump["differentials"]["1"]["entries"][0][0]
