@@ -14,8 +14,8 @@ from .characters import (Character, CharacterError, Classification, character_fr
                          character_to_dict, classify, is_dominating)
 from .conditions import Analysis, ConditionReport, LinkWitness, ZeroCharacterError
 from .graphs import (EvenGraph, Finding, GraphFormatError, MaskGraph, ValidationReport,
-                     describe_graph, graph_from_dict, graph_to_dict, induced_subgraph,
-                     is_connected, is_subgraph, validate_even, validate_fc)
+                     describe_graph, graph_from_dict, graph_to_dict, is_connected, validate_even,
+                     validate_fc)
 from .homology import (HomologyProfile, SimplicialComplex, TooManyCliques, enumerate_cliques,
                        flag_complex, has_cone_vertex, reduced_homology)
 from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd, q_poly,

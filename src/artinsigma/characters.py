@@ -9,8 +9,9 @@ A vertex is *dead* when its value is zero; an edge is *dead* when its label
 exceeds 2 and its value is zero; a dead edge is *p-dead* for the primes p
 dividing half its label.  Removing dead vertices and the interiors of dead
 (or p-dead) edges yields the living subgraphs that all link conditions are
-evaluated in; :class:`artinsigma.conditions.Analysis` builds them, and the
-dead cliques, from the classification made here.
+evaluated in; :class:`artinsigma.conditions.Analysis` builds them, as the
+neighbour masks of g restricted to the living vertices minus the dead edges,
+and the dead cliques, from the classification made here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import EvenGraph, _bits
+from .graphs import EvenGraph, MaskGraph, _bits
 from .homology import prime_factors
 
 
@@ -178,7 +179,7 @@ def _center_states(g: EvenGraph, values: Sequence[int], cliques: Iterable[int]):
         yield state
 
 
-def is_dominating(g: EvenGraph, sub: EvenGraph) -> bool:
+def is_dominating(g: EvenGraph, sub: EvenGraph | MaskGraph) -> bool:
     """True when every vertex of g outside ``sub`` has a g-neighbor in ``sub``."""
     inside = set(sub.vertices)
     for v in inside:

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .characters import Character, _center_states, classify
-from .graphs import (EvenGraph, MaskGraph, _bits, induced_subgraph, is_connected, is_subgraph,
-                     mask_subgraph)
+from .graphs import EvenGraph, MaskGraph, _bits, is_connected, mask_subgraph
 from .homology import (HomologyProfile, SimplicialComplex, _cliques, _link_mask, _require_field,
                        coeffs_label, flag_complex, has_cone_vertex, reduced_homology, strong_core)
 
@@ -85,12 +84,12 @@ class Analysis:
     A *mode* is a coefficient value (:func:`coeffs_label`): ``None`` (all
     dead edges), ``0`` (none) or a prime p (the p-dead edges).  The
     classification is made on construction; the clique enumeration (as
-    vertex masks), each mode's living subgraph and dead cliques, each
-    distinct link (one :class:`MaskGraph` per vertex mask, with its
-    description), its strong-collapse core and the core's flag complex,
-    which keeps the integer Smith forms that serve Z, Q and every F_p, are
-    built on first use and kept.  Links whose cores are one graph share one
-    complex.
+    vertex masks), each mode's dead cliques, each distinct link (one
+    :class:`MaskGraph` per vertex mask, with its description; the living
+    subgraph is the link of the empty clique), its strong-collapse core and
+    the core's flag complex, which keeps the integer Smith forms that serve
+    Z, Q and every F_p, are built on first use and kept.  Links whose cores
+    are one graph share one complex, built as deep as the questions read.
     """
 
     def __init__(self, g: EvenGraph, chi: Character):
@@ -105,8 +104,6 @@ class Analysis:
         self._dead_vertices = g.vertex_mask(self.classification.dead_vertices)
         self._cliques: dict[int, list[int]] = {}
         # keyed by the edges a mode removes (see _edges), so modes that agree share them
-        self._living: dict[frozenset, EvenGraph] = {}
-        self._adjacency: dict[frozenset, list[int]] = {}
         self._dead: dict[tuple[frozenset, int], list[tuple[tuple[str, ...], MaskGraph, int]]] = {}
         self._links: dict[frozenset, dict[int, MaskGraph]] = {}
         self._cores: dict[tuple[frozenset, int], tuple[int, ...]] = {}
@@ -123,30 +120,17 @@ class Analysis:
         dead = cls.dead_vertices
         return frozenset([e for e in edges if e[0] not in dead and e[1] not in dead])
 
-    def living(self, p: int | None = None) -> EvenGraph:
-        """Living subgraph of mode ``p``.
+    def living(self, p: int | None = None) -> MaskGraph:
+        """Living subgraph of mode ``p``: the link of the empty clique, the
+        object that :meth:`links` yields for it.
 
         ``p=None`` removes dead vertices and all open dead edges; ``p=0``
         removes dead vertices only (no edge is 0-dead); a prime ``p`` removes
         dead vertices and the open p-dead edges.  Removed edges keep any
         endpoints that are themselves alive.
         """
-        edges = self._edges(p)
-        if edges not in self._living:
-            g = self.g
-            dead = self.classification.dead_vertices
-            living = induced_subgraph(g, [v for v in g.vertices if v not in dead], edges)
-            # every link of the mode is taken in it (see _select)
-            if not is_subgraph(living, g):
-                raise RuntimeError("living subgraph is not a subgraph of the graph")
-            self._living[edges] = living
-            # its neighbour masks in the vertex positions of g, for the links and cores
-            at = [g.index(v) for v in living.vertices]
-            adjacency = [0] * len(g.vertices)
-            for k, m in enumerate(living.neighbor_masks):
-                adjacency[at[k]] = sum(1 << at[j] for j in _bits(m))
-            self._adjacency[edges] = adjacency
-        return self._living[edges]
+        (_, _, living, _), = self.links(0, p)
+        return living
 
     def links(self, n: int, p: int | None = None, coeffs: int | None = None):
         """Each dead clique D of mode ``p`` with |D| <= n, as a tuple (D,
@@ -165,12 +149,10 @@ class Analysis:
         mismatch raises.
         """
         coeffs_label(coeffs)
-        self.living(p)      # builds the neighbour masks that _select reads
         edges = self._edges(p)
         if (edges, n) not in self._dead:
             if n not in self._cliques:
-                g = self.g
-                self._cliques[n] = _cliques(g.neighbor_masks, (1 << len(g.vertices)) - 1, n)
+                self._cliques[n] = _cliques(self.g.neighbor_masks, n)
             self._dead[edges, n] = list(self._select(edges, self._cliques[n]))
         for clique, lk, mask in self._dead[edges, n]:
             d = n - 1 - len(clique)
@@ -191,7 +173,9 @@ class Analysis:
             partners[i] |= 1 << j
             partners[j] |= 1 << i
             on_edges |= 1 << i | 1 << j
-        adjacency = self._adjacency[edges]
+        # the living subgraph's neighbour masks, in the vertex positions of g:
+        # those of g minus ``edges``, read on living vertex masks only
+        adjacency = [m & ~r for m, r in zip(g.neighbor_masks, partners)]
         living_mask = (1 << len(vs)) - 1 & ~dead
         links = self._links.setdefault(edges, {})
         states = _center_states(g, self._values, cliques) if edges == self._edges(None) else None
@@ -218,8 +202,8 @@ class Analysis:
         which is homotopy equivalent."""
         key = self._cores.get((edges, mask))
         if key is None:
-            adjacency = self._adjacency[edges]
-            core = strong_core(self.g.vertices, adjacency, mask)
+            lk = self._links[edges][mask]
+            core = strong_core(lk.vertices, lk.neighbor_masks, (1 << len(lk.vertices)) - 1)
             key = self._cores[edges, mask] = core.neighbor_masks
             if key not in self._complexes:
                 self._complexes[key] = flag_complex(core)

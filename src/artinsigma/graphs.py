@@ -211,50 +211,11 @@ def validate_fc(g: EvenGraph) -> ValidationReport:
     return _report(violations)
 
 
-def induced_subgraph(g: EvenGraph, keep_vertices: Iterable[str],
-                     drop_edges: Iterable[tuple[str, str]] = ()) -> EvenGraph:
-    """Induced subgraph on ``keep_vertices`` minus the open ``drop_edges``.
-
-    Dropping an edge keeps both endpoints; the inherited vertex order is the
-    ambient one restricted to the kept vertices.
-    """
-    keep = 0
-    for v in keep_vertices:
-        if not g.has_vertex(v):
-            raise ValueError(f"unknown vertex {v!r}")
-        keep |= 1 << g.index(v)
-    dropped = set()
-    for (u, v) in drop_edges:
-        if not g.has_edge(u, v):
-            raise ValueError(f"unknown edge {u!r}-{v!r}")
-        dropped.add(g.edge_key(u, v))
-    vs, labels = g.vertices, g._labels
-    kept = _bits(keep)
-    es = []
-    for i in kept:
-        # the kept neighbours after vertex i
-        for j in _bits(g.neighbor_masks[i] & keep >> (i + 1) << (i + 1)):
-            e = (vs[i], vs[j])
-            if e not in dropped:
-                es.append((*e, labels[e]))
-    return EvenGraph([vs[i] for i in kept], es)
-
-
-def is_subgraph(g1: EvenGraph, g2: EvenGraph) -> bool:
-    """True when g1 is contained in g2 vertex- and edge-wise with equal labels."""
-    for v in g1.vertices:
-        if not g2.has_vertex(v):
-            return False
-    for (u, v), label in g1.edge_items():
-        if not g2.has_edge(u, v) or g2.label(u, v) != label:
-            return False
-    return True
-
-
 class MaskGraph(NamedTuple):
     """A graph as vertex names, their neighbour masks (bit t standing for the
-    t-th name) and its description, the form in which links are yielded; it
-    is read as an :class:`EvenGraph` is, by the functions that read masks."""
+    t-th name) and its description, the form in which living subgraphs and
+    links are kept; it is read as an :class:`EvenGraph` is, by the functions
+    that read masks."""
 
     vertices: tuple[str, ...]
     neighbor_masks: tuple[int, ...]

@@ -20,8 +20,9 @@ degree -1 and acyclicity tests see the nonempty/empty distinction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import NamedTuple, Sequence
+from itertools import chain, count, islice
+from math import gcd, inf
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import EvenGraph, MaskGraph, _bits, _renumbered
 
@@ -124,26 +125,35 @@ def enumerate_cliques(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...
 
     Order: by size, then lexicographically in the global vertex order, so
     every downstream basis and report is deterministic.  A total above
-    :data:`MAX_CLIQUES` raises :class:`TooManyCliques` (see :func:`_cliques`).
+    :data:`MAX_CLIQUES` raises :class:`TooManyCliques` (see :func:`_levels`).
     """
-    full = (1 << len(g.vertices)) - 1
-    return tuple(_named(g.vertices, _cliques(g.neighbor_masks, full, max_size)).values())
+    sizes = islice(_named_levels(g.vertices, g.neighbor_masks), max(max_size, 0))
+    return ((), *chain.from_iterable(sizes))
 
 
-def _cliques(nbr: Sequence[int], within: int, max_size: int) -> list[int]:
-    """The vertex masks of the cliques of size <= max_size on the vertex
-    mask ``within`` of the graph with neighbour masks ``nbr``, in the order
-    of :func:`enumerate_cliques`.
+def _cliques(nbr: Sequence[int], max_size: int) -> list[int]:
+    """The vertex masks of the cliques of size <= max_size of the graph with
+    neighbour masks ``nbr``, in the order of :func:`enumerate_cliques`."""
+    out = [0]
+    for level in islice(_levels(nbr), max(max_size, 0)):
+        out.extend(members for members, _ in level)
+    return out
 
-    Each clique is extended by the vertices in the mask of its common
-    neighbours after its last vertex.  Each size is counted from those masks
-    before it is built, and a total above :data:`MAX_CLIQUES` raises
+
+def _levels(nbr: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
+    """The nonempty cliques of the graph with neighbour masks ``nbr``, one
+    size at a time from size 1: each size as pairs (vertex mask, mask of the
+    common neighbours after its last vertex), in the order of
+    :func:`enumerate_cliques`.
+
+    Each clique of a size is extended by the vertices of its second mask.
+    Each size is counted from those masks before it is built, and a total
+    (the empty clique included) above :data:`MAX_CLIQUES` raises
     :class:`TooManyCliques`.
     """
-    out = [0]
-    current = [(0, within)]
+    current = [(0, (1 << len(nbr)) - 1)]
     total = 1
-    for size in range(1, max_size + 1):
+    for size in count(1):
         total += sum(later.bit_count() for _, later in current)
         if total > MAX_CLIQUES:
             raise TooManyCliques(f"the clique enumeration is refused: {total} cliques of size "
@@ -153,21 +163,23 @@ def _cliques(nbr: Sequence[int], within: int, max_size: int) -> list[int]:
             for i in _bits(later):
                 nxt.append((members | 1 << i, later & nbr[i] >> (i + 1) << (i + 1)))
         if not nxt:
-            break
-        out.extend(members for members, _ in nxt)
+            return
+        yield nxt
         current = nxt
-    return out
 
 
-def _named(vs: Sequence[str], cliques: list[int]) -> dict[int, tuple[str, ...]]:
-    """Each clique mask of ``cliques``, in the order of :func:`_cliques`,
-    with its vertex names: the names of the clique without its last vertex,
-    which comes earlier, and the last name."""
-    names: dict[int, tuple[str, ...]] = {}
-    for members in cliques:
-        last = members.bit_length() - 1
-        names[members] = names[members ^ 1 << last] + (vs[last],) if members else ()
-    return names
+def _named_levels(vs: Sequence[str], nbr: Sequence[int]) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """The nonempty cliques of the graph with vertex names ``vs`` and
+    neighbour masks ``nbr``, one size at a time as in :func:`_levels`, each
+    by its vertex names: those of the clique without its last vertex, one
+    size down, and the last name."""
+    names: dict[int, tuple[str, ...]] = {0: ()}
+    for level in _levels(nbr):
+        shorter, names = names, {}
+        for members, _ in level:
+            last = members.bit_length() - 1
+            names[members] = shorter[members ^ 1 << last] + (vs[last],)
+        yield tuple(names.values())
 
 
 def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, members: int) -> int:
@@ -226,44 +238,67 @@ def strong_core(vs: Sequence[str], nbr: Sequence[int], mask: int) -> CoreGraph:
 class SimplicialComplex:
     """Finite abstract simplicial complex over an ordered vertex set.
 
-    Built from its simplices already downward closed and grouped by
-    dimension, each group sorted lexicographically in the vertex order; the
-    empty simplex is present exactly when the complex is nonempty.
+    Built from ``groups``, its simplices already downward closed and
+    grouped by dimension 0, 1, ... in turn, each group sorted
+    lexicographically in the vertex order; the empty simplex is present
+    exactly when the complex is nonempty.  A group is taken from
+    ``groups`` only when a question reads that deep (see
+    :func:`flag_complex`).
     """
 
     def __init__(self, vertex_order: tuple[str, ...],
-                 by_dim: dict[int, tuple[tuple[str, ...], ...]]):
+                 groups: Iterable[tuple[tuple[str, ...], ...]]):
         self.vertex_order = vertex_order
-        self._by_dim = by_dim
+        self._by_dim: list[tuple[tuple[str, ...], ...]] = []
+        self._groups = iter(groups)
+        self._error: Exception | None = None
         self._factors: dict[int, list[int]] = {}
 
+    def _build(self, dim: float) -> None:
+        """Take the groups through dimension ``dim``, or all there are.  An
+        error raised while taking a group (such as :class:`TooManyCliques`)
+        is raised again by every later attempt, so the groups it cut short
+        are never taken for all there are."""
+        while len(self._by_dim) <= dim:
+            if self._error is not None:
+                raise self._error
+            try:
+                group = next(self._groups, None)
+            except Exception as exc:
+                self._error = exc
+                raise
+            if group is None:
+                return
+            self._by_dim.append(group)
+
     def is_empty(self) -> bool:
-        return not self._by_dim
+        return not self.simplices(0)
 
     @property
     def dimension(self) -> int:
-        return max(self._by_dim, default=-1)
+        """The top dimension, for which every simplex is built."""
+        self._build(inf)
+        return len(self._by_dim) - 1
 
     def simplices(self, dim: int) -> tuple[tuple[str, ...], ...]:
         if dim == -1:
             return ((),) if not self.is_empty() else ()
-        return self._by_dim.get(dim, ())
+        self._build(dim)
+        return self._by_dim[dim] if 0 <= dim < len(self._by_dim) else ()
 
     def chain_rank(self, dim: int) -> int:
         """Rank of the augmented chain group: degree -1 is always 1."""
         if dim == -1:
             return 1
-        if dim < -1:
-            return 0
-        return len(self._by_dim.get(dim, ()))
+        return len(self.simplices(dim))
 
     def invariant_factors(self, k: int) -> list[int]:
         """Invariant factors of the augmented boundary map d_k, computed once.
 
-        Above the dimension there are no k-simplices, so d_k has no columns
-        and nothing is diagonalised.
+        Without k-simplices (above the dimension) d_k has no columns and
+        nothing is diagonalised.
         """
-        if k > self.dimension:
+        if not self.simplices(k):
             return []
         if k not in self._factors:
             self._factors[k] = integer_invariant_factors(
@@ -271,52 +306,47 @@ class SimplicialComplex:
         return self._factors[k]
 
 
-def flag_complex(g: EvenGraph | CoreGraph) -> SimplicialComplex:
-    """Flag complex of a graph: one (k-1)-simplex per k-clique."""
-    by_dim: dict[int, list[tuple[str, ...]]] = {}
-    n = len(g.vertices)
-    for c in _named(g.vertices, _cliques(g.neighbor_masks, (1 << n) - 1, n)).values():
-        if c:
-            by_dim.setdefault(len(c) - 1, []).append(c)
-    # every face of a clique is a clique, and the enumeration order is the
-    # constructor's order within each dimension
-    return SimplicialComplex(g.vertices, {d: tuple(cs) for d, cs in by_dim.items()})
+def flag_complex(g: EvenGraph | CoreGraph | MaskGraph) -> SimplicialComplex:
+    """Flag complex of a graph: one (k-1)-simplex per k-clique.  The cliques
+    are enumerated one size at a time, only as deep as the questions asked
+    of the complex read, each size counted against :data:`MAX_CLIQUES`."""
+    return SimplicialComplex(g.vertices, _named_levels(g.vertices, g.neighbor_masks))
 
 
-def _boundary(c: SimplicialComplex, k: int) -> list[list[int]]:
-    """Augmented boundary matrix d_k from degree k to degree k-1.
+def _boundary(c: SimplicialComplex, k: int) -> dict[int, dict[int, int]]:
+    """Augmented boundary matrix d_k from degree k to degree k-1, as sparse
+    rows: the index of each nonzero row maps to its nonzero entries by
+    column index.  Rows come in the order in which the columns, taken in
+    turn, first reach them, so :func:`_smith_diagonal` finds its pivots
+    roughly column by column; on the cross-polytope spheres of
+    ``verdict --n 4`` on the cocktail-party graph K50 that is three times
+    faster than rows in index order.
 
     d_0 is the augmentation sending every vertex to the empty simplex.  The
     face obtained by removing the i-th vertex (in global order) carries the
     sign (-1)^i, which makes consecutive matrices compose to zero.
     """
     cols = c.simplices(k)
-    if k == 0:
-        # the augmentation row exists even for the empty complex
-        return [[1] * len(cols)]
-    rows = c.simplices(k - 1)
-    row_of = {s: i for i, s in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
+    row_of = {s: i for i, s in enumerate(c.simplices(k - 1))}
+    rows: dict[int, dict[int, int]] = {}
     for j, s in enumerate(cols):
         for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            matrix[row_of[face]][j] = -1 if i % 2 else 1
-    return matrix
+            rows.setdefault(row_of[s[:i] + s[i + 1:]], {})[j] = -1 if i % 2 else 1
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over Z
 
 
-def integer_invariant_factors(matrix: Sequence[Sequence[int]], nrows: int, ncols: int) -> list[int]:
-    """Positive invariant factors d_1 | d_2 | ... of an integer matrix:
-    :func:`_smith_diagonal` with the absolute value as size, then the
-    divisibility chain.  Arbitrary-precision throughout."""
-    rows = {}
-    for i, entries in enumerate(matrix):
-        row = {j: a for j, a in enumerate(entries) if a}
-        if row:
-            rows[i] = row
+def integer_invariant_factors(rows: dict[int, dict[int, int]], nrows: int,
+                              ncols: int) -> list[int]:
+    """Positive invariant factors d_1 | d_2 | ... of the ``nrows`` x
+    ``ncols`` integer matrix with the sparse rows ``rows`` (see
+    :func:`_boundary`), which are left as they are: :func:`_smith_diagonal`
+    with the absolute value as size, then the divisibility chain.
+    Arbitrary-precision throughout."""
+    rows = {i: dict(row) for i, row in rows.items() if row}
     return _divisibility_chain([abs(d) for d in _smith_diagonal(rows, abs, divmod)])
 
 

@@ -1,10 +1,12 @@
 """Seeded random instance generators and the small fixed instances shared by
 the suites, character and polynomial helpers that only tests need, matrix
-helpers and the JSON dumps of matrices and twisted complexes shared by the
-Laurent and twisted-complex tests, the all-labels-2 n-link condition, and
-plain reference versions of the bitmask graph kernels, the links of cliques,
-the clique-center generators and values, the flag-complex closure, the
-twisted differential weight and two closed-form criteria."""
+helpers (sparse integer rows to dense grids and back) and the JSON dumps of
+matrices and twisted complexes shared by the Laurent and twisted-complex
+tests, the all-labels-2 n-link condition, and plain reference versions of
+the bitmask graph kernels, induced and living subgraphs built as
+``EvenGraph``, the links of cliques, the clique-center generators and
+values, the flag-complex closure, the twisted differential weight and two
+closed-form criteria."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, Field, LaurentMatrix,
-                        LaurentPoly, SimplicialComplex, induced_subgraph, is_subgraph,
+                        LaurentPoly, MaskGraph, SimplicialComplex, classify, describe_graph,
                         validate_fc)
 from artinsigma import salvetti
 from artinsigma.characters import _check_domain
@@ -117,6 +119,18 @@ def alternating_complete_graph(size: int) -> tuple[EvenGraph, Character]:
     return g, Character({v: i % 2 for i, v in enumerate(vs)})
 
 
+def cocktail_party_graph(size: int) -> tuple[EvenGraph, Character]:
+    """K_size with label 4 on each pair {v(2i), v(2i+1)} and 2 elsewhere, and
+    values 1, -1, 0, 0 repeating in vertex order.  The pairs of values 1 and
+    -1 are dead edges, so the living subgraph is a cocktail-party graph, whose
+    flag complex is the boundary of a cross-polytope: a sphere with 3^k - 1
+    simplices on k pairs, of which a degree-bounded question reads few."""
+    vs = [f"v{i:03d}" for i in range(size)]
+    edges = [(vs[i], vs[j], 4 if j == i + 1 and i % 2 == 0 else 2)
+             for i in range(size) for j in range(i + 1, size)]
+    return EvenGraph(vs, edges), Character({v: (1, -1, 0, 0)[i % 4] for i, v in enumerate(vs)})
+
+
 def random_character(rng: random.Random, g: EvenGraph, lo: int = -2, hi: int = 2,
                      nonzero: bool = True) -> Character:
     while True:
@@ -157,6 +171,83 @@ def matrix_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
             out[j] = v
         rows.append(out)
     return LaurentMatrix(a.field, a.nrows, b.ncols, rows)
+
+
+def induced_subgraph(g: EvenGraph, keep_vertices: Iterable[str],
+                     drop_edges: Iterable[tuple[str, str]] = ()) -> EvenGraph:
+    """Reference induced subgraph on ``keep_vertices`` minus the open
+    ``drop_edges``, built as an :class:`EvenGraph`.
+
+    Dropping an edge keeps both endpoints; the inherited vertex order is the
+    ambient one restricted to the kept vertices.
+    """
+    keep = 0
+    for v in keep_vertices:
+        if not g.has_vertex(v):
+            raise ValueError(f"unknown vertex {v!r}")
+        keep |= 1 << g.index(v)
+    dropped = set()
+    for (u, v) in drop_edges:
+        if not g.has_edge(u, v):
+            raise ValueError(f"unknown edge {u!r}-{v!r}")
+        dropped.add(g.edge_key(u, v))
+    vs, labels = g.vertices, g._labels
+    kept = _bits(keep)
+    es = []
+    for i in kept:
+        # the kept neighbours after vertex i
+        for j in _bits(g.neighbor_masks[i] & keep >> (i + 1) << (i + 1)):
+            e = (vs[i], vs[j])
+            if e not in dropped:
+                es.append((*e, labels[e]))
+    return EvenGraph([vs[i] for i in kept], es)
+
+
+def is_subgraph(g1: EvenGraph, g2: EvenGraph) -> bool:
+    """True when g1 is contained in g2 vertex- and edge-wise with equal labels."""
+    for v in g1.vertices:
+        if not g2.has_vertex(v):
+            return False
+    for (u, v), label in g1.edge_items():
+        if not g2.has_edge(u, v) or g2.label(u, v) != label:
+            return False
+    return True
+
+
+def living_subgraph(g: EvenGraph, chi: Character, p: int | None = None) -> EvenGraph:
+    """Reference living subgraph of mode ``p`` (see ``Analysis.living``):
+    the subgraph induced on the living vertices minus every dead edge
+    (``p`` None), no edge (0) or every p-dead edge (a prime p)."""
+    cls = classify(g, chi)
+    edges = cls.dead_edges if p is None else cls.p_dead_edges.get(p, frozenset())
+    return induced_subgraph(g, [v for v in g.vertices if v not in cls.dead_vertices], edges)
+
+
+def as_mask_graph(g: EvenGraph) -> MaskGraph:
+    """``g`` in the form of ``Analysis.living`` and the links."""
+    return MaskGraph(g.vertices, g.neighbor_masks, describe_graph(g))
+
+
+def mask_edges(h: MaskGraph) -> tuple[tuple[str, str], ...]:
+    """The edges of ``h`` as pairs of names, in the order of ``EvenGraph.edges``."""
+    vs, nbr = h.vertices, h.neighbor_masks
+    return tuple([(vs[i], vs[j])
+                  for i in range(len(vs)) for j in _bits(nbr[i] >> (i + 1) << (i + 1))])
+
+
+def sparse_rows(matrix: Sequence[Sequence[int]]) -> dict[int, dict[int, int]]:
+    """The nonzero rows of a dense integer matrix with their nonzero entries
+    by column: the form ``integer_invariant_factors`` reads."""
+    return {i: {j: a for j, a in enumerate(row) if a} for i, row in enumerate(matrix) if any(row)}
+
+
+def dense(rows: dict[int, dict[int, int]], nrows: int, ncols: int) -> list[list[int]]:
+    """The ``nrows`` x ``ncols`` integer matrix with the sparse rows ``rows``."""
+    out = [[0] * ncols for _ in range(nrows)]
+    for i, row in rows.items():
+        for j, a in row.items():
+            out[i][j] = a
+    return out
 
 
 def enumerate_cliques_scan(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...]:
@@ -284,10 +375,10 @@ def closed_complex(vertex_order, simplices) -> SimplicialComplex:
     by_dim: dict[int, list[tuple[str, ...]]] = {}
     for s in closed:
         by_dim.setdefault(len(s) - 1, []).append(s)
-    return SimplicialComplex(vertex_order, {
-        d: tuple(sorted(group, key=lambda s: tuple(index[v] for v in s)))
-        for d, group in sorted(by_dim.items())
-    })
+    return SimplicialComplex(vertex_order, [
+        tuple(sorted(group, key=lambda s: tuple(index[v] for v in s)))
+        for _, group in sorted(by_dim.items())
+    ])
 
 
 def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) -> LaurentPoly:

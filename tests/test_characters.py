@@ -8,8 +8,9 @@ from artinsigma import (Analysis, Character, CharacterError, character_from_dict
 from artinsigma.graphs import EvenGraph
 from artinsigma.homology import enumerate_cliques
 
-from genutil import (center_values, center_values_pairwise, dead_cliques, dihedral,
-                     random_character, random_even_fc_graph, scaled_character)
+from genutil import (as_mask_graph, center_values, center_values_pairwise, dead_cliques,
+                     dihedral, is_subgraph, living_subgraph, mask_edges, random_character,
+                     random_even_fc_graph, scaled_character)
 
 
 def test_classify_example1(example1):
@@ -47,19 +48,19 @@ def test_living_subgraph_example1(example1):
     g, chi = example1
     living = Analysis(g, chi).living()
     assert living.vertices == ("a", "b", "d")
-    assert living.edges() == (("a", "d"), ("b", "d"))
+    assert mask_edges(living) == (("a", "d"), ("b", "d"))
 
 
 def test_living_subgraph_example2(example2):
     g, chi = example2
     living = Analysis(g, chi).living()
     assert living.vertices == ("a", "b", "d")
-    assert living.edges() == (("b", "d"),)
+    assert mask_edges(living) == (("b", "d"),)
 
 
 def test_living_subgraph_p5_is_whole_graph(d4d6):
     g, chi = d4d6
-    assert Analysis(g, chi).living(5) == g
+    assert Analysis(g, chi).living(5) == as_mask_graph(g)
 
 
 def test_living_subgraph_containments():
@@ -72,7 +73,7 @@ def test_living_subgraph_containments():
         l0 = Analysis(g, chi).living(0)
         for p in [0, 5, 7, *cls.relevant_primes]:
             lp = Analysis(g, chi).living(p)
-            assert set(l_global.edges()) <= set(lp.edges()) <= set(l0.edges())
+            assert set(mask_edges(l_global)) <= set(mask_edges(lp)) <= set(mask_edges(l0))
             assert lp.vertices == l0.vertices == l_global.vertices
             if p and all(g.half_label(*e) % p for e in cls.dead_edges):
                 assert lp == l0
@@ -176,6 +177,21 @@ def test_raag_dead_cliques_are_dead_vertex_cliques():
         dead = cls.dead_vertices
         expected = tuple(c for c in enumerate_cliques(g, n) if set(c) <= dead)
         assert dead_cliques(g, chi, n) == expected
+
+
+def test_living_is_the_link_of_the_empty_clique_and_matches_the_reference():
+    rng = random.Random(15)
+    for _ in range(60):
+        g = random_even_fc_graph(rng)
+        chi = random_character(rng, g, nonzero=False)
+        ctx = Analysis(g, chi)
+        for p in (None, 0, 2, 3, 5, *sorted(ctx.classification.relevant_primes)):
+            living, ref = ctx.living(p), living_subgraph(g, chi, p)
+            # vertices, neighbour masks and description
+            assert living == as_mask_graph(ref)
+            assert is_subgraph(ref, g)
+            assert [lk for _, _, lk, _ in ctx.links(0, p)] == [living]
+            assert next(ctx.links(2, p))[2] is living is ctx.living(p)
 
 
 def test_is_dominating(example1):

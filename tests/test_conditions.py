@@ -271,7 +271,7 @@ def test_center_zero_test_matches_center_values():
                          for v in g.vertices})
         ints = chi.primitive_integer_values()
         m = [ints[v] for v in g.vertices]
-        cliques = _cliques(g.neighbor_masks, (1 << len(g.vertices)) - 1, 4)
+        cliques = _cliques(g.neighbor_masks, 4)
         for members, (on_big, vanish) in zip(cliques, _center_states(g, m, cliques),
                                              strict=True):
             pairs, leftover = center_generators(g, members)

@@ -1,13 +1,15 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from artinsigma import (EvenGraph, Finding, GraphFormatError, describe_graph, graph_from_dict,
-                        graph_to_dict, induced_subgraph, is_connected, is_subgraph,
-                        validate_even, validate_fc)
+                        graph_to_dict, is_connected, validate_even, validate_fc)
+from artinsigma import graphs
 from artinsigma.graphs import MAX_LABEL
 
-from genutil import random_even_fc_graph
+from genutil import induced_subgraph, is_subgraph, random_even_fc_graph
 
 
 def test_construction_rejects_structural_garbage():
@@ -197,6 +199,24 @@ def test_is_subgraph_and_connectivity(example1):
     assert not is_connected(EvenGraph(["a", "b"]))
     assert not is_connected(EvenGraph([]))
     assert is_connected(EvenGraph(["a"]))
+
+
+def even_graph_calls(node: ast.AST) -> int:
+    return sum(1 for n in ast.walk(node) if isinstance(n, ast.Call)
+               and "EvenGraph" in (getattr(n.func, "id", None), getattr(n.func, "attr", None)))
+
+
+def test_only_the_parser_builds_an_even_graph():
+    # after parsing, subgraphs (living subgraphs, links, cores) are neighbour masks
+    found = {}
+    for path in sorted(Path(graphs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.stem] = even_graph_calls(tree)
+        if path.stem == "graphs":
+            parser, = [n for n in tree.body
+                       if isinstance(n, ast.FunctionDef) and n.name == "graph_from_dict"]
+    assert {stem: n for stem, n in found.items() if n} == {"graphs": 1}
+    assert even_graph_calls(parser) == 1
 
 
 def test_describe_graph_deterministic(example1):

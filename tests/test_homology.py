@@ -6,18 +6,21 @@ from operator import attrgetter
 
 import pytest
 
-from artinsigma import (Analysis, EvenGraph, Field, LaurentMatrix, LaurentPoly, enumerate_cliques,
-                        flag_complex, has_cone_vertex, laurent_divmod, reduced_homology,
-                        smith_normal_form)
+from artinsigma import (Analysis, Character, EvenGraph, Field, LaurentMatrix, LaurentPoly,
+                        TooManyCliques, enumerate_cliques, flag_complex, has_cone_vertex,
+                        laurent_divmod, reduced_homology, smith_normal_form)
+from artinsigma import conditions, homology
 from artinsigma.homology import (PRIME_BOUND, _boundary, _smith_diagonal,
                                  integer_invariant_factors, is_prime, prime_factors)
 
-from genutil import closed_complex, enumerate_cliques_scan, link, random_even_fc_graph
+from genutil import (as_mask_graph, closed_complex, dense, enumerate_cliques_scan, link,
+                     living_subgraph, random_even_fc_graph, sparse_rows)
 
 
 def boundary_matrices(c, max_degree):
     """Augmented boundary matrices d_0 .. d_max_degree."""
-    return [_boundary(c, k) for k in range(max_degree + 1)]
+    return [dense(_boundary(c, k), c.chain_rank(k - 1), c.chain_rank(k))
+            for k in range(max_degree + 1)]
 
 
 def is_d_acyclic(c, d, coeffs):
@@ -93,6 +96,13 @@ def test_enumerate_cliques_triangle():
     assert len(enumerate_cliques(g, 3)) == 8
 
 
+def test_negative_sizes_and_degrees_keep_only_the_empty_clique():
+    g = EvenGraph(["a", "b", "c"], [("a", "b", 2), ("b", "c", 2), ("a", "c", 2)])
+    assert enumerate_cliques(g, 0) == enumerate_cliques(g, -2) == ((),)
+    report = Analysis(g, Character({"a": 1, "b": -1, "c": 0})).strong_n_link(-1)
+    assert report.holds and [w.via for w in report.witnesses] == ["vacuous"]
+
+
 def test_enumerate_cliques_edgeless():
     g = EvenGraph(["a", "b", "c", "d"])
     assert enumerate_cliques(g, 2) == ((), ("a",), ("b",), ("c",), ("d",))
@@ -151,7 +161,8 @@ def test_flag_complex_matches_closed_simplices():
 
 def test_link_example1(example1):
     g, chi = example1
-    living = Analysis(g, chi).living()
+    living = living_subgraph(g, chi)
+    assert Analysis(g, chi).living() == as_mask_graph(living)
     lk_c = link(g, living, ["c"])
     assert lk_c.vertices == ("a", "d") and lk_c.edges() == (("a", "d"),)
     lk_ab = link(g, living, ["a", "b"])
@@ -194,6 +205,38 @@ def test_flag_complex_two_glued_triangles(d4d6):
                       if not {"v", "w"} <= set(c))
     assert sorted(s for d in range(0, 4) for s in c.simplices(d)) == expected
     assert len(c.simplices(2)) == 2  # the triangles vxy and wxy
+
+
+def test_flag_complex_is_built_only_as_deep_as_read(monkeypatch):
+    # K8 has 1 + 8 + 28 + 56 = 93 cliques of size <= 3 and 70 of size 4
+    vs = string.ascii_lowercase[:8]
+    g = EvenGraph(vs, [(u, v, 2) for u, v in itertools.combinations(vs, 2)])
+    monkeypatch.setattr(homology, "MAX_CLIQUES", 93)
+    c = flag_complex(g)
+    assert is_d_acyclic(c, 1, None)     # reads the simplices through dimension 2
+    for _ in range(2):      # refused again, not read as a complex that ends there
+        with pytest.raises(TooManyCliques, match="163 cliques of size at most 4"):
+            reduced_homology(c, None, 2)
+    assert is_d_acyclic(c, 1, None)
+
+
+def test_deeper_questions_extend_the_one_complex(monkeypatch):
+    # the cocktail-party graph on three pairs: the octahedron, a 2-sphere and
+    # its own strong-collapse core; the empty clique is the one dead clique
+    vs = "abcdef"
+    g = EvenGraph(vs, [(u, v, 2) for u, v in itertools.combinations(vs, 2)
+                       if u + v not in ("ab", "cd", "ef")])
+    chi = Character(dict.fromkeys(vs, 1))
+    fresh = {n: Analysis(g, chi).strong_n_link(n) for n in (1, 2, 3)}
+    built = []
+    monkeypatch.setattr(conditions, "flag_complex", lambda h: built.append(h) or flag_complex(h))
+    ctx = Analysis(g, chi)
+    # degree 1 reads the complex through dimension 1, degree 3 through dimension 3
+    for n in (1, 3, 2):
+        assert ctx.strong_n_link(n) == fresh[n]
+    assert [w.failing_degree for w in fresh[3].witnesses] == [2]
+    assert fresh[1].holds and fresh[2].holds
+    assert len(built) == 1
 
 
 def test_flag_complex_of_empty_graph_is_empty():
@@ -249,7 +292,7 @@ def test_integer_snf_against_sympy():
     for _ in range(25):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
-        ours = integer_invariant_factors(m, nr, nc)
+        ours = integer_invariant_factors(sparse_rows(m), nr, nc)
         theirs = smith_normal_form(sympy.Matrix(m))
         diag = [abs(theirs[i, i]) for i in range(min(nr, nc))]
         assert ours == [d for d in diag if d]
@@ -272,7 +315,8 @@ def test_sparse_integer_snf_against_sympy_on_sign_matrices():
         density = rng.random()
         m = [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(nc)]
              for _ in range(nr)]
-        assert integer_invariant_factors(m, nr, nc) == sympy_invariant_factors(m, nr, nc)
+        assert (integer_invariant_factors(sparse_rows(m), nr, nc)
+                == sympy_invariant_factors(m, nr, nc))
 
 
 def test_sparse_integer_snf_against_sympy_on_flag_complex_boundaries():
@@ -284,7 +328,8 @@ def test_sparse_integer_snf_against_sympy_on_flag_complex_boundaries():
         for k in range(c.dimension + 1):
             nr, nc = c.chain_rank(k - 1), c.chain_rank(k)
             m = _boundary(c, k)
-            assert integer_invariant_factors(m, nr, nc) == sympy_invariant_factors(m, nr, nc)
+            assert (integer_invariant_factors(m, nr, nc)
+                    == sympy_invariant_factors(dense(m, nr, nc), nr, nc))
             checked += nr * nc
     assert checked > 5000
 
@@ -294,7 +339,7 @@ def test_integer_snf_divisibility_chain():
     for _ in range(25):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        factors = integer_invariant_factors(m, nr, nc)
+        factors = integer_invariant_factors(sparse_rows(m), nr, nc)
         assert all(d > 0 for d in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         assert len(factors) == reference_rank(m)
@@ -341,11 +386,11 @@ def test_integer_and_laurent_smith_forms_agree_on_ranks():
     for c in complexes:
         for k in range(c.dimension + 1):
             nr, nc = c.chain_rank(k - 1), c.chain_rank(k)
-            boundary = _boundary(c, k)
-            factors = integer_invariant_factors(boundary, nr, nc)
+            boundary = dense(_boundary(c, k), nr, nc)
+            factors = integer_invariant_factors(sparse_rows(boundary), nr, nc)
             torsion += sum(1 for d in factors if d > 1)
             for m in (boundary, mixed(rng, boundary, nr, nc)):
-                assert integer_invariant_factors(m, nr, nc) == factors
+                assert integer_invariant_factors(sparse_rows(m), nr, nc) == factors
                 for p in (0, 2, 3):
                     f = Field(p)
                     constant = LaurentMatrix(f, nr, nc, [[LaurentPoly.constant(f, a) for a in row]

@@ -11,6 +11,12 @@ the links are K21, whose full flag complexes would pass the clique budget;
 ``links --n 3`` reads their one-vertex strong-collapse cores.  K120 (about
 8.5 million cliques) is refused, in under a second.
 
+The cocktail-party family (see ``genutil.cocktail_party_graph``) has link
+cores that are cross-polytope spheres, which no strong collapse shrinks.
+Its reports on K30, K38 and K42 are pinned by digests recorded before the
+boundary matrices became sparse rows and the flag complexes were built only
+as deep as read; the memory of K30 and the time of K50 are bounded.
+
 After a deliberate change of output, regenerate the digests with
 
     PYTHONPATH=src:tests python tests/test_large_graphs.py
@@ -24,6 +30,7 @@ import json
 import random
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,36 +40,40 @@ from artinsigma import (Analysis, EvenGraph, TooManyCliques, character_to_dict,
 from artinsigma import conditions, graphs, homology
 from artinsigma.cli import run
 
-from genutil import alternating_complete_graph, link, random_character, random_even_fc_graph
+from genutil import (alternating_complete_graph, cocktail_party_graph, link, living_subgraph,
+                     random_character, random_even_fc_graph)
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "large_graph_digests.json"
 COMMANDS = ((30, ("verdict", "--n", "4")), (30, ("links", "--n", "3")),
             (60, ("verdict", "--n", "4")))
+COCKTAIL_DIGESTS = DIGESTS.with_name("cocktail_party_digests.json")
+COCKTAIL_COMMANDS = ((30, ("verdict", "--n", "4")), (30, ("links", "--n", "3")),
+                     (38, ("links", "--n", "3")), (42, ("verdict", "--n", "4")))
 
 
-def _instance_file(directory: str, size: int) -> Path:
-    g, chi = alternating_complete_graph(size)
+def _instance_file(directory: str, size: int, family=alternating_complete_graph) -> Path:
+    g, chi = family(size)
     path = Path(directory) / f"k{size}.json"
     path.write_text(json.dumps({"name": f"K{size}", "graph": graph_to_dict(g),
                                 **character_to_dict(chi)}))
     return path
 
 
-def _run(size: int, argv) -> tuple[int, str, bytes]:
+def _run(size: int, argv, family=alternating_complete_graph) -> tuple[int, str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
         json_path = Path(tmp) / "report.json"
         text = io.StringIO()
-        code, _ = run([*argv, "--json", str(json_path), str(_instance_file(tmp, size))],
+        code, _ = run([*argv, "--json", str(json_path), str(_instance_file(tmp, size, family))],
                       out=text)
         written = json_path.read_bytes() if json_path.exists() else b""
     return code, text.getvalue(), written
 
 
-def report_digests() -> dict[str, dict]:
+def report_digests(commands=COMMANDS, family=alternating_complete_graph) -> dict[str, dict]:
     """Exit code and digests of the text and JSON reports, keyed by command."""
     out = {}
-    for size, argv in COMMANDS:
-        code, text, written = _run(size, argv)
+    for size, argv in commands:
+        code, text, written = _run(size, argv, family)
         out[" ".join([*argv, f"K{size}"])] = {
             "exit_code": code,
             "text": hashlib.sha256(text.encode("utf-8")).hexdigest(),
@@ -75,17 +86,30 @@ def test_complete_graph_reports_match_recorded_digests():
     assert report_digests() == json.loads(DIGESTS.read_text())
 
 
-def _count_link_work(monkeypatch) -> tuple[list, list]:
-    """Record each living subgraph ("living") and each link ("link") the
-    analysis context builds, and the vertices of every graph whose
-    description is computed."""
-    built, described = [], []
-    induced, build, describe = (conditions.induced_subgraph, conditions.mask_subgraph,
-                                graphs._describe)
+def test_cocktail_party_reports_match_recorded_digests():
+    assert (report_digests(COCKTAIL_COMMANDS, cocktail_party_graph)
+            == json.loads(COCKTAIL_DIGESTS.read_text()))
 
-    def counting_induced(g, *args):
-        built.append("living")
-        return induced(g, *args)
+
+def test_cocktail_party_link_homology_stays_small():
+    # the living subgraph of K30 is the cocktail-party graph on 8 pairs, a
+    # 7-sphere; verdict --n 4 reads its simplices through dimension 4, whose
+    # boundary matrices held as dense grids took 20.7 MiB at the peak
+    tracemalloc.start()
+    try:
+        code, _, _ = _run(30, ("verdict", "--n", "4"), cocktail_party_graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 10 * 2 ** 20
+
+
+def _count_link_work(monkeypatch) -> tuple[list, list]:
+    """Record each link ("link") the analysis context builds, living
+    subgraphs (the links of the empty clique) included, and the vertices of
+    every graph whose description is computed."""
+    built, described = [], []
+    build, describe = conditions.mask_subgraph, graphs._describe
 
     def counting_build(g, *args):
         built.append("link")
@@ -95,7 +119,6 @@ def _count_link_work(monkeypatch) -> tuple[list, list]:
         described.append(tuple(vertices))
         return describe(vertices, edges)
 
-    monkeypatch.setattr(conditions, "induced_subgraph", counting_induced)
     monkeypatch.setattr(conditions, "mask_subgraph", counting_build)
     monkeypatch.setattr(graphs, "_describe", counting_describe)
     return built, described
@@ -106,8 +129,8 @@ def test_complete_graph_builds_and_describes_its_one_link_once(monkeypatch, argv
     built, described = _count_link_work(monkeypatch)
     code, _, _ = _run(30, argv)
     assert code == 0
-    # one living subgraph (no edge is dead, so every mode shares it) and one link
-    assert built == ["living", "link"]
+    # one link, the living subgraph (no edge is dead, so every mode shares it)
+    assert built == ["link"]
     living_vertices = [f"v{i:03d}" for i in range(1, 30, 2)]
     assert described == [tuple(living_vertices)]
 
@@ -126,7 +149,7 @@ def test_one_link_graph_per_distinct_mask(monkeypatch):
         for p in (None, 0, *sorted(ctx.classification.relevant_primes)):
             living = ctx.living(p)
             for clique, _, lk, _ in ctx.links(3, p):
-                ref = link(g, living, clique)
+                ref = link(g, living_subgraph(g, chi, p), clique)
                 assert lk == (ref.vertices, ref.neighbor_masks, describe_graph(ref))
                 assert distinct.setdefault((id(living), lk.vertices), lk) is lk
         assert built.count("link") == len(distinct)
@@ -151,11 +174,12 @@ def test_clique_budget_is_inclusive(monkeypatch):
         enumerate_cliques(g, 2)
 
 
-def _timed_run(size: int, argv) -> tuple[int, str, dict | None, float]:
+def _timed_run(size: int, argv,
+               family=alternating_complete_graph) -> tuple[int, str, dict | None, float]:
     """Exit code, text and JSON reports, and seconds spent in ``run`` alone
     (writing the instance file is not timed)."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = _instance_file(tmp, size)
+        path = _instance_file(tmp, size, family)
         text = io.StringIO()
         start = time.perf_counter()
         code, report = run([*argv, str(path)], out=text)
@@ -176,6 +200,14 @@ def test_k42_links_read_the_one_vertex_core():
         assert entry["torsion"] == {str(j): [] for j in range(-1, d + 1)}
 
 
+def test_cocktail_party_k50_reads_its_spheres_only_as_deep_as_asked():
+    # the full flag complex of the living subgraph, a 12-sphere, has 3^13 - 1
+    # (about 1.6 million) simplices; degree 4 reads those of dimension <= 4
+    code, _, report, elapsed = _timed_run(50, ("verdict", "--n", "4"), cocktail_party_graph)
+    assert code == 0 and elapsed < 10
+    assert report["results"]["sigma_z"]["status"] == "IN"
+
+
 def test_clique_budget_refuses_k120_at_once():
     code, text, report, elapsed = _timed_run(120, ("verdict", "--n", "4"))
     assert code == 1 and report is None and text.startswith("error: the clique enumeration")
@@ -184,3 +216,5 @@ def test_clique_budget_refuses_k120_at_once():
 
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(report_digests(), indent=2, sort_keys=True) + "\n")
+    COCKTAIL_DIGESTS.write_text(json.dumps(report_digests(COCKTAIL_COMMANDS, cocktail_party_graph),
+                                           indent=2, sort_keys=True) + "\n")
