@@ -5,12 +5,21 @@ nonzero element by the exponent span of its support.  Division with
 remainder shifts both operands to honest polynomials, divides there, and
 shifts back, so remainders have strictly smaller span.
 
-The Smith normal form is the sparse elimination the integer Smith form
-also uses (:func:`artinsigma.homology._smith_diagonal`), with the number of
-stored coefficients as the Euclidean size; the diagonal it leaves is turned
-into the chain d_1 | d_2 | ... by replacing pairs (a, b) with (gcd, lcm).
-Invariant factors are canonicalized to lowest exponent 0 with leading
-coefficient 1.
+Over Q and F_p for odd p a polynomial is a lowest exponent and a tuple of
+coefficients.  Over F_2 it is a lowest exponent and an int whose bit i is
+the coefficient of t^(offset + i), as in Brent, Gaudry, Thome and
+Zimmermann (*Faster multiplication in GF(2)[x]*, ANTS 2008): addition is an
+aligned XOR, multiplication shifts and XORs, and division is long division
+on the bits.  The field picks the representation when a polynomial is
+constructed; both behave alike, down to ``coeffs``, ``==`` and ``repr``.
+
+Matrices are sparse rows.  The Smith normal form is the sparse elimination
+the integer Smith form also uses (:func:`artinsigma.homology._smith_diagonal`),
+with the number of stored coefficients as the Euclidean size; each matrix
+keeps the diagonal it leaves, whose length is the rank, and
+:func:`smith_normal_form` turns it into the chain d_1 | d_2 | ... by
+replacing pairs (a, b) with (gcd, lcm).  Invariant factors are canonicalized
+to lowest exponent 0 with leading coefficient 1.
 
 Coefficients are exact: Fraction for characteristic 0, integers mod p for a
 prime p.  No floating point anywhere.
@@ -34,9 +43,18 @@ class Field:
         self.char = char
 
     def coerce(self, x):
+        """The element of this field that the int or Fraction ``x`` names;
+        a/b in F_p is a * b^-1, and ValueError is raised when p divides b."""
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"a field element is an int or a Fraction, not {type(x).__name__}")
         if self.char == 0:
             return Fraction(x)
-        return int(x) % self.char
+        if isinstance(x, int):
+            return x % self.char
+        if not x.denominator % self.char:
+            raise ValueError(f"{x} has no value in {self!r}: its denominator is divisible "
+                             f"by {self.char}")
+        return x.numerator * pow(x.denominator, -1, self.char) % self.char
 
     @property
     def zero(self):
@@ -79,18 +97,27 @@ class LaurentPoly:
     The first and last stored coefficients are nonzero; the zero polynomial
     is the empty coefficient tuple at offset 0.  Units are exactly the
     single-term elements c * t^k.  ``size``, the number of stored
-    coefficients, is the Euclidean size: 0 for zero, 1 for units.
+    coefficients, is the Euclidean size: 0 for zero, 1 for units.  Over F_2
+    the constructor returns the packed form, :class:`_F2Poly`.
     """
 
     __slots__ = ("field", "offset", "coeffs", "size")
 
+    def __new__(cls, field: Field, offset: int, coeffs: Iterable):
+        # the one place where the characteristic picks the representation
+        return object.__new__(_F2Poly if field.char == 2 else cls)
+
     def __init__(self, field: Field, offset: int, coeffs: Iterable):
         self._store(field, offset, [field.coerce(c) for c in coeffs])
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which picks the form
+        return LaurentPoly, (self.field, self.offset, self.coeffs)
 
     @classmethod
     def _of_elements(cls, field: Field, offset: int, cs: list) -> "LaurentPoly":
         """The constructor for coefficients that are already field elements."""
-        p = cls.__new__(cls)
+        p = object.__new__(cls)
         p._store(field, offset, cs)
         return p
 
@@ -135,7 +162,7 @@ class LaurentPoly:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.size
 
     def is_unit(self) -> bool:
         return self.size == 1
@@ -182,6 +209,33 @@ class LaurentPoly:
                 if b:
                     cs[i + j] = f.add(cs[i + j], f.mul(a, b))
         return LaurentPoly._of_elements(f, self.offset + other.offset, cs)
+
+    def _divmod(self, b: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
+        """:func:`laurent_divmod` for nonzero operands."""
+        f = self.field
+        if b.is_unit():
+            # b = c t^k divides everything: the quotient is a * c^-1 t^-k
+            inv = f.inv(b.coeffs[0])
+            quot = LaurentPoly._of_elements(f, self.offset - b.offset,
+                                            [f.mul(c, inv) for c in self.coeffs])
+            return quot, LaurentPoly.zero(f)
+        # shift both to offset 0 and run ordinary polynomial division
+        rem = list(self.coeffs)
+        div = b.coeffs
+        if len(rem) < len(div):
+            return LaurentPoly.zero(f), self
+        q = [f.zero] * (len(rem) - len(div) + 1)
+        lead_inv = f.inv(div[-1])
+        for i in range(len(rem) - len(div), -1, -1):
+            c = f.mul(rem[i + len(div) - 1], lead_inv)
+            if not c:
+                continue
+            q[i] = c
+            for j, d in enumerate(div):
+                rem[i + j] = f.sub(rem[i + j], f.mul(c, d))
+        quot = LaurentPoly._of_elements(f, self.offset - b.offset, q)
+        remainder = LaurentPoly._of_elements(f, self.offset, rem)
+        return quot, remainder
 
     def monic_offset0(self) -> "LaurentPoly":
         """Canonical associate: lowest exponent 0, top coefficient 1."""
@@ -241,6 +295,101 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
+class _F2Poly(LaurentPoly):
+    """A Laurent polynomial over F_2 packed into an int: bit i of ``bits`` is
+    the coefficient of t^(offset + i).  Bit 0 is set unless the polynomial
+    is zero (bits 0 at offset 0), so units are bits == 1 and ``size`` is
+    the bit length.  ``coeffs`` is derived on each read."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, field: Field, offset: int, coeffs: Iterable):
+        bits = 0
+        for i, c in enumerate(coeffs):
+            if field.coerce(c):
+                bits |= 1 << i
+        self._pack(field, offset, bits)
+
+    def _pack(self, field: Field, offset: int, bits: int) -> "_F2Poly":
+        """Store t^offset * bits, moving trailing zero bits into the offset."""
+        if not bits & 1:
+            if bits:
+                low = (bits & -bits).bit_length() - 1
+                bits >>= low
+                offset += low
+            else:
+                offset = 0
+        self.field = field
+        self.offset = offset
+        self.bits = bits
+        self.size = bits.bit_length()
+        return self
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple([int(c) for c in reversed(f"{self.bits:b}")]) if self.bits else ()
+
+    def __add__(self, other: "_F2Poly") -> "_F2Poly":
+        if not self.bits:
+            return other
+        if not other.bits:
+            return self
+        shift = other.offset - self.offset
+        if shift > 0:
+            return _f2(self.field, self.offset, self.bits ^ (other.bits << shift))
+        if shift < 0:
+            return _f2(self.field, other.offset, other.bits ^ (self.bits << -shift))
+        return _f2(self.field, self.offset, self.bits ^ other.bits)
+
+    def __neg__(self) -> "_F2Poly":
+        return self
+
+    def __mul__(self, other: "_F2Poly") -> "_F2Poly":
+        a, b = self.bits, other.bits
+        if a < 2 or b < 2:     # zero or a unit
+            return _f2(self.field, self.offset + other.offset, a * b)
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        product = 0
+        while a:    # one shifted copy of b per set bit of the sparser factor
+            low = a & -a
+            product ^= b << (low.bit_length() - 1)
+            a ^= low
+        return _f2(self.field, self.offset + other.offset, product)
+
+    def _divmod(self, b: "_F2Poly") -> tuple["_F2Poly", "_F2Poly"]:
+        rem, div = self.bits, b.bits
+        width = div.bit_length()
+        shift = rem.bit_length() - width
+        if div == 1:
+            return _f2(self.field, self.offset - b.offset, rem), _f2(self.field, 0, 0)
+        if shift < 0:
+            return _f2(self.field, 0, 0), self
+        quot = 0
+        while shift >= 0:   # cancel the top bit of the remainder
+            quot |= 1 << shift
+            rem ^= div << shift
+            shift = rem.bit_length() - width
+        return _f2(self.field, self.offset - b.offset, quot), _f2(self.field, self.offset, rem)
+
+    def monic_offset0(self) -> "_F2Poly":
+        return _f2(self.field, 0, self.bits) if self.offset else self
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return isinstance(other, _F2Poly) and self.offset == other.offset \
+            and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.offset, self.bits))
+
+
+def _f2(field: Field, offset: int, bits: int) -> _F2Poly:
+    """The packed polynomial t^offset * bits."""
+    return object.__new__(_F2Poly)._pack(field, offset, bits)
+
+
 def q_poly(k: int, m: int, field: Field) -> LaurentPoly:
     """The truncated geometric sum 1 + t^m + ... + t^(m(k-1)).
 
@@ -263,33 +412,11 @@ def t_power_minus_one(field: Field, m: int) -> LaurentPoly:
 
 def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """a = q*b + r with r zero or span(r) < span(b)."""
-    if b.is_zero():
+    if not b.size:
         raise ZeroDivisionError("Laurent division by zero")
-    f = a.field
-    if a.is_zero():
-        return LaurentPoly.zero(f), a
-    if b.is_unit():
-        # b = c t^k divides everything: the quotient is a * c^-1 t^-k
-        inv = f.inv(b.coeffs[0])
-        quot = LaurentPoly._of_elements(f, a.offset - b.offset, [f.mul(c, inv) for c in a.coeffs])
-        return quot, LaurentPoly.zero(f)
-    # shift both to offset 0 and run ordinary polynomial division
-    rem = list(a.coeffs)
-    div = b.coeffs
-    if len(rem) < len(div):
-        return LaurentPoly.zero(f), a
-    q = [f.zero] * (len(rem) - len(div) + 1)
-    lead_inv = f.inv(div[-1])
-    for i in range(len(rem) - len(div), -1, -1):
-        c = f.mul(rem[i + len(div) - 1], lead_inv)
-        if not c:
-            continue
-        q[i] = c
-        for j, d in enumerate(div):
-            rem[i + j] = f.sub(rem[i + j], f.mul(c, d))
-    quot = LaurentPoly._of_elements(f, a.offset - b.offset, q)
-    remainder = LaurentPoly._of_elements(f, a.offset, rem)
-    return quot, remainder
+    if not a.size:
+        return a, a
+    return a._divmod(b)
 
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -301,22 +428,64 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 class LaurentMatrix:
-    """Dense matrix over F[t, t^-1]; immutable by convention."""
+    """Matrix over F[t, t^-1], stored as sparse rows; immutable by convention.
+
+    The constructor takes a dense grid of entries.  ``_rows`` maps the index
+    of each nonzero row to its nonzero entries by column, and the grid
+    ``entries`` is derived from it on each read.  The diagonal of the Smith
+    form elimination is computed once, when first asked for.
+    """
 
     def __init__(self, field: Field, nrows: int, ncols: int,
                  entries: Sequence[Sequence[LaurentPoly]]):
-        entries = tuple([tuple(row) for row in entries])
-        if len(entries) != nrows or any(len(row) != ncols for row in entries):
+        grid = [list(row) for row in entries]
+        if len(grid) != nrows or any(len(row) != ncols for row in grid):
             raise ValueError("entry grid does not match the stated dimensions")
+        rows = {}
+        for i, row in enumerate(grid):
+            nonzero = {j: e for j, e in enumerate(row) if e.size}
+            if nonzero:
+                rows[i] = nonzero
+        self._set(field, nrows, ncols, rows)
+
+    @classmethod
+    def _of_rows(cls, field: Field, nrows: int, ncols: int,
+                 rows: dict[int, dict[int, LaurentPoly]]) -> "LaurentMatrix":
+        """The matrix with the sparse rows ``rows``, which it keeps: nonzero
+        entries only, and no empty row."""
+        m = cls.__new__(cls)
+        m._set(field, nrows, ncols, rows)
+        return m
+
+    def _set(self, field: Field, nrows: int, ncols: int,
+             rows: dict[int, dict[int, LaurentPoly]]) -> None:
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = entries
+        self._rows = rows
+        self._diag: list[LaurentPoly] | None = None
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "LaurentMatrix":
-        z = LaurentPoly.zero(field)
-        return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+        return cls._of_rows(field, nrows, ncols, {})
+
+    @property
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The dense grid, zeros included."""
+        zero = LaurentPoly.zero(self.field)
+        grid = [[zero] * self.ncols for _ in range(self.nrows)]
+        for i, row in self._rows.items():
+            for j, e in row.items():
+                grid[i][j] = e
+        return tuple([tuple(row) for row in grid])
+
+    def _diagonal(self) -> list[LaurentPoly]:
+        """The nonzero diagonal that :func:`artinsigma.homology._smith_diagonal`
+        leaves, with the coefficient count as size; its length is the rank."""
+        if self._diag is None:
+            rows = {i: dict(row) for i, row in self._rows.items()}
+            self._diag = _smith_diagonal(rows, _size, laurent_divmod)
+        return self._diag
 
 
 _size = attrgetter("size")
@@ -324,18 +493,13 @@ _size = attrgetter("size")
 
 def smith_normal_form(matrix: LaurentMatrix) -> tuple[tuple[LaurentPoly, ...], int]:
     """Invariant factors d_1 | d_2 | ... and the rank of a Laurent matrix:
-    the sparse elimination :func:`artinsigma.homology._smith_diagonal` with
-    the coefficient count as size, then :func:`_divisibility_chain`.
+    the matrix's Smith diagonal turned into the chain by
+    :func:`_divisibility_chain`.
 
     Factors are canonical associates (lowest exponent 0, leading coefficient
     1); the rank is their count.  Unit factors are reported as 1.
     """
-    rows = {}
-    for i, entries in enumerate(matrix.entries):
-        row = {j: e for j, e in enumerate(entries) if e.size}
-        if row:
-            rows[i] = row
-    factors = _divisibility_chain(matrix.field, _smith_diagonal(rows, _size, laurent_divmod))
+    factors = _divisibility_chain(matrix.field, matrix._diagonal())
     return factors, len(factors)
 
 

@@ -362,3 +362,130 @@ def test_matrix_serialization_round_trip():
     assert d["entries"][0][1] == {"offset": 0, "coeffs": ["1/2"]}
     f2 = matrix_to_dict(mat(F2, [[t_power_minus_one(F2, 1)]]))
     assert f2["entries"][0][0] == {"offset": 0, "coeffs": [1, 1]}
+
+
+# --- coercion into the field -----------------------------------------------------
+
+def test_coerce_maps_rationals_to_their_residue():
+    assert F3.coerce(Fraction(1, 2)) == 2      # 2 * 2 = 1 in F_3
+    assert F3.coerce(Fraction(-5, 4)) == 1     # -5 * 4^-1 = -5 = 1 in F_3
+    assert Field(5).coerce(Fraction(3, 7)) == 4  # 7 * 4 = 28 = 3 in F_5
+    assert F2.coerce(Fraction(3, 5)) == 1
+    assert F3.coerce(Fraction(6, 1)) == 0
+    assert F0.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert F3.coerce(-4) == 2
+
+
+def test_coerce_refuses_a_denominator_divisible_by_p():
+    with pytest.raises(ValueError, match="denominator"):
+        F3.coerce(Fraction(1, 3))
+    with pytest.raises(ValueError, match="denominator"):
+        F2.coerce(Fraction(1, 6))
+
+
+@pytest.mark.parametrize("field", [F0, F2, F3])
+@pytest.mark.parametrize("x", [2.7, 0.1, 1.0, "1", None, complex(1, 0)])
+def test_coerce_refuses_anything_but_ints_and_fractions(field, x):
+    with pytest.raises(TypeError):
+        field.coerce(x)
+
+
+def test_rational_coefficients_keep_their_value_in_characteristic_p():
+    p = LaurentPoly(F3, 0, [Fraction(1, 2), 1])
+    assert p == LaurentPoly(F3, 0, [2, 1]) and p.coeffs == (2, 1)
+    assert p.evaluate(Fraction(1, 2)) == (2 + 2) % 3     # 1/2 + t at t = 1/2 = 2
+    assert LaurentPoly(F3, 0, [1, 1]).evaluate(Fraction(1, 2)) == 0
+    with pytest.raises(ValueError):
+        LaurentPoly(F3, 0, [Fraction(1, 3)])
+    with pytest.raises(TypeError):
+        LaurentPoly(F0, 0, [0.5])
+
+
+# --- packed F_2 arithmetic against sympy over GF(2) ----------------------------
+
+f2_coeffs = st.lists(st.integers(0, 1), max_size=300)
+f2_offsets = st.integers(-40, 40)
+
+
+@st.composite
+def f2_polys(draw):
+    return LaurentPoly(F2, draw(f2_offsets), draw(f2_coeffs))
+
+
+def f2_terms(p: LaurentPoly) -> dict[int, int]:
+    return {p.offset + i: 1 for i, c in enumerate(p.coeffs) if c}
+
+
+def gf2(p: LaurentPoly):
+    """p shifted to offset 0, as a sympy polynomial over GF(2)."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], x, modulus=2)
+
+
+def gf2_terms(poly, shift: int) -> dict[int, int]:
+    return {e + shift: 1 for (e,), c in poly.terms() if int(c) % 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(f2_polys(), f2_polys())
+def test_packed_f2_ring_operations_match_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    lo = min(a.offset, b.offset)
+    total = gf2(a) * sympy.Poly(x ** (a.offset - lo), x, modulus=2) \
+        + gf2(b) * sympy.Poly(x ** (b.offset - lo), x, modulus=2)
+    assert f2_terms(a + b) == gf2_terms(total, lo)
+    assert f2_terms(a * b) == gf2_terms(gf2(a) * gf2(b), a.offset + b.offset)
+    assert f2_terms(a.monic_offset0()) == gf2_terms(gf2(a), 0)
+    if b.is_zero():
+        return
+    q, r = laurent_divmod(a, b)
+    if a.is_zero():
+        assert q.is_zero() and r.is_zero()
+    else:
+        sq, sr = sympy.div(gf2(a), gf2(b))
+        assert f2_terms(q) == gf2_terms(sq, a.offset - b.offset)
+        assert f2_terms(r) == gf2_terms(sr, a.offset)
+    if not a.is_zero():
+        assert f2_terms(laurent_gcd(a, b)) == gf2_terms(sympy.gcd(gf2(a), gf2(b)), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f2_polys(), f2_polys(), f2_polys())
+def test_packed_f2_equality_agrees_with_hash(a, b, c):
+    # the same polynomial reached two ways: equal, with equal hashes
+    left, right = (a + b) * c, a * c + b * c
+    assert left == right and hash(left) == hash(right)
+    assert LaurentPoly(F2, left.offset, left.coeffs) == left
+    assert hash(LaurentPoly(F2, left.offset, left.coeffs)) == hash(left)
+    assert (a == b) == (a.offset == b.offset and a.coeffs == b.coeffs)
+    if a == b:
+        assert hash(a) == hash(b)
+    # an F_3 polynomial with the same coefficients is another polynomial
+    odd = LaurentPoly(F3, a.offset, a.coeffs)
+    assert odd.coeffs == a.coeffs
+    assert a != odd and odd != a
+    assert len({a, odd}) == 2
+
+
+def test_packed_f2_has_the_tuple_form_interface():
+    p = LaurentPoly(F2, -2, [0, 1, 1, 0, 3, 0, 0])
+    assert (p.offset, p.coeffs, p.size, p.span) == (-1, (1, 1, 0, 1), 4, 3)
+    assert p.to_dict() == {"offset": -1, "coeffs": [1, 1, 0, 1]}
+    assert repr(p) == "t^-1 + 1 + t^2"
+    assert -p == p and p - p == LaurentPoly.zero(F2)
+    z = LaurentPoly(F2, 7, [0, 2])
+    assert (z.offset, z.coeffs, z.size, z.span) == (0, (), 0, -1) and repr(z) == "0"
+    assert LaurentPoly.one(F2).is_unit() and poly_term(F2, 1, -5).is_unit()
+    assert p.evaluate(1) == 1 and t_power_minus_one(F2, 3).evaluate(1) == 0
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_copy_and_pickle_keep_the_polynomial_and_its_form(field):
+    import copy
+    import pickle
+
+    p = LaurentPoly(field, -3, [1, 0, 1, 1])
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and hash(q) == hash(p) and type(q) is type(p)

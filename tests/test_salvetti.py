@@ -312,3 +312,54 @@ def test_build_refuses_spans_above_the_budget():
         build_salvetti_complex(g, chi, 2)
     with pytest.raises(OracleTooLarge):
         build_salvetti_complex(g, chi, 2, max_n=2)
+
+
+def test_rank_alone_agrees_with_the_smith_form():
+    # rank(n) reads only the length of the Smith diagonal; the full Smith
+    # form of a fresh copy of each differential must count the same rank
+    rng = random.Random(48)
+    for p in (0, 2, 3):
+        for _ in range(12):
+            g = random_even_fc_graph(rng, max_vertices=7)
+            chi = random_character(rng, g)
+            complex_ = build_salvetti_complex(g, chi, p, max_n=4)
+            for n in range(complex_.max_degree + 1):
+                d = complex_.differential(n)
+                fresh = LaurentMatrix(d.field, d.nrows, d.ncols, d.entries)
+                assert complex_.rank(n) == len(smith_normal_form(fresh)[0]) \
+                    == smith_normal_form(d)[1], (p, n)
+
+
+def test_untraced_oracle_command_chains_one_matrix_and_builds_no_grid(monkeypatch, tmp_path):
+    # homology --oracle reads D_n for its rank and D_{n+1} for its torsion:
+    # one divisibility chain, and no dense grid anywhere
+    import io
+    import json
+
+    from artinsigma import character_to_dict, graph_to_dict, laurent
+    from artinsigma.cli import run
+
+    rng = random.Random(49)
+    g = random_even_fc_graph(rng, max_vertices=1)
+    while len(g.vertices) < 10:
+        g = random_even_fc_graph(rng, max_vertices=11, edge_p=0.6)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"graph": graph_to_dict(g),
+                                **character_to_dict(random_character(rng, g))}))
+
+    chained = []
+    honest = laurent._divisibility_chain
+
+    def counting_chain(field, diagonal):
+        chained.append(len(diagonal))
+        return honest(field, diagonal)
+
+    def no_grid(self):
+        raise AssertionError("a dense grid was built")
+
+    monkeypatch.setattr(laurent, "_divisibility_chain", counting_chain)
+    monkeypatch.setattr(LaurentMatrix, "entries", property(no_grid))
+    code, report = run(["homology", "--p", "2", "--n", "3", "--oracle", str(path)],
+                       out=io.StringIO())
+    assert code == 0 and report["results"]["cross_check"] == {"ok": True}
+    assert len(chained) == 1 and chained[0] > 0
