@@ -16,8 +16,8 @@ from .conditions import Analysis, ConditionReport, LinkWitness, ZeroCharacterErr
 from .graphs import (EvenGraph, Finding, GraphFormatError, MaskGraph, ValidationReport,
                      describe_graph, graph_from_dict, graph_to_dict, is_connected, validate_even,
                      validate_fc)
-from .homology import (HomologyProfile, SimplicialComplex, TooManyCliques, enumerate_cliques,
-                       flag_complex, has_cone_vertex, reduced_homology)
+from .homology import (HomologyProfile, SimplicialComplex, TooManyCliques, flag_complex,
+                       has_cone_vertex, reduced_homology)
 from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd, q_poly,
                       smith_normal_form, t_power_minus_one)
 from .salvetti import (CrossCheckError, ModulePresentation, OracleTooLarge, TwistedComplex,

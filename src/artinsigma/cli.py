@@ -170,6 +170,8 @@ def _cmd_check(g, chi, args) -> tuple[int, dict]:
 
 def _cmd_homology(g, chi, args) -> tuple[int, dict]:
     p, n = args.p, args.n
+    # built first, so that the oracle's budgets refuse before the link formula runs
+    twisted = build_salvetti_complex(g, chi, p, max_n=n + 1) if args.oracle else None
     ranks = Analysis(g, chi).free_ranks(p, n)
     result = {
         "p": p,
@@ -179,8 +181,7 @@ def _cmd_homology(g, chi, args) -> tuple[int, dict]:
         "finite_dimensional_at_n": ranks[n] == 0,
         "finite_dimensional_through_n": not any(ranks),
     }
-    if args.oracle:
-        twisted = build_salvetti_complex(g, chi, p, max_n=n + 1)
+    if twisted is not None:
         module = homology_module(twisted, n)
         result["oracle"] = {
             "free_rank": module.free_rank,

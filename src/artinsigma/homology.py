@@ -20,7 +20,7 @@ degree -1 and acyclicity tests see the nonempty/empty distinction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import count, islice
 from math import gcd, inf
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -120,20 +120,9 @@ class TooManyCliques(ValueError):
     """A clique enumeration would exceed :data:`MAX_CLIQUES`."""
 
 
-def enumerate_cliques(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...]:
-    """All cliques of size <= max_size, including the empty clique.
-
-    Order: by size, then lexicographically in the global vertex order, so
-    every downstream basis and report is deterministic.  A total above
-    :data:`MAX_CLIQUES` raises :class:`TooManyCliques` (see :func:`_levels`).
-    """
-    sizes = islice(_named_levels(g.vertices, g.neighbor_masks), max(max_size, 0))
-    return ((), *chain.from_iterable(sizes))
-
-
 def _cliques(nbr: Sequence[int], max_size: int) -> list[int]:
     """The vertex masks of the cliques of size <= max_size of the graph with
-    neighbour masks ``nbr``, in the order of :func:`enumerate_cliques`."""
+    neighbour masks ``nbr``: the empty clique 0, then those of :func:`_levels`."""
     out = [0]
     for level in islice(_levels(nbr), max(max_size, 0)):
         out.extend(members for members, _ in level)
@@ -143,8 +132,8 @@ def _cliques(nbr: Sequence[int], max_size: int) -> list[int]:
 def _levels(nbr: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
     """The nonempty cliques of the graph with neighbour masks ``nbr``, one
     size at a time from size 1: each size as pairs (vertex mask, mask of the
-    common neighbours after its last vertex), in the order of
-    :func:`enumerate_cliques`.
+    common neighbours after its last vertex), lexicographically in the
+    vertex order, so every basis and report built on them is deterministic.
 
     Each clique of a size is extended by the vertices of its second mask.
     Each size is counted from those masks before it is built, and a total
@@ -166,20 +155,6 @@ def _levels(nbr: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
             return
         yield nxt
         current = nxt
-
-
-def _named_levels(vs: Sequence[str], nbr: Sequence[int]) -> Iterator[tuple[tuple[str, ...], ...]]:
-    """The nonempty cliques of the graph with vertex names ``vs`` and
-    neighbour masks ``nbr``, one size at a time as in :func:`_levels`, each
-    by its vertex names: those of the clique without its last vertex, one
-    size down, and the last name."""
-    names: dict[int, tuple[str, ...]] = {0: ()}
-    for level in _levels(nbr):
-        shorter, names = names, {}
-        for members, _ in level:
-            last = members.bit_length() - 1
-            names[members] = shorter[members ^ 1 << last] + (vs[last],)
-        yield tuple(names.values())
 
 
 def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, members: int) -> int:
@@ -238,18 +213,17 @@ def strong_core(vs: Sequence[str], nbr: Sequence[int], mask: int) -> CoreGraph:
 class SimplicialComplex:
     """Finite abstract simplicial complex over an ordered vertex set.
 
-    Built from ``groups``, its simplices already downward closed and
-    grouped by dimension 0, 1, ... in turn, each group sorted
-    lexicographically in the vertex order; the empty simplex is present
-    exactly when the complex is nonempty.  A group is taken from
-    ``groups`` only when a question reads that deep (see
-    :func:`flag_complex`).
+    A simplex is a vertex mask, bit i standing for ``vertex_order[i]``.
+    Built from ``groups``, its simplices already downward closed and grouped
+    by dimension 0, 1, ... in turn, each group sorted lexicographically in
+    the vertex order; the empty simplex 0 is present exactly when the
+    complex is nonempty.  A group is taken from ``groups`` only when a
+    question reads that deep (see :func:`flag_complex`).
     """
 
-    def __init__(self, vertex_order: tuple[str, ...],
-                 groups: Iterable[tuple[tuple[str, ...], ...]]):
+    def __init__(self, vertex_order: tuple[str, ...], groups: Iterable[tuple[int, ...]]):
         self.vertex_order = vertex_order
-        self._by_dim: list[tuple[tuple[str, ...], ...]] = []
+        self._by_dim: list[tuple[int, ...]] = []
         self._groups = iter(groups)
         self._error: Exception | None = None
         self._factors: dict[int, list[int]] = {}
@@ -280,9 +254,9 @@ class SimplicialComplex:
         self._build(inf)
         return len(self._by_dim) - 1
 
-    def simplices(self, dim: int) -> tuple[tuple[str, ...], ...]:
+    def simplices(self, dim: int) -> tuple[int, ...]:
         if dim == -1:
-            return ((),) if not self.is_empty() else ()
+            return (0,) if not self.is_empty() else ()
         self._build(dim)
         return self._by_dim[dim] if 0 <= dim < len(self._by_dim) else ()
 
@@ -307,10 +281,11 @@ class SimplicialComplex:
 
 
 def flag_complex(g: EvenGraph | CoreGraph | MaskGraph) -> SimplicialComplex:
-    """Flag complex of a graph: one (k-1)-simplex per k-clique.  The cliques
-    are enumerated one size at a time, only as deep as the questions asked
+    """Flag complex of a graph: one (k-1)-simplex per k-clique mask of
+    :func:`_levels`, one size at a time, only as deep as the questions asked
     of the complex read, each size counted against :data:`MAX_CLIQUES`."""
-    return SimplicialComplex(g.vertices, _named_levels(g.vertices, g.neighbor_masks))
+    levels = _levels(g.neighbor_masks)
+    return SimplicialComplex(g.vertices, (tuple([s for s, _ in level]) for level in levels))
 
 
 def _boundary(c: SimplicialComplex, k: int) -> dict[int, dict[int, int]]:
@@ -323,15 +298,15 @@ def _boundary(c: SimplicialComplex, k: int) -> dict[int, dict[int, int]]:
     faster than rows in index order.
 
     d_0 is the augmentation sending every vertex to the empty simplex.  The
-    face obtained by removing the i-th vertex (in global order) carries the
-    sign (-1)^i, which makes consecutive matrices compose to zero.
+    face s ^ 1 << v of the simplex s, which drops its i-th vertex v in
+    global order, carries the sign (-1)^i, so consecutive matrices compose
+    to zero.
     """
-    cols = c.simplices(k)
     row_of = {s: i for i, s in enumerate(c.simplices(k - 1))}
     rows: dict[int, dict[int, int]] = {}
-    for j, s in enumerate(cols):
-        for i in range(len(s)):
-            rows.setdefault(row_of[s[:i] + s[i + 1:]], {})[j] = -1 if i % 2 else 1
+    for j, s in enumerate(c.simplices(k)):
+        for i, v in enumerate(_bits(s)):
+            rows.setdefault(row_of[s ^ 1 << v], {})[j] = -1 if i % 2 else 1
     return rows
 
 

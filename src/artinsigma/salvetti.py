@@ -26,8 +26,8 @@ from functools import reduce
 from operator import add
 
 from .characters import Character, _check_domain
-from .graphs import EvenGraph, describe_graph
-from .homology import enumerate_cliques
+from .graphs import EvenGraph, _bits, describe_graph
+from .homology import _cliques
 from .laurent import (Field, LaurentMatrix, LaurentPoly, q_poly, smith_normal_form,
                       t_power_minus_one)
 
@@ -41,38 +41,51 @@ from .laurent import (Field, LaurentMatrix, LaurentPoly, q_poly, smith_normal_fo
 MAX_ORACLE_SPAN = 2_048
 
 
+# The oracle's work grows with the number of cliques times the span.  At
+# `homology --n 3 --oracle` (same machine) that product is at most 1,210 on
+# the 4,800 11-vertex graphs of the benchmark's oracle_f2 workload (seeds 1,
+# 5, 23, 37, 71, 97).  On its generator's density-0.6 graphs (seed 1), 30
+# vertices (25,410) took 0.4 s over F_2 and 1.6 s over Q, and 35 vertices
+# (44,790) 1.5 s and 6.3 s; 60 vertices (309,500) took 127 s over F_2.
+MAX_ORACLE_WORK = 32_768
+
+
 class OracleTooLarge(ValueError):
-    """The twisted complex would carry a weight beyond :data:`MAX_ORACLE_SPAN`."""
+    """The twisted complex would carry a weight beyond :data:`MAX_ORACLE_SPAN`,
+    or cliques times span beyond :data:`MAX_ORACLE_WORK`."""
 
 
-def _max_weight_span(g: EvenGraph, chi: Character, max_n: int) -> int:
-    """Largest span of a weight b(v, X) over the cliques X of size <= max_n.
+def _max_weight_span(g: EvenGraph, exps: list[int], max_n: int) -> int:
+    """Largest span of a weight b(v, X) over the cliques X of size <= max_n,
+    for the primitive integer values ``exps`` in the vertex order.
 
-    t^m - 1 has span |m| and q_poly(l, m) has span (l - 1) |m|, where m are
-    the primitive integer values; on an FC graph a clique holds at most one
-    label > 2 partner w of v, and only cliques of size >= 2 hold one.
+    t^m - 1 has span |m| and q_poly(l, m) has span (l - 1) |m|; on an FC
+    graph a clique holds at most one label > 2 partner w of v, and only
+    cliques of size >= 2 hold one.
     """
     if max_n < 1:
         return 0
-    exps = chi.primitive_integer_values()
+    vs = g.vertices
     span = 0
-    for v in g.vertices:
+    for v, m in enumerate(exps):
         partner = 0
         if max_n >= 2:
-            partner = max(((g.half_label(v, w) - 1) * abs(exps[v] + exps[w])
-                           for w in g.neighbors(v) if g.label(v, w) != 2), default=0)
-        if exps[v]:     # b(v, X) = 0 otherwise
-            span = max(span, abs(exps[v]) + partner)
+            partner = max(((g.half_label(vs[v], vs[w]) - 1) * abs(m + exps[w])
+                           for w in _bits(g.big_partner_masks[v])), default=0)
+        if m:     # b(v, X) = 0 otherwise
+            span = max(span, abs(m) + partner)
     return span
 
 
-def _coefficient_b(g: EvenGraph, exps: dict[str, int], x_clique, v: str,
+def _coefficient_b(g: EvenGraph, exps: list[int], v: int, partners: int,
                    field: Field) -> LaurentPoly:
+    """b(v, X) for the vertex index v and the mask ``partners`` of X - v."""
+    vs = g.vertices
     out = t_power_minus_one(field, exps[v])
-    for w in x_clique:
-        if w == v or out.is_zero():
-            continue
-        out = out * q_poly(g.half_label(v, w), exps[v] + exps[w], field)
+    for w in _bits(partners):
+        if out.is_zero():
+            break
+        out = out * q_poly(g.half_label(vs[v], vs[w]), exps[v] + exps[w], field)
     return out
 
 
@@ -124,20 +137,22 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
     """Assemble the twisted complex over ``Field(p)`` through degree ``max_n``.
 
     Character values are first rescaled to a primitive integer vector (the
-    exponents of the deck transformation).  The sign of the facet removing
-    the i-th vertex of a clique is (-1)^i in the global vertex order.
-    Composites of consecutive differentials are checked to vanish.  A
-    weight span above :data:`MAX_ORACLE_SPAN` raises :class:`OracleTooLarge`
-    before anything is built.
+    exponents of the deck transformation).  A clique is a vertex mask of
+    :func:`homology._cliques`, named only in the bases; the facet x ^ 1 << v
+    dropping the i-th vertex v of x has the sign (-1)^i.  Composites of
+    consecutive differentials are checked to vanish.  A weight span above
+    :data:`MAX_ORACLE_SPAN`, or cliques times span above
+    :data:`MAX_ORACLE_WORK`, raises :class:`OracleTooLarge` before any
+    weight is built.
 
     A label-2 factor of b(v, X) is q_poly(1, m) = 1, so b(v, X) depends only
-    on v and the vertices w of X with label(v, w) != 2; each distinct weight
-    is computed once per build.  Each differential is handed on as sparse
-    rows in row order: on 11-vertex graphs its Smith form then takes about
-    5% fewer divisions than with the rows in the order in which the columns
-    first reach them, the order of the integer boundaries.  The composite
-    check reads the differentials as sparse columns of (row, weight index,
-    sign parity).
+    on v and its label > 2 partners x & g.big_partner_masks[v]; each
+    distinct weight is computed once per build.  Each differential is
+    handed on as sparse rows in row order: on 11-vertex graphs its Smith
+    form then takes about 5% fewer divisions than with the rows in the order
+    in which the columns first reach them, the order of the integer
+    boundaries.  The composite check reads the differentials as sparse
+    columns of (row, weight index, sign parity).
     """
     _check_domain(g, chi)
     field = Field(p)
@@ -145,47 +160,48 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
         max_n = len(g.vertices)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    span = _max_weight_span(g, chi, max_n)
+    ints = chi.primitive_integer_values()
+    exps = [ints[v] for v in g.vertices]
+    span = _max_weight_span(g, exps, max_n)
     if span > MAX_ORACLE_SPAN:
         raise OracleTooLarge(f"the oracle is refused: a differential weight would have span "
                              f"{span}, above the budget of {MAX_ORACLE_SPAN}")
-    exps = chi.primitive_integer_values()
-
-    grouped: dict[int, list[tuple[str, ...]]] = {}
-    for c in enumerate_cliques(g, max_n):
-        grouped.setdefault(len(c), []).append(c)
-    bases = [tuple(grouped.get(n, ())) for n in range(max_n + 1)]
-
-    big = {v: {w for w in g.neighbors(v) if g.label(v, w) != 2} for v in g.vertices}
+    cliques = _cliques(g.neighbor_masks, max_n)
+    if len(cliques) * span > MAX_ORACLE_WORK:
+        raise OracleTooLarge(f"the oracle is refused: {len(cliques)} cliques of size at most "
+                             f"{max_n} times the weight span {span} is "
+                             f"{len(cliques) * span}, above the budget of {MAX_ORACLE_WORK}")
+    levels: list[list[int]] = [[] for _ in range(max_n + 1)]
+    for x in cliques:
+        levels[x.bit_count()].append(x)
     weights: list[tuple[LaurentPoly, LaurentPoly]] = []  # (b, -b) in order of first use
-    index: dict[tuple[str, tuple[str, ...]], int] = {}
+    index: dict[tuple[int, int], int] = {}
     columns: list[list[list[tuple[int, int, int]]]] = [[]]
     diffs: list[LaurentMatrix] = [LaurentMatrix.zeros(field, 0, 0)]
     for n in range(1, max_n + 1):
-        rows = bases[n - 1]
-        cols = bases[n]
-        row_of = {c: i for i, c in enumerate(rows)}
+        row_of = {x: i for i, x in enumerate(levels[n - 1])}
         sparse: dict[int, dict[int, LaurentPoly]] = {}
         degree = []
-        for j, x in enumerate(cols):
+        for j, x in enumerate(levels[n]):
             column = []
-            for i, v in enumerate(x):
-                key = (v, tuple([w for w in x if w in big[v]]))
+            for i, v in enumerate(_bits(x)):
+                key = (v, x & g.big_partner_masks[v])
                 k = index.get(key)
                 if k is None:
                     k = index[key] = len(weights)
-                    b = _coefficient_b(g, exps, key[1], v, field)
+                    b = _coefficient_b(g, exps, v, key[1], field)
                     weights.append((b, -b))
                 if weights[k][0].size:
-                    row = row_of[x[:i] + x[i + 1:]]
+                    row = row_of[x ^ 1 << v]
                     sparse.setdefault(row, {})[j] = weights[k][i % 2]
                     column.append((row, k, i % 2))
             degree.append(column)
         columns.append(degree)
         sparse = {i: sparse[i] for i in sorted(sparse)}
-        diffs.append(LaurentMatrix._of_rows(field, len(rows), len(cols), sparse))
+        diffs.append(LaurentMatrix._of_rows(field, len(row_of), len(levels[n]), sparse))
 
     _check_composites(field, weights, columns)
+    bases = [tuple([tuple([g.vertices[i] for i in _bits(x)]) for x in level]) for level in levels]
     return TwistedComplex(field, bases, diffs)
 
 

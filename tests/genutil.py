@@ -22,6 +22,7 @@ from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, Field, 
 from artinsigma import salvetti
 from artinsigma.characters import _check_domain
 from artinsigma.graphs import _bits
+from artinsigma.homology import _cliques
 
 
 def dihedral(half_label: int) -> tuple[EvenGraph, Character]:
@@ -250,6 +251,15 @@ def dense(rows: dict[int, dict[int, int]], nrows: int, ncols: int) -> list[list[
     return out
 
 
+def enumerate_cliques(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...]:
+    """All cliques of size <= max_size by their vertex names, the empty
+    clique first, then by size and lexicographically in the vertex order:
+    the masks of the library's clique walk (``homology._cliques``), named.
+    A total above ``MAX_CLIQUES`` raises ``TooManyCliques``."""
+    vs = g.vertices
+    return tuple([tuple([vs[i] for i in _bits(x)]) for x in _cliques(g.neighbor_masks, max_size)])
+
+
 def enumerate_cliques_scan(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...]:
     """Reference clique enumeration: each clique is extended by every later
     vertex adjacent (by ``has_edge``) to all of its members."""
@@ -360,7 +370,8 @@ def center_values_pairwise(g: EvenGraph, chi: Character, delta) -> CenterValues:
 
 def closed_complex(vertex_order, simplices) -> SimplicialComplex:
     """Reference complex: the downward closure of ``simplices``, grouped by
-    dimension and sorted lexicographically in the vertex order."""
+    dimension and sorted lexicographically in the vertex order, each simplex
+    then handed on as the vertex mask that ``SimplicialComplex`` holds."""
     vertex_order = tuple(vertex_order)
     index = {v: i for i, v in enumerate(vertex_order)}
     closed: set[tuple[str, ...]] = set()
@@ -376,7 +387,8 @@ def closed_complex(vertex_order, simplices) -> SimplicialComplex:
     for s in closed:
         by_dim.setdefault(len(s) - 1, []).append(s)
     return SimplicialComplex(vertex_order, [
-        tuple(sorted(group, key=lambda s: tuple(index[v] for v in s)))
+        tuple(sum(1 << index[v] for v in s)
+              for s in sorted(group, key=lambda s: tuple(index[v] for v in s)))
         for _, group in sorted(by_dim.items())
     ])
 
@@ -391,7 +403,9 @@ def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) ->
     if not g.is_clique(x_clique):
         raise ValueError(f"{x_clique} is not a clique")
     exps = chi.primitive_integer_values()
-    return salvetti._coefficient_b(g, exps, x_clique, v, field)
+    i = g.index(v)
+    return salvetti._coefficient_b(g, [exps[u] for u in g.vertices], i,
+                                   g.vertex_mask(x_clique) ^ 1 << i, field)
 
 
 def finite_dimensional_through(g: EvenGraph, chi: Character, p: int, n: int) -> bool:

@@ -147,7 +147,7 @@ def test_criterion_7_raag_reduction():
             assert raag_n_link(Analysis(g, chi), n).holds == \
                 Analysis(g, chi).strong_n_link(n).holds
         dead = {v for v in g.vertices if chi.value(v) == 0}
-        from artinsigma.homology import enumerate_cliques
+        from genutil import enumerate_cliques
 
         expected = tuple(c for c in enumerate_cliques(g, len(g.vertices)) if set(c) <= dead)
         assert dead_cliques(g, chi, len(g.vertices)) == expected

@@ -6,11 +6,10 @@ import pytest
 from artinsigma import (Analysis, Character, CharacterError, character_from_dict, classify,
                         is_dominating)
 from artinsigma.graphs import EvenGraph
-from artinsigma.homology import enumerate_cliques
 
 from genutil import (as_mask_graph, center_values, center_values_pairwise, dead_cliques,
-                     dihedral, is_subgraph, living_subgraph, mask_edges, random_character,
-                     random_even_fc_graph, scaled_character)
+                     dihedral, enumerate_cliques, is_subgraph, living_subgraph, mask_edges,
+                     random_character, random_even_fc_graph, scaled_character)
 
 
 def test_classify_example1(example1):

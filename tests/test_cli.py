@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from artinsigma import __version__
 from artinsigma.cli import EXIT_CROSSCHECK, EXIT_INVALID, EXIT_OK, MAX_DEGREE, run
-from artinsigma.salvetti import MAX_ORACLE_SPAN
+from artinsigma.salvetti import MAX_ORACLE_SPAN, MAX_ORACLE_WORK
 
 
 def write_instance(tmp_path, name, graph_edges, character, vertices=None):
@@ -459,6 +459,29 @@ def test_oracle_span_budget_boundary(tmp_path):
             assert report["results"]["cross_check"] == {"ok": True}
         else:
             assert "span 2049" in text
+
+
+def test_oracle_work_budget_boundary(tmp_path):
+    # the span-2048 edge of the test above plus isolated vertices: at --n 1
+    # the cliques are the empty one, the vertices and the edge, so 12
+    # isolated vertices make 16 * 2048 = MAX_ORACLE_WORK and 13 one clique more
+    assert 16 * 2048 == MAX_ORACLE_WORK
+    for isolated, code in ((12, EXIT_OK), (13, EXIT_INVALID)):
+        others = [f"u{i:02d}" for i in range(isolated)]
+        path = write_instance(tmp_path, f"isolated-{isolated}",
+                              [{"u": "v", "v": "w", "label": 4}],
+                              {"v": 2, "w": 1023, **dict.fromkeys(others, 1)},
+                              vertices=["v", "w", *others])
+        start = time.perf_counter()
+        got, report, text = run_cli(["homology", "--p", "2", "--n", "1", "--oracle", path])
+        assert time.perf_counter() - start < 1.0
+        assert got == code
+        if code == EXIT_OK:
+            assert report["results"]["cross_check"] == {"ok": True}
+        else:
+            assert text == (f"error: the oracle is refused: 17 cliques of size at most 2 "
+                            f"times the weight span 2048 is 34816, above the budget of "
+                            f"{MAX_ORACLE_WORK}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,14 +7,15 @@ from operator import attrgetter
 import pytest
 
 from artinsigma import (Analysis, Character, EvenGraph, Field, LaurentMatrix, LaurentPoly,
-                        TooManyCliques, enumerate_cliques, flag_complex, has_cone_vertex,
-                        laurent_divmod, reduced_homology, smith_normal_form)
+                        TooManyCliques, flag_complex, has_cone_vertex, laurent_divmod,
+                        reduced_homology, smith_normal_form)
 from artinsigma import conditions, homology
 from artinsigma.homology import (PRIME_BOUND, _boundary, _smith_diagonal,
                                  integer_invariant_factors, is_prime, prime_factors)
 
-from genutil import (as_mask_graph, closed_complex, dense, enumerate_cliques_scan, link,
-                     living_subgraph, random_even_fc_graph, sparse_rows)
+from genutil import (as_mask_graph, closed_complex, dense, enumerate_cliques,
+                     enumerate_cliques_scan, link, living_subgraph, random_even_fc_graph,
+                     sparse_rows)
 
 
 def boundary_matrices(c, max_degree):
@@ -203,7 +204,8 @@ def test_flag_complex_two_glued_triangles(d4d6):
     expected = sorted(c for size in range(1, 5)
                       for c in itertools.combinations("vwxy", size)
                       if not {"v", "w"} <= set(c))
-    assert sorted(s for d in range(0, 4) for s in c.simplices(d)) == expected
+    assert sorted(tuple(v for i, v in enumerate(c.vertex_order) if s >> i & 1)
+                  for d in range(0, 4) for s in c.simplices(d)) == expected
     assert len(c.simplices(2)) == 2  # the triangles vxy and wxy
 
 
@@ -280,6 +282,30 @@ def test_boundary_composition_vanishes():
             for i in range(rows):
                 for j in range(cols):
                     assert sum(lower[i][k] * upper[k][j] for k in range(mid)) == 0
+
+
+def named_boundary(c, k):
+    """Reference d_k on vertex names, rows and columns in the complex's
+    order: the face dropping the i-th name of a simplex has the sign (-1)^i."""
+    def names(s):
+        return tuple(v for i, v in enumerate(c.vertex_order) if s >> i & 1)
+
+    rows = [names(s) for s in c.simplices(k - 1)] if k else [()]
+    cols = [names(s) for s in c.simplices(k)]
+    out = [[0] * len(cols) for _ in rows]
+    for j, x in enumerate(cols):
+        for i in range(len(x)):
+            out[rows.index(x[:i] + x[i + 1:])][j] = (-1) ** i
+    return out
+
+
+def test_boundary_matches_named_faces():
+    rng = random.Random(33)
+    for _ in range(100):
+        c = flag_complex(random_graph(rng, 9))
+        for k in range(c.dimension + 2):
+            assert dense(_boundary(c, k), c.chain_rank(k - 1), c.chain_rank(k)) \
+                == named_boundary(c, k)
 
 
 # --- exact homology -----------------------------------------------------------

@@ -36,12 +36,12 @@ from pathlib import Path
 import pytest
 
 from artinsigma import (Analysis, EvenGraph, TooManyCliques, character_to_dict,
-                        describe_graph, enumerate_cliques, graph_to_dict)
+                        describe_graph, graph_to_dict)
 from artinsigma import conditions, graphs, homology
 from artinsigma.cli import run
 
-from genutil import (alternating_complete_graph, cocktail_party_graph, link, living_subgraph,
-                     random_character, random_even_fc_graph)
+from genutil import (alternating_complete_graph, cocktail_party_graph, enumerate_cliques, link,
+                     living_subgraph, random_character, random_even_fc_graph)
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "large_graph_digests.json"
 COMMANDS = ((30, ("verdict", "--n", "4")), (30, ("links", "--n", "3")),

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from artinsigma import (Analysis, build_salvetti_complex, classify, cross_check, flag_complex,
                         fp_verdict, homotopic_sigma_verdict, sigma_verdict)
-from artinsigma.homology import _boundary, enumerate_cliques
+from artinsigma.homology import _boundary
 
-from genutil import (center_values, dead_cliques, dense, mask_edges, matrix_is_zero,
-                     matrix_product, negated_character, random_character,
+from genutil import (center_values, dead_cliques, dense, enumerate_cliques, mask_edges,
+                     matrix_is_zero, matrix_product, negated_character, random_character,
                      random_even_fc_graph, scaled_character)
 
 

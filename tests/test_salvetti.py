@@ -7,9 +7,16 @@ from artinsigma import (Analysis, Character, CrossCheckError, EvenGraph, Field, 
                         homology_module, smith_normal_form, t_power_minus_one)
 from artinsigma.salvetti import MAX_ORACLE_SPAN, _max_weight_span
 
-from genutil import (coefficient_b, complex_to_dict, dihedral, matrix_entry, matrix_is_zero,
-                     matrix_product, permuted, poly_scaled, poly_shifted, product_of_dihedrals,
-                     random_character, random_even_fc_graph, scaled_character)
+from genutil import (coefficient_b, complex_to_dict, dihedral, enumerate_cliques_scan,
+                     matrix_entry, matrix_is_zero, matrix_product, permuted, poly_scaled,
+                     poly_shifted, product_of_dihedrals, random_character, random_even_fc_graph,
+                     scaled_character)
+
+
+def exponents(g, chi):
+    """The primitive integer values of chi in the vertex order of g."""
+    ints = chi.primitive_integer_values()
+    return [ints[v] for v in g.vertices]
 
 
 def test_coefficient_b_single_vertex():
@@ -49,7 +56,7 @@ def test_coefficient_b_vanishing_pattern():
 
 
 def _cliques(g, max_size):
-    from artinsigma.homology import enumerate_cliques
+    from genutil import enumerate_cliques
 
     return enumerate_cliques(g, max_size)
 
@@ -114,6 +121,20 @@ def test_differential_entries_match_coefficient_b():
                         assert matrix_entry(d, r, c) == expected.get((r, c), zero)
 
 
+def test_bases_are_the_scanned_cliques_by_size():
+    # max_n 0, one in between, and one above the clique number (empty bases)
+    rng = random.Random(49)
+    for _ in range(50):
+        g = random_even_fc_graph(rng, max_vertices=7)
+        chi = random_character(rng, g)
+        top = len(enumerate_cliques_scan(g, len(g.vertices))[-1])
+        for max_n in (0, rng.randint(1, top), top + 1):
+            complex_ = build_salvetti_complex(g, chi, 2, max_n=max_n)
+            scan = enumerate_cliques_scan(g, max_n)
+            assert [complex_.basis(n) for n in range(max_n + 1)] \
+                == [tuple(c for c in scan if len(c) == n) for n in range(max_n + 1)]
+
+
 def test_composite_check_fires_on_each_corrupted_weight(monkeypatch):
     # b(v, X) depends on v and its label > 2 partners in X, and the build
     # memoizes it under that key.  Multiplying b(u, {u, w}) by t for one edge
@@ -126,9 +147,10 @@ def test_composite_check_fires_on_each_corrupted_weight(monkeypatch):
     g, chi = product_of_dihedrals(4, 6)
     honest = salvetti._coefficient_b
     for u, w in (("v", "w"), ("w", "v"), ("x", "y"), ("y", "x")):
-        def corrupted(g_, exps, partners, v, field, u=u, w=w):
-            b = honest(g_, exps, partners, v, field)
-            return poly_shifted(b, 1) if (v, tuple(partners)) == (u, (w,)) else b
+        def corrupted(g_, exps, v, partners, field, u=u, w=w):
+            b = honest(g_, exps, v, partners, field)
+            hit = (g_.vertices[v], partners) == (u, g_.vertex_mask([w]))
+            return poly_shifted(b, 1) if hit else b
 
         monkeypatch.setattr(salvetti, "_coefficient_b", corrupted)
         for p in (0, 5):
@@ -299,14 +321,14 @@ def test_max_weight_span_is_the_largest_entry_span():
             complex_ = build_salvetti_complex(g, chi, 0, max_n=max_n)
             spans = [e.span for n in range(1, max_n + 1)
                      for row in complex_.differential(n).entries for e in row if e.coeffs]
-            assert _max_weight_span(g, chi, max_n) == max(spans, default=0)
+            assert _max_weight_span(g, exponents(g, chi), max_n) == max(spans, default=0)
 
 
 def test_build_refuses_spans_above_the_budget():
     g = EvenGraph(["v", "w"], [("v", "w", 4)])
     chi = Character({"v": 1, "w": 100000})
-    assert _max_weight_span(g, chi, 1) == 100000
-    assert _max_weight_span(g, chi, 2) == 200001 > MAX_ORACLE_SPAN
+    assert _max_weight_span(g, exponents(g, chi), 1) == 100000
+    assert _max_weight_span(g, exponents(g, chi), 2) == 200001 > MAX_ORACLE_SPAN
     build_salvetti_complex(g, Character({"v": 1, "w": 1023}), 2)   # span 2047
     with pytest.raises(OracleTooLarge, match="span 200001, above the budget of 2048"):
         build_salvetti_complex(g, chi, 2)
