@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .characters import Character, _center_states, classify
+from .characters import Character, _center_states, _check_center_faults, classify
 from .graphs import EvenGraph, MaskGraph, _bits, is_connected, mask_subgraph
-from .homology import (HomologyProfile, SimplicialComplex, _cliques, _link_mask, _require_field,
-                       coeffs_label, flag_complex, has_cone_vertex, reduced_homology, strong_core)
+from .homology import (HomologyProfile, SimplicialComplex, _check_clique_budget, _cliques,
+                       _link_mask, _require_field, coeffs_label, flag_complex, has_cone_vertex,
+                       reduced_homology, strong_core)
 
 
 class ZeroCharacterError(ValueError):
@@ -83,13 +84,17 @@ class Analysis:
 
     A *mode* is a coefficient value (:func:`coeffs_label`): ``None`` (all
     dead edges), ``0`` (none) or a prime p (the p-dead edges).  The
-    classification is made on construction; the clique enumeration (as
-    vertex masks), each mode's dead cliques, each distinct link (one
-    :class:`MaskGraph` per vertex mask, with its description; the living
-    subgraph is the link of the empty clique), its strong-collapse core and
-    the core's flag complex, which keeps the integer Smith forms that serve
-    Z, Q and every F_p, are built on first use and kept.  Links whose cores
-    are one graph share one complex, built as deep as the questions read.
+    classification is made on construction; each mode's dead cliques (per
+    degree, from a walk over the cliques of the vertices that can lie on
+    one, see :meth:`links`), each distinct link (one :class:`MaskGraph` per
+    vertex mask, with its description; the living subgraph is the link of
+    the empty clique), its strong-collapse core and the core's flag complex,
+    which keeps the integer Smith forms that serve Z, Q and every F_p, are
+    built on first use and kept.  Links whose cores are one graph share one
+    complex, built as deep as the questions read.  No enumeration of all
+    cliques is kept: they are counted against the clique budget
+    (:data:`artinsigma.homology.MAX_CLIQUES`) only when a bound on their
+    number is above it.
     """
 
     def __init__(self, g: EvenGraph, chi: Character):
@@ -102,7 +107,7 @@ class Analysis:
         self._values = [ints[v] for v in g.vertices]
         self._nonzero_values = g.vertex_mask(v for v in g.vertices if ints[v])
         self._dead_vertices = g.vertex_mask(self.classification.dead_vertices)
-        self._cliques: dict[int, list[int]] = {}
+        self._budgeted = 0    # the largest degree whose cliques are within the budget
         # keyed by the edges a mode removes (see _edges), so modes that agree share them
         self._dead: dict[tuple[frozenset, int], list[tuple[tuple[str, ...], MaskGraph, int]]] = {}
         self._links: dict[frozenset, dict[int, MaskGraph]] = {}
@@ -145,15 +150,40 @@ class Analysis:
         edge" means p-dead (for ``p=0`` there are none, so only cliques of
         dead vertices qualify).  In the global mode the dead cliques provably
         are the cliques whose clique subgroup has its center killed by the
-        character; this equality is re-checked for every clique and a
-        mismatch raises.
+        character; this equality is re-checked for every clique that could
+        break it and a mismatch raises.
+
+        Only the cliques on the dead vertices and the endpoints of the
+        mode's dead edges, and in the global mode also on the vertices of
+        value 0 and the endpoints of the label > 2 edges of value 0, are
+        walked: a clique with another vertex is neither dead nor has its
+        center killed.  The refusals of the clique budget and the faults
+        that kill no center (an odd label, a vertex on two labels > 2) are
+        raised as a walk over every clique would raise them.
         """
         coeffs_label(coeffs)
         edges = self._edges(p)
         if (edges, n) not in self._dead:
-            if n not in self._cliques:
-                self._cliques[n] = _cliques(self.g.neighbor_masks, n)
-            self._dead[edges, n] = list(self._select(edges, self._cliques[n]))
+            g = self.g
+            if n > self._budgeted:
+                _check_clique_budget(g.neighbor_masks, n)
+                self._budgeted = n
+            # only cliques on ``walked`` can be selected: their vertices are
+            # dead or on an edge of ``edges``
+            walked = self._dead_vertices | g.vertex_mask([v for e in edges for v in e])
+            if edges == self._edges(None):
+                # the walk skips cliques that may hold a fault, so they are
+                # looked for first; and the re-check needs every clique whose
+                # center it finds killed: each vertex is off the nonzero mask
+                # or on a label > 2 edge inside it whose values sum to 0
+                _check_center_faults(g, n)
+                walked |= (1 << len(g.vertices)) - 1 & ~self._nonzero_values
+                values = self._values
+                for i, partners in enumerate(g.big_partner_masks):
+                    for j in _bits(partners):
+                        if values[i] + values[j] == 0:
+                            walked |= 1 << i
+            self._dead[edges, n] = list(self._select(edges, _cliques(g.neighbor_masks, n, walked)))
         for clique, lk, mask in self._dead[edges, n]:
             d = n - 1 - len(clique)
             yield clique, d, lk, partial(self._homology, edges, mask, coeffs, d)

@@ -11,8 +11,9 @@ downstream, so all outputs are reproducible byte for byte.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 
 class GraphFormatError(ValueError):

@@ -120,27 +120,31 @@ class TooManyCliques(ValueError):
     """A clique enumeration would exceed :data:`MAX_CLIQUES`."""
 
 
-def _cliques(nbr: Sequence[int], max_size: int) -> list[int]:
+def _cliques(nbr: Sequence[int], max_size: int, start: int | None = None) -> list[int]:
     """The vertex masks of the cliques of size <= max_size of the graph with
-    neighbour masks ``nbr``: the empty clique 0, then those of :func:`_levels`."""
+    neighbour masks ``nbr``: the empty clique 0, then those of :func:`_levels`
+    (on the vertex mask ``start``, all vertices by default)."""
     out = [0]
-    for level in islice(_levels(nbr), max(max_size, 0)):
+    for level in islice(_levels(nbr, start), max(max_size, 0)):
         out.extend(members for members, _ in level)
     return out
 
 
-def _levels(nbr: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
-    """The nonempty cliques of the graph with neighbour masks ``nbr``, one
-    size at a time from size 1: each size as pairs (vertex mask, mask of the
-    common neighbours after its last vertex), lexicographically in the
+def _levels(nbr: Sequence[int], start: int | None = None) -> Iterator[list[tuple[int, int]]]:
+    """The nonempty cliques of the graph with neighbour masks ``nbr`` whose
+    vertices lie on the mask ``start`` (all vertices by default), one size at
+    a time from size 1: each size as pairs (vertex mask, mask of the common
+    neighbours on ``start`` after its last vertex), lexicographically in the
     vertex order, so every basis and report built on them is deterministic.
+    Restricted to ``start``, the walk is the full walk with the cliques that
+    leave ``start`` taken out, in the same order.
 
     Each clique of a size is extended by the vertices of its second mask.
     Each size is counted from those masks before it is built, and a total
     (the empty clique included) above :data:`MAX_CLIQUES` raises
     :class:`TooManyCliques`.
     """
-    current = [(0, (1 << len(nbr)) - 1)]
+    current = [(0, (1 << len(nbr)) - 1 if start is None else start)]
     total = 1
     for size in count(1):
         total += sum(later.bit_count() for _, later in current)
@@ -155,6 +159,16 @@ def _levels(nbr: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
             return
         yield nxt
         current = nxt
+
+
+def _check_clique_budget(nbr: Sequence[int], max_size: int) -> None:
+    """Raise what :func:`_levels` raises when the graph with neighbour masks
+    ``nbr`` has more than :data:`MAX_CLIQUES` cliques of size <= max_size.
+    A graph has no more cliques than vertex sets, so the cliques are counted
+    only when 2^|V| is above the budget (above 20 vertices)."""
+    if 1 << len(nbr) > MAX_CLIQUES:
+        for _ in islice(_levels(nbr), max(max_size, 0)):
+            pass
 
 
 def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, members: int) -> int:

@@ -150,6 +150,28 @@ def test_dead_cliques_match_center_kill():
         assert dead_cliques(g, chi, 3) == expected
 
 
+def test_dead_cliques_match_the_definition_in_every_mode():
+    # a clique is dead in mode p when each of its vertices is dead or on a
+    # p-dead edge inside it (any dead edge for p = None, none for p = 0);
+    # filtered from every clique, in walk order
+    rng = random.Random(15)
+    for _ in range(120):
+        g = random_even_fc_graph(rng, max_vertices=8, labels=rng.choice(((2, 4, 6), (2, 12, 4))))
+        chi = random_character(rng, g, nonzero=False)
+
+        def on_dead_edge(v, clique, p):
+            return p != 0 and any(
+                g.label(v, w) > 2 and chi.edge_value(v, w) == 0
+                and (p is None or g.half_label(v, w) % p == 0)
+                for w in clique if w != v)
+
+        for p in (None, 0, 2, 3):
+            for n in range(5):
+                expected = tuple([c for c in enumerate_cliques(g, n)
+                                  if all(chi.value(v) == 0 or on_dead_edge(v, c, p) for v in c)])
+                assert dead_cliques(g, chi, n, p) == expected, (g, chi, n, p)
+
+
 def test_vanishing_data_scale_invariant():
     rng = random.Random(13)
     for _ in range(30):

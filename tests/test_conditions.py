@@ -230,6 +230,37 @@ def test_center_recheck_raises_on_disagreement(monkeypatch, example1):
         Analysis(g, chi).strong_n_link(1)
 
 
+def test_center_recheck_sees_corrupted_values():
+    # the walk reads only the cliques that can be dead or have their center
+    # killed, the latter from the re-check's own values: a corrupted value
+    # that kills a center off the dead cliques must still be caught
+    rng = random.Random(57)
+    caught = 0
+    for _ in range(150):
+        g = random_even_fc_graph(rng, max_vertices=8)
+        chi = random_character(rng, g)
+        ints = chi.primitive_integer_values()
+        m = [ints[v] for v in g.vertices]
+        corruptions = []
+        for i, partners in enumerate(g.big_partner_masks):
+            for j in _bits(partners):
+                if m[i] and not m[j]:
+                    corruptions.append(("value", i, 0))       # a nonzero value set to 0
+                if m[i] + m[j]:
+                    corruptions.append(("value", j, -m[i]))   # a label > 2 edge summed to 0
+        corruptions.extend(("nonzero", i, 0) for i in range(len(m)) if m[i])
+        for kind, i, x in corruptions:
+            ctx = Analysis(g, chi)
+            if kind == "value":
+                ctx._values[i] = x
+            else:
+                ctx._nonzero_values &= ~(1 << i)
+            with pytest.raises(RuntimeError, match="dead-clique/center mismatch"):
+                ctx.strong_n_link(2)
+            caught += 1
+    assert caught > 1000
+
+
 def test_raag_reverification_raises_on_disagreement(monkeypatch):
     g = EvenGraph(["a", "b"], [("a", "b", 2)])
     chi = Character({"a": 0, "b": 1})
@@ -292,6 +323,9 @@ def test_center_zero_test_matches_center_values():
       ("c", "d", 2)], ("a", "b", "d")),
     # an odd label (the message names the edge, not the clique)
     ([("a", "b", 3), ("a", "c", 2), ("b", "c", 2)], ("a", "b", "c")),
+    # a on two labels > 2, on a triangle of nonzero values, off every dead
+    # clique and every killed center
+    ([("a", "b", 4), ("a", "d", 6), ("b", "d", 2), ("c", "d", 2)], ("a", "b", "d")),
 ])
 def test_center_zero_test_raises_as_center_values(edges, clique):
     # the context's walk raises, on the first clique that holds the fault,

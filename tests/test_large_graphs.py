@@ -35,7 +35,7 @@ from pathlib import Path
 
 import pytest
 
-from artinsigma import (Analysis, EvenGraph, TooManyCliques, character_to_dict,
+from artinsigma import (Analysis, Character, EvenGraph, TooManyCliques, character_to_dict,
                         describe_graph, graph_to_dict)
 from artinsigma import conditions, graphs, homology
 from artinsigma.cli import run
@@ -172,6 +172,35 @@ def test_clique_budget_is_inclusive(monkeypatch):
     with pytest.raises(TooManyCliques, match="6 cliques of size at most 2, above the "
                                              "budget of 5"):
         enumerate_cliques(g, 2)
+
+
+def test_clique_budget_on_the_analysis_path(monkeypatch):
+    # the path b-a-c has 1 + 3 + 2 = 6 cliques of size <= 3, and 2^3 = 8
+    # vertex sets bound them; the dead cliques lie on a alone
+    g = EvenGraph("abc", [("a", "b", 2), ("a", "c", 2)])
+    chi = Character({"a": 0, "b": 1, "c": 1})
+    starts = []
+    levels = homology._levels
+
+    def recorded(nbr, start=None):
+        starts.append(start)
+        return levels(nbr, start)
+
+    monkeypatch.setattr(homology, "_levels", recorded)
+    # bound within the budget: only the restricted walk, on a
+    monkeypatch.setattr(homology, "MAX_CLIQUES", 8)
+    assert [c for c, *_ in Analysis(g, chi).links(3)] == [(), ("a",)]
+    assert starts == [0b001]
+    # bound above the budget and count within it: counted, then admitted
+    starts.clear()
+    monkeypatch.setattr(homology, "MAX_CLIQUES", 6)
+    assert [c for c, *_ in Analysis(g, chi).links(3)] == [(), ("a",)]
+    assert starts == [None, 0b001]
+    # count above the budget: refused as the full walk refuses it
+    monkeypatch.setattr(homology, "MAX_CLIQUES", 5)
+    with pytest.raises(TooManyCliques, match="^the clique enumeration is refused: 6 cliques of "
+                                             "size at most 2, above the budget of 5$"):
+        list(Analysis(g, chi).links(3))
 
 
 def _timed_run(size: int, argv,

@@ -6,8 +6,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinsigma import (Analysis, build_salvetti_complex, classify, cross_check, flag_complex,
-                        fp_verdict, homotopic_sigma_verdict, sigma_verdict)
+from artinsigma import (Analysis, Character, build_salvetti_complex, classify, cross_check,
+                        flag_complex, fp_verdict, homotopic_sigma_verdict, sigma_verdict)
 from artinsigma.homology import _boundary
 
 from genutil import (center_values, dead_cliques, dense, enumerate_cliques, mask_edges,
@@ -61,13 +61,21 @@ def test_living_subgraph_containment_chain():
 
 
 def test_dead_cliques_iff_center_killed():
+    # integer and rational characters, degrees 0 to 5 and graphs of up to 9
+    # vertices: the dead cliques, which the context finds on a walk restricted
+    # to the vertices that can lie on one, are the center-killed cliques of
+    # the full walk, in its order
     rng = random.Random(104)
-    for _ in range(40):
-        g = random_even_fc_graph(rng)
+    for trial in range(60):
+        g = random_even_fc_graph(rng, max_vertices=9)
         chi = random_character(rng, g, nonzero=False)
-        got = set(dead_cliques(g, chi, 4))
-        for clique in enumerate_cliques(g, 4):
-            assert (clique in got) == center_values(g, chi, clique).is_zero
+        if trial % 2:
+            chi = Character({v: Fraction(x, rng.choice((1, 2, 3)))
+                             for v, x in chi.values.items()})
+        for n in range(6):
+            expected = tuple([c for c in enumerate_cliques(g, n)
+                              if center_values(g, chi, c).is_zero])
+            assert dead_cliques(g, chi, n) == expected, (g, chi, n)
 
 
 def test_homotopic_true_implies_homological_true():
