@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graphs import EvenGraph, MaskGraph, _bits
+from .graphs import EvenGraph, MaskGraph, _bits, _may_hold_big_faults
 from .homology import prime_factors
 
 
@@ -188,12 +188,14 @@ def _check_center_faults(g: EvenGraph, max_size: int) -> None:
     state is read from is among them, so they raise as the full walk does.
     (The walk of every clique of size <= 3 on the vertices of label > 2
     edges would raise the same, but costs about 5 times as much on the
-    verdict_dense benchmark graphs, so the suspects are listed by hand.)"""
+    verdict_dense benchmark graphs, so the suspects are listed by hand.)
+    Nothing is listed when :func:`graphs._may_hold_big_faults` rules both
+    faults out."""
+    if max_size < 2 or not _may_hold_big_faults(g):
+        return
     big, nbr = g.big_partner_masks, g.neighbor_masks
-    suspects = []
-    if max_size >= 2:
-        suspects = [1 << i | 1 << j for i, partners in enumerate(big)
-                    for j in _bits(partners >> (i + 1) << (i + 1))]
+    suspects = [1 << i | 1 << j for i, partners in enumerate(big)
+                for j in _bits(partners >> (i + 1) << (i + 1))]
     if max_size >= 3:
         triangles = {1 << i | 1 << j | 1 << k for i, partners in enumerate(big)
                      for j in _bits(partners) for k in _bits(nbr[j] & partners)}

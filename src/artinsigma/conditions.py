@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .characters import Character, _center_states, _check_center_faults, classify
-from .graphs import EvenGraph, MaskGraph, _bits, is_connected, mask_subgraph
+from .graphs import EvenGraph, MaskGraph, _bits, is_connected
 from .homology import (HomologyProfile, SimplicialComplex, _check_clique_budget, _cliques,
                        _link_mask, _require_field, coeffs_label, flag_complex, has_cone_vertex,
-                       reduced_homology, strong_core)
+                       reduced_homology, sphere_dimension, sphere_homology, strong_core)
 
 
 class ZeroCharacterError(ValueError):
@@ -38,10 +38,15 @@ class LinkWitness:
 
     clique: tuple[str, ...]
     required_degree: int
-    link: str
+    link_graph: MaskGraph
     status: str               # "ok" | "fail" | "unknown"
     failing_degree: int | None
     via: str                  # "vacuous" | "cone" | "homology" | "nonempty" | "connectivity"
+
+    @property
+    def link(self) -> str:
+        """The description of the link, derived when first read."""
+        return self.link_graph.description
 
 
 @dataclass(frozen=True)
@@ -67,15 +72,14 @@ def _first_nonvanishing(profile: HomologyProfile, d: int) -> int | None:
 
 
 def _acyclicity_witness(clique, d: int, lk: MaskGraph, homology) -> LinkWitness:
-    desc = lk.description
     if d <= -2:
-        return LinkWitness(clique, d, desc, "ok", None, "vacuous")
+        return LinkWitness(clique, d, lk, "ok", None, "vacuous")
     if has_cone_vertex(lk):
-        return LinkWitness(clique, d, desc, "ok", None, "cone")
+        return LinkWitness(clique, d, lk, "ok", None, "cone")
     bad = _first_nonvanishing(homology(), d)
     if bad is None:
-        return LinkWitness(clique, d, desc, "ok", None, "homology")
-    return LinkWitness(clique, d, desc, "fail", bad, "homology")
+        return LinkWitness(clique, d, lk, "ok", None, "homology")
+    return LinkWitness(clique, d, lk, "fail", bad, "homology")
 
 
 class Analysis:
@@ -87,14 +91,17 @@ class Analysis:
     classification is made on construction; each mode's dead cliques (per
     degree, from a walk over the cliques of the vertices that can lie on
     one, see :meth:`links`), each distinct link (one :class:`MaskGraph` per
-    vertex mask, with its description; the living subgraph is the link of
-    the empty clique), its strong-collapse core and the core's flag complex,
-    which keeps the integer Smith forms that serve Z, Q and every F_p, are
-    built on first use and kept.  Links whose cores are one graph share one
-    complex, built as deep as the questions read.  No enumeration of all
-    cliques is kept: they are counted against the clique budget
-    (:data:`artinsigma.homology.MAX_CLIQUES`) only when a bound on their
-    number is above it.
+    vertex mask, described only when read; the living subgraph is the link
+    of the empty clique), its strong-collapse core, the core's flag complex,
+    which keeps the integer Smith forms that serve Z, Q and every F_p, and
+    one homology profile per core, coefficients and degree are built on
+    first use and kept.  A core that is a point or a cross-polytope sphere
+    gets no complex: its homology is read in closed form.  Links whose cores
+    are one graph share one complex, built as deep as the questions read.
+    No enumeration of all cliques is kept: they are counted against the
+    clique budget (:data:`artinsigma.homology.MAX_CLIQUES`) only when a
+    bound on their number is above it; a closed-form core builds no
+    simplices, so the budget never refuses it.
     """
 
     def __init__(self, g: EvenGraph, chi: Character):
@@ -111,8 +118,10 @@ class Analysis:
         # keyed by the edges a mode removes (see _edges), so modes that agree share them
         self._dead: dict[tuple[frozenset, int], list[tuple[tuple[str, ...], MaskGraph, int]]] = {}
         self._links: dict[frozenset, dict[int, MaskGraph]] = {}
-        self._cores: dict[tuple[frozenset, int], tuple[int, ...]] = {}
+        # a core's key: its sphere dimension, or else its renumbered neighbour masks
+        self._cores: dict[tuple[frozenset, int], int | float | tuple[int, ...]] = {}
         self._complexes: dict[tuple[int, ...], SimplicialComplex] = {}
+        self._profiles: dict[tuple, HomologyProfile] = {}
 
     def _edges(self, p: int | None) -> frozenset[tuple[str, str]]:
         """The key of mode ``p``: the dead edges its living subgraph removes.
@@ -223,21 +232,36 @@ class Analysis:
             if selected:
                 mask = _link_mask(g, living_mask, members)
                 if mask not in links:
-                    links[mask] = mask_subgraph(g, adjacency, mask)
+                    links[mask] = MaskGraph(g, adjacency, mask)
                 yield tuple([vs[i] for i in _bits(members)]), links[mask], mask
 
     def _homology(self, edges: frozenset, mask: int, coeffs, d: int) -> HomologyProfile:
         """Reduced homology of the flag complex of the link on ``mask`` in
         the living subgraph of ``edges``, read on its strong-collapse core,
-        which is homotopy equivalent."""
+        which is homotopy equivalent.  The core is taken on the mode's
+        neighbour masks in the vertex positions of g.  A sphere core (see
+        :func:`sphere_dimension`) is keyed and answered by its dimension;
+        any other is keyed by its renumbered neighbour masks and answered
+        from its flag complex."""
         key = self._cores.get((edges, mask))
         if key is None:
-            lk = self._links[edges][mask]
-            core = strong_core(lk.vertices, lk.neighbor_masks, (1 << len(lk.vertices)) - 1)
-            key = self._cores[edges, mask] = core.neighbor_masks
-            if key not in self._complexes:
-                self._complexes[key] = flag_complex(core)
-        return reduced_homology(self._complexes[key], coeffs, d)
+            adjacency = self._links[edges][mask].adjacency
+            core = strong_core(adjacency, mask)
+            key = sphere_dimension(adjacency, core)
+            if key is None:
+                graph = MaskGraph(self.g, adjacency, core)
+                key = graph.neighbor_masks
+                if key not in self._complexes:
+                    self._complexes[key] = flag_complex(graph)
+            self._cores[edges, mask] = key
+        profile = self._profiles.get((key, coeffs, d))
+        if profile is None:
+            if isinstance(key, tuple):
+                profile = reduced_homology(self._complexes[key], coeffs, d)
+            else:
+                profile = sphere_homology(key, coeffs, d)
+            self._profiles[key, coeffs, d] = profile
+        return profile
 
     # -- conditions -------------------------------------------------------
 
@@ -274,13 +298,13 @@ class Analysis:
                     # acyclic, but connectivity needs more than homology
                     w = replace(w, status="unknown")
             elif d == -1:
-                ok = bool(lk.vertices)
-                w = LinkWitness(clique, d, lk.description, "ok" if ok else "fail",
+                ok = bool(lk.mask)
+                w = LinkWitness(clique, d, lk, "ok" if ok else "fail",
                                 None if ok else -1, "nonempty")
             else:
                 ok = is_connected(lk)
-                w = LinkWitness(clique, d, lk.description, "ok" if ok else "fail",
-                                None if ok else (0 if lk.vertices else -1), "connectivity")
+                w = LinkWitness(clique, d, lk, "ok" if ok else "fail",
+                                None if ok else (0 if lk.mask else -1), "connectivity")
             witnesses.append(w)
         statuses = {w.status for w in witnesses}
         holds = False if "fail" in statuses else None if "unknown" in statuses else True

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 
 class GraphFormatError(ValueError):
@@ -187,6 +187,20 @@ def validate_even(g: EvenGraph) -> ValidationReport:
     return _report(violations)
 
 
+def _may_hold_big_faults(g: EvenGraph) -> bool:
+    """False when g has no triangle with two labels > 2 and no odd label
+    > 2: a screen of a few bit operations before the walks that list such
+    faults (:func:`validate_fc` and ``characters._check_center_faults``).
+    Two labels > 2 share a triangle exactly when some vertex has two
+    adjacent label > 2 partners."""
+    nbr, big = g.neighbor_masks, g.big_partner_masks
+    for partners in big:
+        for j in _bits(partners):
+            if partners & nbr[j]:
+                return True
+    return any(label > 2 and label % 2 for label in g._labels.values())
+
+
 def validate_fc(g: EvenGraph) -> ValidationReport:
     """Check the FC condition: no triangle carries two labels bigger than 2.
 
@@ -196,8 +210,11 @@ def validate_fc(g: EvenGraph) -> ValidationReport:
     The check is local to triangles, which suffices: a clique violates the
     matching property iff two of its label > 2 edges share a triangle.
     Triangles come from the edges (u, v) and their common neighbours w after
-    v, so findings are in the lexicographic order of their vertex triples.
+    v, so findings are in the lexicographic order of their vertex triples;
+    they are walked only when :func:`_may_hold_big_faults` finds a suspect.
     """
+    if not _may_hold_big_faults(g):
+        return _report([])
     violations = []
     nbr, big = g.neighbor_masks, g.big_partner_masks
     for u, v in g.edges():
@@ -212,37 +229,50 @@ def validate_fc(g: EvenGraph) -> ValidationReport:
     return _report(violations)
 
 
-class MaskGraph(NamedTuple):
-    """A graph as vertex names, their neighbour masks (bit t standing for the
-    t-th name) and its description, the form in which living subgraphs and
-    links are kept; it is read as an :class:`EvenGraph` is, by the functions
-    that read masks."""
+class MaskGraph:
+    """The subgraph on the vertex mask ``mask`` of the subgraph of ``g``
+    with neighbour masks ``adjacency`` (in the vertex positions of g): the
+    form in which living subgraphs, links and their cores are kept.  Its
+    vertex names, its neighbour masks renumbered 0, 1, ... in vertex order
+    (bit t standing for the t-th name) and its description, as
+    :func:`describe_graph` describes an :class:`EvenGraph`, are derived
+    when first read; it is then read as an EvenGraph is, by the functions
+    that read masks.  Two are equal when all three agree."""
 
-    vertices: tuple[str, ...]
-    neighbor_masks: tuple[int, ...]
-    description: str
+    def __init__(self, g: EvenGraph, adjacency: Sequence[int], mask: int):
+        self.g = g
+        self.adjacency = adjacency
+        self.mask = mask
 
+    @cached_property
+    def vertices(self) -> tuple[str, ...]:
+        vs = self.g.vertices
+        return tuple([vs[i] for i in _bits(self.mask)])
 
-def mask_subgraph(g: EvenGraph, adjacency: Sequence[int], mask: int) -> MaskGraph:
-    """The subgraph on the vertex mask ``mask`` of the subgraph of ``g`` with
-    neighbour masks ``adjacency`` (in the positions of g), described as
-    :func:`describe_graph` describes it as an :class:`EvenGraph`."""
-    vs, labels = g.vertices, g._labels
-    positions = _bits(mask)
-    edges = []
-    for i in positions:
-        for j in _bits(adjacency[i] & mask >> (i + 1) << (i + 1)):
-            edges.append(f"{vs[i]}-{vs[j]}:{labels[vs[i], vs[j]]}")
-    names = [vs[i] for i in positions]
-    return MaskGraph(tuple(names), _renumbered(adjacency, mask), _describe(names, edges))
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        positions = _bits(self.mask)
+        rank = {i: t for t, i in enumerate(positions)}
+        return tuple([sum(1 << rank[j] for j in _bits(self.adjacency[i] & self.mask))
+                      for i in positions])
 
+    @cached_property
+    def description(self) -> str:
+        vs, labels, adjacency, mask = self.g.vertices, self.g._labels, self.adjacency, self.mask
+        edges = []
+        for i in _bits(mask):
+            for j in _bits(adjacency[i] & mask >> (i + 1) << (i + 1)):
+                edges.append(f"{vs[i]}-{vs[j]}:{labels[vs[i], vs[j]]}")
+        return _describe(self.vertices, edges)
 
-def _renumbered(nbr: Sequence[int], mask: int) -> tuple[int, ...]:
-    """The neighbour masks ``nbr`` of the vertices on ``mask``, restricted to
-    it and renumbered 0, 1, ... in vertex order."""
-    positions = _bits(mask)
-    rank = {i: t for t, i in enumerate(positions)}
-    return tuple([sum(1 << rank[j] for j in _bits(nbr[i] & mask)) for i in positions])
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MaskGraph):
+            return NotImplemented
+        return ((self.vertices, self.neighbor_masks, self.description)
+                == (other.vertices, other.neighbor_masks, other.description))
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.neighbor_masks))
 
 
 def is_connected(g: EvenGraph | MaskGraph) -> bool:
@@ -291,7 +321,8 @@ def graph_from_dict(doc: Mapping) -> EvenGraph:
         raise GraphFormatError('"edges" must be a list of edge objects')
     edges = []
     for entry in entries:
-        if not isinstance(entry, Mapping) or not {"u", "v", "label"} <= set(entry):
+        if not (isinstance(entry, Mapping) and "u" in entry and "v" in entry
+                and "label" in entry):
             raise GraphFormatError('each edge needs fields "u", "v", "label"')
         u, v, label = entry["u"], entry["v"], entry["label"]
         if not (isinstance(u, str) and isinstance(v, str)):

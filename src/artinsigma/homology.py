@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, islice
 from math import gcd, inf
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .graphs import EvenGraph, MaskGraph, _bits, _renumbered
+from .graphs import EvenGraph, MaskGraph, _bits
 
 
 def prime_factors(n: int) -> set[int]:
@@ -110,9 +110,9 @@ def _require_field(p: int) -> None:
 # with K_n, all labels 2 and values alternating 0 and 1: `verdict --n 4` on
 # K60 (523,686 cliques of size <= 4) takes 4 s and on K83 (1,932,988) 17 s
 # and 410 MB; K120 (8,502,671) would take minutes and is refused at once.
-# Link homology reads the flag complex of a link's strong-collapse core,
-# which for these links (complete graphs) is one vertex, so `links --n 3`
-# on K42, whose full link complexes would hold 2^21 cliques, takes 0.2 s.
+# Link homology reads a link's strong-collapse core, which for these links
+# (complete graphs) is one vertex, read in closed form, so `links --n 3` on
+# K42, whose full link complexes would hold 2^21 cliques, takes 0.2 s.
 MAX_CLIQUES = 2_000_000
 
 
@@ -186,20 +186,10 @@ def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, members: int) -> int:
     return keep
 
 
-class CoreGraph(NamedTuple):
-    """A graph given by its vertex names and their neighbour masks, bit t
-    standing for the t-th name: the form in which :func:`strong_core` keeps
-    a core.  :func:`flag_complex` and :func:`has_cone_vertex` read it as
-    they read an :class:`EvenGraph`."""
-
-    vertices: tuple[str, ...]
-    neighbor_masks: tuple[int, ...]
-
-
-def strong_core(vs: Sequence[str], nbr: Sequence[int], mask: int) -> CoreGraph:
-    """A strong-collapse core of the flag complex of the graph with vertex
-    names ``vs`` and neighbour masks ``nbr``, induced on the vertex mask
-    ``mask``.
+def strong_core(nbr: Sequence[int], mask: int) -> int:
+    """The vertex mask of a strong-collapse core of the flag complex of the
+    graph with neighbour masks ``nbr``, induced on the vertex mask ``mask``;
+    the core keeps the positions of ``nbr``.
 
     A vertex v whose closed neighbourhood N[v] lies inside N[w] for some
     neighbour w is dominated: every maximal simplex through v contains w,
@@ -207,9 +197,7 @@ def strong_core(vs: Sequence[str], nbr: Sequence[int], mask: int) -> CoreGraph:
     Minian, *Strong homotopy types, nerves and collapses*, Discrete Comput.
     Geom. 2012).  Dominated vertices are deleted, lowest first, until none
     is left; the flag complex of what remains has the reduced homology of
-    the whole over every coefficient ring.  The core comes renumbered 0, 1,
-    ... in vertex order, so cores whose neighbour masks agree have one flag
-    complex, simplex for simplex, up to the names.
+    the whole over every coefficient ring.
     """
     changed = True
     while changed:
@@ -221,7 +209,29 @@ def strong_core(vs: Sequence[str], nbr: Sequence[int], mask: int) -> CoreGraph:
                     mask ^= 1 << v
                     changed = True
                     break
-    return CoreGraph(tuple([vs[i] for i in _bits(mask)]), _renumbered(nbr, mask))
+    return mask
+
+
+def sphere_dimension(nbr: Sequence[int], mask: int) -> int | float | None:
+    """The dimension of the sphere that the flag complex of the graph with
+    neighbour masks ``nbr``, induced on ``mask``, is known to be, or None.
+
+    The cocktail-party graph CP(k), k pairs of vertices with every vertex
+    adjacent to all but its partner, has as flag complex the boundary of
+    the k-dimensional cross-polytope, the sphere S^{k-1}; CP(0) is the
+    empty graph, S^{-1}, and CP(1) two points, S^0.  A graph is CP(k)
+    exactly when each of its 2k vertices has 2k - 2 neighbours.  One vertex
+    is contractible: it is read as a sphere of infinite dimension, whose
+    reduced homology vanishes in every degree.  :func:`sphere_homology`
+    gives the homology of either without a complex; any other graph gives
+    None.
+    """
+    size = mask.bit_count()
+    if size == 1:
+        return inf
+    if all((nbr[v] & mask).bit_count() == size - 2 for v in _bits(mask)):
+        return size // 2 - 1
+    return None
 
 
 class SimplicialComplex:
@@ -294,7 +304,7 @@ class SimplicialComplex:
         return self._factors[k]
 
 
-def flag_complex(g: EvenGraph | CoreGraph | MaskGraph) -> SimplicialComplex:
+def flag_complex(g: EvenGraph | MaskGraph) -> SimplicialComplex:
     """Flag complex of a graph: one (k-1)-simplex per k-clique mask of
     :func:`_levels`, one size at a time, only as deep as the questions asked
     of the complex read, each size counted against :data:`MAX_CLIQUES`."""
@@ -511,10 +521,23 @@ def reduced_homology(c: SimplicialComplex, p: int | None, max_degree: int) -> Ho
     return HomologyProfile(label, max_degree, betti, torsion)
 
 
-def has_cone_vertex(g: EvenGraph | CoreGraph | MaskGraph) -> bool:
+def sphere_homology(dimension: int | float, p: int | None,
+                    max_degree: int) -> HomologyProfile:
+    """Exact reduced homology, in degrees -1 .. max_degree, of a sphere of
+    the given dimension (see :func:`sphere_dimension`): the coefficient
+    ring in that degree and zero elsewhere, without torsion."""
+    label = coeffs_label(p)
+    degrees = range(-1, max_degree + 1)
+    return HomologyProfile(label, max_degree, {d: int(d == dimension) for d in degrees},
+                           {d: () for d in degrees})
+
+
+def has_cone_vertex(g: EvenGraph | MaskGraph) -> bool:
     """A vertex adjacent to every other one cones off the flag complex,
-    which is then contractible (hence acyclic over every coefficient ring)."""
-    if not g.vertices:
-        return False
-    n = len(g.vertices)
-    return any(m.bit_count() == n - 1 for m in g.neighbor_masks)
+    which is then contractible (hence acyclic over every coefficient ring).
+    A :class:`MaskGraph` is read on its own masks, without renumbering."""
+    if isinstance(g, MaskGraph):
+        nbr, mask = g.adjacency, g.mask
+    else:
+        nbr, mask = g.neighbor_masks, (1 << len(g.vertices)) - 1
+    return any(nbr[v] & mask == mask ^ 1 << v for v in _bits(mask))

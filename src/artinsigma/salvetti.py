@@ -93,32 +93,40 @@ class TwistedComplex:
     """Chain complex of free F[t, t^-1]-modules indexed by cliques.
 
     Degree n has one basis element per n-clique (degree 0: the empty
-    clique).  Differentials are built once as sparse rows and their
-    composites are verified to vanish.  Each differential keeps its Smith
-    diagonal, so a rank is read without the divisibility chain, which runs
-    only for the degrees whose invariant factors are asked for (memoized).
+    clique), kept as the vertex masks ``levels[n]`` over the names
+    ``vertices`` and named only when :meth:`basis` reads it.  Differentials
+    are built once as sparse rows and their composites are verified to
+    vanish.  Each differential keeps its Smith diagonal, so a rank is read
+    without the divisibility chain, which runs only for the degrees whose
+    invariant factors are asked for (memoized).
     """
 
-    def __init__(self, field: Field, bases: list[tuple[tuple[str, ...], ...]],
+    def __init__(self, field: Field, vertices: tuple[str, ...], levels: list[list[int]],
                  differentials: list[LaurentMatrix]):
         self.field = field
-        self.bases = bases
+        self.vertices = vertices
+        self.levels = levels
+        self._bases: dict[int, tuple[tuple[str, ...], ...]] = {}
         self._diff = differentials  # _diff[n] is D_n for n >= 1; _diff[0] unused
         self._snf_memo: dict[int, tuple[tuple[LaurentPoly, ...], int]] = {}
 
     @property
     def max_degree(self) -> int:
-        return len(self.bases) - 1
+        return len(self.levels) - 1
 
     def basis(self, n: int) -> tuple[tuple[str, ...], ...]:
+        """The cliques of degree n by their vertex names, named once."""
         if not 0 <= n <= self.max_degree:
             raise ValueError(f"degree {n} out of range 0..{self.max_degree}")
-        return self.bases[n]
+        if n not in self._bases:
+            vs = self.vertices
+            self._bases[n] = tuple([tuple([vs[i] for i in _bits(x)]) for x in self.levels[n]])
+        return self._bases[n]
 
     def differential(self, n: int) -> LaurentMatrix:
         """D_n: degree n -> degree n-1 (the zero map for n = 0)."""
         if n == 0:
-            return LaurentMatrix.zeros(self.field, 0, len(self.bases[0]))
+            return LaurentMatrix.zeros(self.field, 0, len(self.levels[0]))
         if not 1 <= n <= self.max_degree:
             raise ValueError(f"degree {n} out of range 0..{self.max_degree}")
         return self._diff[n]
@@ -138,10 +146,10 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
 
     Character values are first rescaled to a primitive integer vector (the
     exponents of the deck transformation).  A clique is a vertex mask of
-    :func:`homology._cliques`, named only in the bases; the facet x ^ 1 << v
-    dropping the i-th vertex v of x has the sign (-1)^i.  Composites of
-    consecutive differentials are checked to vanish.  A weight span above
-    :data:`MAX_ORACLE_SPAN`, or cliques times span above
+    :func:`homology._cliques`, named only when a basis is read; the facet
+    x ^ 1 << v dropping the i-th vertex v of x has the sign (-1)^i.
+    Composites of consecutive differentials are checked to vanish.  A
+    weight span above :data:`MAX_ORACLE_SPAN`, or cliques times span above
     :data:`MAX_ORACLE_WORK`, raises :class:`OracleTooLarge` before any
     weight is built.
 
@@ -201,8 +209,7 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
         diffs.append(LaurentMatrix._of_rows(field, len(row_of), len(levels[n]), sparse))
 
     _check_composites(field, weights, columns)
-    bases = [tuple([tuple([g.vertices[i] for i in _bits(x)]) for x in level]) for level in levels]
-    return TwistedComplex(field, bases, diffs)
+    return TwistedComplex(field, g.vertices, levels, diffs)
 
 
 def _check_composites(field: Field, weights: list[tuple[LaurentPoly, LaurentPoly]],
@@ -262,7 +269,7 @@ def homology_module(twisted: TwistedComplex, n: int) -> ModulePresentation:
         raise ValueError(
             f"degree {n} out of range: homology needs degrees n and n+1 "
             f"(complex built through {twisted.max_degree})")
-    dim = len(twisted.basis(n))
+    dim = len(twisted.levels[n])
     rank_out = twisted.rank(n) if n >= 1 else 0
     factors, rank_in = twisted.snf(n + 1)
     free_rank = dim - rank_out - rank_in

@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, Field, LaurentMatrix,
-                        LaurentPoly, MaskGraph, SimplicialComplex, classify, describe_graph,
-                        validate_fc)
+                        LaurentPoly, MaskGraph, SimplicialComplex, classify, validate_fc)
 from artinsigma import salvetti
 from artinsigma.characters import _check_domain
 from artinsigma.graphs import _bits
@@ -226,7 +225,7 @@ def living_subgraph(g: EvenGraph, chi: Character, p: int | None = None) -> EvenG
 
 def as_mask_graph(g: EvenGraph) -> MaskGraph:
     """``g`` in the form of ``Analysis.living`` and the links."""
-    return MaskGraph(g.vertices, g.neighbor_masks, describe_graph(g))
+    return MaskGraph(g, g.neighbor_masks, (1 << len(g.vertices)) - 1)
 
 
 def mask_edges(h: MaskGraph) -> tuple[tuple[str, str], ...]:
@@ -470,7 +469,8 @@ def complex_to_dict(twisted: salvetti.TwistedComplex) -> dict:
     characteristic, bases and differentials."""
     return {
         "characteristic": twisted.field.char,
-        "bases": {str(n): [list(c) for c in b] for n, b in enumerate(twisted.bases)},
+        "bases": {str(n): [list(c) for c in twisted.basis(n)]
+                  for n in range(twisted.max_degree + 1)},
         "differentials": {str(n): matrix_to_dict(twisted.differential(n))
                           for n in range(1, twisted.max_degree + 1)},
     }

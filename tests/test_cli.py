@@ -398,8 +398,14 @@ def test_one_context_per_command(monkeypatch, argv, demo):
 
 
 @pytest.mark.parametrize("command", ["check", "verdict"])
-def test_large_degrees_do_no_more_work(monkeypatch, command):
-    path = str(DEMOS / "example2.json")
+def test_large_degrees_do_no_more_work(monkeypatch, tmp_path, command):
+    # the dead vertex x coned over the 5-cycle abcde: the links of the empty
+    # clique and of x are both the 5-cycle, its own strong-collapse core and
+    # no sphere core, so its flag complex is built and diagonalised
+    cycle = [{"u": u, "v": v, "label": 2} for u, v in ("ab", "bc", "cd", "de", "ae")]
+    path = write_instance(tmp_path, "coned-cycle",
+                          [*cycle, *({"u": v, "v": "x", "label": 2} for v in "abcde")],
+                          {**dict.fromkeys("abcde", 1), "x": 0})
     factored = count_calls(monkeypatch, "artinsigma.homology.integer_invariant_factors")
     reports = {}
     counts = {}

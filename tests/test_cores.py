@@ -5,16 +5,20 @@ complex on its strong-collapse core.  A strong collapse is a homotopy
 equivalence, so the core's homology must equal the full complex's over Z
 (betti numbers and torsion), Q and every F_p; these tests compare the two
 on random graphs, on the barycentric projective plane (whose torsion must
-survive) and on every link of random instances.
+survive) and on every link of random instances.  A core that is a point
+or a cross-polytope sphere is answered in closed form; that answer is
+compared with the full computation on the spheres CP(0) to CP(5), a point
+and every core met on random instances.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
-from artinsigma import (Analysis, Character, EvenGraph, flag_complex, has_cone_vertex,
-                        reduced_homology)
-from artinsigma.homology import strong_core
+from artinsigma import (Analysis, Character, EvenGraph, MaskGraph, flag_complex,
+                        has_cone_vertex, reduced_homology)
+from artinsigma.homology import sphere_dimension, sphere_homology, strong_core
 
 from genutil import random_character, random_even_fc_graph, random_raag
 from test_homology import rp2_subdivision_graph
@@ -22,8 +26,9 @@ from test_homology import rp2_subdivision_graph
 COEFFICIENTS = (None, 0, 2, 3)
 
 
-def core_of(g: EvenGraph):
-    return strong_core(g.vertices, g.neighbor_masks, (1 << len(g.vertices)) - 1)
+def core_of(g: EvenGraph) -> MaskGraph:
+    full = (1 << len(g.vertices)) - 1
+    return MaskGraph(g, g.neighbor_masks, strong_core(g.neighbor_masks, full))
 
 
 def profiles(g, top: int) -> list:
@@ -127,3 +132,57 @@ def test_homotopic_ok_implies_homological_ok():
             if homotopic.holds:
                 assert homological.holds
     assert seen > 100
+
+
+def cross_polytope(k: int) -> EvenGraph:
+    """CP(k): k pairs of vertices, each adjacent to all but its partner."""
+    vs = [f"x{i}" for i in range(2 * k)]
+    return EvenGraph(vs, [(vs[i], vs[j], 2) for i in range(2 * k) for j in range(i + 1, 2 * k)
+                          if j != i + 1 or i % 2])
+
+
+def closed_form_agrees(core: MaskGraph, top: int) -> bool:
+    """Whether ``core`` has a closed form, checking it in degrees up to
+    ``top`` against its flag complex over Z, Q, F_2 and F_3."""
+    dimension = sphere_dimension(core.adjacency, core.mask)
+    if dimension is None:
+        return False
+    c = flag_complex(core)
+    for coeffs in COEFFICIENTS:
+        assert sphere_homology(dimension, coeffs, top) == reduced_homology(c, coeffs, top)
+    return True
+
+
+def test_cross_polytopes_and_a_point_are_read_in_closed_form():
+    for k in range(6):
+        g = cross_polytope(k)
+        full = (1 << len(g.vertices)) - 1
+        assert strong_core(g.neighbor_masks, full) == full
+        assert sphere_dimension(g.neighbor_masks, full) == k - 1
+        assert closed_form_agrees(MaskGraph(g, g.neighbor_masks, full), k + 1)
+    point = EvenGraph(["v"])
+    assert sphere_dimension(point.neighbor_masks, 1) == math.inf
+    assert closed_form_agrees(MaskGraph(point, point.neighbor_masks, 1), 3)
+    # the 5-cycle and the projective plane are cores with no closed form
+    pentagon = EvenGraph("abcde", [(u, v, 2) for u, v in ("ab", "bc", "cd", "de", "ae")])
+    for g in (pentagon, rp2_subdivision_graph()):
+        full = (1 << len(g.vertices)) - 1
+        assert strong_core(g.neighbor_masks, full) == full
+        assert not closed_form_agrees(MaskGraph(g, g.neighbor_masks, full), 2)
+
+
+def test_closed_form_agrees_on_every_core_met():
+    rng = random.Random(86)
+    closed = other = 0
+    for _ in range(200):
+        g = random_even_fc_graph(rng, max_vertices=9)
+        ctx = Analysis(g, random_character(rng, g))
+        for n in range(1, 5):
+            for p in (None, 0, *sorted(ctx.classification.relevant_primes)):
+                for _, _, lk, _ in ctx.links(n, p):
+                    core = MaskGraph(g, lk.adjacency, strong_core(lk.adjacency, lk.mask))
+                    if closed_form_agrees(core, max(len(core.vertices) - 1, 0)):
+                        closed += 1
+                    else:
+                        other += 1
+    assert closed > other > 0

@@ -6,7 +6,7 @@ import pytest
 
 from artinsigma import (EvenGraph, Finding, GraphFormatError, describe_graph, graph_from_dict,
                         graph_to_dict, is_connected, validate_even, validate_fc)
-from artinsigma import graphs
+from artinsigma import characters, graphs
 from artinsigma.graphs import MAX_LABEL
 
 from genutil import induced_subgraph, is_subgraph, random_even_fc_graph
@@ -180,6 +180,39 @@ def test_validate_fc_matches_triple_scan():
         report = validate_fc(g)
         assert report.violations == tuple(validate_fc_by_triples(g))
         assert report.ok == (not report.violations)
+
+
+def _center_fault(g: EvenGraph, max_size: int) -> str | None:
+    try:
+        characters._check_center_faults(g, max_size)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_fault_screen_agrees_with_the_walks(monkeypatch):
+    # FC graphs, half of them with one label-2 edge raised to 3..6, which may
+    # plant a triangle with two labels > 2 or an odd label; the walks of
+    # validate_fc and of the center-fault check, screened and forced
+    rng = random.Random(132)
+    seen = set()
+    for _ in range(300):
+        g = random_even_fc_graph(rng, max_vertices=9, edge_p=0.6)
+        plain = [e for e, label in g.edge_items() if label == 2]
+        if plain and rng.random() < 0.5:
+            raised = rng.choice(plain)
+            g = EvenGraph(g.vertices, [(*e, rng.randint(3, 6) if e == raised else label)
+                                       for e, label in g.edge_items()])
+        max_size = rng.randint(1, 4)
+        screened = validate_fc(g), _center_fault(g, max_size)
+        with monkeypatch.context() as m:
+            for module in (graphs, characters):
+                m.setattr(module, "_may_hold_big_faults", lambda g: True)
+            walked = validate_fc(g), _center_fault(g, max_size)
+        assert screened == walked
+        seen.add((screened[0].ok, screened[1] is None))
+    # (False, True): a triangle fault that cliques of size <= 2 never meet
+    assert seen == {(True, True), (False, False), (True, False), (False, True)}
 
 
 def test_validate_fc_on_a_long_path():

@@ -222,23 +222,45 @@ def test_flag_complex_is_built_only_as_deep_as_read(monkeypatch):
     assert is_d_acyclic(c, 1, None)
 
 
-def test_deeper_questions_extend_the_one_complex(monkeypatch):
-    # the cocktail-party graph on three pairs: the octahedron, a 2-sphere and
-    # its own strong-collapse core; the empty clique is the one dead clique
+def _suspended_pentagon() -> EvenGraph:
+    """The 5-cycle abcde with two apexes p and q joined to all of it: a
+    2-sphere that is its own strong-collapse core and no cross-polytope."""
+    cycle = [(u, v, 2) for u, v in ("ab", "bc", "cd", "de", "ae")]
+    return EvenGraph("abcdepq", [*cycle, *((v, apex, 2) for v in "abcde" for apex in "pq")])
+
+
+def _octahedron() -> EvenGraph:
+    """The cocktail-party graph on three pairs: the octahedron, a 2-sphere
+    and its own strong-collapse core, read in closed form."""
     vs = "abcdef"
-    g = EvenGraph(vs, [(u, v, 2) for u, v in itertools.combinations(vs, 2)
-                       if u + v not in ("ab", "cd", "ef")])
-    chi = Character(dict.fromkeys(vs, 1))
+    return EvenGraph(vs, [(u, v, 2) for u, v in itertools.combinations(vs, 2)
+                          if u + v not in ("ab", "cd", "ef")])
+
+
+def _sphere_questions(monkeypatch, g: EvenGraph) -> list:
+    """Ask strong_n_link at degrees 1, 3 and 2 of one context, checking each
+    report against a fresh context's; the empty clique is the one dead
+    clique, and its link is a 2-sphere.  Returns the graphs whose flag
+    complexes the context built."""
+    chi = Character(dict.fromkeys(g.vertices, 1))
     fresh = {n: Analysis(g, chi).strong_n_link(n) for n in (1, 2, 3)}
     built = []
     monkeypatch.setattr(conditions, "flag_complex", lambda h: built.append(h) or flag_complex(h))
     ctx = Analysis(g, chi)
-    # degree 1 reads the complex through dimension 1, degree 3 through dimension 3
     for n in (1, 3, 2):
         assert ctx.strong_n_link(n) == fresh[n]
     assert [w.failing_degree for w in fresh[3].witnesses] == [2]
     assert fresh[1].holds and fresh[2].holds
-    assert len(built) == 1
+    return built
+
+
+def test_deeper_questions_extend_the_one_complex(monkeypatch):
+    # degree 1 reads the complex through dimension 1, degree 3 through dimension 3
+    assert len(_sphere_questions(monkeypatch, _suspended_pentagon())) == 1
+
+
+def test_cross_polytope_core_builds_no_complex(monkeypatch):
+    assert _sphere_questions(monkeypatch, _octahedron()) == []
 
 
 def test_flag_complex_of_empty_graph_is_empty():

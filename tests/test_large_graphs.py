@@ -6,7 +6,8 @@ of them is dead, and each has the same link, the complete graph on the
 living half.  The reports of ``verdict --n 4`` and ``links --n 3`` on K30
 and of ``verdict --n 4`` on K60 (523,686 cliques, under the clique budget)
 are pinned by SHA-256 digests of their text and ``--json`` output, and the
-analysis context must build that one link, and describe it, once.  On K42
+analysis context must build that one link once, and describe it once when
+``links`` prints it and never when ``verdict`` passes every witness.  On K42
 the links are K21, whose full flag complexes would pass the clique budget;
 ``links --n 3`` reads their one-vertex strong-collapse cores.  K120 (about
 8.5 million cliques) is refused, in under a second.
@@ -105,11 +106,11 @@ def test_cocktail_party_link_homology_stays_small():
 
 
 def _count_link_work(monkeypatch) -> tuple[list, list]:
-    """Record each link ("link") the analysis context builds, living
+    """Record each graph ("link") the analysis context builds, living
     subgraphs (the links of the empty clique) included, and the vertices of
     every graph whose description is computed."""
     built, described = [], []
-    build, describe = conditions.mask_subgraph, graphs._describe
+    build, describe = conditions.MaskGraph, graphs._describe
 
     def counting_build(g, *args):
         built.append("link")
@@ -119,7 +120,7 @@ def _count_link_work(monkeypatch) -> tuple[list, list]:
         described.append(tuple(vertices))
         return describe(vertices, edges)
 
-    monkeypatch.setattr(conditions, "mask_subgraph", counting_build)
+    monkeypatch.setattr(conditions, "MaskGraph", counting_build)
     monkeypatch.setattr(graphs, "_describe", counting_describe)
     return built, described
 
@@ -129,10 +130,12 @@ def test_complete_graph_builds_and_describes_its_one_link_once(monkeypatch, argv
     built, described = _count_link_work(monkeypatch)
     code, _, _ = _run(30, argv)
     assert code == 0
-    # one link, the living subgraph (no edge is dead, so every mode shares it)
+    # one link, the living subgraph (no edge is dead, so every mode shares it);
+    # its core is one vertex, so no core graph is built either
     assert built == ["link"]
     living_vertices = [f"v{i:03d}" for i in range(1, 30, 2)]
-    assert described == [tuple(living_vertices)]
+    # links prints it; verdict passes every witness, and prints no link
+    assert described == ([tuple(living_vertices)] if argv[0] == "links" else [])
 
 
 def test_one_link_graph_per_distinct_mask(monkeypatch):
@@ -150,7 +153,8 @@ def test_one_link_graph_per_distinct_mask(monkeypatch):
             living = ctx.living(p)
             for clique, _, lk, _ in ctx.links(3, p):
                 ref = link(g, living_subgraph(g, chi, p), clique)
-                assert lk == (ref.vertices, ref.neighbor_masks, describe_graph(ref))
+                assert ((lk.vertices, lk.neighbor_masks, lk.description)
+                        == (ref.vertices, ref.neighbor_masks, describe_graph(ref)))
                 assert distinct.setdefault((id(living), lk.vertices), lk) is lk
         assert built.count("link") == len(distinct)
 
