@@ -18,8 +18,8 @@ from .graphs import (EvenGraph, Finding, GraphFormatError, MaskGraph, Validation
                      validate_fc)
 from .homology import (HomologyProfile, SimplicialComplex, TooManyCliques, flag_complex,
                        has_cone_vertex, reduced_homology)
-from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd, q_poly,
-                      smith_normal_form, t_power_minus_one)
+from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd,
+                      smith_normal_form)
 from .salvetti import (CrossCheckError, ModulePresentation, OracleTooLarge, TwistedComplex,
                        build_salvetti_complex, cross_check, homology_module)
 from .verdicts import (IN, NOT_IN, UNKNOWN, Justification, RuleConflictError, Verdict,

@@ -100,8 +100,9 @@ class Analysis:
     are one graph share one complex, built as deep as the questions read.
     No enumeration of all cliques is kept: they are counted against the
     clique budget (:data:`artinsigma.homology.MAX_CLIQUES`) only when a
-    bound on their number is above it; a closed-form core builds no
-    simplices, so the budget never refuses it.
+    bound on their number is above it, and so are a core's cliques through
+    the degree read, before its flag complex builds any; a closed-form core
+    builds no simplices, so the budget never refuses it.
     """
 
     def __init__(self, g: EvenGraph, chi: Character):
@@ -242,7 +243,9 @@ class Analysis:
         neighbour masks in the vertex positions of g.  A sphere core (see
         :func:`sphere_dimension`) is keyed and answered by its dimension;
         any other is keyed by its renumbered neighbour masks and answered
-        from its flag complex."""
+        from its flag complex, whose cliques through the degree read are
+        first counted against the clique budget (only when 2^|core| is above
+        it, see :func:`_check_clique_budget`)."""
         key = self._cores.get((edges, mask))
         if key is None:
             adjacency = self._links[edges][mask].adjacency
@@ -257,6 +260,9 @@ class Analysis:
         profile = self._profiles.get((key, coeffs, d))
         if profile is None:
             if isinstance(key, tuple):
+                # reading degree d builds cliques of size <= d + 2: count them
+                # before the first is built and diagonalised
+                _check_clique_budget(key, d + 2)
                 profile = reduced_homology(self._complexes[key], coeffs, d)
             else:
                 profile = sphere_homology(key, coeffs, d)

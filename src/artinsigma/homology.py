@@ -149,8 +149,7 @@ def _levels(nbr: Sequence[int], start: int | None = None) -> Iterator[list[tuple
     for size in count(1):
         total += sum(later.bit_count() for _, later in current)
         if total > MAX_CLIQUES:
-            raise TooManyCliques(f"the clique enumeration is refused: {total} cliques of size "
-                                 f"at most {size}, above the budget of {MAX_CLIQUES}")
+            raise _too_many(total, size)
         nxt = []
         for members, later in current:
             for i in _bits(later):
@@ -165,10 +164,21 @@ def _check_clique_budget(nbr: Sequence[int], max_size: int) -> None:
     """Raise what :func:`_levels` raises when the graph with neighbour masks
     ``nbr`` has more than :data:`MAX_CLIQUES` cliques of size <= max_size.
     A graph has no more cliques than vertex sets, so the cliques are counted
-    only when 2^|V| is above the budget (above 20 vertices)."""
-    if 1 << len(nbr) > MAX_CLIQUES:
-        for _ in islice(_levels(nbr), max(max_size, 0)):
-            pass
+    only when 2^|V| is above the budget (above 20 vertices).  The sizes
+    below max_size are walked, and max_size is counted from the masks of
+    the level below it, without being built."""
+    if max_size > 0 and 1 << len(nbr) > MAX_CLIQUES:
+        total, below = 1, [(0, (1 << len(nbr)) - 1)]
+        for below in islice(_levels(nbr), max_size - 1):
+            total += len(below)
+        total += sum(later.bit_count() for _, later in below)
+        if total > MAX_CLIQUES:
+            raise _too_many(total, max_size)
+
+
+def _too_many(total: int, size: int) -> TooManyCliques:
+    return TooManyCliques(f"the clique enumeration is refused: {total} cliques of size at most "
+                          f"{size}, above the budget of {MAX_CLIQUES}")
 
 
 def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, members: int) -> int:

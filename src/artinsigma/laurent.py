@@ -390,26 +390,6 @@ def _f2(field: Field, offset: int, bits: int) -> _F2Poly:
     return object.__new__(_F2Poly)._pack(field, offset, bits)
 
 
-def q_poly(k: int, m: int, field: Field) -> LaurentPoly:
-    """The truncated geometric sum 1 + t^m + ... + t^(m(k-1)).
-
-    This is (x^k - 1)/(x - 1) evaluated at x = t^m; for m = 0 it degenerates
-    to the constant k, which vanishes exactly in characteristic p | k.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m == 0:
-        return LaurentPoly.constant(field, k)
-    return LaurentPoly.from_terms(field, {m * i: 1 for i in range(k)})
-
-
-def t_power_minus_one(field: Field, m: int) -> LaurentPoly:
-    """t^m - 1 (zero when m = 0)."""
-    if m == 0:
-        return LaurentPoly.zero(field)
-    return LaurentPoly.from_terms(field, {m: 1, 0: -1})
-
-
 def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """a = q*b + r with r zero or span(r) < span(b)."""
     if not b.size:

@@ -3,16 +3,25 @@
 For an integer-valued character, the homology of its kernel with field
 coefficients is the homology of a complex of free F[t, t^-1]-modules with
 one generator per clique (the empty clique in degree 0, k-cliques in degree
-k).  The differential sends a clique generator to the signed sum of its
+k).  The differential D_n sends a clique generator to the signed sum of its
 facets, each weighted by
 
-    b(v, X) = (t^(m_v) - 1) * prod over edges {v, w} inside X of
-              (1 + t^(m_e) + ... + t^(m_e * (l - 1)))      with label 2l,
+    b(v, X) = (t^(m_v) - 1) * prod over edges e = {v, w} inside X of q(l, m_e),
+    q(l, m) = 1 + t^m + ... + t^(m (l - 1))      for the label 2l of e,
 
-which vanishes exactly when v is dead or lies on a p-dead edge of X in
-characteristic p.  Smith normal form over the principal ideal domain
-F[t, t^-1] then yields the free rank and the invariant-factor torsion of
-each homology module.
+where m_e = m_v + m_w (q(l, 0) is the constant l).  The weight vanishes
+exactly when v is dead or lies on a p-dead edge of X in characteristic p.
+Smith normal form over the principal ideal domain F[t, t^-1] then yields
+the free rank and the invariant-factor torsion of each homology module.
+
+Every weight is divisible by t - 1, so the complex is kept reduced: D'_n =
+D_n / (t - 1) has the weights c(v, X) = [m_v]_t * prod q(l, m_e), where
+[m]_t = (t^m - 1) / (t - 1) is 1 + t + ... + t^(m-1) for m > 0,
+-t^m [-m]_t for m < 0 and 0 for m = 0.  F[t, t^-1] is a domain, so D'_n has
+the rank of D_n, its invariant factors times t - 1 are those of D_n (each
+still canonical), and D'_n D'_{n+1} vanishes exactly when D_n D_{n+1} does.
+The Smith forms run on D', where most pivots are units; D_n itself is built
+only when read.
 
 This is the independent oracle for the closed-form link formula: the two
 routes are compared entry for entry by :func:`cross_check`, and a mismatch
@@ -22,14 +31,11 @@ is a hard error naming the instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 from .characters import Character, _check_domain
 from .graphs import EvenGraph, _bits, describe_graph
 from .homology import _cliques
-from .laurent import (Field, LaurentMatrix, LaurentPoly, q_poly, smith_normal_form,
-                      t_power_minus_one)
+from .laurent import Field, LaurentMatrix, LaurentPoly, smith_normal_form
 
 
 # The oracle's cost grows with the span of the differential weights.  On one
@@ -59,7 +65,7 @@ def _max_weight_span(g: EvenGraph, exps: list[int], max_n: int) -> int:
     """Largest span of a weight b(v, X) over the cliques X of size <= max_n,
     for the primitive integer values ``exps`` in the vertex order.
 
-    t^m - 1 has span |m| and q_poly(l, m) has span (l - 1) |m|; on an FC
+    t^m - 1 has span |m| and q(l, m) has span (l - 1) |m|; on an FC
     graph a clique holds at most one label > 2 partner w of v, and only
     cliques of size >= 2 hold one.
     """
@@ -77,16 +83,31 @@ def _max_weight_span(g: EvenGraph, exps: list[int], max_n: int) -> int:
     return span
 
 
-def _coefficient_b(g: EvenGraph, exps: list[int], v: int, partners: int,
-                   field: Field) -> LaurentPoly:
-    """b(v, X) for the vertex index v and the mask ``partners`` of X - v."""
+def _weight(g: EvenGraph, exps: list[int], v: int, partners: int,
+            field: Field) -> LaurentPoly:
+    """c(v, X) = b(v, X) / (t - 1) for the vertex index v and the mask
+    ``partners`` of X - v, built from its integer coefficients: [m_v]_t,
+    then one convolution with q(l, m_v + m_w) per partner w, the constant l
+    when m_v + m_w = 0."""
+    m = exps[v]
+    if not m:
+        return LaurentPoly.zero(field)
+    offset, cs = (0, [1] * m) if m > 0 else (m, [-1] * -m)
     vs = g.vertices
-    out = t_power_minus_one(field, exps[v])
     for w in _bits(partners):
-        if out.is_zero():
-            break
-        out = out * q_poly(g.half_label(vs[v], vs[w]), exps[v] + exps[w], field)
-    return out
+        half, s = g.half_label(vs[v], vs[w]), m + exps[w]
+        if not s:
+            cs = [half * c for c in cs]
+            continue
+        step = abs(s)
+        if s < 0:
+            offset += s * (half - 1)
+        out = [0] * (len(cs) + step * (half - 1))
+        for i in range(0, len(out) - len(cs) + 1, step):
+            for k, c in enumerate(cs, i):
+                out[k] += c
+        cs = out
+    return LaurentPoly(field, offset, cs)
 
 
 class TwistedComplex:
@@ -94,50 +115,61 @@ class TwistedComplex:
 
     Degree n has one basis element per n-clique (degree 0: the empty
     clique), kept as the vertex masks ``levels[n]`` over the names
-    ``vertices`` and named only when :meth:`basis` reads it.  Differentials
-    are built once as sparse rows and their composites are verified to
-    vanish.  Each differential keeps its Smith diagonal, so a rank is read
-    without the divisibility chain, which runs only for the degrees whose
-    invariant factors are asked for (memoized).
+    ``vertices`` and named only when :meth:`basis` reads it.  The reduced
+    differentials D'_n = D_n / (t - 1) are built once as sparse rows and
+    their composites are verified to vanish; D_n is rebuilt from D'_n when
+    :meth:`differential` reads it.  Each D'_n keeps its Smith diagonal, so a
+    rank is read without the divisibility chain, which runs only for the
+    degrees whose invariant factors are asked for (memoized).
     """
 
     def __init__(self, field: Field, vertices: tuple[str, ...], levels: list[list[int]],
-                 differentials: list[LaurentMatrix]):
+                 reduced: list[LaurentMatrix]):
         self.field = field
         self.vertices = vertices
         self.levels = levels
         self._bases: dict[int, tuple[tuple[str, ...], ...]] = {}
-        self._diff = differentials  # _diff[n] is D_n for n >= 1; _diff[0] unused
+        self._reduced = reduced  # _reduced[n] is D'_n; _reduced[0] is the zero map
+        self._t_minus_one = LaurentPoly(field, 0, [-1, 1])
         self._snf_memo: dict[int, tuple[tuple[LaurentPoly, ...], int]] = {}
 
     @property
     def max_degree(self) -> int:
         return len(self.levels) - 1
 
-    def basis(self, n: int) -> tuple[tuple[str, ...], ...]:
-        """The cliques of degree n by their vertex names, named once."""
+    def _degree(self, n: int) -> int:
+        """n, once checked to be a degree of the complex."""
         if not 0 <= n <= self.max_degree:
             raise ValueError(f"degree {n} out of range 0..{self.max_degree}")
+        return n
+
+    def basis(self, n: int) -> tuple[tuple[str, ...], ...]:
+        """The cliques of degree n by their vertex names, named once."""
         if n not in self._bases:
             vs = self.vertices
-            self._bases[n] = tuple([tuple([vs[i] for i in _bits(x)]) for x in self.levels[n]])
+            self._bases[n] = tuple([tuple([vs[i] for i in _bits(x)])
+                                    for x in self.levels[self._degree(n)]])
         return self._bases[n]
 
     def differential(self, n: int) -> LaurentMatrix:
-        """D_n: degree n -> degree n-1 (the zero map for n = 0)."""
-        if n == 0:
-            return LaurentMatrix.zeros(self.field, 0, len(self.levels[0]))
-        if not 1 <= n <= self.max_degree:
-            raise ValueError(f"degree {n} out of range 0..{self.max_degree}")
-        return self._diff[n]
+        """D_n: degree n -> degree n-1 (the zero map for n = 0), built anew
+        from D'_n on each read."""
+        reduced = self._reduced[self._degree(n)]
+        t_minus_one = self._t_minus_one
+        rows = {i: {j: t_minus_one * e for j, e in row.items()}
+                for i, row in reduced._rows.items()}
+        return LaurentMatrix._of_rows(self.field, reduced.nrows, reduced.ncols, rows)
 
     def snf(self, n: int) -> tuple[tuple[LaurentPoly, ...], int]:
+        """Invariant factors and rank of D_n: those of D'_n, each factor
+        times t - 1."""
         if n not in self._snf_memo:
-            self._snf_memo[n] = smith_normal_form(self.differential(n))
+            factors, rank = smith_normal_form(self._reduced[self._degree(n)])
+            self._snf_memo[n] = tuple([self._t_minus_one * f for f in factors]), rank
         return self._snf_memo[n]
 
     def rank(self, n: int) -> int:
-        return len(self.differential(n)._diagonal())
+        return len(self._reduced[self._degree(n)]._diagonal())
 
 
 def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
@@ -151,16 +183,17 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
     Composites of consecutive differentials are checked to vanish.  A
     weight span above :data:`MAX_ORACLE_SPAN`, or cliques times span above
     :data:`MAX_ORACLE_WORK`, raises :class:`OracleTooLarge` before any
-    weight is built.
+    weight is built; both measure the span of b, one more than that of c.
 
-    A label-2 factor of b(v, X) is q_poly(1, m) = 1, so b(v, X) depends only
+    A label-2 factor of b(v, X) is q(1, m) = 1, so c(v, X) depends only
     on v and its label > 2 partners x & g.big_partner_masks[v]; each
-    distinct weight is computed once per build.  Each differential is
-    handed on as sparse rows in row order: on 11-vertex graphs its Smith
+    distinct weight is computed once per build.  Each reduced differential
+    is handed on as sparse rows in row order: on 11-vertex graphs its Smith
     form then takes about 5% fewer divisions than with the rows in the order
     in which the columns first reach them, the order of the integer
-    boundaries.  The composite check reads the differentials as sparse
-    columns of (row, weight index, sign parity).
+    boundaries.  The composite check reads the differentials as columns of
+    (row, weight index, sign parity), one entry per vertex of the clique in
+    the vertex order, zero weights included.
     """
     _check_domain(g, chi)
     field = Field(p)
@@ -182,10 +215,10 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
     levels: list[list[int]] = [[] for _ in range(max_n + 1)]
     for x in cliques:
         levels[x.bit_count()].append(x)
-    weights: list[tuple[LaurentPoly, LaurentPoly]] = []  # (b, -b) in order of first use
+    weights: list[tuple[LaurentPoly, LaurentPoly]] = []  # (c, -c) in order of first use
     index: dict[tuple[int, int], int] = {}
     columns: list[list[list[tuple[int, int, int]]]] = [[]]
-    diffs: list[LaurentMatrix] = [LaurentMatrix.zeros(field, 0, 0)]
+    reduced = [LaurentMatrix.zeros(field, 0, len(levels[0]))]
     for n in range(1, max_n + 1):
         row_of = {x: i for i, x in enumerate(levels[n - 1])}
         sparse: dict[int, dict[int, LaurentPoly]] = {}
@@ -197,48 +230,62 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
                 k = index.get(key)
                 if k is None:
                     k = index[key] = len(weights)
-                    b = _coefficient_b(g, exps, v, key[1], field)
-                    weights.append((b, -b))
+                    c = _weight(g, exps, v, key[1], field)
+                    weights.append((c, -c))
+                row = row_of[x ^ 1 << v]
+                column.append((row, k, i % 2))
                 if weights[k][0].size:
-                    row = row_of[x ^ 1 << v]
                     sparse.setdefault(row, {})[j] = weights[k][i % 2]
-                    column.append((row, k, i % 2))
             degree.append(column)
         columns.append(degree)
         sparse = {i: sparse[i] for i in sorted(sparse)}
-        diffs.append(LaurentMatrix._of_rows(field, len(row_of), len(levels[n]), sparse))
+        reduced.append(LaurentMatrix._of_rows(field, len(row_of), len(levels[n]), sparse))
 
-    _check_composites(field, weights, columns)
-    return TwistedComplex(field, g.vertices, levels, diffs)
+    _check_composites(weights, columns)
+    return TwistedComplex(field, g.vertices, levels, reduced)
 
 
-def _check_composites(field: Field, weights: list[tuple[LaurentPoly, LaurentPoly]],
+def _check_composites(weights: list[tuple[LaurentPoly, LaurentPoly]],
                       columns: list[list[list[tuple[int, int, int]]]]) -> None:
     """Raise unless every entry of every D_n D_{n+1} vanishes.
 
-    An entry is the sum of the products of weights along the paths Y -> X ->
-    F; the products of sign +1 and of sign -1 are summed apart and compared.
-    Each distinct pair of weights is multiplied once.
+    ``columns[n][j]`` holds one (row, weight index, sign parity) per vertex
+    of the j-th clique Y of degree n, in the vertex order.  The entry at F =
+    Y - u_i - u_j (i < j) is the sum of exactly two paths, through Y - u_i,
+    which reaches F by dropping its (j-1)-th vertex, and through Y - u_j,
+    which drops its i-th.  Both must reach the same row, and their products
+    of weights must cancel under the signs the parities give.  Each distinct
+    pair of weights is multiplied once.
     """
-    zero = LaurentPoly.zero(field)
+    nonzero = [bool(w[0].size) for w in weights]
     products: dict[tuple[int, int], LaurentPoly] = {}
+
+    def product(a: int, b: int) -> LaurentPoly:
+        pair = (a, b) if a < b else (b, a)
+        prod = products.get(pair)
+        if prod is None:
+            prod = products[pair] = weights[a][0] * weights[b][0]
+        return prod
+
     for n in range(1, len(columns) - 1):
         lower = columns[n]
         for column in columns[n + 1]:
-            sides: dict[int, tuple[list[LaurentPoly], list[LaurentPoly]]] = {}
-            for x_row, a, a_odd in column:
-                for f_row, b, b_odd in lower[x_row]:
-                    pair = (a, b) if a < b else (b, a)
-                    prod = products.get(pair)
-                    if prod is None:
-                        prod = products[pair] = weights[a][0] * weights[b][0]
-                    sides.setdefault(f_row, ([], []))[a_odd ^ b_odd].append(prod)
-            for plus, minus in sides.values():
-                # the paths through a label-2 edge multiply the same two
-                # weights, so they share one product and cancel as they are
-                if len(plus) == len(minus) == 1 and plus[0] is minus[0]:
-                    continue
-                if reduce(add, plus, zero) != reduce(add, minus, zero):
+            for i, (row_a, a, a_odd) in enumerate(column):
+                lower_a = lower[row_a]
+                for j in range(i + 1, len(column)):
+                    row_b, b, b_odd = column[j]
+                    f_a, fa, fa_odd = lower_a[j - 1]
+                    f_b, fb, fb_odd = lower[row_b][i]
+                    if f_a == f_b:
+                        if not (nonzero[a] and nonzero[fa]) and not (nonzero[b] and nonzero[fb]):
+                            continue
+                        if a_odd ^ fa_odd != b_odd ^ fb_odd:
+                            # through a label-2 edge both paths multiply the
+                            # same two weights, which then need no product
+                            if a == fb and b == fa or product(a, fa) == product(b, fb):
+                                continue
+                        elif not (product(a, fa) + product(b, fb)).size:
+                            continue
                     raise RuntimeError(f"differential composite D_{n} D_{n + 1} is nonzero")
 
 

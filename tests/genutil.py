@@ -5,8 +5,9 @@ matrices and twisted complexes shared by the Laurent and twisted-complex
 tests, the all-labels-2 n-link condition, and plain reference versions of
 the bitmask graph kernels, induced and living subgraphs built as
 ``EvenGraph``, the links of cliques, the clique-center generators and
-values, the flag-complex closure, the twisted differential weight and two
-closed-form criteria."""
+values, the flag-complex closure, the twisted differential weight (with
+the geometric sums and t^m - 1 it is built from) and two closed-form
+criteria."""
 
 from __future__ import annotations
 
@@ -392,8 +393,30 @@ def closed_complex(vertex_order, simplices) -> SimplicialComplex:
     ])
 
 
+def q_poly(k: int, m: int, field: Field) -> LaurentPoly:
+    """The truncated geometric sum 1 + t^m + ... + t^(m(k-1)).
+
+    This is (x^k - 1)/(x - 1) evaluated at x = t^m; for m = 0 it degenerates
+    to the constant k, which vanishes exactly in characteristic p | k.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if m == 0:
+        return LaurentPoly.constant(field, k)
+    return LaurentPoly.from_terms(field, {m * i: 1 for i in range(k)})
+
+
+def t_power_minus_one(field: Field, m: int) -> LaurentPoly:
+    """t^m - 1 (zero when m = 0)."""
+    if m == 0:
+        return LaurentPoly.zero(field)
+    return LaurentPoly.from_terms(field, {m: 1, 0: -1})
+
+
 def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) -> LaurentPoly:
-    """Differential weight of the facet of clique X obtained by removing v."""
+    """Differential weight b(v, X) of the facet of clique X obtained by
+    removing v: t^(m_v) - 1 times q_poly(l, m_v + m_w) for each w in X - v
+    with label 2l, from the primitive integer values m of chi."""
     _check_domain(g, chi)
     field = Field(p)
     x_clique = g.sort_vertices(x_clique)
@@ -402,9 +425,11 @@ def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) ->
     if not g.is_clique(x_clique):
         raise ValueError(f"{x_clique} is not a clique")
     exps = chi.primitive_integer_values()
-    i = g.index(v)
-    return salvetti._coefficient_b(g, [exps[u] for u in g.vertices], i,
-                                   g.vertex_mask(x_clique) ^ 1 << i, field)
+    out = t_power_minus_one(field, exps[v])
+    for w in x_clique:
+        if w != v:
+            out = out * q_poly(g.half_label(v, w), exps[v] + exps[w], field)
+    return out
 
 
 def finite_dimensional_through(g: EvenGraph, chi: Character, p: int, n: int) -> bool:

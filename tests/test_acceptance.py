@@ -12,10 +12,10 @@ from artinsigma import (IN, NOT_IN, UNKNOWN, Analysis, build_salvetti_complex, c
                         fp_verdict, homology_module, is_connected, is_dominating, sigma_verdict)
 from artinsigma.cli import run as cli_run
 from artinsigma.graphs import graph_to_dict
-from artinsigma.laurent import Field, t_power_minus_one
+from artinsigma.laurent import Field
 
 from genutil import (dead_cliques, dihedral, raag_n_link, random_character, random_even_fc_graph,
-                     random_raag)
+                     random_raag, t_power_minus_one)
 
 EXAMPLE1 = ("example-1", [("a", "b", 4), ("c", "d", 4), ("a", "c", 2), ("b", "d", 2),
                           ("a", "d", 2)], {"a": 1, "b": -1, "c": 0, "d": 1})

@@ -207,6 +207,65 @@ def test_clique_budget_on_the_analysis_path(monkeypatch):
         list(Analysis(g, chi).links(3))
 
 
+def test_clique_budget_check_counts_the_top_size_without_building_it(monkeypatch):
+    # K24 (2^24 vertex sets, above the budget) at size 4: the 10,626 cliques
+    # of size 4 are counted from the 2,024 of size 3, and only those are built
+    nbr = [((1 << 24) - 1) ^ 1 << i for i in range(24)]
+    tracemalloc.start()
+    try:
+        homology._check_clique_budget(nbr, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 2 ** 20
+    # the refusal is the one the walk itself gives, at every size
+    for budget in (24, 25, 300, 301, 2324, 2325, 12950, 12951):
+        monkeypatch.setattr(homology, "MAX_CLIQUES", budget)
+        for top in range(1, 5):
+            try:
+                homology._cliques(nbr, top)
+                walked = None
+            except TooManyCliques as exc:
+                walked = str(exc)
+            try:
+                homology._check_clique_budget(nbr, top)
+                checked = None
+            except TooManyCliques as exc:
+                checked = str(exc)
+            assert checked == walked, (budget, top)
+
+
+def test_core_budget_refuses_before_any_smith_form(monkeypatch):
+    # the join of CP(4) and a 5-cycle, all labels 2, is its own strong-collapse
+    # core and no sphere; it has 275 cliques of size <= 3 and 571 of size
+    # <= 4.  strong_n_link(3) reads the living subgraph's homology through
+    # degree 2, that is cliques of size <= 4, so with a budget of 300 it is
+    # refused before any level is diagonalised
+    cp = [f"p{i}" for i in range(8)]
+    cycle = [f"c{i}" for i in range(5)]
+    edges = [(cp[i], cp[j], 2) for i in range(8) for j in range(i + 1, 8) if j != i ^ 1]
+    edges += [(cycle[i], cycle[(i + 1) % 5], 2) for i in range(5)]
+    edges += [(u, v, 2) for u in cp for v in cycle]
+    g = EvenGraph(cp + cycle, edges)
+    chi = Character({v: 1 for v in g.vertices})
+    calls = []
+    honest = homology.integer_invariant_factors
+
+    def counted(*args):
+        calls.append(args[1:])
+        return honest(*args)
+
+    monkeypatch.setattr(homology, "integer_invariant_factors", counted)
+    monkeypatch.setattr(homology, "MAX_CLIQUES", 300)
+    with pytest.raises(TooManyCliques, match="^the clique enumeration is refused: 571 cliques "
+                                             "of size at most 4, above the budget of 300$"):
+        Analysis(g, chi).strong_n_link(3)
+    assert calls == []
+    monkeypatch.setattr(homology, "MAX_CLIQUES", 571)
+    assert Analysis(g, chi).strong_n_link(3).holds
+    assert calls
+
+
 def _timed_run(size: int, argv,
                family=alternating_complete_graph) -> tuple[int, str, dict | None, float]:
     """Exit code, text and JSON reports, and seconds spent in ``run`` alone

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinsigma import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd,
-                        q_poly, smith_normal_form, t_power_minus_one)
+                        smith_normal_form)
 
 from genutil import (matrix_entry, matrix_product, matrix_to_dict, permuted, poly_shifted,
-                     poly_term)
+                     poly_term, q_poly, t_power_minus_one)
 
 F0 = Field(0)
 F2 = Field(2)

@@ -1,16 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from artinsigma import (Analysis, Character, CrossCheckError, EvenGraph, Field, LaurentMatrix,
                         LaurentPoly, OracleTooLarge, build_salvetti_complex, cross_check,
-                        homology_module, smith_normal_form, t_power_minus_one)
-from artinsigma.salvetti import MAX_ORACLE_SPAN, _max_weight_span
+                        homology_module, smith_normal_form)
+from artinsigma.salvetti import MAX_ORACLE_SPAN, _max_weight_span, _weight
 
 from genutil import (coefficient_b, complex_to_dict, dihedral, enumerate_cliques_scan,
                      matrix_entry, matrix_is_zero, matrix_product, permuted, poly_scaled,
                      poly_shifted, product_of_dihedrals, random_character, random_even_fc_graph,
-                     scaled_character)
+                     scaled_character, t_power_minus_one)
 
 
 def exponents(g, chi):
@@ -121,6 +122,87 @@ def test_differential_entries_match_coefficient_b():
                         assert matrix_entry(d, r, c) == expected.get((r, c), zero)
 
 
+def test_weights_times_t_minus_one_are_the_reference_weights():
+    # the build keeps c(v, X) = b(v, X) / (t - 1); the reference b is built
+    # from t^m - 1 and the geometric sums on their own.  Labels 4, 6 and 8,
+    # negative and zero exponents, and p dividing label/2 (a zero weight)
+    rng = random.Random(50)
+    cases = [(dihedral(half)[0], Character({"v": a, "w": b})) for half in (2, 3, 4)
+             for a, b in ((1, -1), (-2, 1), (0, 3), (-3, -1), (2, 5), (1, -3))]
+    for labels in ((2, 4, 6), (2, 8, 4), (2, 6, 8)):
+        for _ in range(10):
+            g = random_even_fc_graph(rng, max_vertices=6, labels=labels)
+            cases.append((g, random_character(rng, g, lo=-3, hi=3, nonzero=False)))
+    seen = set()
+    for g, chi in cases:
+        exps = exponents(g, chi)
+        for p in (0, 2, 3, 5):
+            field = Field(p)
+            t_minus_one = LaurentPoly(field, 0, [-1, 1])
+            for x in _cliques(g, 3):
+                for v in x:
+                    i = g.index(v)
+                    b = coefficient_b(g, chi, x, v, p=p)
+                    assert _weight(g, exps, i, g.vertex_mask(x) ^ 1 << i, field) * t_minus_one \
+                        == b, (g, chi, x, v, p)
+                    seen.add(("negative", exps[i] < 0))
+                    seen.add(("zero", b.is_zero()))
+                    for w in x:
+                        if w != v:
+                            half = g.half_label(v, w)
+                            seen.add(("label", 2 * half))
+                            seen.add(("p | label/2", p != 0 and half % p == 0
+                                      and exps[i] + exps[g.index(w)] == 0))
+    assert {("negative", True), ("zero", True), ("zero", False), ("p | label/2", True),
+            ("label", 4), ("label", 6), ("label", 8)} <= seen
+
+
+def _rank_over(field, grid) -> int:
+    """Rank of a dense matrix over the field, by Gaussian elimination."""
+    rows = [list(row) for row in grid]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][j])
+        rows[rank] = [field.mul(a, inv) for a in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                c = rows[i][j]
+                rows[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_torsion_audit_at_points_of_the_field():
+    # universal coefficients for F[t, t^-1] -> F, t -> a: with tau_k(a) the
+    # number of torsion factors of H_k vanishing at a,
+    # dim H_n(C|_{t=a}) = free rank_n + tau_n(a) + tau_{n-1}(a)
+    rng = random.Random(52)
+    points = {0: (-1, 2, Fraction(1, 3)), 3: (1, 2), 5: (1, 2, 3, 4)}
+    checked = 0
+    for p, xs in points.items():
+        for _ in range(15):
+            g = random_even_fc_graph(rng, max_vertices=6)
+            chi = random_character(rng, g)
+            complex_ = build_salvetti_complex(g, chi, p, max_n=4)
+            field, top = complex_.field, complex_.max_degree
+            modules = [homology_module(complex_, n) for n in range(top)]
+            for a in xs:
+                ranks = [_rank_over(field, [[e.evaluate(a) for e in row]
+                                            for row in complex_.differential(n).entries])
+                         for n in range(top + 1)]
+                tau = [sum(1 for f in m.torsion if not f.evaluate(a)) for m in modules]
+                for n, module in enumerate(modules):
+                    dim = len(complex_.basis(n)) - ranks[n] - ranks[n + 1]
+                    assert dim == module.free_rank + tau[n] + (tau[n - 1] if n else 0), \
+                        (g, chi, p, a, n)
+                    checked += 1
+    assert checked > 300
+
+
 def test_bases_are_the_scanned_cliques_by_size():
     # max_n 0, one in between, and one above the clique number (empty bases)
     rng = random.Random(49)
@@ -136,33 +218,35 @@ def test_bases_are_the_scanned_cliques_by_size():
 
 
 def test_composite_check_fires_on_each_corrupted_weight(monkeypatch):
-    # b(v, X) depends on v and its label > 2 partners in X, and the build
-    # memoizes it under that key.  Multiplying b(u, {u, w}) by t for one edge
-    # of label > 2 leaves b(w, {u, w}) alone, so the entry of D_1 D_2 at
+    # c(v, X) depends on v and its label > 2 partners in X, and the build
+    # memoizes it under that key.  Multiplying c(u, {u, w}) by t for one edge
+    # of label > 2 leaves c(w, {u, w}) alone, so the entry of D_1 D_2 at
     # ({u, w}, ()) no longer cancels.  (A change that depends only on v, or
     # only on the number of partners, is a change of basis on FC graphs and
     # keeps D^2 = 0.)
     import artinsigma.salvetti as salvetti
 
     g, chi = product_of_dihedrals(4, 6)
-    honest = salvetti._coefficient_b
+    honest = salvetti._weight
     for u, w in (("v", "w"), ("w", "v"), ("x", "y"), ("y", "x")):
         def corrupted(g_, exps, v, partners, field, u=u, w=w):
-            b = honest(g_, exps, v, partners, field)
+            c = honest(g_, exps, v, partners, field)
             hit = (g_.vertices[v], partners) == (u, g_.vertex_mask([w]))
-            return poly_shifted(b, 1) if hit else b
+            return poly_shifted(c, 1) if hit else c
 
-        monkeypatch.setattr(salvetti, "_coefficient_b", corrupted)
+        monkeypatch.setattr(salvetti, "_weight", corrupted)
         for p in (0, 5):
             with pytest.raises(RuntimeError, match=r"differential composite D_1 D_2 is nonzero"):
                 build_salvetti_complex(g, chi, p, max_n=3)
-    monkeypatch.setattr(salvetti, "_coefficient_b", honest)
+    monkeypatch.setattr(salvetti, "_weight", honest)
     build_salvetti_complex(g, chi, 0, max_n=4)
 
 
 def test_composite_check_agrees_with_dense_product():
-    # one entry of one differential is corrupted; the sparse check must raise
-    # exactly when the dense product of some consecutive pair is nonzero
+    # one entry of one differential is corrupted; the check must raise
+    # exactly when the dense product of some consecutive pair is nonzero.
+    # Each column lists one signed entry per vertex of its clique, in the
+    # vertex order, each with its own weight index and sign parity 0.
     from artinsigma.salvetti import _check_composites
 
     rng = random.Random(47)
@@ -181,13 +265,16 @@ def test_composite_check_agrees_with_dense_product():
         diffs[n][i][j] = poly_shifted(diffs[n][i][j], 1) if rng.random() < 0.5 else \
             diffs[n][i][j] + LaurentPoly.one(complex_.field)
         weights, columns = [], [[]]
-        for d in diffs:
-            degree = [[] for _ in (d[0] if d else ())]
-            for r, row in enumerate(d):
-                for c, e in enumerate(row):
-                    if e.coeffs:
-                        degree[c].append((r, len(weights), 0))
-                        weights.append((e, -e))
+        for k, d in enumerate(diffs, 1):
+            rows = complex_.basis(k - 1)
+            degree = []
+            for c, x in enumerate(complex_.basis(k)):
+                column = []
+                for pos in range(len(x)):
+                    r = rows.index(x[:pos] + x[pos + 1:])
+                    column.append((r, len(weights), 0))
+                    weights.append((d[r][c], -d[r][c]))
+                degree.append(column)
             columns.append(degree)
         matrices = [LaurentMatrix(complex_.field, len(d), len(complex_.basis(k + 1)), d)
                     for k, d in enumerate(diffs)]
@@ -196,10 +283,43 @@ def test_composite_check_agrees_with_dense_product():
         if expected:
             fired += 1
             with pytest.raises(RuntimeError, match=r"differential composite D_\d D_\d is nonzero"):
-                _check_composites(complex_.field, weights, columns)
+                _check_composites(weights, columns)
         else:
-            _check_composites(complex_.field, weights, columns)
+            _check_composites(weights, columns)
     assert fired >= 20
+
+
+def test_composite_check_reads_the_rows_and_signs_of_each_path_pair():
+    # the check pairs the two paths of an entry; it must see a path that
+    # reaches another row, and a path whose sign is flipped
+    from artinsigma.salvetti import _check_composites
+
+    g, chi = product_of_dihedrals(4, 6)
+    for p in (0, 2, 3):
+        complex_ = build_salvetti_complex(g, chi, p, max_n=3)
+        field = complex_.field
+        weights, columns = [], [[]]
+        one = LaurentPoly.one(field)
+        for k in range(1, 4):
+            rows = complex_.basis(k - 1)
+            degree = []
+            for x in complex_.basis(k):
+                degree.append([(rows.index(x[:pos] + x[pos + 1:]), 0, pos % 2)
+                               for pos in range(len(x))])
+            columns.append(degree)
+        weights.append((one, -one))
+        _check_composites(weights, columns)   # the integer boundaries compose to 0
+        flipped = [list(col) for col in columns[2]]
+        row, w, odd = flipped[0][0]
+        flipped[0][0] = (row, w, 1 - odd)
+        if p != 2:   # over F_2 a sign is no change
+            with pytest.raises(RuntimeError, match=r"differential composite D_1 D_2 is nonzero"):
+                _check_composites(weights, [columns[0], columns[1], flipped, columns[3]])
+        moved = [list(col) for col in columns[3]]
+        row, w, odd = moved[0][0]
+        moved[0][0] = ((row + 1) % len(columns[2]), w, odd)
+        with pytest.raises(RuntimeError, match=r"differential composite D_2 D_3 is nonzero"):
+            _check_composites(weights, [*columns[:3], moved])
 
 
 def test_basis_is_cliques_by_size(d4d6):
@@ -337,19 +457,21 @@ def test_build_refuses_spans_above_the_budget():
 
 
 def test_rank_alone_agrees_with_the_smith_form():
-    # rank(n) reads only the length of the Smith diagonal; the full Smith
-    # form of a fresh copy of each differential must count the same rank
+    # rank(n) reads only the length of the Smith diagonal, and snf(n) and
+    # rank(n) run on D' = D / (t - 1); the full Smith form of a fresh copy of
+    # each unreduced differential must count the same rank and give the
+    # same invariant factors
     rng = random.Random(48)
-    for p in (0, 2, 3):
+    for p in (0, 2, 3, 5):
         for _ in range(12):
             g = random_even_fc_graph(rng, max_vertices=7)
-            chi = random_character(rng, g)
+            chi = random_character(rng, g, lo=-3, hi=3)
             complex_ = build_salvetti_complex(g, chi, p, max_n=4)
             for n in range(complex_.max_degree + 1):
                 d = complex_.differential(n)
-                fresh = LaurentMatrix(d.field, d.nrows, d.ncols, d.entries)
-                assert complex_.rank(n) == len(smith_normal_form(fresh)[0]) \
-                    == smith_normal_form(d)[1], (p, n)
+                fresh = smith_normal_form(LaurentMatrix(d.field, d.nrows, d.ncols, d.entries))
+                assert complex_.rank(n) == len(fresh[0]) == smith_normal_form(d)[1], (p, n)
+                assert complex_.snf(n) == fresh, (p, n)
 
 
 def test_untraced_oracle_command_chains_one_matrix_and_builds_no_grid(monkeypatch, tmp_path):
