@@ -3,7 +3,10 @@
 A character assigns a rational value to every generator; the value of an
 edge is the sum of its endpoint values.  Everything downstream depends only
 on which of these values vanish, so exact rationals capture every case and
-positive rescaling never changes an answer.
+positive rescaling never changes an answer.  The zeros are therefore read
+on the primitive integer values (:meth:`Character.primitive_integer_values`),
+a positive rescaling: a vertex or edge value vanishes exactly when its
+rescaled integer does, and the test needs no rational arithmetic.
 
 A vertex is *dead* when its value is zero; an edge is *dead* when its label
 exceeds 2 and its value is zero; a dead edge is *p-dead* for the primes p
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .graphs import EvenGraph, MaskGraph, _bits, _may_hold_big_faults
 from .homology import prime_factors
@@ -62,7 +65,7 @@ class Character:
         their gcd.  The zero character maps to all zeros.
         """
         denom = lcm(*[x.denominator for x in self.values.values()]) if self.values else 1
-        ints = {v: int(x * denom) for v, x in self.values.items()}
+        ints = {v: x.numerator * (denom // x.denominator) for v, x in self.values.items()}
         g = gcd(*ints.values()) if ints else 0
         if g == 0:
             return ints
@@ -111,8 +114,7 @@ def _check_domain(g: EvenGraph, chi: Character) -> None:
             f"character domain mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Vanishing pattern of a character on a graph.
 
     ``p_dead_edges`` is supported exactly on ``relevant_primes``, the primes
@@ -128,9 +130,10 @@ class Classification:
 
 def classify(g: EvenGraph, chi: Character) -> Classification:
     _check_domain(g, chi)
-    dead_vertices = frozenset(v for v in g.vertices if chi.value(v) == 0)
+    ints = chi.primitive_integer_values()
+    dead_vertices = frozenset(v for v in g.vertices if not ints[v])
     dead_edges = frozenset(
-        e for e, label in g.edge_items() if label > 2 and chi.edge_value(*e) == 0)
+        e for e, label in g.edge_items() if label > 2 and ints[e[0]] + ints[e[1]] == 0)
     p_dead: dict[int, set[tuple[str, str]]] = {}
     for e in dead_edges:
         for p in prime_factors(g.half_label(*e)):
@@ -166,7 +169,11 @@ def _center_states(g: EvenGraph, values: Sequence[int], cliques: Iterable[int]):
             top = members.bit_length() - 1
             parent = members ^ 1 << top
             on_big, vanish = states.get(parent, plain)
-            for j in _bits(big[top] & parent):
+            pairs = big[top] & parent
+            while pairs:
+                low = pairs & -pairs
+                pairs ^= low
+                j = low.bit_length() - 1
                 if (on_big >> j | on_big >> top) & 1:
                     clique = tuple([vs[k] for k in _bits(members)])
                     raise ValueError(

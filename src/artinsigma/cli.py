@@ -7,16 +7,19 @@ character and an optional name:
      "graph": {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "label": 4}]},
      "character": {"a": 1, "b": "-1"}}
 
-Exit codes: 0 analysis completed (verdict content is in the report),
-1 validation, input or usage error, 2 internal cross-check mismatch.  Reports are
-deterministic: identical input yields byte-identical output, and the
-``--json`` file carries exactly the data rendered as text.
+Exit codes: 0 analysis completed (verdict content is in the report), also
+when the reader closes standard output before the whole report is written
+(as ``| head`` does), 1 validation, input or usage error, 2 internal
+cross-check mismatch.  Reports are deterministic: identical input yields
+byte-identical output, and the ``--json`` file carries exactly the data
+rendered as text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import IO
 
@@ -369,7 +372,15 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:])[0])
+    try:
+        code = run(sys.argv[1:])[0]
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is left unwritten goes nowhere, also at
+        # the interpreter's own flush on exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,13 +13,15 @@ homological failure downgrading it to an exact "fails".
 
 All of them, and the free-rank formula, read the same object: the links of
 the dead cliques and the reduced homology of their flag complexes.
-:class:`Analysis` builds it once per instance.
+:class:`Analysis` builds it once per instance, and keeps per link one cone
+test and one witness outcome per coefficients and degree, so a link shared
+by several cliques or questions is tested once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 from .characters import Character, _center_states, _check_center_faults, classify
 from .graphs import EvenGraph, MaskGraph, _bits, is_connected
@@ -32,8 +34,7 @@ class ZeroCharacterError(ValueError):
     """Link conditions are undefined for the zero character."""
 
 
-@dataclass(frozen=True)
-class LinkWitness:
+class LinkWitness(NamedTuple):
     """One evaluated clique: what was required of its link and what happened."""
 
     clique: tuple[str, ...]
@@ -49,8 +50,7 @@ class LinkWitness:
         return self.link_graph.description
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     holds: bool | None        # None encodes "unknown" (homotopic variant only)
     n: int
     coefficients: str
@@ -62,24 +62,6 @@ class ConditionReport:
 def _require_nonzero(chi: Character) -> None:
     if chi.is_zero:
         raise ZeroCharacterError("the zero character has no sphere class")
-
-
-def _first_nonvanishing(profile: HomologyProfile, d: int) -> int | None:
-    for j in range(-1, d + 1):
-        if not profile.trivial_at(j):
-            return j
-    return None
-
-
-def _acyclicity_witness(clique, d: int, lk: MaskGraph, homology) -> LinkWitness:
-    if d <= -2:
-        return LinkWitness(clique, d, lk, "ok", None, "vacuous")
-    if has_cone_vertex(lk):
-        return LinkWitness(clique, d, lk, "ok", None, "cone")
-    bad = _first_nonvanishing(homology(), d)
-    if bad is None:
-        return LinkWitness(clique, d, lk, "ok", None, "homology")
-    return LinkWitness(clique, d, lk, "fail", bad, "homology")
 
 
 class Analysis:
@@ -95,9 +77,12 @@ class Analysis:
     of the empty clique), its strong-collapse core, the core's flag complex,
     which keeps the integer Smith forms that serve Z, Q and every F_p, and
     one homology profile per core, coefficients and degree are built on
-    first use and kept.  A core that is a point or a cross-polytope sphere
-    gets no complex: its homology is read in closed form.  Links whose cores
-    are one graph share one complex, built as deep as the questions read.
+    first use and kept, and so are one cone test per mode key and link mask
+    and one witness outcome (see :meth:`_outcome`) per mode key, link mask,
+    coefficients and degree, which the homotopic variant reads too.  A core
+    that is a point or a cross-polytope sphere gets no complex: its homology
+    is read in closed form.  Links whose cores are one graph share one
+    complex, built as deep as the questions read.
     No enumeration of all cliques is kept: they are counted against the
     clique budget (:data:`artinsigma.homology.MAX_CLIQUES`) only when a
     bound on their number is above it, and so are a core's cliques through
@@ -123,6 +108,8 @@ class Analysis:
         self._cores: dict[tuple[frozenset, int], int | float | tuple[int, ...]] = {}
         self._complexes: dict[tuple[int, ...], SimplicialComplex] = {}
         self._profiles: dict[tuple, HomologyProfile] = {}
+        self._cones: dict[tuple[frozenset, int], bool] = {}
+        self._outcomes: dict[tuple, tuple[str, int | None, str]] = {}
 
     def _edges(self, p: int | None) -> frozenset[tuple[str, str]]:
         """The key of mode ``p``: the dead edges its living subgraph removes.
@@ -172,6 +159,14 @@ class Analysis:
         raised as a walk over every clique would raise them.
         """
         coeffs_label(coeffs)
+        edges, dead = self._dead_cliques(n, p)
+        for clique, lk, mask in dead:
+            d = n - 1 - len(clique)
+            yield clique, d, lk, partial(self._homology, edges, mask, coeffs, d)
+
+    def _dead_cliques(self, n: int, p: int | None):
+        """The key of mode ``p`` and its dead cliques of size <= n, each as
+        (clique, link, link mask): what :meth:`links` yields, walked once."""
         edges = self._edges(p)
         if (edges, n) not in self._dead:
             g = self.g
@@ -194,9 +189,7 @@ class Analysis:
                         if values[i] + values[j] == 0:
                             walked |= 1 << i
             self._dead[edges, n] = list(self._select(edges, _cliques(g.neighbor_masks, n, walked)))
-        for clique, lk, mask in self._dead[edges, n]:
-            d = n - 1 - len(clique)
-            yield clique, d, lk, partial(self._homology, edges, mask, coeffs, d)
+        return edges, self._dead[edges, n]
 
     def _select(self, edges: frozenset, cliques: list[int]):
         """(clique, link, link mask) for each clique, given by its vertex
@@ -222,7 +215,11 @@ class Analysis:
         for members in cliques:
             alive = members & ~dead
             # a living vertex on no edge of ``edges`` rules the clique out at once
-            selected = not alive & ~on_edges and all(partners[i] & members for i in _bits(alive))
+            selected = not alive & ~on_edges
+            while selected and alive:
+                low = alive & -alive
+                selected = partners[low.bit_length() - 1] & members != 0
+                alive ^= low
             if states is not None:
                 on_big, vanish = next(states)
                 if selected != (vanish and not members & ~on_big & self._nonzero_values):
@@ -269,14 +266,44 @@ class Analysis:
             self._profiles[key, coeffs, d] = profile
         return profile
 
+    def _outcome(self, edges: frozenset, mask: int, coeffs, d: int) -> tuple[str, int | None, str]:
+        """(status, failing degree, via) of the requirement that the link on
+        ``mask`` in the living subgraph of ``edges`` be d-acyclic over
+        ``coeffs``: vacuous below degree -1, else by a cone vertex (tested
+        once per link), else by the first degree through d in which its
+        reduced homology does not vanish."""
+        if d <= -2:
+            return "ok", None, "vacuous"
+        outcome = self._outcomes.get((edges, mask, coeffs, d))
+        if outcome is None:
+            if self._coned(edges, mask):
+                outcome = "ok", None, "cone"
+            else:
+                profile = self._homology(edges, mask, coeffs, d)
+                bad = next((j for j in range(-1, d + 1) if not profile.trivial_at(j)), None)
+                outcome = ("ok", None, "homology") if bad is None else ("fail", bad, "homology")
+            self._outcomes[edges, mask, coeffs, d] = outcome
+        return outcome
+
+    def _coned(self, edges: frozenset, mask: int) -> bool:
+        coned = self._cones.get((edges, mask))
+        if coned is None:
+            coned = self._cones[edges, mask] = has_cone_vertex(self._links[edges][mask])
+        return coned
+
     # -- conditions -------------------------------------------------------
 
     def _link_condition(self, n: int, p: int | None, coeffs) -> ConditionReport:
         _require_nonzero(self.chi)
-        witnesses = tuple([_acyclicity_witness(*entry) for entry in self.links(n, p, coeffs)])
+        edges, dead = self._dead_cliques(n, p)
+        witnesses = []
+        for clique, lk, mask in dead:
+            d = n - 1 - len(clique)
+            witnesses.append(LinkWitness(clique, d, lk, *self._outcome(edges, mask, coeffs, d)))
         holds = all(w.status == "ok" for w in witnesses)
         mode = "dead" if p is None else f"{p}-dead"
-        return ConditionReport(holds, n, coeffs_label(coeffs), mode, "homological", witnesses)
+        return ConditionReport(holds, n, coeffs_label(coeffs), mode, "homological",
+                               tuple(witnesses))
 
     def strong_n_link(self, n: int) -> ConditionReport:
         """Strong n-link condition over Z (sufficient for membership in degree n)."""
@@ -293,16 +320,20 @@ class Analysis:
 
         Degrees -1 (nonempty) and 0 (connected) are decided exactly, as are
         coned links (contractible) and homological failures (connectivity
-        implies acyclicity).  Anything else stays unknown.
+        implies acyclicity), which are the Z outcomes of the strong n-link
+        condition.  Anything else stays unknown.
         """
         _require_nonzero(self.chi)
+        edges, dead = self._dead_cliques(n, None)
         witnesses = []
-        for clique, d, lk, homology in self.links(n):
-            if d not in (-1, 0) or has_cone_vertex(lk):
-                w = _acyclicity_witness(clique, d, lk, homology)
-                if w.via == "homology" and w.status == "ok":
+        for clique, lk, mask in dead:
+            d = n - 1 - len(clique)
+            if d not in (-1, 0) or self._coned(edges, mask):
+                status, bad, via = self._outcome(edges, mask, None, d)
+                if via == "homology" and status == "ok":
                     # acyclic, but connectivity needs more than homology
-                    w = replace(w, status="unknown")
+                    status = "unknown"
+                w = LinkWitness(clique, d, lk, status, bad, via)
             elif d == -1:
                 ok = bool(lk.mask)
                 w = LinkWitness(clique, d, lk, "ok" if ok else "fail",

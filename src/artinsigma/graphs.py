@@ -12,8 +12,8 @@ downstream, so all outputs are reproducible byte for byte.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class GraphFormatError(ValueError):
@@ -48,24 +48,31 @@ class EvenGraph:
         nbr = [0] * len(self.vertices)
         big = [0] * len(self.vertices)
         for u, v, label in edges:
-            if u not in index or v not in index:
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None:
                 raise ValueError(f"edge {u!r}-{v!r} mentions an unknown vertex")
-            if u == v:
+            if i == j:
                 raise ValueError(f"loop at vertex {u!r}")
             if not isinstance(label, int) or label < 1:
                 raise ValueError(f"edge {u!r}-{v!r}: label must be an integer >= 1")
-            key = self.edge_key(u, v)
-            if key in labels:
+            if nbr[i] >> j & 1:
                 raise ValueError(f"duplicate edge {u!r}-{v!r}")
-            labels[key] = label
-            i, j = index[u], index[v]
+            labels[(u, v) if i < j else (v, u)] = label
             nbr[i] |= 1 << j
             nbr[j] |= 1 << i
             if label > 2:
                 big[i] |= 1 << j
                 big[j] |= 1 << i
         self._labels = labels
-        self._edges = tuple(sorted(labels, key=lambda e: (index[e[0]], index[e[1]])))
+        # the canonical pairs in vertex order, read off the masks
+        vs, pairs = self.vertices, []
+        for i, m in enumerate(nbr):
+            m >>= i + 1
+            while m:
+                low = m & -m
+                pairs.append((vs[i], vs[i + low.bit_length()]))
+                m ^= low
+        self._edges = tuple(pairs)
         self.neighbor_masks: tuple[int, ...] = tuple(nbr)
         self.big_partner_masks: tuple[int, ...] = tuple(big)
 
@@ -82,11 +89,6 @@ class EvenGraph:
         if self._index[u] <= self._index[v]:
             return (u, v)
         return (v, u)
-
-    def has_edge(self, u: str, v: str) -> bool:
-        if u not in self._index or v not in self._index or u == v:
-            return False
-        return self.edge_key(u, v) in self._labels
 
     def label(self, u: str, v: str) -> int:
         return self._labels[self.edge_key(u, v)]
@@ -157,8 +159,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One human-readable validation finding with the offending items."""
 
     message: str
@@ -166,8 +167,7 @@ class Finding:
     edges: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Finding, ...]
 
@@ -193,11 +193,14 @@ def _may_hold_big_faults(g: EvenGraph) -> bool:
     faults (:func:`validate_fc` and ``characters._check_center_faults``).
     Two labels > 2 share a triangle exactly when some vertex has two
     adjacent label > 2 partners."""
-    nbr, big = g.neighbor_masks, g.big_partner_masks
-    for partners in big:
-        for j in _bits(partners):
-            if partners & nbr[j]:
+    nbr = g.neighbor_masks
+    for partners in g.big_partner_masks:
+        rest = partners
+        while rest:
+            low = rest & -rest
+            if partners & nbr[low.bit_length() - 1]:
                 return True
+            rest ^= low
     return any(label > 2 and label % 2 for label in g._labels.values())
 
 

@@ -19,10 +19,9 @@ degree -1 and acyclicity tests see the nonempty/empty distinction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice
 from math import gcd, inf
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import EvenGraph, MaskGraph, _bits
 
@@ -152,8 +151,12 @@ def _levels(nbr: Sequence[int], start: int | None = None) -> Iterator[list[tuple
             raise _too_many(total, size)
         nxt = []
         for members, later in current:
-            for i in _bits(later):
-                nxt.append((members | 1 << i, later & nbr[i] >> (i + 1) << (i + 1)))
+            rest = later
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                nxt.append((members | low, later & nbr[i] >> (i + 1) << (i + 1)))
+                rest ^= low
         if not nxt:
             return
         yield nxt
@@ -212,13 +215,19 @@ def strong_core(nbr: Sequence[int], mask: int) -> int:
     changed = True
     while changed:
         changed = False
-        for v in _bits(mask):
-            closed = nbr[v] & mask | 1 << v
-            for w in _bits(closed ^ 1 << v):
-                if not closed & ~(nbr[w] | 1 << w):
-                    mask ^= 1 << v
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            closed = nbr[bit.bit_length() - 1] & mask | bit
+            others = closed ^ bit
+            while others:
+                low = others & -others
+                if not closed & ~(nbr[low.bit_length() - 1] | low):
+                    mask ^= bit
                     changed = True
                     break
+                others ^= low
     return mask
 
 
@@ -489,8 +498,7 @@ def _rank_from_factors(factors: Sequence[int], p: int | None) -> int:
 # homology profiles
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Reduced homology per degree: betti numbers and, over Z, torsion.
 
     ``coefficients`` is a label of :func:`coeffs_label`.  ``torsion[d]`` is

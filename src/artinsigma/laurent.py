@@ -147,18 +147,6 @@ class LaurentPoly:
     def one(cls, field: Field) -> "LaurentPoly":
         return cls(field, 0, [1])
 
-    @classmethod
-    def constant(cls, field: Field, c) -> "LaurentPoly":
-        return cls(field, 0, [c])
-
-    @classmethod
-    def from_terms(cls, field: Field, terms: dict[int, object]) -> "LaurentPoly":
-        if not terms:
-            return cls.zero(field)
-        lo, hi = min(terms), max(terms)
-        cs = [terms.get(k, 0) for k in range(lo, hi + 1)]
-        return cls(field, lo, cs)
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -30,7 +30,7 @@ is a hard error naming the instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import Character, _check_domain
 from .graphs import EvenGraph, _bits, describe_graph
@@ -289,8 +289,7 @@ def _check_composites(weights: list[tuple[LaurentPoly, LaurentPoly]],
                     raise RuntimeError(f"differential composite D_{n} D_{n + 1} is nonzero")
 
 
-@dataclass(frozen=True)
-class ModulePresentation:
+class ModulePresentation(NamedTuple):
     """Finitely generated module over F[t, t^-1]: free rank plus the
     divisibility chain of non-unit invariant factors."""
 

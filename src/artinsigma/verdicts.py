@@ -25,8 +25,7 @@ implementation bug, and is checked).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .characters import Character, is_dominating
 from .conditions import Analysis, ConditionReport
@@ -42,16 +41,14 @@ class RuleConflictError(RuntimeError):
     """Two decision rules produced opposite verdicts on one instance."""
 
 
-@dataclass(frozen=True)
-class Justification:
+class Justification(NamedTuple):
     rule: str
     fired: bool
     status: str | None        # IN / NOT_IN when fired, else None
     detail: str
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     question: str             # what is being decided
     status: str               # IN / NOT_IN / UNKNOWN
     degree: int

@@ -1,5 +1,7 @@
 """Seeded random instance generators and the small fixed instances shared by
-the suites, character and polynomial helpers that only tests need, matrix
+the suites, character, graph and polynomial helpers that only tests need
+(among them the edge test and the polynomial constructors that the library
+does not use), Fraction references for the classification, matrix
 helpers (sparse integer rows to dense grids and back) and the JSON dumps of
 matrices and twisted complexes shared by the Laurent and twisted-complex
 tests, the all-labels-2 n-link condition, and plain reference versions of
@@ -13,12 +15,14 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, Field, LaurentMatrix,
-                        LaurentPoly, MaskGraph, SimplicialComplex, classify, validate_fc)
+from artinsigma import (Analysis, Character, Classification, ConditionReport, EvenGraph, Field,
+                        LaurentMatrix, LaurentPoly, MaskGraph, SimplicialComplex, classify,
+                        validate_fc)
 from artinsigma import salvetti
 from artinsigma.characters import _check_domain
 from artinsigma.graphs import _bits
@@ -46,6 +50,34 @@ def dead_cliques(g: EvenGraph, chi: Character, max_size: int, p: int | None = No
     return tuple(clique for clique, *_ in Analysis(g, chi).links(max_size, p))
 
 
+def classify_fractions(g: EvenGraph, chi: Character) -> Classification:
+    """Reference ``classify``: the zeros are tested in ``Fraction``
+    arithmetic on the values themselves, and the primes of each half label
+    are found by trial division."""
+    values = chi.values
+    dead_vertices = frozenset([v for v in g.vertices if values[v] == 0])
+    dead_edges = frozenset([e for e, label in g.edge_items()
+                            if label > 2 and values[e[0]] + values[e[1]] == 0])
+    p_dead: dict[int, set] = {}
+    for e in dead_edges:
+        half = g.half_label(*e)
+        for p in range(2, half + 1):
+            if half % p == 0 and all(p % q for q in range(2, p)):
+                p_dead.setdefault(p, set()).add(e)
+    return Classification(dead_vertices, dead_edges,
+                          {p: frozenset(es) for p, es in sorted(p_dead.items())},
+                          frozenset(p_dead))
+
+
+def primitive_fractions(chi: Character) -> dict[str, int]:
+    """Reference ``primitive_integer_values``: each value is multiplied, as a
+    ``Fraction``, by the lcm of the denominators, then divided by the gcd."""
+    denom = lcm(*[x.denominator for x in chi.values.values()])
+    ints = {v: int(x * denom) for v, x in chi.values.items()}
+    g = gcd(*ints.values())
+    return {v: n // g for v, n in ints.items()} if g else ints
+
+
 def scaled_character(chi: Character, c: Fraction | int) -> Character:
     c = Fraction(c)
     return Character({v: x * c for v, x in chi.values.items()})
@@ -58,6 +90,14 @@ def negated_character(chi: Character) -> Character:
 def poly_term(field: Field, c, k: int) -> LaurentPoly:
     """The monomial c t^k."""
     return LaurentPoly(field, k, [c])
+
+
+def poly_from_terms(field: Field, terms: dict[int, object]) -> LaurentPoly:
+    """The sum of the terms c t^k, given as {k: c}."""
+    if not terms:
+        return LaurentPoly.zero(field)
+    lo, hi = min(terms), max(terms)
+    return LaurentPoly(field, lo, [terms.get(k, 0) for k in range(lo, hi + 1)])
 
 
 def poly_shifted(p: LaurentPoly, k: int) -> LaurentPoly:
@@ -174,6 +214,13 @@ def matrix_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     return LaurentMatrix(a.field, a.nrows, b.ncols, rows)
 
 
+def has_edge(g: EvenGraph, u: str, v: str) -> bool:
+    """Whether {u, v} is an edge of g; False for an unknown vertex or u = v."""
+    if not (g.has_vertex(u) and g.has_vertex(v)) or u == v:
+        return False
+    return g.neighbor_masks[g.index(u)] >> g.index(v) & 1 == 1
+
+
 def induced_subgraph(g: EvenGraph, keep_vertices: Iterable[str],
                      drop_edges: Iterable[tuple[str, str]] = ()) -> EvenGraph:
     """Reference induced subgraph on ``keep_vertices`` minus the open
@@ -189,7 +236,7 @@ def induced_subgraph(g: EvenGraph, keep_vertices: Iterable[str],
         keep |= 1 << g.index(v)
     dropped = set()
     for (u, v) in drop_edges:
-        if not g.has_edge(u, v):
+        if not has_edge(g, u, v):
             raise ValueError(f"unknown edge {u!r}-{v!r}")
         dropped.add(g.edge_key(u, v))
     vs, labels = g.vertices, g._labels
@@ -210,7 +257,7 @@ def is_subgraph(g1: EvenGraph, g2: EvenGraph) -> bool:
         if not g2.has_vertex(v):
             return False
     for (u, v), label in g1.edge_items():
-        if not g2.has_edge(u, v) or g2.label(u, v) != label:
+        if not has_edge(g2, u, v) or g2.label(u, v) != label:
             return False
     return True
 
@@ -262,7 +309,7 @@ def enumerate_cliques(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...
 
 def enumerate_cliques_scan(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...], ...]:
     """Reference clique enumeration: each clique is extended by every later
-    vertex adjacent (by ``has_edge``) to all of its members."""
+    vertex adjacent (by :func:`has_edge`) to all of its members."""
     by_size: list[list[tuple[str, ...]]] = [[()]]
     current: list[tuple[str, ...]] = [()]
     for _ in range(max_size):
@@ -270,7 +317,7 @@ def enumerate_cliques_scan(g: EvenGraph, max_size: int) -> tuple[tuple[str, ...]
         for clique in current:
             start = g.index(clique[-1]) + 1 if clique else 0
             for v in g.vertices[start:]:
-                if all(g.has_edge(u, v) for u in clique):
+                if all(has_edge(g, u, v) for u in clique):
                     nxt.append(clique + (v,))
         if not nxt:
             break
@@ -291,7 +338,7 @@ def link(g_ambient: EvenGraph, gamma1: EvenGraph, delta: Sequence[str]) -> EvenG
     if not g_ambient.is_clique(delta):
         raise ValueError(f"{tuple(delta)} is not a clique of the ambient graph")
     return induced_subgraph(gamma1, [v for v in gamma1.vertices
-                                     if all(g_ambient.has_edge(u, v) for u in delta)])
+                                     if all(has_edge(g_ambient, u, v) for u in delta)])
 
 
 def center_generators(g: EvenGraph, members: int) -> tuple[list[tuple[int, int, int]], int]:
@@ -349,7 +396,7 @@ def center_values_pairwise(g: EvenGraph, chi: Character, delta) -> CenterValues:
         raise ValueError("character domain mismatch")
     delta = g.sort_vertices(delta)
     if not all(g.has_vertex(v) for v in delta) or not all(
-            g.has_edge(u, v) for i, u in enumerate(delta) for v in delta[i + 1:]):
+            has_edge(g, u, v) for i, u in enumerate(delta) for v in delta[i + 1:]):
         raise ValueError(f"{tuple(delta)} is not a clique")
     on_big_edge: set[str] = set()
     entries = []
@@ -402,15 +449,15 @@ def q_poly(k: int, m: int, field: Field) -> LaurentPoly:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if m == 0:
-        return LaurentPoly.constant(field, k)
-    return LaurentPoly.from_terms(field, {m * i: 1 for i in range(k)})
+        return poly_term(field, k, 0)
+    return poly_from_terms(field, {m * i: 1 for i in range(k)})
 
 
 def t_power_minus_one(field: Field, m: int) -> LaurentPoly:
     """t^m - 1 (zero when m = 0)."""
     if m == 0:
         return LaurentPoly.zero(field)
-    return LaurentPoly.from_terms(field, {m: 1, 0: -1})
+    return poly_from_terms(field, {m: 1, 0: -1})
 
 
 def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) -> LaurentPoly:
@@ -471,7 +518,7 @@ def raag_n_link(ctx: Analysis, n: int) -> ConditionReport:
     """
     if any(label != 2 for _, label in ctx.g.edge_items()):
         raise ValueError("the n-link condition in this form needs all labels equal to 2")
-    report = replace(ctx._link_condition(n, 0, None), mode="dead-vertices")
+    report = ctx._link_condition(n, 0, None)._replace(mode="dead-vertices")
     strong = ctx.strong_n_link(n)
     if strong.holds is not report.holds:
         raise RuntimeError(

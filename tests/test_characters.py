@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinsigma import (Analysis, Character, CharacterError, character_from_dict, classify,
                         is_dominating)
 from artinsigma.graphs import EvenGraph
 
-from genutil import (as_mask_graph, center_values, center_values_pairwise, dead_cliques,
-                     dihedral, enumerate_cliques, is_subgraph, living_subgraph, mask_edges,
-                     random_character, random_even_fc_graph, scaled_character)
+from genutil import (as_mask_graph, center_values, center_values_pairwise, classify_fractions,
+                     dead_cliques, dihedral, enumerate_cliques, is_subgraph, living_subgraph,
+                     mask_edges, primitive_fractions, random_character, random_even_fc_graph,
+                     scaled_character)
 
 
 def test_classify_example1(example1):
@@ -251,6 +254,21 @@ def test_primitive_integer_values():
         == {"a": 1, "b": -3}
     assert Character({"a": 2, "b": -4}).primitive_integer_values() == {"a": 1, "b": -2}
     assert Character({"a": 0, "b": 0}).primitive_integer_values() == {"a": 0, "b": 0}
+
+
+# negative, zero and p/q values, few enough that edge values often cancel
+VALUES = st.sampled_from([0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
+                          Fraction(-2, 3), Fraction(-7, 6), Fraction(7, 6), Fraction(5, 9)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), values=st.lists(VALUES, min_size=8, max_size=8))
+def test_integer_classification_matches_fraction_arithmetic(seed, values):
+    # labels 6 and 20 make the primes 2, 3 and 5 relevant
+    g = random_even_fc_graph(random.Random(seed), max_vertices=8, labels=(2, 6, 20), edge_p=0.7)
+    chi = Character(dict(zip(g.vertices, values)))
+    assert classify(g, chi) == classify_fractions(g, chi)
+    assert chi.primitive_integer_values() == primitive_fractions(chi)
 
 
 def test_dihedral_fixture_classification():

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinsigma import __version__
+from artinsigma import __version__, character_to_dict, graph_to_dict
 from artinsigma.cli import EXIT_CROSSCHECK, EXIT_INVALID, EXIT_OK, MAX_DEGREE, run
 from artinsigma.salvetti import MAX_ORACLE_SPAN, MAX_ORACLE_WORK
+
+from genutil import alternating_complete_graph
 
 
 def write_instance(tmp_path, name, graph_edges, character, vertices=None):
@@ -296,6 +298,55 @@ def test_module_entry_point_runs_validate():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == EXIT_OK
     assert done.stdout.startswith(f"artinsigma {__version__}\n")
+
+
+def test_closed_standard_output_is_a_clean_exit(tmp_path):
+    # the report (about 180 kB) outgrows the pipe, so the writer meets the
+    # closed pipe after the reader has taken one line and gone
+    g, chi = alternating_complete_graph(30)
+    path = tmp_path / "k30.json"
+    path.write_text(json.dumps({"graph": graph_to_dict(g), **character_to_dict(chi)}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for buffered in (True, False):
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        child = subprocess.Popen([sys.executable, "-m", "artinsigma", "links", "--n", "2",
+                                  str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env=env)
+        assert child.stdout.readline() == f"artinsigma {__version__}\n".encode()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == EXIT_OK
+        assert err == b""
+
+
+# Runs a command with standard output on a pipe whose reader is already gone:
+# the report stays in the stream's buffer until the flush at the end fails,
+# and the flush at exit must not meet it again.
+CLOSED_PIPE = r"""
+import os, sys
+read, write = os.pipe()
+os.close(read)
+os.dup2(write, 1)
+os.close(write)
+sys.argv[0] = "artinsigma"
+from artinsigma.cli import main
+main()
+"""
+
+
+def test_standard_output_closed_before_the_report_is_a_clean_exit():
+    demo = Path(__file__).resolve().parent.parent / "demos" / "instances" / "example1.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", CLOSED_PIPE, "verdict", "--n", "2", str(demo)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
 
 
 def test_zero_character_rejected(tmp_path):

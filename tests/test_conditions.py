@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, ZeroCharacterError,
-                        is_connected, is_dominating)
+                        homotopic_sigma_verdict, is_connected, is_dominating, sigma_verdict)
+from artinsigma import conditions
 from artinsigma.characters import _center_states
 from artinsigma.graphs import _bits
 from artinsigma.homology import _cliques
 
 from genutil import (center_generators, center_values, dihedral, finite_dimensional_through,
                      raag_n_link, random_character, random_even_fc_graph, random_raag)
+from test_homology import rp2_subdivision_graph
 
 
 def test_example1_strong_link_all_degrees_by_cones(example1):
@@ -289,6 +291,51 @@ def test_analysis_answers_like_fresh_calls():
                 assert ctx.living(p) == Analysis(g, chi).living(p)
 
 
+def test_one_cone_test_per_link_over_a_verdict(monkeypatch):
+    # the homological and homotopic verdicts of one context test each link,
+    # keyed by its mode's living subgraph and its vertex mask, for a cone
+    # once; every link whose requirement is not vacuous is tested
+    tested = []
+    cone_test = conditions.has_cone_vertex
+
+    def counted(lk):
+        tested.append((tuple(lk.adjacency), lk.mask))
+        return cone_test(lk)
+
+    monkeypatch.setattr(conditions, "has_cone_vertex", counted)
+    rng = random.Random(31)
+    repeated = 0
+    for _ in range(60):
+        g = random_even_fc_graph(rng, max_vertices=9, edge_p=0.7)
+        chi = random_character(rng, g)
+        for n in (1, 2, 3, 4):
+            ctx = Analysis(g, chi)
+            tested.clear()
+            sigma_verdict(ctx, n)
+            homotopic_sigma_verdict(ctx, n)
+            links = [(tuple(w.link_graph.adjacency), w.link_graph.mask)
+                     for w in ctx.strong_n_link(n).witnesses if w.required_degree >= -1]
+            repeated += len(links) - len(set(links))
+            assert sorted(tested) == sorted(set(links)), (g, chi, n)
+    assert repeated > 50    # links shared by several cliques were met
+
+
+def test_witness_outcomes_are_kept_per_coefficients():
+    # every vertex alive: the one dead clique is the empty one, whose link is
+    # the barycentric projective plane (H_1 = Z/2), which fails in degree 1
+    # over Z and F_2 and is acyclic over Q and F_3; one context answers each
+    # as a fresh one does, in either order
+    g = rp2_subdivision_graph()
+    chi = Character({v: 1 for v in g.vertices})
+    for order in ((None, 0, 2, 3), (3, 2, 0, None)):
+        ctx = Analysis(g, chi)
+        for p in order:
+            report = ctx.strong_n_link(2) if p is None else ctx.strong_p_n_link(2, p)
+            w, = report.witnesses
+            assert (report.holds, w.failing_degree) == ((True, None) if p in (0, 3) else (False, 1))
+        assert ctx.strong_homotopic_n_link(2).holds is False
+
+
 def test_center_zero_test_matches_center_values():
     # the center states carried along the clique walk, on primitive integer
     # values, against the from-scratch generators and the Fraction entries of
@@ -321,6 +368,8 @@ def test_center_zero_test_matches_center_values():
     # b on two labels > 2, first held by the clique {a, b, d}
     ([("a", "b", 4), ("a", "c", 2), ("a", "d", 2), ("b", "c", 2), ("b", "d", 4),
       ("c", "d", 2)], ("a", "b", "d")),
+    # c, the highest vertex, on two labels > 2, which meet first at c
+    ([("a", "b", 2), ("a", "c", 4), ("b", "c", 6)], ("a", "b", "c")),
     # an odd label (the message names the edge, not the clique)
     ([("a", "b", 3), ("a", "c", 2), ("b", "c", 2)], ("a", "b", "c")),
     # a on two labels > 2, on a triangle of nonzero values, off every dead

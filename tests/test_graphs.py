@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from artinsigma import (EvenGraph, Finding, GraphFormatError, describe_graph, gr
 from artinsigma import characters, graphs
 from artinsigma.graphs import MAX_LABEL
 
-from genutil import induced_subgraph, is_subgraph, random_even_fc_graph
+from genutil import has_edge, induced_subgraph, is_subgraph, random_even_fc_graph
 
 
 def test_construction_rejects_structural_garbage():
@@ -23,6 +24,72 @@ def test_construction_rejects_structural_garbage():
         EvenGraph(["a", "b"], [("a", "c", 2)])
     with pytest.raises(ValueError):
         EvenGraph(["a", "b"], [("a", "b", 0)])
+
+
+def first_structural_error(vertices, edges) -> str | None:
+    """Reference for the constructor's edge checks: the message of the first
+    fault, each edge checked for an unknown vertex, a loop, a bad label and
+    a duplicate in that order, or None."""
+    index = {v: i for i, v in enumerate(vertices)}
+    seen = set()
+    for u, v, label in edges:
+        if u not in index or v not in index:
+            return f"edge {u!r}-{v!r} mentions an unknown vertex"
+        if u == v:
+            return f"loop at vertex {u!r}"
+        if not isinstance(label, int) or label < 1:
+            return f"edge {u!r}-{v!r}: label must be an integer >= 1"
+        if frozenset((u, v)) in seen:
+            return f"duplicate edge {u!r}-{v!r}"
+        seen.add(frozenset((u, v)))
+    return None
+
+
+def random_edge_list(rng: random.Random):
+    """Shuffled vertex names and a shuffled edge list, each edge in a random
+    orientation."""
+    vertices = [f"x{k}" for k in range(rng.randint(1, 12))]
+    rng.shuffle(vertices)
+    edges = [(u, v, rng.choice((2, 4, 6))) for i, u in enumerate(vertices)
+             for v in vertices[i + 1:] if rng.random() < 0.5]
+    edges = [(v, u, label) if rng.random() < 0.5 else (u, v, label) for u, v, label in edges]
+    rng.shuffle(edges)
+    return vertices, edges
+
+
+def test_edges_come_sorted_by_vertex_order():
+    rng = random.Random(8)
+    for _ in range(300):
+        vertices, edges = random_edge_list(rng)
+        g = EvenGraph(vertices, edges)
+        index = {v: i for i, v in enumerate(vertices)}
+        pairs = [(u, v) if index[u] < index[v] else (v, u) for u, v, _ in edges]
+        assert g.edges() == tuple(sorted(pairs, key=lambda e: (index[e[0]], index[e[1]])))
+        assert dict(g.edge_items()) == {pair: label for pair, (_, _, label) in zip(pairs, edges)}
+
+
+def test_constructor_errors_come_first_in_edge_order():
+    rng = random.Random(9)
+    faults = {
+        "unknown": lambda vs, es: ("nowhere", rng.choice(vs), 2),
+        "unknown loop": lambda vs, es: ("nowhere", "nowhere", 0),
+        "loop": lambda vs, es: (rng.choice(vs),) * 2 + (rng.choice((2, 0)),),
+        "label": lambda vs, es: (*rng.choice(es)[:2], rng.choice((0, -2, 2.0, "4", None))),
+        "duplicate": lambda vs, es: (*rng.choice(es)[1::-1], rng.choice((2, 4))),
+    }
+    met = set()
+    for _ in range(400):
+        vertices, edges = random_edge_list(rng)
+        if not edges:
+            continue
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.choice(sorted(faults))
+            edges.insert(rng.randint(0, len(edges)), faults[kind](vertices, edges))
+        expected = first_structural_error(vertices, edges)
+        met.add(expected.split()[0])
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            EvenGraph(vertices, edges)
+    assert met >= {"edge", "loop", "duplicate"}
 
 
 def test_validate_even():
@@ -157,7 +224,7 @@ def validate_fc_by_triples(g):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 u, v, w = g.vertices[i], g.vertices[j], g.vertices[k]
-                if not (g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)):
+                if not (has_edge(g, u, v) and has_edge(g, u, w) and has_edge(g, v, w)):
                     continue
                 big = [e for e in ((u, v), (u, w), (v, w)) if g.label(*e) > 2]
                 if len(big) >= 2:

@@ -14,8 +14,8 @@ from artinsigma.homology import (PRIME_BOUND, _boundary, _smith_diagonal,
                                  integer_invariant_factors, is_prime, prime_factors)
 
 from genutil import (as_mask_graph, closed_complex, dense, enumerate_cliques,
-                     enumerate_cliques_scan, link, living_subgraph, random_even_fc_graph,
-                     sparse_rows)
+                     enumerate_cliques_scan, has_edge, link, living_subgraph, poly_term,
+                     random_even_fc_graph, sparse_rows)
 
 
 def boundary_matrices(c, max_degree):
@@ -37,7 +37,7 @@ def brute_force_cliques(g: EvenGraph, max_size: int):
     out = []
     for size in range(max_size + 1):
         for combo in itertools.combinations(g.vertices, size):
-            if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
+            if all(has_edge(g, u, v) for u, v in itertools.combinations(combo, 2)):
                 out.append(combo)
     return out
 
@@ -441,7 +441,7 @@ def test_integer_and_laurent_smith_forms_agree_on_ranks():
                 assert integer_invariant_factors(sparse_rows(m), nr, nc) == factors
                 for p in (0, 2, 3):
                     f = Field(p)
-                    constant = LaurentMatrix(f, nr, nc, [[LaurentPoly.constant(f, a) for a in row]
+                    constant = LaurentMatrix(f, nr, nc, [[poly_term(f, a, 0) for a in row]
                                                          for row in m])
                     assert smith_normal_form(constant)[1] == sum(1 for d in factors
                                                                  if p == 0 or d % p)

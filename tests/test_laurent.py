@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from artinsigma import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd,
                         smith_normal_form)
 
-from genutil import (matrix_entry, matrix_product, matrix_to_dict, permuted, poly_shifted,
-                     poly_term, q_poly, t_power_minus_one)
+from genutil import (matrix_entry, matrix_product, matrix_to_dict, permuted, poly_from_terms,
+                     poly_shifted, poly_term, q_poly, t_power_minus_one)
 
 F0 = Field(0)
 F2 = Field(2)
@@ -51,9 +51,9 @@ def test_field_validation():
 
 def test_q_poly_base_cases():
     assert q_poly(1, 5, F0) == LaurentPoly.one(F0)
-    assert q_poly(3, 0, F0) == LaurentPoly.constant(F0, 3)
+    assert q_poly(3, 0, F0) == poly_term(F0, 3, 0)
     assert q_poly(3, 0, F3).is_zero()
-    assert q_poly(2, -1, F0) == LaurentPoly.from_terms(F0, {0: 1, -1: 1})
+    assert q_poly(2, -1, F0) == poly_from_terms(F0, {0: 1, -1: 1})
     with pytest.raises(ValueError):
         q_poly(0, 1, F0)
 
@@ -131,7 +131,7 @@ def test_monic_offset0_canonical():
 
 
 def test_evaluate():
-    p = LaurentPoly.from_terms(F0, {-1: 1, 2: 3})
+    p = poly_from_terms(F0, {-1: 1, 2: 3})
     x = Fraction(2)
     assert p.evaluate(x) == Fraction(1, 2) + 3 * 4
     with pytest.raises(ZeroDivisionError):
@@ -160,7 +160,7 @@ def test_snf_two_by_two_against_gcd_determinant():
     # [[t-1, t^2-1], [0, t+1]]: d1 = gcd of the entries, d1*d2 = det up to units
     t1 = t_power_minus_one(F0, 1)
     t2 = t_power_minus_one(F0, 2)
-    tp1 = LaurentPoly.from_terms(F0, {0: 1, 1: 1})
+    tp1 = poly_from_terms(F0, {0: 1, 1: 1})
     m = mat(F0, [[t1, t2], [LaurentPoly.zero(F0), tp1]])
     factors, rank = smith_normal_form(m)
     assert rank == 2
@@ -355,7 +355,7 @@ def test_snf_rank_matches_random_evaluation_probe():
 
 
 def test_matrix_serialization_round_trip():
-    m = mat(F0, [[t_power_minus_one(F0, -2), LaurentPoly.constant(F0, Fraction(1, 2))]])
+    m = mat(F0, [[t_power_minus_one(F0, -2), poly_term(F0, Fraction(1, 2), 0)]])
     d = matrix_to_dict(m)
     assert d["rows"] == 1 and d["cols"] == 2
     assert d["entries"][0][0] == {"offset": -2, "coeffs": ["1", "0", "-1"]}
