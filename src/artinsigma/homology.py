@@ -365,7 +365,8 @@ def integer_invariant_factors(rows: dict[int, dict[int, int]], nrows: int,
     with the absolute value as size, then the divisibility chain.
     Arbitrary-precision throughout."""
     rows = {i: dict(row) for i, row in rows.items() if row}
-    return _divisibility_chain([abs(d) for d in _smith_diagonal(rows, abs, divmod)])
+    return _divisibility_chain([abs(d) for d in _smith_diagonal(rows, abs, divmod)],
+                               abs, gcd, divmod)
 
 
 def _smith_diagonal(rows: dict[int, dict], size, divmod_) -> list:
@@ -476,16 +477,39 @@ def _smallest_entry(rows: dict[int, dict], size) -> tuple[int, int]:
     return best
 
 
-def _divisibility_chain(diagonal: list[int]) -> list[int]:
-    """Invariant factors of a nonsingular diagonal matrix.  Exchanging each
-    pair of entries for (gcd, lcm) sorts every prime's exponents; units
-    divide everything and stay in front."""
-    chain = sorted(x for x in diagonal if x != 1)
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            g = gcd(chain[i], chain[j])
-            chain[i], chain[j] = g, chain[i] // g * chain[j]
-    return [1] * (len(diagonal) - len(chain)) + chain
+def _divisibility_chain(diagonal: list, size, gcd_, divmod_) -> list:
+    """Invariant factors d_1 | d_2 | ... of a nonsingular diagonal matrix
+    whose entries ``diagonal`` are canonical associates (over Z positive,
+    over F[t, t^-1] monic of lowest exponent 0).  Serves Z and
+    F[t, t^-1] alike: the ring enters through ``size`` (1 for units), a
+    ``gcd_`` that returns canonical associates and ``divmod_``.
+
+    Units come first.  The other entries are kept as a multiset; while two
+    distinct values a, b do not divide one another, min(mult a, mult b)
+    copies of the pair are replaced by (gcd, lcm).  That keeps, for each
+    prime, the multiset of its exponents, and it ends because the sum of
+    squared sizes grows.  The values left are totally ordered by
+    divisibility, which in increasing size is the chain.
+    """
+    units = [d for d in diagonal if size(d) == 1]
+    mult: dict = {}
+    for d in diagonal:
+        if size(d) > 1:
+            mult[d] = mult.get(d, 0) + 1
+    while True:
+        values = sorted(mult, key=size)
+        pair = next(((a, b, g) for i, a in enumerate(values) for b in values[i + 1:]
+                     if (g := gcd_(b, a)) != a), None)
+        if pair is None:
+            return units + [d for d in values for _ in range(mult[d])]
+        a, b, g = pair
+        k = min(mult[a], mult[b])
+        for d in (a, b):
+            mult[d] -= k
+            if not mult[d]:
+                del mult[d]
+        for d in (g, divmod_(a * b, g)[0]):
+            mult[d] = mult.get(d, 0) + k
 
 
 def _rank_from_factors(factors: Sequence[int], p: int | None) -> int:

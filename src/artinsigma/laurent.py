@@ -13,13 +13,13 @@ aligned XOR, multiplication shifts and XORs, and division is long division
 on the bits.  The field picks the representation when a polynomial is
 constructed; both behave alike, down to ``coeffs``, ``==`` and ``repr``.
 
-Matrices are sparse rows.  The Smith normal form is the sparse elimination
-the integer Smith form also uses (:func:`artinsigma.homology._smith_diagonal`),
-with the number of stored coefficients as the Euclidean size; each matrix
-keeps the diagonal it leaves, whose length is the rank, and
-:func:`smith_normal_form` turns it into the chain d_1 | d_2 | ... by
-replacing pairs (a, b) with (gcd, lcm).  Invariant factors are canonicalized
-to lowest exponent 0 with leading coefficient 1.
+Matrices are built from sparse rows only.  The Smith normal form is the
+sparse elimination and the divisibility chain that the integer Smith form
+also uses (:func:`artinsigma.homology._smith_diagonal` and
+:func:`artinsigma.homology._divisibility_chain`), with the number of stored
+coefficients as the Euclidean size; each matrix keeps the diagonal it
+leaves, whose length is the rank.  Invariant factors are canonicalized to
+lowest exponent 0 with leading coefficient 1.
 
 Coefficients are exact: Fraction for characteristic 0, integers mod p for a
 prime p.  No floating point anywhere.
@@ -27,12 +27,11 @@ prime p.  No floating point anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .homology import _require_field, _smith_diagonal, coeffs_label
+from .homology import _divisibility_chain, _require_field, _smith_diagonal, coeffs_label
 
 
 class Field:
@@ -233,24 +232,6 @@ class LaurentPoly:
         return LaurentPoly._of_elements(self.field, 0,
                                         [self.field.mul(c, lead_inv) for c in self.coeffs])
 
-    def evaluate(self, x):
-        """Value at a nonzero point of the coefficient field."""
-        f = self.field
-        x = f.coerce(x)
-        if not x:
-            raise ZeroDivisionError("Laurent polynomials are evaluated at nonzero points")
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        if self.offset >= 0:
-            for _ in range(self.offset):
-                acc = f.mul(acc, x)
-        else:
-            xinv = f.inv(x)
-            for _ in range(-self.offset):
-                acc = f.mul(acc, xinv)
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -398,44 +379,19 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 class LaurentMatrix:
     """Matrix over F[t, t^-1], stored as sparse rows; immutable by convention.
 
-    The constructor takes a dense grid of entries.  ``_rows`` maps the index
-    of each nonzero row to its nonzero entries by column, and the grid
-    ``entries`` is derived from it on each read.  The diagonal of the Smith
-    form elimination is computed once, when first asked for.
+    ``rows`` maps row indices to their nonzero entries by column; rows left
+    out, or empty, are zero.  The matrix keeps it.  The dense grid
+    ``entries`` is derived on each read.  The diagonal of the Smith form
+    elimination is computed once, when first asked for.
     """
 
     def __init__(self, field: Field, nrows: int, ncols: int,
-                 entries: Sequence[Sequence[LaurentPoly]]):
-        grid = [list(row) for row in entries]
-        if len(grid) != nrows or any(len(row) != ncols for row in grid):
-            raise ValueError("entry grid does not match the stated dimensions")
-        rows = {}
-        for i, row in enumerate(grid):
-            nonzero = {j: e for j, e in enumerate(row) if e.size}
-            if nonzero:
-                rows[i] = nonzero
-        self._set(field, nrows, ncols, rows)
-
-    @classmethod
-    def _of_rows(cls, field: Field, nrows: int, ncols: int,
-                 rows: dict[int, dict[int, LaurentPoly]]) -> "LaurentMatrix":
-        """The matrix with the sparse rows ``rows``, which it keeps: nonzero
-        entries only, and no empty row."""
-        m = cls.__new__(cls)
-        m._set(field, nrows, ncols, rows)
-        return m
-
-    def _set(self, field: Field, nrows: int, ncols: int,
-             rows: dict[int, dict[int, LaurentPoly]]) -> None:
+                 rows: dict[int, dict[int, LaurentPoly]]):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self._rows = rows
         self._diag: list[LaurentPoly] | None = None
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "LaurentMatrix":
-        return cls._of_rows(field, nrows, ncols, {})
 
     @property
     def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
@@ -451,7 +407,7 @@ class LaurentMatrix:
         """The nonzero diagonal that :func:`artinsigma.homology._smith_diagonal`
         leaves, with the coefficient count as size; its length is the rank."""
         if self._diag is None:
-            rows = {i: dict(row) for i, row in self._rows.items()}
+            rows = {i: dict(row) for i, row in self._rows.items() if row}
             self._diag = _smith_diagonal(rows, _size, laurent_divmod)
         return self._diag
 
@@ -461,42 +417,13 @@ _size = attrgetter("size")
 
 def smith_normal_form(matrix: LaurentMatrix) -> tuple[tuple[LaurentPoly, ...], int]:
     """Invariant factors d_1 | d_2 | ... and the rank of a Laurent matrix:
-    the matrix's Smith diagonal turned into the chain by
-    :func:`_divisibility_chain`.
+    the matrix's Smith diagonal, made canonical, turned into the chain by
+    :func:`artinsigma.homology._divisibility_chain`, which the integer Smith
+    form shares.
 
     Factors are canonical associates (lowest exponent 0, leading coefficient
     1); the rank is their count.  Unit factors are reported as 1.
     """
-    factors = _divisibility_chain(matrix.field, matrix._diagonal())
+    diagonal = [d.monic_offset0() for d in matrix._diagonal()]
+    factors = tuple(_divisibility_chain(diagonal, _size, laurent_gcd, laurent_divmod))
     return factors, len(factors)
-
-
-def _divisibility_chain(field: Field, diagonal: list[LaurentPoly]) -> tuple[LaurentPoly, ...]:
-    """Invariant factors of a diagonal matrix with nonzero entries ``diagonal``.
-
-    Units become 1 and come first.  The other entries are made canonical and
-    kept as a multiset; while two distinct values a, b do not divide one
-    another, min(mult a, mult b) copies of the pair are replaced by
-    (gcd, lcm).  That keeps, for each irreducible factor, the multiset of
-    its multiplicities, and it ends because the sum of squared spans grows.
-    The values left are totally ordered by divisibility, which in increasing
-    span is the chain d_1 | d_2 | ... .
-    """
-    mult = Counter(d.monic_offset0() for d in diagonal if not d.is_unit())
-    while True:
-        values = sorted(mult, key=lambda d: d.span)
-        pair = next(((a, b, g) for i, a in enumerate(values) for b in values[i + 1:]
-                     if (g := laurent_gcd(b, a)) != a), None)
-        if pair is None:
-            break
-        a, b, g = pair
-        k = min(mult[a], mult[b])
-        for d in (a, b):
-            mult[d] -= k
-            if not mult[d]:
-                del mult[d]
-        mult[g] += k
-        mult[laurent_divmod(a * b, g)[0].monic_offset0()] += k
-    one = LaurentPoly.one(field)
-    units = len(diagonal) - sum(mult.values())
-    return (one,) * units + tuple([d for d in values for _ in range(mult[d])])

@@ -115,7 +115,7 @@ class TwistedComplex:
 
     Degree n has one basis element per n-clique (degree 0: the empty
     clique), kept as the vertex masks ``levels[n]`` over the names
-    ``vertices`` and named only when :meth:`basis` reads it.  The reduced
+    ``vertices``, in the order of the rows and columns.  The reduced
     differentials D'_n = D_n / (t - 1) are built once as sparse rows and
     their composites are verified to vanish; D_n is rebuilt from D'_n when
     :meth:`differential` reads it.  Each D'_n keeps its Smith diagonal, so a
@@ -128,7 +128,6 @@ class TwistedComplex:
         self.field = field
         self.vertices = vertices
         self.levels = levels
-        self._bases: dict[int, tuple[tuple[str, ...], ...]] = {}
         self._reduced = reduced  # _reduced[n] is D'_n; _reduced[0] is the zero map
         self._t_minus_one = LaurentPoly(field, 0, [-1, 1])
         self._snf_memo: dict[int, tuple[tuple[LaurentPoly, ...], int]] = {}
@@ -143,14 +142,6 @@ class TwistedComplex:
             raise ValueError(f"degree {n} out of range 0..{self.max_degree}")
         return n
 
-    def basis(self, n: int) -> tuple[tuple[str, ...], ...]:
-        """The cliques of degree n by their vertex names, named once."""
-        if n not in self._bases:
-            vs = self.vertices
-            self._bases[n] = tuple([tuple([vs[i] for i in _bits(x)])
-                                    for x in self.levels[self._degree(n)]])
-        return self._bases[n]
-
     def differential(self, n: int) -> LaurentMatrix:
         """D_n: degree n -> degree n-1 (the zero map for n = 0), built anew
         from D'_n on each read."""
@@ -158,7 +149,7 @@ class TwistedComplex:
         t_minus_one = self._t_minus_one
         rows = {i: {j: t_minus_one * e for j, e in row.items()}
                 for i, row in reduced._rows.items()}
-        return LaurentMatrix._of_rows(self.field, reduced.nrows, reduced.ncols, rows)
+        return LaurentMatrix(self.field, reduced.nrows, reduced.ncols, rows)
 
     def snf(self, n: int) -> tuple[tuple[LaurentPoly, ...], int]:
         """Invariant factors and rank of D_n: those of D'_n, each factor
@@ -178,8 +169,8 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
 
     Character values are first rescaled to a primitive integer vector (the
     exponents of the deck transformation).  A clique is a vertex mask of
-    :func:`homology._cliques`, named only when a basis is read; the facet
-    x ^ 1 << v dropping the i-th vertex v of x has the sign (-1)^i.
+    :func:`homology._cliques`; the facet x ^ 1 << v dropping the i-th
+    vertex v of x has the sign (-1)^i.
     Composites of consecutive differentials are checked to vanish.  A
     weight span above :data:`MAX_ORACLE_SPAN`, or cliques times span above
     :data:`MAX_ORACLE_WORK`, raises :class:`OracleTooLarge` before any
@@ -218,7 +209,7 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
     weights: list[tuple[LaurentPoly, LaurentPoly]] = []  # (c, -c) in order of first use
     index: dict[tuple[int, int], int] = {}
     columns: list[list[list[tuple[int, int, int]]]] = [[]]
-    reduced = [LaurentMatrix.zeros(field, 0, len(levels[0]))]
+    reduced = [LaurentMatrix(field, 0, len(levels[0]), {})]
     for n in range(1, max_n + 1):
         row_of = {x: i for i, x in enumerate(levels[n - 1])}
         sparse: dict[int, dict[int, LaurentPoly]] = {}
@@ -239,7 +230,7 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
             degree.append(column)
         columns.append(degree)
         sparse = {i: sparse[i] for i in sorted(sparse)}
-        reduced.append(LaurentMatrix._of_rows(field, len(row_of), len(levels[n]), sparse))
+        reduced.append(LaurentMatrix(field, len(row_of), len(levels[n]), sparse))
 
     _check_composites(weights, columns)
     return TwistedComplex(field, g.vertices, levels, reduced)

@@ -1,15 +1,16 @@
 """Seeded random instance generators and the small fixed instances shared by
 the suites, character, graph and polynomial helpers that only tests need
-(among them the edge test and the polynomial constructors that the library
-does not use), Fraction references for the classification, matrix
-helpers (sparse integer rows to dense grids and back) and the JSON dumps of
-matrices and twisted complexes shared by the Laurent and twisted-complex
-tests, the all-labels-2 n-link condition, and plain reference versions of
-the bitmask graph kernels, induced and living subgraphs built as
-``EvenGraph``, the links of cliques, the clique-center generators and
-values, the flag-complex closure, the twisted differential weight (with
-the geometric sums and t^m - 1 it is built from) and two closed-form
-criteria."""
+(among them the edge test, the polynomial constructors and evaluation, the
+Laurent matrix built from a dense grid and the named bases of a twisted
+complex, none of which the library uses), Fraction references for the
+classification, matrix helpers (sparse integer rows to dense grids and
+back) and the JSON dumps of matrices and twisted complexes shared by the
+Laurent and twisted-complex tests, the all-labels-2 n-link condition, and
+plain reference versions of the bitmask graph kernels, induced and living
+subgraphs built as ``EvenGraph``, the links of cliques, the clique-center
+generators and values, the flag-complex closure, the twisted differential
+weight (with the geometric sums and t^m - 1 it is built from) and two
+closed-form criteria."""
 
 from __future__ import annotations
 
@@ -180,10 +181,40 @@ def random_character(rng: random.Random, g: EvenGraph, lo: int = -2, hi: int = 2
             return chi
 
 
+def poly_evaluate(p: LaurentPoly, x):
+    """The value of ``p`` at a nonzero point ``x`` of its coefficient field."""
+    f = p.field
+    x = f.coerce(x)
+    if not x:
+        raise ZeroDivisionError("Laurent polynomials are evaluated at nonzero points")
+    acc = f.zero
+    for c in reversed(p.coeffs):
+        acc = f.add(f.mul(acc, x), c)
+    step = x if p.offset >= 0 else f.inv(x)
+    for _ in range(abs(p.offset)):
+        acc = f.mul(acc, step)
+    return acc
+
+
+def dense_matrix(field: Field, nrows: int, ncols: int,
+                 grid: Sequence[Sequence[LaurentPoly]]) -> LaurentMatrix:
+    """The Laurent matrix with the dense grid of entries ``grid``, zeros
+    included, handed to the library as its sparse rows."""
+    grid = [list(row) for row in grid]
+    if len(grid) != nrows or any(len(row) != ncols for row in grid):
+        raise ValueError("entry grid does not match the stated dimensions")
+    rows = {}
+    for i, row in enumerate(grid):
+        nonzero = {j: e for j, e in enumerate(row) if e.size}
+        if nonzero:
+            rows[i] = nonzero
+    return LaurentMatrix(field, nrows, ncols, rows)
+
+
 def permuted(m: LaurentMatrix, row_order, col_order) -> LaurentMatrix:
     """The matrix with its rows and columns taken in the given orders."""
     rows = [[m.entries[i][j] for j in col_order] for i in row_order]
-    return LaurentMatrix(m.field, m.nrows, m.ncols, rows)
+    return dense_matrix(m.field, m.nrows, m.ncols, rows)
 
 
 def matrix_entry(m: LaurentMatrix, i: int, j: int) -> LaurentPoly:
@@ -211,7 +242,7 @@ def matrix_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
         for j, v in acc.items():
             out[j] = v
         rows.append(out)
-    return LaurentMatrix(a.field, a.nrows, b.ncols, rows)
+    return dense_matrix(a.field, a.nrows, b.ncols, rows)
 
 
 def has_edge(g: EvenGraph, u: str, v: str) -> bool:
@@ -536,12 +567,21 @@ def matrix_to_dict(m: LaurentMatrix) -> dict:
     }
 
 
+def basis(twisted: salvetti.TwistedComplex, n: int) -> tuple[tuple[str, ...], ...]:
+    """The cliques of degree n of a twisted complex by their vertex names,
+    in the order of its rows and columns."""
+    if not 0 <= n <= twisted.max_degree:
+        raise ValueError(f"degree {n} out of range 0..{twisted.max_degree}")
+    vs = twisted.vertices
+    return tuple([tuple([vs[i] for i in _bits(x)]) for x in twisted.levels[n]])
+
+
 def complex_to_dict(twisted: salvetti.TwistedComplex) -> dict:
     """JSON dump of a twisted complex for external verification: its
     characteristic, bases and differentials."""
     return {
         "characteristic": twisted.field.char,
-        "bases": {str(n): [list(c) for c in twisted.basis(n)]
+        "bases": {str(n): [list(c) for c in basis(twisted, n)]
                   for n in range(twisted.max_degree + 1)},
         "differentials": {str(n): matrix_to_dict(twisted.differential(n))
                           for n in range(1, twisted.max_degree + 1)},

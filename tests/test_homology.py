@@ -6,14 +6,14 @@ from operator import attrgetter
 
 import pytest
 
-from artinsigma import (Analysis, Character, EvenGraph, Field, LaurentMatrix, LaurentPoly,
+from artinsigma import (Analysis, Character, EvenGraph, Field, LaurentPoly,
                         TooManyCliques, flag_complex, has_cone_vertex, laurent_divmod,
                         reduced_homology, smith_normal_form)
 from artinsigma import conditions, homology
 from artinsigma.homology import (PRIME_BOUND, _boundary, _smith_diagonal,
                                  integer_invariant_factors, is_prime, prime_factors)
 
-from genutil import (as_mask_graph, closed_complex, dense, enumerate_cliques,
+from genutil import (as_mask_graph, closed_complex, dense, dense_matrix, enumerate_cliques,
                      enumerate_cliques_scan, has_edge, link, living_subgraph, poly_term,
                      random_even_fc_graph, sparse_rows)
 
@@ -391,6 +391,17 @@ def test_integer_snf_divisibility_chain():
         assert all(d > 0 for d in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         assert len(factors) == reference_rank(m)
+    # diagonals that repeat non-units, whose chain merges copies of a pair
+    # at once, as they are and after unimodular row and column operations
+    diagonals = [(4, 4, 6, 6, 9, -3, 1), (2, 2, 3, 3), (6, 10, 15, 6, 10, 15)]
+    diagonals += [tuple(rng.choice((1, 2, -2, 3, 4, 6, 9, 12)) for _ in range(rng.randint(2, 8)))
+                  for _ in range(25)]
+    for diagonal in diagonals:
+        size = len(diagonal)
+        m = [[diagonal[i] if i == j else 0 for j in range(size)] for i in range(size)]
+        expected = sympy_invariant_factors(m, size, size)
+        for grid in (m, mixed(rng, m, size, size)):
+            assert integer_invariant_factors(sparse_rows(grid), size, size) == expected, diagonal
 
 
 # minimal 6-vertex triangulation of the projective plane
@@ -441,8 +452,8 @@ def test_integer_and_laurent_smith_forms_agree_on_ranks():
                 assert integer_invariant_factors(sparse_rows(m), nr, nc) == factors
                 for p in (0, 2, 3):
                     f = Field(p)
-                    constant = LaurentMatrix(f, nr, nc, [[poly_term(f, a, 0) for a in row]
-                                                         for row in m])
+                    constant = dense_matrix(f, nr, nc, [[poly_term(f, a, 0) for a in row]
+                                                        for row in m])
                     assert smith_normal_form(constant)[1] == sum(1 for d in factors
                                                                  if p == 0 or d % p)
     assert torsion > 0

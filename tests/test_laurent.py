@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from artinsigma import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd,
                         smith_normal_form)
 
-from genutil import (matrix_entry, matrix_product, matrix_to_dict, permuted, poly_from_terms,
-                     poly_shifted, poly_term, q_poly, t_power_minus_one)
+from genutil import (dense_matrix, matrix_entry, matrix_product, matrix_to_dict, permuted,
+                     poly_evaluate, poly_from_terms, poly_shifted, poly_term, q_poly,
+                     t_power_minus_one)
 
 F0 = Field(0)
 F2 = Field(2)
@@ -133,15 +134,15 @@ def test_monic_offset0_canonical():
 def test_evaluate():
     p = poly_from_terms(F0, {-1: 1, 2: 3})
     x = Fraction(2)
-    assert p.evaluate(x) == Fraction(1, 2) + 3 * 4
+    assert poly_evaluate(p, x) == Fraction(1, 2) + 3 * 4
     with pytest.raises(ZeroDivisionError):
-        p.evaluate(0)
+        poly_evaluate(p, 0)
 
 
 # --- Smith normal form -----------------------------------------------------------
 
 def mat(field, rows):
-    return LaurentMatrix(field, len(rows), len(rows[0]) if rows else 0, rows)
+    return dense_matrix(field, len(rows), len(rows[0]) if rows else 0, rows)
 
 
 def test_snf_single_entry():
@@ -152,8 +153,12 @@ def test_snf_single_entry():
 
 
 def test_snf_zero_matrix():
-    factors, rank = smith_normal_form(LaurentMatrix.zeros(F0, 3, 2))
+    factors, rank = smith_normal_form(LaurentMatrix(F0, 3, 2, {}))
     assert factors == () and rank == 0
+    # an empty row is a zero row, as a row left out is
+    t1 = t_power_minus_one(F0, 1)
+    assert smith_normal_form(LaurentMatrix(F0, 3, 2, {0: {}, 2: {1: t1}})) \
+        == smith_normal_form(LaurentMatrix(F0, 3, 2, {2: {1: t1}})) == ((t1.monic_offset0(),), 1)
 
 
 def test_snf_two_by_two_against_gcd_determinant():
@@ -178,9 +183,9 @@ def laurent_det(m: LaurentMatrix) -> LaurentPoly:
         return matrix_entry(m, 0, 0)
     total = LaurentPoly.zero(m.field)
     for j in range(n):
-        sub = LaurentMatrix(m.field, n - 1, n - 1,
-                            [[matrix_entry(m, i, k) for k in range(n) if k != j]
-                             for i in range(1, n)])
+        sub = dense_matrix(m.field, n - 1, n - 1,
+                           [[matrix_entry(m, i, k) for k in range(n) if k != j]
+                            for i in range(1, n)])
         term = matrix_entry(m, 0, j) * laurent_det(sub)
         total = total + (term if j % 2 == 0 else -term)
     return total
@@ -191,8 +196,8 @@ def minor_gcd(m: LaurentMatrix, k: int) -> LaurentPoly:
     acc = LaurentPoly.zero(m.field)
     for rows in combinations(range(m.nrows), k):
         for cols in combinations(range(m.ncols), k):
-            sub = LaurentMatrix(m.field, k, k,
-                                [[matrix_entry(m, i, j) for j in cols] for i in rows])
+            sub = dense_matrix(m.field, k, k,
+                               [[matrix_entry(m, i, j) for j in cols] for i in rows])
             acc = laurent_gcd(acc, laurent_det(sub))
     return acc
 
@@ -202,9 +207,9 @@ def test_snf_matches_determinantal_divisors():
     for _ in range(20):
         field = Field(rng.choice([0, 2, 3]))
         nr, nc = rng.randint(1, 3), rng.randint(1, 3)
-        m = LaurentMatrix(field, nr, nc,
-                          [[rand_poly(rng, field, max_span=2) for _ in range(nc)]
-                           for _ in range(nr)])
+        m = dense_matrix(field, nr, nc,
+                         [[rand_poly(rng, field, max_span=2) for _ in range(nc)]
+                          for _ in range(nr)])
         factors, rank = smith_normal_form(m)
         assert all(laurent_divmod(b, a)[1].is_zero() for a, b in zip(factors, factors[1:]))
         prod = LaurentPoly.one(field)
@@ -238,7 +243,7 @@ def sparse_diagonal_heavy(rng: random.Random, field: Field) -> LaurentMatrix:
     rows = [[LaurentPoly.zero(field)] * nc for _ in range(nr)]
     for i, j in cells:
         rows[i][j] = factored_poly(rng, field)
-    return LaurentMatrix(field, nr, nc, rows)
+    return dense_matrix(field, nr, nc, rows)
 
 
 def test_snf_matches_determinantal_divisors_on_sparse_diagonal_heavy_matrices():
@@ -271,6 +276,22 @@ def test_snf_of_a_diagonal_is_its_divisibility_chain():
     z2 = LaurentPoly.zero(F2)
     m2 = mat(F2, [[t_power_minus_one(F2, 1), z2], [z2, q_poly(2, 1, F2)]])
     assert smith_normal_form(m2) == ((t_power_minus_one(F2, 1),) * 2, 2)
+    # repeated non-units merge copies of a pair at once, and a coprime pair
+    # leaves a unit; over F_2, 1 + t and 1 + t + t^2 are coprime
+    for field, a, b in ((F0, t_power_minus_one(F0, 1), q_poly(2, 1, F0)),
+                        (F2, q_poly(2, 1, F2), q_poly(3, 1, F2))):
+        one, ab = LaurentPoly.one(field), (a * b).monic_offset0()
+        cases = [((a, b), (one, ab)),
+                 ((b, a, b, a), (one, one, ab, ab)),
+                 ((a * a, a, b, b), (one, one, ab, (a * ab).monic_offset0())),
+                 ((poly_shifted(b, 3), a * b, one, a, a),
+                  (one, one, a.monic_offset0(), ab, ab))]
+        zero = LaurentPoly.zero(field)
+        for diagonal, chain in cases:
+            size = len(diagonal)
+            m = dense_matrix(field, size, size, [[diagonal[i] if i == j else zero
+                                                  for j in range(size)] for i in range(size)])
+            assert smith_normal_form(m) == (chain, size), (field, diagonal)
 
 
 def test_sparse_product_matches_entrywise_definition():
@@ -285,8 +306,8 @@ def test_sparse_product_matches_entrywise_definition():
                          or rng.random() < 0.5 else rand_poly(rng, field, max_span=2)
                          for j in range(c)] for i in range(r)]
 
-            a = LaurentMatrix(field, nr, nk, grid(nr, nk, skip_row=zero_row))
-            b = LaurentMatrix(field, nk, nc, grid(nk, nc, skip_col=zero_col))
+            a = dense_matrix(field, nr, nk, grid(nr, nk, skip_row=zero_row))
+            b = dense_matrix(field, nk, nc, grid(nk, nc, skip_col=zero_col))
             prod = matrix_product(a, b)
             assert (prod.nrows, prod.ncols) == (nr, nc)
             for i in range(nr):
@@ -298,7 +319,7 @@ def test_sparse_product_matches_entrywise_definition():
             assert all(matrix_entry(prod, zero_row, j).is_zero() for j in range(nc))
             assert all(matrix_entry(prod, i, zero_col).is_zero() for i in range(nr))
     with pytest.raises(ValueError):
-        matrix_product(LaurentMatrix.zeros(F0, 2, 3), LaurentMatrix.zeros(F0, 2, 3))
+        matrix_product(LaurentMatrix(F0, 2, 3, {}), LaurentMatrix(F0, 2, 3, {}))
 
 
 def test_snf_invariant_under_permutations_and_unit_scalings():
@@ -306,9 +327,9 @@ def test_snf_invariant_under_permutations_and_unit_scalings():
     for _ in range(15):
         field = Field(rng.choice([0, 2, 5]))
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        m = LaurentMatrix(field, nr, nc,
-                          [[rand_poly(rng, field, max_span=3) for _ in range(nc)]
-                           for _ in range(nr)])
+        m = dense_matrix(field, nr, nc,
+                         [[rand_poly(rng, field, max_span=3) for _ in range(nc)]
+                          for _ in range(nr)])
         base = smith_normal_form(m)
         rows = list(range(nr))
         cols = list(range(nc))
@@ -318,7 +339,7 @@ def test_snf_invariant_under_permutations_and_unit_scalings():
         # multiplying a whole row by a unit t^k is an allowed basis change
         shifts = [rng.randint(-2, 2) for _ in range(nr)]
         scaled_rows = [[poly_shifted(e, k) for e in row] for k, row in zip(shifts, m.entries)]
-        scaled = LaurentMatrix(field, nr, nc, scaled_rows)
+        scaled = dense_matrix(field, nr, nc, scaled_rows)
         assert smith_normal_form(scaled) == base
 
 
@@ -328,7 +349,7 @@ def test_snf_rank_matches_random_evaluation_probe():
     rng = random.Random(33)
 
     def eval_rank(m: LaurentMatrix, x: Fraction) -> int:
-        rows = [[e.evaluate(x) for e in row] for row in m.entries]
+        rows = [[poly_evaluate(e, x) for e in row] for row in m.entries]
         rank = 0
         for j in range(m.ncols):
             piv = next((i for i in range(rank, m.nrows) if rows[i][j]), None)
@@ -346,9 +367,9 @@ def test_snf_rank_matches_random_evaluation_probe():
 
     for _ in range(15):
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        m = LaurentMatrix(F0, nr, nc,
-                          [[rand_poly(rng, F0, max_span=3) for _ in range(nc)]
-                           for _ in range(nr)])
+        m = dense_matrix(F0, nr, nc,
+                         [[rand_poly(rng, F0, max_span=3) for _ in range(nc)]
+                          for _ in range(nr)])
         _, rank = smith_normal_form(m)
         probes = [Fraction(rng.randint(2, 50), rng.randint(1, 7)) for _ in range(4)]
         assert max(eval_rank(m, x) for x in probes) == rank
@@ -393,8 +414,8 @@ def test_coerce_refuses_anything_but_ints_and_fractions(field, x):
 def test_rational_coefficients_keep_their_value_in_characteristic_p():
     p = LaurentPoly(F3, 0, [Fraction(1, 2), 1])
     assert p == LaurentPoly(F3, 0, [2, 1]) and p.coeffs == (2, 1)
-    assert p.evaluate(Fraction(1, 2)) == (2 + 2) % 3     # 1/2 + t at t = 1/2 = 2
-    assert LaurentPoly(F3, 0, [1, 1]).evaluate(Fraction(1, 2)) == 0
+    assert poly_evaluate(p, Fraction(1, 2)) == (2 + 2) % 3     # 1/2 + t at t = 1/2 = 2
+    assert poly_evaluate(LaurentPoly(F3, 0, [1, 1]), Fraction(1, 2)) == 0
     with pytest.raises(ValueError):
         LaurentPoly(F3, 0, [Fraction(1, 3)])
     with pytest.raises(TypeError):
@@ -478,7 +499,7 @@ def test_packed_f2_has_the_tuple_form_interface():
     z = LaurentPoly(F2, 7, [0, 2])
     assert (z.offset, z.coeffs, z.size, z.span) == (0, (), 0, -1) and repr(z) == "0"
     assert LaurentPoly.one(F2).is_unit() and poly_term(F2, 1, -5).is_unit()
-    assert p.evaluate(1) == 1 and t_power_minus_one(F2, 3).evaluate(1) == 0
+    assert poly_evaluate(p, 1) == 1 and poly_evaluate(t_power_minus_one(F2, 3), 1) == 0
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -11,8 +11,8 @@ from artinsigma import (Analysis, Character, build_salvetti_complex, classify, c
 from artinsigma.homology import _boundary
 
 from genutil import (center_values, dead_cliques, dense, enumerate_cliques, mask_edges,
-                     matrix_is_zero, matrix_product, negated_character, random_character,
-                     random_even_fc_graph, scaled_character)
+                     matrix_is_zero, matrix_product, negated_character, poly_evaluate,
+                     random_character, random_even_fc_graph, scaled_character)
 
 
 def test_boundary_composites_vanish_simplicial():
@@ -176,7 +176,7 @@ def test_salvetti_specialization_rank_probe():
             probes = [Fraction(rng.randint(2, 40), rng.randint(1, 5)) for _ in range(4)]
             best = 0
             for x in probes:
-                rows = [[e.evaluate(x) for e in row] for row in d.entries]
+                rows = [[poly_evaluate(e, x) for e in row] for row in d.entries]
                 best = max(best, _rational_rank(rows))
             assert best == exact_rank
 

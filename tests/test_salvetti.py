@@ -8,10 +8,11 @@ from artinsigma import (Analysis, Character, CrossCheckError, EvenGraph, Field, 
                         homology_module, smith_normal_form)
 from artinsigma.salvetti import MAX_ORACLE_SPAN, _max_weight_span, _weight
 
-from genutil import (coefficient_b, complex_to_dict, dihedral, enumerate_cliques_scan,
-                     matrix_entry, matrix_is_zero, matrix_product, permuted, poly_scaled,
-                     poly_shifted, product_of_dihedrals, random_character, random_even_fc_graph,
-                     scaled_character, t_power_minus_one)
+from genutil import (basis, coefficient_b, complex_to_dict, dense_matrix, dihedral,
+                     enumerate_cliques_scan, matrix_entry, matrix_is_zero, matrix_product,
+                     permuted, poly_evaluate, poly_scaled, poly_shifted, product_of_dihedrals,
+                     random_character, random_even_fc_graph, scaled_character,
+                     t_power_minus_one)
 
 
 def exponents(g, chi):
@@ -109,7 +110,7 @@ def test_differential_entries_match_coefficient_b():
             complex_ = build_salvetti_complex(g, chi, p, max_n=max_n)
             zero = LaurentPoly.zero(Field(p))
             for n in range(1, max_n + 1):
-                rows, cols = complex_.basis(n - 1), complex_.basis(n)
+                rows, cols = basis(complex_, n - 1), basis(complex_, n)
                 expected = {}
                 for j, x in enumerate(cols):
                     for i, v in enumerate(x):
@@ -191,12 +192,12 @@ def test_torsion_audit_at_points_of_the_field():
             field, top = complex_.field, complex_.max_degree
             modules = [homology_module(complex_, n) for n in range(top)]
             for a in xs:
-                ranks = [_rank_over(field, [[e.evaluate(a) for e in row]
+                ranks = [_rank_over(field, [[poly_evaluate(e, a) for e in row]
                                             for row in complex_.differential(n).entries])
                          for n in range(top + 1)]
-                tau = [sum(1 for f in m.torsion if not f.evaluate(a)) for m in modules]
+                tau = [sum(1 for f in m.torsion if not poly_evaluate(f, a)) for m in modules]
                 for n, module in enumerate(modules):
-                    dim = len(complex_.basis(n)) - ranks[n] - ranks[n + 1]
+                    dim = len(basis(complex_, n)) - ranks[n] - ranks[n + 1]
                     assert dim == module.free_rank + tau[n] + (tau[n - 1] if n else 0), \
                         (g, chi, p, a, n)
                     checked += 1
@@ -213,7 +214,7 @@ def test_bases_are_the_scanned_cliques_by_size():
         for max_n in (0, rng.randint(1, top), top + 1):
             complex_ = build_salvetti_complex(g, chi, 2, max_n=max_n)
             scan = enumerate_cliques_scan(g, max_n)
-            assert [complex_.basis(n) for n in range(max_n + 1)] \
+            assert [basis(complex_, n) for n in range(max_n + 1)] \
                 == [tuple(c for c in scan if len(c) == n) for n in range(max_n + 1)]
 
 
@@ -266,9 +267,9 @@ def test_composite_check_agrees_with_dense_product():
             diffs[n][i][j] + LaurentPoly.one(complex_.field)
         weights, columns = [], [[]]
         for k, d in enumerate(diffs, 1):
-            rows = complex_.basis(k - 1)
+            rows = basis(complex_, k - 1)
             degree = []
-            for c, x in enumerate(complex_.basis(k)):
+            for c, x in enumerate(basis(complex_, k)):
                 column = []
                 for pos in range(len(x)):
                     r = rows.index(x[:pos] + x[pos + 1:])
@@ -276,7 +277,7 @@ def test_composite_check_agrees_with_dense_product():
                     weights.append((d[r][c], -d[r][c]))
                 degree.append(column)
             columns.append(degree)
-        matrices = [LaurentMatrix(complex_.field, len(d), len(complex_.basis(k + 1)), d)
+        matrices = [dense_matrix(complex_.field, len(d), len(basis(complex_, k + 1)), d)
                     for k, d in enumerate(diffs)]
         expected = any(not matrix_is_zero(matrix_product(a, b))
                        for a, b in zip(matrices, matrices[1:]))
@@ -301,9 +302,9 @@ def test_composite_check_reads_the_rows_and_signs_of_each_path_pair():
         weights, columns = [], [[]]
         one = LaurentPoly.one(field)
         for k in range(1, 4):
-            rows = complex_.basis(k - 1)
+            rows = basis(complex_, k - 1)
             degree = []
-            for x in complex_.basis(k):
+            for x in basis(complex_, k):
                 degree.append([(rows.index(x[:pos] + x[pos + 1:]), 0, pos % 2)
                                for pos in range(len(x))])
             columns.append(degree)
@@ -325,8 +326,8 @@ def test_composite_check_reads_the_rows_and_signs_of_each_path_pair():
 def test_basis_is_cliques_by_size(d4d6):
     g, chi = d4d6
     complex_ = build_salvetti_complex(g, chi, 0, max_n=4)
-    assert complex_.basis(0) == ((),)
-    assert [len(complex_.basis(n)) for n in range(5)] == [1, 4, 6, 4, 1]
+    assert basis(complex_, 0) == ((),)
+    assert [len(basis(complex_, n)) for n in range(5)] == [1, 4, 6, 4, 1]
 
 
 def test_homology_module_dihedral_case_split():
@@ -469,7 +470,7 @@ def test_rank_alone_agrees_with_the_smith_form():
             complex_ = build_salvetti_complex(g, chi, p, max_n=4)
             for n in range(complex_.max_degree + 1):
                 d = complex_.differential(n)
-                fresh = smith_normal_form(LaurentMatrix(d.field, d.nrows, d.ncols, d.entries))
+                fresh = smith_normal_form(dense_matrix(d.field, d.nrows, d.ncols, d.entries))
                 assert complex_.rank(n) == len(fresh[0]) == smith_normal_form(d)[1], (p, n)
                 assert complex_.snf(n) == fresh, (p, n)
 
@@ -494,9 +495,9 @@ def test_untraced_oracle_command_chains_one_matrix_and_builds_no_grid(monkeypatc
     chained = []
     honest = laurent._divisibility_chain
 
-    def counting_chain(field, diagonal):
+    def counting_chain(diagonal, size, gcd_, divmod_):
         chained.append(len(diagonal))
-        return honest(field, diagonal)
+        return honest(diagonal, size, gcd_, divmod_)
 
     def no_grid(self):
         raise AssertionError("a dense grid was built")

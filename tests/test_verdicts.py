@@ -6,7 +6,7 @@ import pytest
 
 from artinsigma import (IN, NOT_IN, UNKNOWN, Analysis, Character, EvenGraph, ZeroCharacterError,
                         fp_verdict, homotopic_sigma_verdict, odd_cycle_condition,
-                        product_sigma_member, sigma_verdict)
+                        product_sigma_member, sigma_verdict, validate_fc)
 
 from artinsigma.verdicts import _biconnected_blocks
 
@@ -152,28 +152,38 @@ def test_product_sigma_member_free_abelian_part():
     assert product_sigma_member(g, g.vertices, dead_z, 1) is False
 
 
-def test_product_rule_consistent_with_link_machinery():
-    # on complete graphs: non-membership by the closed form forces the
-    # link condition to fail (it is sufficient for membership)
-    rng = random.Random(61)
-    checked = 0
-    for _ in range(80):
-        size = rng.randint(1, 4)
-        vs = [chr(ord("a") + i) for i in range(size)]
-        labels = {}
-        for i, j in itertools.combinations(range(size), 2):
-            labels[(vs[i], vs[j])] = rng.choice([2, 2, 4, 6])
-        g = EvenGraph(vs, [(u, v, l) for (u, v), l in labels.items()])
-        from artinsigma import validate_fc
+def complete_fc_graph(rng: random.Random, size: int) -> EvenGraph:
+    """K_size with labels drawn from (2, 2, 4, 6), repaired to FC type as
+    ``random_even_fc_graph`` repairs: the later big edges of each offending
+    triangle are demoted to 2."""
+    vs = [chr(ord("a") + i) for i in range(size)]
+    labels = {(u, v): rng.choice((2, 2, 4, 6)) for u, v in itertools.combinations(vs, 2)}
+    while True:
+        g = EvenGraph(vs, [(u, v, l) for (u, v), l in sorted(labels.items())])
+        report = validate_fc(g)
+        if report.ok:
+            return g
+        for finding in report.violations:
+            for e in sorted(finding.edges)[1:]:
+                labels[e] = 2
 
-        if not validate_fc(g).ok:
-            continue
+
+def test_product_rule_consistent_with_link_machinery():
+    # on complete graphs the closed form is exact, and the strong n-link
+    # condition over Z holds exactly when it says IN.  One direction is a
+    # theorem (the condition is sufficient for membership); the other is
+    # evidence for a converse on complete graphs, not a rule the library uses
+    rng = random.Random(99)
+    outcomes = {True: 0, False: 0}
+    for _ in range(375):
+        g = complete_fc_graph(rng, rng.randint(1, 6))
         chi = random_character(rng, g)
-        m = rng.randint(1, 3)
-        if not product_sigma_member(g, vs, chi, m):
-            assert Analysis(g, chi).strong_n_link(m).holds is False
-            checked += 1
-    assert checked
+        ctx = Analysis(g, chi)
+        for n in range(1, 5):
+            member = product_sigma_member(g, g.vertices, chi, n)
+            assert ctx.strong_n_link(n).holds is member, (g, chi, n)
+            outcomes[member] += 1
+    assert sum(outcomes.values()) == 1500 and min(outcomes.values()) > 0
 
 
 def test_odd_cycle_condition():
