@@ -34,7 +34,8 @@ class CharacterError(ValueError):
 
 
 class Character:
-    """Map from vertex ids to exact rational values."""
+    """Map from vertex ids to exact rational values; immutable by convention,
+    as an :class:`EvenGraph` is, so its primitive integer values are kept."""
 
     def __init__(self, values: Mapping[str, Fraction | int | str]):
         parsed = {}
@@ -44,6 +45,7 @@ class Character:
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise CharacterError(f"value for {v!r} is not a rational: {x!r}") from exc
         self.values: dict[str, Fraction] = parsed
+        self._ints: dict[str, int] | None = None
 
     def value(self, v: str) -> Fraction:
         return self.values[v]
@@ -62,14 +64,15 @@ class Character:
         This is the vector of exponents for the cyclic-cover module
         structure: an integer-valued character acts through the generator
         of its image, so values are cleared of denominators and divided by
-        their gcd.  The zero character maps to all zeros.
+        their gcd.  The zero character maps to all zeros.  One dict is
+        computed, on the first call, and returned by every call.
         """
-        denom = lcm(*[x.denominator for x in self.values.values()]) if self.values else 1
-        ints = {v: x.numerator * (denom // x.denominator) for v, x in self.values.items()}
-        g = gcd(*ints.values()) if ints else 0
-        if g == 0:
-            return ints
-        return {v: n // g for v, n in ints.items()}
+        if self._ints is None:
+            denom = lcm(*[x.denominator for x in self.values.values()]) if self.values else 1
+            ints = {v: x.numerator * (denom // x.denominator) for v, x in self.values.items()}
+            g = gcd(*ints.values()) if ints else 0
+            self._ints = {v: n // g for v, n in ints.items()} if g else ints
+        return self._ints
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Character):

@@ -47,6 +47,7 @@ class EvenGraph:
         # label > 2 partner) of vertex i, in the vertex order
         nbr = [0] * len(self.vertices)
         big = [0] * len(self.vertices)
+        odd_big = False     # some label > 2 is odd
         for u, v, label in edges:
             i, j = index.get(u), index.get(v)
             if i is None or j is None:
@@ -63,7 +64,9 @@ class EvenGraph:
             if label > 2:
                 big[i] |= 1 << j
                 big[j] |= 1 << i
+                odd_big = odd_big or label % 2 == 1
         self._labels = labels
+        self._odd_big_label = odd_big
         # the canonical pairs in vertex order, read off the masks
         vs, pairs = self.vertices, []
         for i, m in enumerate(nbr):
@@ -192,7 +195,10 @@ def _may_hold_big_faults(g: EvenGraph) -> bool:
     > 2: a screen of a few bit operations before the walks that list such
     faults (:func:`validate_fc` and ``characters._check_center_faults``).
     Two labels > 2 share a triangle exactly when some vertex has two
-    adjacent label > 2 partners."""
+    adjacent label > 2 partners; an odd label > 2 is noted by the
+    constructor."""
+    if g._odd_big_label:
+        return True
     nbr = g.neighbor_masks
     for partners in g.big_partner_masks:
         rest = partners
@@ -201,7 +207,7 @@ def _may_hold_big_faults(g: EvenGraph) -> bool:
             if partners & nbr[low.bit_length() - 1]:
                 return True
             rest ^= low
-    return any(label > 2 and label % 2 for label in g._labels.values())
+    return False
 
 
 def validate_fc(g: EvenGraph) -> ValidationReport:
@@ -324,8 +330,9 @@ def graph_from_dict(doc: Mapping) -> EvenGraph:
         raise GraphFormatError('"edges" must be a list of edge objects')
     edges = []
     for entry in entries:
-        if not (isinstance(entry, Mapping) and "u" in entry and "v" in entry
-                and "label" in entry):
+        # JSON gives plain dicts, which pass the exact-type test without the ABC's
+        if not ((type(entry) is dict or isinstance(entry, Mapping))
+                and "u" in entry and "v" in entry and "label" in entry):
             raise GraphFormatError('each edge needs fields "u", "v", "label"')
         u, v, label = entry["u"], entry["v"], entry["label"]
         if not (isinstance(u, str) and isinstance(v, str)):

@@ -19,6 +19,7 @@ degree -1 and acyclicity tests see the nonempty/empty distinction.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import count, islice
 from math import gcd, inf
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -379,58 +380,71 @@ def _smith_diagonal(rows: dict[int, dict], size, divmod_) -> list:
     consumed.  The ring enters only through ``size``, its Euclidean size
     (0 for zero, 1 for units), and ``divmod_``, a division whose remainder
     is smaller than the divisor.  The pivot is an entry of smallest size
-    (the first unit found).  It clears its column by row operations, and
-    while remainders are left the smallest becomes the pivot.  Then the
-    pivot row is cleared by column operations, which touch no other row and
-    are skipped for a unit pivot; a nonzero remainder there again becomes
-    the pivot.  A remainder that becomes the pivot must be smaller than the
-    pivot it divided, or RuntimeError is raised, so a size that disagrees
-    with the division fails instead of looping.  The cleared pivot row and
-    column are dropped.  No divisibility sweep runs between pivots: the
+    (the first unit found, see :func:`_smallest_entry`, which keeps what it
+    found in each row until the row changes).  It clears its column by row
+    operations, and while remainders are left the smallest becomes the
+    pivot; a unit pivot leaves none, and its column, never read again, is
+    dropped without updating the column index.  Then the pivot row is
+    cleared by column operations, which touch no other row and are skipped
+    for a unit pivot; a nonzero remainder there again becomes the pivot.
+    A remainder that becomes the pivot must be smaller than the pivot it
+    divided, or RuntimeError is raised, so a size that disagrees with the
+    division fails instead of looping.  The cleared pivot row and column
+    are dropped.  No divisibility sweep runs between pivots: the
     caller turns the diagonal into the chain d_1 | d_2 | ... .
     """
-    cols: dict[int, set[int]] = {}
+    cols: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in rows.items():
         for j in row:
-            cols.setdefault(j, set()).add(i)
+            cols[j].add(i)
     diagonal = []
+    known: dict[int, tuple] = {}    # see _smallest_entry; a changed row is dropped
     while rows:
-        i0, j0 = _smallest_entry(rows, size)
+        i0, j0 = _smallest_entry(rows, size, known)
         while True:
             while True:     # column j0: every other row loses a multiple of the pivot row
                 pivot_row = rows[i0]
                 pivot = pivot_row[j0]
+                unit = size(pivot) == 1
                 best, best_size = None, 0
                 for i in sorted(cols[j0]):
                     if i == i0:
                         continue
                     row = rows[i]
                     q, r = divmod_(row[j0], pivot)
+                    s = size(r)
                     if size(q):
+                        known.pop(i, None)
                         neg_q = -q
                         for j, a in pivot_row.items():
                             if j == j0:
-                                v = r
-                            else:
-                                cur = row.get(j)
-                                v = neg_q * a if cur is None else cur + neg_q * a
-                            if size(v):
-                                row[j] = v
+                                continue
+                            cur = row.get(j)
+                            if cur is None:
+                                row[j] = neg_q * a
                                 cols[j].add(i)
-                            elif j in row:
+                            elif size(v := cur + neg_q * a):
+                                row[j] = v
+                            else:
                                 del row[j]
                                 cols[j].discard(i)
-                        if not row:
-                            del rows[i]
-                    s = size(r)
+                        if s:
+                            row[j0] = r
+                        else:   # a unit pivot's column j0 is not read again
+                            del row[j0]
+                            if not unit:
+                                cols[j0].discard(i)
+                            if not row:
+                                del rows[i]
                     if s and (best is None or s < best_size):
                         best, best_size = i, s
                 if best is None:
                     break
                 _check_falls(best_size, size(pivot))
                 i0 = best
-            if size(pivot) == 1:
+            if unit:
                 break
+            known.pop(i0, None)
             best, best_size = None, 0
             for j in [j for j in pivot_row if j != j0]:     # row i0: keep remainders
                 r = divmod_(pivot_row[j], pivot)[1]
@@ -464,16 +478,27 @@ def _check_falls(new_size, old_size) -> None:
                            f"with the ring's division")
 
 
-def _smallest_entry(rows: dict[int, dict], size) -> tuple[int, int]:
-    """Position of a nonzero entry of smallest size (the first unit found)."""
+def _smallest_entry(rows: dict[int, dict], size, known: dict) -> tuple[int, int]:
+    """Position of a nonzero entry of smallest size: in row order the first
+    unit, or else the first entry of the smallest size.  ``known`` keeps
+    the (size, column) of each row's own such entry until the row changes."""
     best, best_size = None, 0
     for i, row in rows.items():
-        for j, a in row.items():
-            s = size(a)
-            if best is None or s < best_size:
-                best, best_size = (i, j), s
+        own = known.get(i)
+        if own is None:
+            for j, a in row.items():
+                s = size(a)
                 if s == 1:
-                    return best
+                    own = 1, j
+                    break
+                if own is None or s < own[0]:
+                    own = s, j
+            known[i] = own
+        s, j = own
+        if s == 1:
+            return i, j
+        if best is None or s < best_size:
+            best, best_size = (i, j), s
     return best
 
 

@@ -104,7 +104,10 @@ class LaurentPoly:
 
     def __new__(cls, field: Field, offset: int, coeffs: Iterable):
         # the one place where the characteristic picks the representation
-        return object.__new__(_F2Poly if field.char == 2 else cls)
+        if field.char == 2:
+            return _f2(field, offset, sum([1 << i for i, c in enumerate(coeffs)
+                                           if field.coerce(c)]))
+        return object.__new__(cls)
 
     def __init__(self, field: Field, offset: int, coeffs: Iterable):
         self._store(field, offset, [field.coerce(c) for c in coeffs])
@@ -272,31 +275,13 @@ class _F2Poly(LaurentPoly):
 
     __slots__ = ("bits",)
 
-    def __init__(self, field: Field, offset: int, coeffs: Iterable):
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if field.coerce(c):
-                bits |= 1 << i
-        self._pack(field, offset, bits)
-
-    def _pack(self, field: Field, offset: int, bits: int) -> "_F2Poly":
-        """Store t^offset * bits, moving trailing zero bits into the offset."""
-        if not bits & 1:
-            if bits:
-                low = (bits & -bits).bit_length() - 1
-                bits >>= low
-                offset += low
-            else:
-                offset = 0
-        self.field = field
-        self.offset = offset
-        self.bits = bits
-        self.size = bits.bit_length()
-        return self
+    def __init__(self, *args):    # built whole by LaurentPoly.__new__
+        pass
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return tuple([int(c) for c in reversed(f"{self.bits:b}")]) if self.bits else ()
+        bits = self.bits
+        return tuple([bits >> i & 1 for i in range(bits.bit_length())])
 
     def __add__(self, other: "_F2Poly") -> "_F2Poly":
         if not self.bits:
@@ -328,12 +313,12 @@ class _F2Poly(LaurentPoly):
 
     def _divmod(self, b: "_F2Poly") -> tuple["_F2Poly", "_F2Poly"]:
         rem, div = self.bits, b.bits
+        if div == 1:
+            return _f2(self.field, self.offset - b.offset, rem), _ZERO2
         width = div.bit_length()
         shift = rem.bit_length() - width
-        if div == 1:
-            return _f2(self.field, self.offset - b.offset, rem), _f2(self.field, 0, 0)
         if shift < 0:
-            return _f2(self.field, 0, 0), self
+            return _ZERO2, self
         quot = 0
         while shift >= 0:   # cancel the top bit of the remainder
             quot |= 1 << shift
@@ -355,8 +340,24 @@ class _F2Poly(LaurentPoly):
 
 
 def _f2(field: Field, offset: int, bits: int) -> _F2Poly:
-    """The packed polynomial t^offset * bits."""
-    return object.__new__(_F2Poly)._pack(field, offset, bits)
+    """The packed polynomial t^offset * bits, with trailing zero bits moved
+    into the offset; every zero is the one :data:`_ZERO2`."""
+    if not bits & 1:
+        if not bits:
+            return _ZERO2
+        low = (bits & -bits).bit_length() - 1
+        bits >>= low
+        offset += low
+    p = object.__new__(_F2Poly)
+    p.field = field
+    p.offset = offset
+    p.bits = bits
+    p.size = bits.bit_length()
+    return p
+
+
+_ZERO2 = object.__new__(_F2Poly)     # the zero of F_2[t, t^-1]
+_ZERO2.field, _ZERO2.offset, _ZERO2.bits, _ZERO2.size = Field(2), 0, 0, 0
 
 
 def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -424,6 +425,8 @@ def smith_normal_form(matrix: LaurentMatrix) -> tuple[tuple[LaurentPoly, ...], i
     Factors are canonical associates (lowest exponent 0, leading coefficient
     1); the rank is their count.  Unit factors are reported as 1.
     """
-    diagonal = [d.monic_offset0() for d in matrix._diagonal()]
-    factors = tuple(_divisibility_chain(diagonal, _size, laurent_gcd, laurent_divmod))
-    return factors, len(factors)
+    diagonal = matrix._diagonal()
+    chain = _divisibility_chain([d.monic_offset0() for d in diagonal if d.size > 1],
+                                _size, laurent_gcd, laurent_divmod)
+    units = [LaurentPoly.one(matrix.field)] * (len(diagonal) - len(chain))
+    return tuple(units + chain), len(diagonal)

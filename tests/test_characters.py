@@ -256,6 +256,21 @@ def test_primitive_integer_values():
     assert Character({"a": 0, "b": 0}).primitive_integer_values() == {"a": 0, "b": 0}
 
 
+def test_primitive_values_are_computed_once_per_character(monkeypatch):
+    # an analysis (classification and the center re-check) and an oracle
+    # build of one character read its primitive values from one computation
+    import artinsigma.characters as characters
+    from artinsigma import build_salvetti_complex
+
+    g, chi = dihedral(2)
+    computed = []
+    gcd = characters.gcd
+    monkeypatch.setattr(characters, "gcd", lambda *a: computed.append(a) or gcd(*a))
+    Analysis(g, chi).free_ranks(2, 1)
+    build_salvetti_complex(g, chi, 2, max_n=2)
+    assert len(computed) == 1
+
+
 # negative, zero and p/q values, few enough that edge values often cancel
 VALUES = st.sampled_from([0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
                           Fraction(-2, 3), Fraction(-7, 6), Fraction(7, 6), Fraction(5, 9)])

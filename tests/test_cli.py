@@ -612,3 +612,37 @@ def test_one_parser_answers_each_command_as_a_fresh_process(monkeypatch, capsys,
     assert codes == [EXIT_INVALID, EXIT_OK, EXIT_OK, EXIT_OK]
     assert [r["parameters"]["p"] for r in reports[1:]] == [2, None, None]
     assert reports[2]["results"]["coefficients"] == "Z"
+
+
+def test_oracle_work_counts_do_not_grow(monkeypatch, tmp_path):
+    # Laurent divisions and multiplications of `homology --p 2 --n 3
+    # --oracle` on a fixed sample, counted by wrapping them as the benchmark's
+    # tracer does.  The bounds are the counts of the current elimination;
+    # before unit invariant factors were taken as t - 1 without a product
+    # the same sample took 293 divisions and 301 multiplications.
+    import random
+
+    import artinsigma.laurent as laurent
+    from genutil import random_character, random_even_fc_graph
+
+    counts = {"divisions": 0, "multiplications": 0}
+
+    def counted(key, f):
+        def wrapper(*args):
+            counts[key] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(laurent, "laurent_divmod", counted("divisions", laurent.laurent_divmod))
+    monkeypatch.setattr(laurent._F2Poly, "__mul__",
+                        counted("multiplications", laurent._F2Poly.__mul__))
+    rng = random.Random(60)
+    for k in range(40):
+        g = random_even_fc_graph(rng, max_vertices=10)
+        chi = random_character(rng, g)
+        path = write_instance(tmp_path, f"sample-{k}", graph_to_dict(g)["edges"],
+                              character_to_dict(chi)["character"], vertices=list(g.vertices))
+        code, report, _ = run_cli(["homology", "--p", "2", "--n", "3", "--oracle", path])
+        assert code == EXIT_OK and report["results"]["cross_check"] == {"ok": True}
+    assert counts["divisions"] <= 293
+    assert counts["multiplications"] <= 277

@@ -6,7 +6,7 @@ import pytest
 from artinsigma import (Analysis, Character, CrossCheckError, EvenGraph, Field, LaurentMatrix,
                         LaurentPoly, OracleTooLarge, build_salvetti_complex, cross_check,
                         homology_module, smith_normal_form)
-from artinsigma.salvetti import MAX_ORACLE_SPAN, _max_weight_span, _weight
+from artinsigma.salvetti import MAX_ORACLE_SPAN, _half_labels, _max_weight_span, _weight
 
 from genutil import (basis, coefficient_b, complex_to_dict, dense_matrix, dihedral,
                      enumerate_cliques_scan, matrix_entry, matrix_is_zero, matrix_product,
@@ -136,7 +136,7 @@ def test_weights_times_t_minus_one_are_the_reference_weights():
             cases.append((g, random_character(rng, g, lo=-3, hi=3, nonzero=False)))
     seen = set()
     for g, chi in cases:
-        exps = exponents(g, chi)
+        exps, halves = exponents(g, chi), _half_labels(g, 3)
         for p in (0, 2, 3, 5):
             field = Field(p)
             t_minus_one = LaurentPoly(field, 0, [-1, 1])
@@ -144,7 +144,8 @@ def test_weights_times_t_minus_one_are_the_reference_weights():
                 for v in x:
                     i = g.index(v)
                     b = coefficient_b(g, chi, x, v, p=p)
-                    assert _weight(g, exps, i, g.vertex_mask(x) ^ 1 << i, field) * t_minus_one \
+                    partners = g.vertex_mask(x) & g.big_partner_masks[i]
+                    assert _weight(exps, halves, i, partners, field) * t_minus_one \
                         == b, (g, chi, x, v, p)
                     seen.add(("negative", exps[i] < 0))
                     seen.add(("zero", b.is_zero()))
@@ -156,6 +157,38 @@ def test_weights_times_t_minus_one_are_the_reference_weights():
                                       and exps[i] + exps[g.index(w)] == 0))
     assert {("negative", True), ("zero", True), ("zero", False), ("p | label/2", True),
             ("label", 4), ("label", 6), ("label", 8)} <= seen
+
+
+def test_packed_weights_are_the_integer_weights_mod_2():
+    # over F_2 each weight is built as bits; the integer-coefficient
+    # construction over Q, reduced mod 2, must give the same polynomial.
+    # Negative values (s < 0 shifts the offset), s = 0 partners with even
+    # half labels (the weight vanishes) and odd ones, and v before or after
+    # its partner in the vertex order
+    rng = random.Random(53)
+    f2, q = Field(2), Field(0)
+    seen = set()
+    for labels in ((2, 4, 6), (2, 8, 10), (2, 6, 4)):
+        for _ in range(25):
+            g = random_even_fc_graph(rng, max_vertices=7, labels=labels)
+            chi = random_character(rng, g, lo=-3, hi=3, nonzero=False)
+            exps, halves = exponents(g, chi), _half_labels(g, 3)
+            for x in _cliques(g, 3):
+                for v in x:
+                    i = g.index(v)
+                    partners = g.vertex_mask(x) & g.big_partner_masks[i]
+                    over_q = _weight(exps, halves, i, partners, q)
+                    reduced = LaurentPoly(f2, over_q.offset, [int(c) for c in over_q.coeffs])
+                    assert _weight(exps, halves, i, partners, f2) == reduced, (g, chi, x, v)
+                    seen.add(("negative", exps[i] < 0))
+                    for w in x:
+                        j = g.index(w)
+                        if partners >> j & 1:
+                            s = exps[i] + exps[j]
+                            seen.add(("s", (s > 0) - (s < 0), halves[i][j] % 2))
+                            seen.add(("v first", i < j))
+    assert {("negative", True), ("s", -1, 0), ("s", -1, 1), ("s", 0, 0), ("s", 0, 1),
+            ("s", 1, 0), ("v first", True), ("v first", False)} <= seen
 
 
 def _rank_over(field, grid) -> int:
@@ -230,9 +263,9 @@ def test_composite_check_fires_on_each_corrupted_weight(monkeypatch):
     g, chi = product_of_dihedrals(4, 6)
     honest = salvetti._weight
     for u, w in (("v", "w"), ("w", "v"), ("x", "y"), ("y", "x")):
-        def corrupted(g_, exps, v, partners, field, u=u, w=w):
-            c = honest(g_, exps, v, partners, field)
-            hit = (g_.vertices[v], partners) == (u, g_.vertex_mask([w]))
+        def corrupted(exps, halves, v, partners, field, u=u, w=w):
+            c = honest(exps, halves, v, partners, field)
+            hit = (g.vertices[v], partners) == (u, g.vertex_mask([w]))
             return poly_shifted(c, 1) if hit else c
 
         monkeypatch.setattr(salvetti, "_weight", corrupted)
@@ -442,14 +475,15 @@ def test_max_weight_span_is_the_largest_entry_span():
             complex_ = build_salvetti_complex(g, chi, 0, max_n=max_n)
             spans = [e.span for n in range(1, max_n + 1)
                      for row in complex_.differential(n).entries for e in row if e.coeffs]
-            assert _max_weight_span(g, exponents(g, chi), max_n) == max(spans, default=0)
+            assert _max_weight_span(exponents(g, chi), _half_labels(g, max_n), max_n) \
+                == max(spans, default=0)
 
 
 def test_build_refuses_spans_above_the_budget():
     g = EvenGraph(["v", "w"], [("v", "w", 4)])
     chi = Character({"v": 1, "w": 100000})
-    assert _max_weight_span(g, exponents(g, chi), 1) == 100000
-    assert _max_weight_span(g, exponents(g, chi), 2) == 200001 > MAX_ORACLE_SPAN
+    assert _max_weight_span(exponents(g, chi), _half_labels(g, 1), 1) == 100000
+    assert _max_weight_span(exponents(g, chi), _half_labels(g, 2), 2) == 200001 > MAX_ORACLE_SPAN
     build_salvetti_complex(g, Character({"v": 1, "w": 1023}), 2)   # span 2047
     with pytest.raises(OracleTooLarge, match="span 200001, above the budget of 2048"):
         build_salvetti_complex(g, chi, 2)
