@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .graphs import EvenGraph, MaskGraph, _bits, _may_hold_big_faults
+from .graphs import EvenGraph, MaskGraph, validate_even, validate_fc
 from .homology import prime_factors
 
 
@@ -110,11 +110,18 @@ def character_to_dict(chi: Character) -> dict:
 
 
 def _check_domain(g: EvenGraph, chi: Character) -> None:
+    """The door of every instance-level entry point: a character not defined
+    on exactly the vertices of g raises :class:`CharacterError`, and a graph
+    that is not even FC, the one class the clique complex models, ValueError
+    naming the first finding of :func:`validate_even`, then :func:`validate_fc`."""
     if set(chi.values) != set(g.vertices):
         missing = set(g.vertices) - set(chi.values)
         extra = set(chi.values) - set(g.vertices)
         raise CharacterError(
             f"character domain mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
+    for report in (validate_even(g), validate_fc(g)):
+        if not report.ok:
+            raise ValueError(f"not an even FC graph: {report.violations[0].message}")
 
 
 class Classification(NamedTuple):
@@ -153,17 +160,17 @@ def _center_states(g: EvenGraph, values: Sequence[int], cliques: Iterable[int]):
     """The center of the clique subgroup on each vertex mask of ``cliques``,
     in turn, as (the mask of the clique's vertices on label > 2 edges, whether
     m_u + m_v = 0 on each of those edges), m being the integer ``values``.
-    A clique of an even FC graph generates a direct product of one dihedral
-    group per label > 2 edge and one infinite cyclic group per leftover
-    vertex, so its center is generated by (uv)^l per such edge (value
-    l * (m_u + m_v)) and by the leftover vertices (value m_v).
+    A clique of an even FC graph (:func:`_check_domain` refuses any other)
+    generates a direct product of one dihedral group per label > 2 edge and
+    one infinite cyclic group per leftover vertex, so its center is generated
+    by (uv)^l per such edge (value l * (m_u + m_v)) and by the leftover
+    vertices (value m_v).
 
     A clique's state is its parent's (the clique without its highest vertex,
     which comes earlier, as in :func:`artinsigma.homology._cliques`) plus the
-    edges of the highest vertex.  A vertex on two labels > 2 (FC violated)
-    or an odd label raises ValueError on the first clique that holds it.
+    edges of the highest vertex.
     """
-    big, vs = g.big_partner_masks, g.vertices
+    big = g.big_partner_masks
     plain = (0, True)
     states = {}     # kept for the cliques with a label > 2 edge; the rest are plain
     for members in cliques:
@@ -177,41 +184,11 @@ def _center_states(g: EvenGraph, values: Sequence[int], cliques: Iterable[int]):
                 low = pairs & -pairs
                 pairs ^= low
                 j = low.bit_length() - 1
-                if (on_big >> j | on_big >> top) & 1:
-                    clique = tuple([vs[k] for k in _bits(members)])
-                    raise ValueError(
-                        f"clique {clique} has a vertex on two labels > 2 (FC violated)")
                 on_big |= 1 << j | 1 << top
-                g.half_label(vs[j], vs[top])     # raises on an odd label
                 vanish = vanish and values[j] + values[top] == 0
             if on_big:
                 state = states[members] = on_big, vanish
         yield state
-
-
-def _check_center_faults(g: EvenGraph, max_size: int) -> None:
-    """Raise what :func:`_center_states` raises first on the cliques of size
-    <= max_size of g, in the order of the clique walk, without walking them.
-    A fault is an odd label > 2, met first on its edge (size 2), or a vertex
-    on two labels > 2, met first on a triangle (size 3).  Those edges, then
-    those triangles, each in walk order, are walked instead: every parent a
-    state is read from is among them, so they raise as the full walk does.
-    (The walk of every clique of size <= 3 on the vertices of label > 2
-    edges would raise the same, but costs about 5 times as much on the
-    verdict_dense benchmark graphs, so the suspects are listed by hand.)
-    Nothing is listed when :func:`graphs._may_hold_big_faults` rules both
-    faults out."""
-    if max_size < 2 or not _may_hold_big_faults(g):
-        return
-    big, nbr = g.big_partner_masks, g.neighbor_masks
-    suspects = [1 << i | 1 << j for i, partners in enumerate(big)
-                for j in _bits(partners >> (i + 1) << (i + 1))]
-    if max_size >= 3:
-        triangles = {1 << i | 1 << j | 1 << k for i, partners in enumerate(big)
-                     for j in _bits(partners) for k in _bits(nbr[j] & partners)}
-        suspects.extend(sorted(triangles, key=_bits))
-    for _ in _center_states(g, [0] * len(g.vertices), suspects):
-        pass
 
 
 def is_dominating(g: EvenGraph, sub: EvenGraph | MaskGraph) -> bool:

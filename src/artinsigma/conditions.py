@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .characters import Character, _center_states, _check_center_faults, classify
+from .characters import Character, _center_states, classify
 from .graphs import EvenGraph, MaskGraph, _bits, is_connected
 from .homology import (HomologyProfile, SimplicialComplex, _check_clique_budget, _cliques,
                        _link_mask, _require_field, coeffs_label, flag_complex, has_cone_vertex,
@@ -66,7 +66,8 @@ def _require_nonzero(chi: Character) -> None:
 
 class Analysis:
     """One instance (g, chi) and everything the link conditions read from it:
-    the library's one way to ask a question of an instance.
+    the library's one way to ask a question of an instance.  Construction
+    refuses what :func:`artinsigma.characters._check_domain` refuses.
 
     A *mode* is a coefficient value (:func:`coeffs_label`): ``None`` (all
     dead edges), ``0`` (none) or a prime p (the p-dead edges).  The
@@ -93,7 +94,7 @@ class Analysis:
     def __init__(self, g: EvenGraph, chi: Character):
         self.g = g
         self.chi = chi
-        self.classification = classify(g, chi)   # checks the domain
+        self.classification = classify(g, chi)   # checks the domain and the graph
         # the center re-check reads the values on their own, made primitive
         # integers (a positive rescaling keeps every zero)
         ints = chi.primitive_integer_values()
@@ -154,9 +155,8 @@ class Analysis:
         mode's dead edges, and in the global mode also on the vertices of
         value 0 and the endpoints of the label > 2 edges of value 0, are
         walked: a clique with another vertex is neither dead nor has its
-        center killed.  The refusals of the clique budget and the faults
-        that kill no center (an odd label, a vertex on two labels > 2) are
-        raised as a walk over every clique would raise them.
+        center killed.  The refusals of the clique budget are raised as a
+        walk over every clique would raise them.
         """
         coeffs_label(coeffs)
         edges, dead = self._dead_cliques(n, p)
@@ -177,11 +177,9 @@ class Analysis:
             # dead or on an edge of ``edges``
             walked = self._dead_vertices | g.vertex_mask([v for e in edges for v in e])
             if edges == self._edges(None):
-                # the walk skips cliques that may hold a fault, so they are
-                # looked for first; and the re-check needs every clique whose
-                # center it finds killed: each vertex is off the nonzero mask
-                # or on a label > 2 edge inside it whose values sum to 0
-                _check_center_faults(g, n)
+                # the re-check needs every clique whose center it finds
+                # killed: each vertex is off the nonzero mask or on a label
+                # > 2 edge inside it whose values sum to 0
                 walked |= (1 << len(g.vertices)) - 1 & ~self._nonzero_values
                 values = self._values
                 for i, partners in enumerate(g.big_partner_masks):

@@ -29,9 +29,9 @@ class EvenGraph:
     """Finite simple graph with integer edge labels.
 
     Structural well-formedness (no loops, no duplicate edges, labels are
-    integers >= 1) is enforced at construction.  Evenness of labels is a
-    *semantic* requirement checked by :func:`validate_even`, so that invalid
-    inputs can be reported as findings rather than exceptions.
+    integers >= 1) is enforced at construction.  Evenness of labels and the
+    FC condition are checked by :func:`validate_even` and :func:`validate_fc`,
+    which report findings; the library's entry points refuse a graph with one.
 
     Instances are immutable by convention: all state is built here and never
     mutated afterwards, so values can be shared freely across threads.
@@ -47,7 +47,7 @@ class EvenGraph:
         # label > 2 partner) of vertex i, in the vertex order
         nbr = [0] * len(self.vertices)
         big = [0] * len(self.vertices)
-        odd_big = False     # some label > 2 is odd
+        odd = False         # some label is odd (label 1 included)
         for u, v, label in edges:
             i, j = index.get(u), index.get(v)
             if i is None or j is None:
@@ -61,12 +61,12 @@ class EvenGraph:
             labels[(u, v) if i < j else (v, u)] = label
             nbr[i] |= 1 << j
             nbr[j] |= 1 << i
+            odd = odd or label % 2 == 1
             if label > 2:
                 big[i] |= 1 << j
                 big[j] |= 1 << i
-                odd_big = odd_big or label % 2 == 1
         self._labels = labels
-        self._odd_big_label = odd_big
+        self._odd_label = odd
         # the canonical pairs in vertex order, read off the masks
         vs, pairs = self.vertices, []
         for i, m in enumerate(nbr):
@@ -180,34 +180,13 @@ def _report(violations: list[Finding]) -> ValidationReport:
 
 
 def validate_even(g: EvenGraph) -> ValidationReport:
-    """Check that every edge label is even and at least 2."""
-    violations = []
-    for (u, v), label in g.edge_items():
-        if label % 2:
-            violations.append(Finding(f"odd label {label} on edge {u}-{v}", edges=((u, v),)))
-        elif label < 2:
-            violations.append(Finding(f"label {label} < 2 on edge {u}-{v}", edges=((u, v),)))
-    return _report(violations)
-
-
-def _may_hold_big_faults(g: EvenGraph) -> bool:
-    """False when g has no triangle with two labels > 2 and no odd label
-    > 2: a screen of a few bit operations before the walks that list such
-    faults (:func:`validate_fc` and ``characters._check_center_faults``).
-    Two labels > 2 share a triangle exactly when some vertex has two
-    adjacent label > 2 partners; an odd label > 2 is noted by the
-    constructor."""
-    if g._odd_big_label:
-        return True
-    nbr = g.neighbor_masks
-    for partners in g.big_partner_masks:
-        rest = partners
-        while rest:
-            low = rest & -rest
-            if partners & nbr[low.bit_length() - 1]:
-                return True
-            rest ^= low
-    return False
+    """Check that every edge label is even (labels are integers >= 1, so
+    an even label is at least 2).  The edges are scanned only when the
+    constructor has noted an odd label."""
+    if not g._odd_label:
+        return _report([])
+    return _report([Finding(f"odd label {label} on edge {u}-{v}", edges=((u, v),))
+                    for (u, v), label in g.edge_items() if label % 2])
 
 
 def validate_fc(g: EvenGraph) -> ValidationReport:
@@ -217,15 +196,23 @@ def validate_fc(g: EvenGraph) -> ValidationReport:
     (one per label > 2 edge, which necessarily form a matching inside the
     clique) and infinite cyclic factors, hence a finite-type subgroup.
     The check is local to triangles, which suffices: a clique violates the
-    matching property iff two of its label > 2 edges share a triangle.
-    Triangles come from the edges (u, v) and their common neighbours w after
-    v, so findings are in the lexicographic order of their vertex triples;
-    they are walked only when :func:`_may_hold_big_faults` finds a suspect.
+    matching property iff two of its label > 2 edges share a triangle, that
+    is, iff some vertex has two adjacent label > 2 partners.  Only when
+    this screen finds one are the triangles walked, from the edges (u, v)
+    and their common neighbours w after v, so findings are in the
+    lexicographic order of their vertex triples.
     """
-    if not _may_hold_big_faults(g):
+    nbr, big = g.neighbor_masks, g.big_partner_masks
+    suspect = False
+    for partners in big:
+        rest = partners & partners - 1 and partners     # two partners or more
+        while rest and not suspect:
+            low = rest & -rest
+            suspect = partners & nbr[low.bit_length() - 1] != 0
+            rest ^= low
+    if not suspect:
         return _report([])
     violations = []
-    nbr, big = g.neighbor_masks, g.big_partner_masks
     for u, v in g.edges():
         i, j = g.index(u), g.index(v)
         for k in _bits(nbr[i] & nbr[j] >> (j + 1) << (j + 1)):

@@ -65,7 +65,8 @@ class OracleTooLarge(ValueError):
 def _half_labels(g: EvenGraph, max_n: int) -> list[dict[int, int]]:
     """Per vertex index v, half the label of each label > 2 edge {v, w} by
     the index w, or nothing when max_n < 2 (no smaller clique holds an
-    edge); an odd label raises ValueError, first in the vertex order."""
+    edge).  Every label is even: :func:`_check_domain` has refused the
+    graph otherwise."""
     vs = g.vertices
     halves: list[dict[int, int]] = [{} for _ in vs]
     if max_n >= 2:
@@ -80,9 +81,10 @@ def _max_weight_span(exps: list[int], halves: list[dict[int, int]], max_n: int) 
     for the primitive integer values ``exps`` and the half labels
     ``halves`` (see :func:`_half_labels`) in the vertex order.
 
-    t^m - 1 has span |m| and q(l, m) has span (l - 1) |m|; on an FC
-    graph a clique holds at most one label > 2 partner w of v, and only
-    cliques of size >= 2 hold one.
+    t^m - 1 has span |m| and q(l, m) has span (l - 1) |m|; the graph is
+    FC (:func:`_check_domain` has refused it otherwise), so a clique holds
+    at most one label > 2 partner w of v, and only cliques of size >= 2
+    hold one.
     """
     if max_n < 1:
         return 0

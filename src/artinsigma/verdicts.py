@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Sequence
 
-from .characters import Character, is_dominating
+from .characters import Character, _check_domain, is_dominating
 from .conditions import Analysis, ConditionReport
 from .graphs import EvenGraph, _bits, is_connected
 from .homology import coeffs_label
@@ -195,8 +195,10 @@ def product_sigma_member(g: EvenGraph, delta: Sequence[str], chi: Character, m: 
     With t the number of label > 2 edges inside the clique, non-membership in
     degree m requires m >= t and the character to vanish on the center of
     every factor: zero on each label > 2 edge and zero on each vertex not on
-    such an edge.  Membership is the complement of that.
+    such an edge.  Membership is the complement of that.  The instance is
+    refused as :func:`artinsigma.characters._check_domain` refuses it.
     """
+    _check_domain(g, chi)
     delta = g.sort_vertices(delta)
     if not g.is_clique(delta):
         raise ValueError(f"{tuple(delta)} is not a clique")

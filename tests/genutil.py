@@ -25,7 +25,6 @@ from artinsigma import (Analysis, Character, Classification, ConditionReport, Ev
                         LaurentMatrix, LaurentPoly, MaskGraph, SimplicialComplex, classify,
                         validate_fc)
 from artinsigma import salvetti
-from artinsigma.characters import _check_domain
 from artinsigma.graphs import _bits
 from artinsigma.homology import _cliques
 
@@ -407,8 +406,16 @@ class CenterValues:
         return not any(x for _, x in self.entries)
 
 
+def check_character_domain(g: EvenGraph, chi: Character) -> None:
+    """The character's own domain check, without the library's refusal of
+    a graph that is not even FC, so that the references reach the faults
+    of such a graph themselves."""
+    if set(chi.values) != set(g.vertices):
+        raise ValueError("character domain mismatch")
+
+
 def center_values(g: EvenGraph, chi: Character, delta: Iterable[str]) -> CenterValues:
-    _check_domain(g, chi)
+    check_character_domain(g, chi)
     delta = g.sort_vertices(delta)
     if not g.is_clique(delta):
         raise ValueError(f"{tuple(delta)} is not a clique")
@@ -495,7 +502,7 @@ def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) ->
     """Differential weight b(v, X) of the facet of clique X obtained by
     removing v: t^(m_v) - 1 times q_poly(l, m_v + m_w) for each w in X - v
     with label 2l, from the primitive integer values m of chi."""
-    _check_domain(g, chi)
+    check_character_domain(g, chi)
     field = Field(p)
     x_clique = g.sort_vertices(x_clique)
     if v not in x_clique:

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, ZeroCharacterError,
-                        homotopic_sigma_verdict, is_connected, is_dominating, sigma_verdict)
+                        build_salvetti_complex, classify, homotopic_sigma_verdict, is_connected,
+                        is_dominating, product_sigma_member, sigma_verdict)
 from artinsigma import conditions
 from artinsigma.characters import _center_states
 from artinsigma.graphs import _bits
@@ -362,28 +364,48 @@ def test_center_zero_test_matches_center_values():
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("edges, clique", [
+K5_BIG_AT_A = [("a", w, 4) for w in "bcde"] + [
+    (u, w, 2) for i, u in enumerate("bcde") for w in "bcde"[i + 1:]]
+
+
+@pytest.mark.parametrize("vertices, edges, values, clique, finding", [
     # a on two labels > 2
-    ([("a", "b", 4), ("a", "c", 6), ("b", "c", 2)], ("a", "b", "c")),
+    ("abcd", [("a", "b", 4), ("a", "c", 6), ("b", "c", 2)], (1, 1, 0, 1), "abc",
+     "triangle a,b,c carries 2 labels > 2"),
     # b on two labels > 2, first held by the clique {a, b, d}
-    ([("a", "b", 4), ("a", "c", 2), ("a", "d", 2), ("b", "c", 2), ("b", "d", 4),
-      ("c", "d", 2)], ("a", "b", "d")),
-    # c, the highest vertex, on two labels > 2, which meet first at c
-    ([("a", "b", 2), ("a", "c", 4), ("b", "c", 6)], ("a", "b", "c")),
-    # an odd label (the message names the edge, not the clique)
-    ([("a", "b", 3), ("a", "c", 2), ("b", "c", 2)], ("a", "b", "c")),
+    ("abcd", [("a", "b", 4), ("a", "c", 2), ("a", "d", 2), ("b", "c", 2), ("b", "d", 4),
+              ("c", "d", 2)], (1, 1, 0, 1), "abd", "triangle a,b,d carries 2 labels > 2"),
+    # c, the highest vertex, on two labels > 2
+    ("abcd", [("a", "b", 2), ("a", "c", 4), ("b", "c", 6)], (1, 1, 0, 1), "abc",
+     "triangle a,b,c carries 2 labels > 2"),
+    # an odd label in a triangle
+    ("abcd", [("a", "b", 3), ("a", "c", 2), ("b", "c", 2)], (1, 1, 0, 1), "abc",
+     "odd label 3 on edge a-b"),
     # a on two labels > 2, on a triangle of nonzero values, off every dead
     # clique and every killed center
-    ([("a", "b", 4), ("a", "d", 6), ("b", "d", 2), ("c", "d", 2)], ("a", "b", "d")),
-])
-def test_center_zero_test_raises_as_center_values(edges, clique):
-    # the context's walk raises, on the first clique that holds the fault,
-    # what the from-scratch route raises on that clique
-    g = EvenGraph(["a", "b", "c", "d"], edges)
-    chi = Character({"a": 1, "b": 1, "c": 0, "d": 1})
-    with pytest.raises(ValueError) as public:
-        center_values(g, chi, clique)
-    with pytest.raises(ValueError) as context:
-        Analysis(g, chi).strong_n_link(4)
-    assert type(context.value) is type(public.value)
-    assert str(context.value) == str(public.value)
+    ("abcd", [("a", "b", 4), ("a", "d", 6), ("b", "d", 2), ("c", "d", 2)], (1, 1, 0, 1), "abd",
+     "triangle a,b,d carries 2 labels > 2"),
+    ("ab", [("a", "b", 3)], (1, -1), "ab", "odd label 3 on edge a-b"),
+    ("ab", [("a", "b", 1)], (1, 1), "ab", "odd label 1 on edge a-b"),
+    # FC violated at a; the span of b(a, K5) is 2,805, but read as on an FC
+    # graph it would be 1,401, within the oracle's budget
+    ("abcde", K5_BIG_AT_A, (1, 700, 700, 700, 700), "abcde",
+     "triangle a,b,c carries 2 labels > 2"),
+], ids=["a_on_two", "b_on_two", "c_on_two", "odd_in_triangle", "off_dead_cliques", "label_3",
+        "label_1", "k5"])
+def test_every_entry_point_refuses_a_graph_that_is_not_even_fc(vertices, edges, values,
+                                                                clique, finding):
+    # one check at the door, at every degree, whether or not a clique walk
+    # would reach the fault
+    g = EvenGraph(vertices, edges)
+    chi = Character(dict(zip(vertices, values)))
+    message = re.escape(f"not an even FC graph: {finding}")
+    with pytest.raises(ValueError, match=message):
+        Analysis(g, chi)
+    with pytest.raises(ValueError, match=message):
+        classify(g, chi)
+    for n in range(1, 5):
+        with pytest.raises(ValueError, match=message):
+            build_salvetti_complex(g, chi, 2, n)
+        with pytest.raises(ValueError, match=message):
+            product_sigma_member(g, clique, chi, n)

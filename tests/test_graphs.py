@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from artinsigma import (EvenGraph, Finding, GraphFormatError, describe_graph, graph_from_dict,
-                        graph_to_dict, is_connected, validate_even, validate_fc)
+from artinsigma import (Character, EvenGraph, Finding, GraphFormatError, describe_graph,
+                        graph_from_dict, graph_to_dict, is_connected, validate_even, validate_fc)
 from artinsigma import characters, graphs
 from artinsigma.graphs import MAX_LABEL
 
@@ -249,36 +249,34 @@ def test_validate_fc_matches_triple_scan():
         assert report.ok == (not report.violations)
 
 
-def _center_fault(g: EvenGraph, max_size: int) -> str | None:
-    try:
-        characters._check_center_faults(g, max_size)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def test_fault_screen_agrees_with_the_walks(monkeypatch):
-    # FC graphs, half of them with one label-2 edge raised to 3..6, which may
-    # plant a triangle with two labels > 2 or an odd label; the walks of
-    # validate_fc and of the center-fault check, screened and forced
+    # FC graphs, half of them with one label-2 edge changed to 1 or 3..6,
+    # which may plant an odd label or a triangle with two labels > 2:
+    # validate_fc's screen against the walk over every triple, the
+    # constructor's odd-label flag against a forced scan, and the door
+    # raising, with the first finding, exactly when either reports one
     rng = random.Random(132)
     seen = set()
     for _ in range(300):
         g = random_even_fc_graph(rng, max_vertices=9, edge_p=0.6)
         plain = [e for e, label in g.edge_items() if label == 2]
         if plain and rng.random() < 0.5:
-            raised = rng.choice(plain)
-            g = EvenGraph(g.vertices, [(*e, rng.randint(3, 6) if e == raised else label)
+            changed = rng.choice(plain)
+            g = EvenGraph(g.vertices, [(*e, rng.choice((1, 3, 4, 5, 6)) if e == changed else label)
                                        for e, label in g.edge_items()])
-        max_size = rng.randint(1, 4)
-        screened = validate_fc(g), _center_fault(g, max_size)
+        even, fc = validate_even(g), validate_fc(g)
+        assert fc.violations == tuple(validate_fc_by_triples(g))
         with monkeypatch.context() as m:
-            for module in (graphs, characters):
-                m.setattr(module, "_may_hold_big_faults", lambda g: True)
-            walked = validate_fc(g), _center_fault(g, max_size)
-        assert screened == walked
-        seen.add((screened[0].ok, screened[1] is None))
-    # (False, True): a triangle fault that cliques of size <= 2 never meet
+            m.setattr(g, "_odd_label", True)
+            assert validate_even(g) == even
+        findings = even.violations + fc.violations
+        try:
+            characters._check_domain(g, Character({v: 1 for v in g.vertices}))
+        except ValueError as exc:
+            assert findings and str(exc) == f"not an even FC graph: {findings[0].message}"
+        else:
+            assert not findings
+        seen.add((even.ok, fc.ok))
     assert seen == {(True, True), (False, False), (True, False), (False, True)}
 
 
