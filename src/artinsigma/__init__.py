@@ -10,8 +10,8 @@ oracle diagonalized by Smith normal form.  All arithmetic is exact.
 
 __version__ = "0.1.0"
 
-from .characters import (Character, CharacterError, Classification, character_from_dict,
-                         character_to_dict, classify, is_dominating)
+from .characters import (Character, CharacterError, Classification, GraphDomainError,
+                         character_from_dict, character_to_dict, classify, is_dominating)
 from .conditions import Analysis, ConditionReport, LinkWitness, ZeroCharacterError
 from .graphs import (EvenGraph, Finding, GraphFormatError, MaskGraph, ValidationReport,
                      describe_graph, graph_from_dict, graph_to_dict, is_connected, validate_even,

@@ -25,12 +25,22 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .graphs import EvenGraph, MaskGraph, validate_even, validate_fc
+from .graphs import EvenGraph, Finding, MaskGraph, validate_even, validate_fc
 from .homology import prime_factors
 
 
 class CharacterError(ValueError):
     """Raised when a character document or domain is invalid."""
+
+
+class GraphDomainError(ValueError):
+    """Raised on a graph that is not even FC: ``findings`` holds every
+    finding of :func:`validate_even`, then of :func:`validate_fc`, and the
+    message names the first."""
+
+    def __init__(self, findings: tuple[Finding, ...]):
+        super().__init__(f"not an even FC graph: {findings[0].message}")
+        self.findings = findings
 
 
 class Character:
@@ -112,16 +122,16 @@ def character_to_dict(chi: Character) -> dict:
 def _check_domain(g: EvenGraph, chi: Character) -> None:
     """The door of every instance-level entry point: a character not defined
     on exactly the vertices of g raises :class:`CharacterError`, and a graph
-    that is not even FC, the one class the clique complex models, ValueError
-    naming the first finding of :func:`validate_even`, then :func:`validate_fc`."""
+    that is not even FC, the one class the clique complex models,
+    :class:`GraphDomainError`."""
     if set(chi.values) != set(g.vertices):
         missing = set(g.vertices) - set(chi.values)
         extra = set(chi.values) - set(g.vertices)
         raise CharacterError(
             f"character domain mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    for report in (validate_even(g), validate_fc(g)):
-        if not report.ok:
-            raise ValueError(f"not an even FC graph: {report.violations[0].message}")
+    findings = validate_even(g).violations + validate_fc(g).violations
+    if findings:
+        raise GraphDomainError(findings)
 
 
 class Classification(NamedTuple):
@@ -192,10 +202,12 @@ def _center_states(g: EvenGraph, values: Sequence[int], cliques: Iterable[int]):
 
 
 def is_dominating(g: EvenGraph, sub: EvenGraph | MaskGraph) -> bool:
-    """True when every vertex of g outside ``sub`` has a g-neighbor in ``sub``."""
-    inside = set(sub.vertices)
-    for v in inside:
+    """True when every vertex of g outside ``sub`` has a g-neighbor in ``sub``:
+    when ``sub`` and its neighbours in g cover g."""
+    reached = 0
+    for v in sub.vertices:
         if not g.has_vertex(v):
             raise ValueError(f"vertex {v!r} of the subgraph is not in the graph")
-    return all(any(w in inside for w in g.neighbors(v))
-               for v in g.vertices if v not in inside)
+        i = g.index(v)
+        reached |= 1 << i | g.neighbor_masks[i]
+    return reached == (1 << len(g.vertices)) - 1

@@ -24,7 +24,8 @@ import sys
 from typing import IO
 
 from . import __version__
-from .characters import Character, CharacterError, character_from_dict, character_to_dict
+from .characters import (Character, CharacterError, GraphDomainError, character_from_dict,
+                         character_to_dict)
 from .conditions import Analysis, ConditionReport
 from .graphs import (EvenGraph, GraphFormatError, describe_graph, graph_from_dict,
                      graph_to_dict, validate_even, validate_fc)
@@ -138,21 +139,21 @@ def _classification_dict(ctx: Analysis) -> dict:
 # commands
 
 
-def _cmd_validate(g, chi, args) -> tuple[int, dict]:
+def _cmd_validate(g: EvenGraph) -> tuple[int, dict]:
     even = validate_even(g)
     fc = validate_fc(g)
     code = EXIT_OK if even.ok and fc.ok else EXIT_INVALID
     return code, {"even": _validation_dict(even), "fc": _validation_dict(fc)}
 
 
-def _cmd_classify(g, chi, args) -> tuple[int, dict]:
-    return EXIT_OK, _classification_dict(Analysis(g, chi))
+def _cmd_classify(ctx: Analysis, args) -> tuple[int, dict]:
+    return EXIT_OK, _classification_dict(ctx)
 
 
-def _cmd_links(g, chi, args) -> tuple[int, dict]:
+def _cmd_links(ctx: Analysis, args) -> tuple[int, dict]:
     p = args.p
     entries = []
-    for clique, d, lk, homology in Analysis(g, chi).links(args.n, p, p):
+    for clique, d, lk, homology in ctx.links(args.n, p, p):
         profile = homology()
         entries.append({
             "clique": list(clique),
@@ -165,17 +166,16 @@ def _cmd_links(g, chi, args) -> tuple[int, dict]:
                      "mode": "dead" if p is None else f"{p}-dead", "cliques": entries}
 
 
-def _cmd_check(g, chi, args) -> tuple[int, dict]:
-    ctx = Analysis(g, chi)
+def _cmd_check(ctx: Analysis, args) -> tuple[int, dict]:
     report = ctx.strong_n_link(args.n) if args.p is None else ctx.strong_p_n_link(args.n, args.p)
     return EXIT_OK, _condition_dict(report)
 
 
-def _cmd_homology(g, chi, args) -> tuple[int, dict]:
-    p, n = args.p, args.n
+def _cmd_homology(ctx: Analysis, args) -> tuple[int, dict]:
+    g, chi, p, n = ctx.g, ctx.chi, args.p, args.n
     # built first, so that the oracle's budgets refuse before the link formula runs
     twisted = build_salvetti_complex(g, chi, p, max_n=n + 1) if args.oracle else None
-    ranks = Analysis(g, chi).free_ranks(p, n)
+    ranks = ctx.free_ranks(p, n)
     result = {
         "p": p,
         "n": n,
@@ -200,8 +200,7 @@ def _cmd_homology(g, chi, args) -> tuple[int, dict]:
     return EXIT_OK, result
 
 
-def _cmd_verdict(g, chi, args) -> tuple[int, dict]:
-    ctx = Analysis(g, chi)
+def _cmd_verdict(ctx: Analysis, args) -> tuple[int, dict]:
     sigma = sigma_verdict(ctx, args.n)
     return EXIT_OK, {
         "sigma_z": _verdict_dict(sigma),
@@ -211,7 +210,6 @@ def _cmd_verdict(g, chi, args) -> tuple[int, dict]:
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
     "classify": _cmd_classify,
     "links": _cmd_links,
     "check": _cmd_check,
@@ -332,21 +330,24 @@ def run(argv: list[str], out: IO[str] | None = None) -> tuple[int, dict | None]:
         out.write(f"error: --n must be at most {MAX_DEGREE}, got {n}\n")
         return EXIT_INVALID, None
 
-    if args.command != "validate":
-        even, fc = validate_even(g), validate_fc(g)
-        if not (even.ok and fc.ok):
-            for f in even.violations + fc.violations:
+    if args.command == "validate":
+        code, results = _cmd_validate(g)
+    else:
+        # the one context of the command, whose construction checks the graph
+        try:
+            ctx = Analysis(g, chi)
+        except GraphDomainError as exc:
+            for f in exc.findings:
                 out.write(f"error: {f.message}\n")
             return EXIT_INVALID, None
-        if args.command in ("links", "check", "homology", "verdict") and chi.is_zero:
+        if args.command != "classify" and chi.is_zero:
             out.write("error: the zero character has no sphere class\n")
             return EXIT_INVALID, None
-
-    try:
-        code, results = _COMMANDS[args.command](g, chi, args)
-    except (OracleTooLarge, TooManyCliques) as exc:
-        out.write(f"error: {exc}\n")
-        return EXIT_INVALID, None
+        try:
+            code, results = _COMMANDS[args.command](ctx, args)
+        except (OracleTooLarge, TooManyCliques) as exc:
+            out.write(f"error: {exc}\n")
+            return EXIT_INVALID, None
     params = {k: getattr(args, k) for k in ("n", "p") if hasattr(args, k)}
     if getattr(args, "oracle", False):
         params["oracle"] = True

@@ -86,9 +86,10 @@ class Analysis:
     complex, built as deep as the questions read.
     No enumeration of all cliques is kept: they are counted against the
     clique budget (:data:`artinsigma.homology.MAX_CLIQUES`) only when a
-    bound on their number is above it, and so are a core's cliques through
-    the degree read, before its flag complex builds any; a closed-form core
-    builds no simplices, so the budget never refuses it.
+    bound on their number is above it.  A core's flag complex is built
+    through the degree read, within the budget, before its first Smith form
+    (see :func:`reduced_homology`); a closed-form core builds no simplices,
+    so the budget never refuses it.
     """
 
     def __init__(self, g: EvenGraph, chi: Character):
@@ -238,9 +239,10 @@ class Analysis:
         neighbour masks in the vertex positions of g.  A sphere core (see
         :func:`sphere_dimension`) is keyed and answered by its dimension;
         any other is keyed by its renumbered neighbour masks and answered
-        from its flag complex, whose cliques through the degree read are
-        first counted against the clique budget (only when 2^|core| is above
-        it, see :func:`_check_clique_budget`)."""
+        from its flag complex, built within the clique budget.  A clique of
+        the core below size d + 2 is, with the dead clique, a clique of g
+        within the size the dead cliques were walked to, which that walk's
+        budget counted, so the budget can refuse only at size d + 2."""
         key = self._cores.get((edges, mask))
         if key is None:
             adjacency = self._links[edges][mask].adjacency
@@ -255,9 +257,6 @@ class Analysis:
         profile = self._profiles.get((key, coeffs, d))
         if profile is None:
             if isinstance(key, tuple):
-                # reading degree d builds cliques of size <= d + 2: count them
-                # before the first is built and diagonalised
-                _check_clique_budget(key, d + 2)
                 profile = reduced_homology(self._complexes[key], coeffs, d)
             else:
                 profile = sphere_homology(key, coeffs, d)
@@ -356,6 +355,7 @@ class Analysis:
         ValueError).  Invariant under positive rescaling of the character.
         """
         _require_field(p)
+        _require_nonzero(self.chi)
         ranks = [0] * (n + 1)
         for clique, _, _, homology in self.links(n, p, p):
             profile = homology()

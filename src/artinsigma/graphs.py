@@ -103,10 +103,6 @@ class EvenGraph:
             raise ValueError(f"edge {u!r}-{v!r} has odd label {label}")
         return label // 2
 
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        """The neighbours of v in the vertex order."""
-        return tuple([self.vertices[j] for j in _bits(self.neighbor_masks[self._index[v]])])
-
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges as canonical pairs, sorted by vertex order."""
         return self._edges

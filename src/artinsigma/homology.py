@@ -577,6 +577,9 @@ def reduced_homology(c: SimplicialComplex, p: int | None, max_degree: int) -> Ho
     them.
     """
     label = coeffs_label(p)
+    # every simplex read is built, and counted against the clique budget,
+    # before the first Smith form
+    c.simplices(max_degree + 1)
     factors = {k: c.invariant_factors(k) for k in range(0, max_degree + 2)}
     betti = {}
     torsion = {}

@@ -24,7 +24,6 @@ implementation bug, and is checked).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .characters import Character, _check_domain, is_dominating
@@ -216,66 +215,44 @@ def product_sigma_member(g: EvenGraph, delta: Sequence[str], chi: Character, m: 
     return any(values[v] != 0 for v in delta if v not in covered)
 
 
-def _biconnected_blocks(adj: dict[str, set[str]]) -> list[set[frozenset[str]]]:
-    """Edge sets of the biconnected blocks (standard lowpoint DFS).
-
-    The DFS keeps its own stack of frames (vertex, parent, neighbours left),
-    so a long path cannot exhaust the interpreter's recursion limit; blocks
-    come out in the order the recursive formulation finds them.
-    """
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    blocks: list[set[frozenset[str]]] = []
-    stack: list[frozenset[str]] = []
-
-    for root in adj:
-        if root in disc or not adj[root]:
-            continue
-        disc[root] = low[root] = len(disc)
-        frames = [(root, None, iter(sorted(adj[root])))]
-        while frames:
-            v, parent, neighbours = frames[-1]
-            w = next(neighbours, None)
-            if w is None:
-                frames.pop()
-                if parent is not None:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= disc[parent]:
-                        edge = frozenset((parent, v))
-                        block = set()
-                        while True:
-                            e = stack.pop()
-                            block.add(e)
-                            if e == edge:
-                                break
-                        blocks.append(block)
-                continue
-            edge = frozenset((v, w))
-            if w not in disc:
-                stack.append(edge)
-                disc[w] = low[w] = len(disc)
-                frames.append((w, v, iter(sorted(adj[w]))))
-            elif w != parent and disc[w] < disc[v]:
-                stack.append(edge)
-                low[v] = min(low[v], disc[w])
-    return blocks
-
-
 def odd_cycle_condition(g: EvenGraph) -> bool:
     """No even cycle among the label > 2 edges.
 
-    Decided by block decomposition: the condition holds iff every
-    biconnected block of the label > 2 subgraph is a single edge or an odd
-    cycle (any other block contains three independent paths between two
-    vertices, two of which always close an even cycle).
+    Decided on the fundamental cycles of a breadth-first spanning forest of
+    the label > 2 subgraph, one per edge off the forest, each closed by
+    walking both ends of that edge up to their common ancestor.  The
+    condition fails when a cycle is even, or when two cycles share a forest
+    edge: together they form a theta graph, three paths between two
+    vertices, and if two of its three cycles are odd the third is even.
+    When no two share an edge, they are the only cycles of the subgraph.
     """
-    vs = g.vertices
-    adj = {v: {vs[j] for j in _bits(m)} for v, m in zip(vs, g.big_partner_masks)}
-    for block in _biconnected_blocks(adj):
-        if len(block) == 1:
-            continue
-        degree = Counter(v for e in block for v in e)
-        is_cycle = len(block) == len(degree) and all(d == 2 for d in degree.values())
-        if not is_cycle or len(block) % 2 == 0:
-            return False
+    big = g.big_partner_masks
+    parent, depth = [-1] * len(big), [0] * len(big)
+    seen = 0
+    for root in range(len(big)):
+        if not seen >> root & 1:
+            seen |= 1 << root
+            queue = [root]
+            for v in queue:
+                new = big[v] & ~seen
+                seen |= new
+                for w in _bits(new):
+                    parent[w], depth[w] = v, depth[v] + 1
+                    queue.append(w)
+    marked = 0      # bit v: the forest edge from v to its parent is on a cycle
+    for i, partners in enumerate(big):
+        for j in _bits(partners >> (i + 1) << (i + 1)):
+            if parent[j] == i or parent[i] == j:
+                continue
+            u, w, length = i, j, 1
+            while u != w:
+                if depth[u] < depth[w]:
+                    u, w = w, u
+                if marked >> u & 1:
+                    return False
+                marked |= 1 << u
+                u = parent[u]
+                length += 1
+            if length % 2 == 0:
+                return False
     return True

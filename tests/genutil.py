@@ -1,16 +1,16 @@
 """Seeded random instance generators and the small fixed instances shared by
 the suites, character, graph and polynomial helpers that only tests need
-(among them the edge test, the polynomial constructors and evaluation, the
-Laurent matrix built from a dense grid and the named bases of a twisted
-complex, none of which the library uses), Fraction references for the
-classification, matrix helpers (sparse integer rows to dense grids and
-back) and the JSON dumps of matrices and twisted complexes shared by the
-Laurent and twisted-complex tests, the all-labels-2 n-link condition, and
-plain reference versions of the bitmask graph kernels, induced and living
-subgraphs built as ``EvenGraph``, the links of cliques, the clique-center
-generators and values, the flag-complex closure, the twisted differential
-weight (with the geometric sums and t^m - 1 it is built from) and two
-closed-form criteria."""
+(among them the neighbour list and the edge test, the polynomial
+constructors and evaluation, the Laurent matrix built from a dense grid and
+the named bases of a twisted complex, none of which the library uses),
+Fraction references for the classification, matrix helpers (sparse integer
+rows to dense grids and back) and the JSON dumps of matrices and twisted
+complexes shared by the Laurent and twisted-complex tests, the all-labels-2
+n-link condition, and plain reference versions of the bitmask graph kernels,
+induced and living subgraphs built as ``EvenGraph``, the links of cliques,
+the clique-center generators and values, the flag-complex closure, the
+twisted differential weight (with the geometric sums and t^m - 1 it is built
+from) and two closed-form criteria."""
 
 from __future__ import annotations
 
@@ -242,6 +242,11 @@ def matrix_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
             out[j] = v
         rows.append(out)
     return dense_matrix(a.field, a.nrows, b.ncols, rows)
+
+
+def neighbors(g: EvenGraph, v: str) -> tuple[str, ...]:
+    """The neighbours of v in the vertex order."""
+    return tuple([g.vertices[j] for j in _bits(g.neighbor_masks[g.index(v)])])
 
 
 def has_edge(g: EvenGraph, u: str, v: str) -> bool:

@@ -356,6 +356,25 @@ def test_zero_character_rejected(tmp_path):
     assert code == EXIT_INVALID and "zero character" in text
 
 
+NOT_FC = [{"u": "a", "v": "b", "label": 4}, {"u": "a", "v": "c", "label": 4},
+          {"u": "b", "v": "c", "label": 2}, {"u": "d", "v": "e", "label": 4},
+          {"u": "d", "v": "f", "label": 6}, {"u": "e", "v": "f", "label": 2}]
+NOT_FC_FINDINGS = ("error: triangle a,b,c carries 2 labels > 2\n"
+                   "error: triangle d,e,f carries 2 labels > 2\n")
+ANALYSIS_COMMANDS = [["classify"], ["links", "--n", "1"], ["check", "--n", "1"],
+                     ["homology", "--p", "2", "--n", "1", "--oracle"], ["verdict", "--n", "1"]]
+
+
+@pytest.mark.parametrize("argv", ANALYSIS_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("value", [1, 0], ids=["nonzero", "zero"])
+def test_every_finding_is_printed_before_the_zero_character(tmp_path, argv, value):
+    # the graph's findings come first, in order, and a zero character on a
+    # graph that is not FC gets them, not the zero-character line
+    path = write_instance(tmp_path, "not-fc", NOT_FC, dict.fromkeys("abcdef", value))
+    code, report, text = run_cli([*argv, path])
+    assert (code, report, text) == (EXIT_INVALID, None, NOT_FC_FINDINGS)
+
+
 def test_json_report_round_trips(tmp_path, d4d6_path):
     json_path = tmp_path / "report.json"
     code, report, _ = run_cli(
@@ -446,6 +465,16 @@ def test_one_context_per_command(monkeypatch, argv, demo):
     assert len(links) == len(set(links))                 # one flag complex per link graph
     diagonalised = [(id(args[0]), args[1]) for args in boundaries]
     assert len(diagonalised) == len(set(diagonalised))   # each (link, degree) once
+
+
+@pytest.mark.parametrize("argv, checks", [(["verdict", "--n", "4"], 1),
+                                          (["homology", "--p", "2", "--n", "3", "--oracle"], 2)])
+def test_the_graph_is_checked_once_per_context(monkeypatch, argv, checks):
+    # by the command's one analysis context, and again by the oracle's build
+    checked = count_calls(monkeypatch, "artinsigma.characters.validate_fc",
+                          "artinsigma.cli.validate_fc")
+    code, _, _ = run_cli([*argv, str(DEMOS / "example1.json")])
+    assert code == EXIT_OK and len(checked) == checks
 
 
 @pytest.mark.parametrize("command", ["check", "verdict"])

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, ZeroCharacterError,
-                        build_salvetti_complex, classify, homotopic_sigma_verdict, is_connected,
-                        is_dominating, product_sigma_member, sigma_verdict)
+from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, GraphDomainError,
+                        ZeroCharacterError, build_salvetti_complex, classify,
+                        homotopic_sigma_verdict, is_connected, is_dominating,
+                        product_sigma_member, sigma_verdict)
 from artinsigma import conditions
 from artinsigma.characters import _center_states
 from artinsigma.graphs import _bits
@@ -79,6 +80,15 @@ def test_zero_character_rejected(example1):
         Analysis(g, zero).strong_n_link(1)
     with pytest.raises(ZeroCharacterError):
         Analysis(g, zero).strong_homotopic_n_link(1)
+
+
+def test_free_ranks_refuse_the_zero_character():
+    # the kernel of the zero character is the whole group, whose homology is
+    # finite dimensional; the formula would read the clique counts [1, 3, 2]
+    g = EvenGraph("abc", [("a", "b", 4), ("b", "c", 2)])
+    zero = Character(dict.fromkeys("abc", 0))
+    with pytest.raises(ZeroCharacterError, match="the zero character has no sphere class"):
+        Analysis(g, zero).free_ranks(2, 2)
 
 
 def test_homotopic_example2_fails(example2):
@@ -409,3 +419,13 @@ def test_every_entry_point_refuses_a_graph_that_is_not_even_fc(vertices, edges, 
             build_salvetti_complex(g, chi, 2, n)
         with pytest.raises(ValueError, match=message):
             product_sigma_member(g, clique, chi, n)
+
+
+def test_the_refusal_carries_every_finding():
+    # validate_even's findings, then validate_fc's; the message names the first
+    g = EvenGraph("abcd", [("a", "b", 3), ("a", "c", 4), ("b", "c", 4), ("c", "d", 5)])
+    with pytest.raises(GraphDomainError, match="^not an even FC graph: odd label 3 on edge a-b$") \
+            as refusal:
+        Analysis(g, Character(dict.fromkeys("abcd", 1)))
+    assert [f.message for f in refusal.value.findings] == [
+        "odd label 3 on edge a-b", "odd label 5 on edge c-d", "triangle a,b,c carries 3 labels > 2"]

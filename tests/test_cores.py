@@ -20,7 +20,7 @@ from artinsigma import (Analysis, Character, EvenGraph, MaskGraph, flag_complex,
                         has_cone_vertex, reduced_homology)
 from artinsigma.homology import sphere_dimension, sphere_homology, strong_core
 
-from genutil import random_character, random_even_fc_graph, random_raag
+from genutil import neighbors, random_character, random_even_fc_graph, random_raag
 from test_homology import rp2_subdivision_graph
 
 COEFFICIENTS = (None, 0, 2, 3)
@@ -38,8 +38,8 @@ def profiles(g, top: int) -> list:
 
 def dominated(g: EvenGraph) -> list[str]:
     """Vertices v with N[v] inside N[w] for a neighbour w, from edge lookups."""
-    closed = {v: {v, *g.neighbors(v)} for v in g.vertices}
-    return [v for v in g.vertices if any(closed[v] <= closed[w] for w in g.neighbors(v))]
+    closed = {v: {v, *neighbors(g, v)} for v in g.vertices}
+    return [v for v in g.vertices if any(closed[v] <= closed[w] for w in neighbors(g, v))]
 
 
 def test_core_homology_equals_full_homology():

@@ -8,8 +8,6 @@ from artinsigma import (IN, NOT_IN, UNKNOWN, Analysis, Character, EvenGraph, Zer
                         fp_verdict, homotopic_sigma_verdict, odd_cycle_condition,
                         product_sigma_member, sigma_verdict, validate_fc)
 
-from artinsigma.verdicts import _biconnected_blocks
-
 from genutil import (dihedral_sigma_member, negated_character, random_character,
                      random_even_fc_graph, scaled_character)
 
@@ -201,6 +199,17 @@ def test_odd_cycle_condition():
     theta = big_graph([("a", "b"), ("b", "c"), ("a", "d"), ("d", "c"), ("a", "c")])
     assert not odd_cycle_condition(theta)
     assert odd_cycle_condition(EvenGraph(["a", "b"], [("a", "b", 2)]))
+    # two pentagons through one vertex a: two cycles, both odd
+    pentagons = big_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a"),
+                           ("a", "f"), ("f", "g"), ("g", "h"), ("h", "i"), ("i", "a")])
+    assert odd_cycle_condition(pentagons)
+    # two pentagons on one edge a-b: their outer cycle has 8 edges
+    assert not odd_cycle_condition(big_graph([
+        ("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a"),
+        ("b", "f"), ("f", "g"), ("g", "h"), ("h", "a")]))
+    # two triangles on one edge a-b: their outer cycle has 4 edges
+    assert not odd_cycle_condition(big_graph([("a", "b"), ("b", "c"), ("c", "a"),
+                                              ("a", "d"), ("d", "b")]))
 
 
 def test_odd_cycle_condition_against_brute_force():
@@ -229,10 +238,21 @@ def test_odd_cycle_condition_against_brute_force():
     for _ in range(60):
         g = random_even_fc_graph(rng, max_vertices=6, edge_p=0.6)
         assert odd_cycle_condition(g) == (not has_even_cycle(g))
+    # arbitrary graphs, FC or not, of up to 9 vertices
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        vs = [f"v{i}" for i in range(rng.randint(1, 9))]
+        edge_p = rng.choice((0.3, 0.45, 0.6))
+        g = EvenGraph(vs, [(u, w, rng.choice((2, 4, 6))) for u, w in itertools.combinations(vs, 2)
+                           if rng.random() < edge_p])
+        holds = odd_cycle_condition(g)
+        assert holds == (not has_even_cycle(g)), g
+        outcomes[holds] += 1
+    assert min(outcomes.values()) >= 80, outcomes
 
 
 def test_odd_cycle_condition_on_long_paths_and_cycles():
-    # one DFS level per vertex: deeper than the default recursion limit
+    # forest paths of 1,200 edges: deeper than the default recursion limit
     names = [f"v{i:04d}" for i in range(1201)]
     path = EvenGraph(names[:1200], [(a, b, 4) for a, b in zip(names[:1199], names[1:1200])])
     assert odd_cycle_condition(path)
@@ -241,46 +261,6 @@ def test_odd_cycle_condition_on_long_paths_and_cycles():
     even = EvenGraph(names[:1200],
                      [(a, b, 4) for a, b in zip(names[:1200], names[1:1200] + names[:1])])
     assert not odd_cycle_condition(even)
-
-
-def test_biconnected_blocks_match_recursive_lowpoint_dfs():
-    def recursive_blocks(adj):
-        disc, low, blocks, stack = {}, {}, [], []
-
-        def dfs(v, parent):
-            disc[v] = low[v] = len(disc)
-            for w in sorted(adj[v]):
-                edge = frozenset((v, w))
-                if w not in disc:
-                    stack.append(edge)
-                    dfs(w, v)
-                    low[v] = min(low[v], low[w])
-                    if low[w] >= disc[v]:
-                        block = set()
-                        while True:
-                            e = stack.pop()
-                            block.add(e)
-                            if e == edge:
-                                break
-                        blocks.append(block)
-                elif w != parent and disc[w] < disc[v]:
-                    stack.append(edge)
-                    low[v] = min(low[v], disc[w])
-
-        for v in adj:
-            if v not in disc and adj[v]:
-                dfs(v, None)
-        return blocks
-
-    rng = random.Random(63)
-    for _ in range(200):
-        vs = [f"v{i}" for i in range(rng.randint(1, 10))]
-        adj = {v: set() for v in vs}
-        for u, w in itertools.combinations(vs, 2):
-            if rng.random() < 0.35:
-                adj[u].add(w)
-                adj[w].add(u)
-        assert _biconnected_blocks(adj) == recursive_blocks(adj)
 
 
 def test_verdict_invariance_under_scaling_and_negation():
