@@ -6,10 +6,12 @@ at most n, that the flag complex of the link of D in the living subgraph be
 p-living subgraph and field coefficients of characteristic p.  Both are
 decided exactly.
 
-The homotopic variant needs connectivity rather than acyclicity, which is
-undecidable by homology alone in degrees >= 1; it is therefore three-valued,
-with cone detection upgrading a witness to an exact "contractible" and a
-homological failure downgrading it to an exact "fails".
+The homotopic variant needs connectivity rather than acyclicity.  In
+degrees -1 and 0 the two agree (nonempty, connected); in degrees >= 1
+homology alone cannot decide it, so the variant is three-valued, with cone
+detection upgrading a witness to an exact "contractible" and a homological
+failure downgrading it to an exact "fails".  It is read off the outcomes of
+the strong n-link condition over Z.
 
 All of them, and the free-rank formula, read the same object: the links of
 the dead cliques and the reduced homology of their flag complexes.
@@ -21,12 +23,12 @@ by several cliques or questions is tested once.
 from __future__ import annotations
 
 from functools import partial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .characters import Character, _center_states, classify
-from .graphs import EvenGraph, MaskGraph, _bits, is_connected
+from .graphs import EvenGraph, MaskGraph, _bits
 from .homology import (HomologyProfile, SimplicialComplex, _check_clique_budget, _cliques,
-                       _link_mask, _require_field, coeffs_label, flag_complex, has_cone_vertex,
+                       _require_field, coeffs_label, flag_complex, has_cone_vertex,
                        reduced_homology, sphere_dimension, sphere_homology, strong_core)
 
 
@@ -74,16 +76,17 @@ class Analysis:
     classification is made on construction; each mode's dead cliques (per
     degree, from a walk over the cliques of the vertices that can lie on
     one, see :meth:`links`), each distinct link (one :class:`MaskGraph` per
-    vertex mask, described only when read; the living subgraph is the link
-    of the empty clique), its strong-collapse core, the core's flag complex,
-    which keeps the integer Smith forms that serve Z, Q and every F_p, and
-    one homology profile per core, coefficients and degree are built on
-    first use and kept, and so are one cone test per mode key and link mask
-    and one witness outcome (see :meth:`_outcome`) per mode key, link mask,
-    coefficients and degree, which the homotopic variant reads too.  A core
-    that is a point or a cross-polytope sphere gets no complex: its homology
-    is read in closed form.  Links whose cores are one graph share one
-    complex, built as deep as the questions read.
+    vertex mask, the living vertices adjacent to the whole clique, described
+    only when read; the living subgraph is the link of the empty clique),
+    its strong-collapse core, the core's flag complex, which keeps the
+    integer Smith forms that serve Z, Q and every F_p, and one homology
+    profile per core, coefficients and degree are built on first use and
+    kept, and so are one cone test per mode key and link mask and one
+    witness outcome (see :meth:`_outcome`) per mode key, link mask,
+    coefficients and degree, from which the homotopic variant is read.  A
+    core that is a point or a cross-polytope sphere gets no complex: its
+    homology is read in closed form.  Links whose cores are one graph share
+    one complex, built as deep as the questions read.
     No enumeration of all cliques is kept: they are counted against the
     clique budget (:data:`artinsigma.homology.MAX_CLIQUES`) only when a
     bound on their number is above it.  A core's flag complex is built
@@ -177,7 +180,8 @@ class Analysis:
             # only cliques on ``walked`` can be selected: their vertices are
             # dead or on an edge of ``edges``
             walked = self._dead_vertices | g.vertex_mask([v for e in edges for v in e])
-            if edges == self._edges(None):
+            global_mode = edges == self._edges(None)
+            if global_mode:
                 # the re-check needs every clique whose center it finds
                 # killed: each vertex is off the nonzero mask or on a label
                 # > 2 edge inside it whose values sum to 0
@@ -187,17 +191,20 @@ class Analysis:
                     for j in _bits(partners):
                         if values[i] + values[j] == 0:
                             walked |= 1 << i
-            self._dead[edges, n] = list(self._select(edges, _cliques(g.neighbor_masks, n, walked)))
+            cliques = _cliques(g.neighbor_masks, n, walked)
+            states = _center_states(g, self._values, cliques) if global_mode else None
+            self._dead[edges, n] = list(self._select(edges, cliques, states))
         return edges, self._dead[edges, n]
 
-    def _select(self, edges: frozenset, cliques: list[int]):
+    def _select(self, edges: frozenset, cliques: list[int], states: Iterator | None):
         """(clique, link, link mask) for each clique, given by its vertex
         mask, whose every vertex is dead or on an edge of ``edges`` inside it
-        (the dead cliques of :meth:`links`).  In the global mode each
-        clique's selection is checked against its center (see
-        :func:`_center_states`), carried along the walk."""
+        (the dead cliques of :meth:`links`).  In the global mode ``states``
+        carries each clique's center along the walk (see
+        :func:`_center_states`), against which its selection is checked;
+        otherwise it is None."""
         g = self.g
-        vs, dead = g.vertices, self._dead_vertices
+        vs, dead, nbr = g.vertices, self._dead_vertices, g.neighbor_masks
         partners = [0] * len(vs)   # bit j of partners[i]: edge {i, j} in edges
         on_edges = 0
         for u, v in edges:
@@ -207,10 +214,9 @@ class Analysis:
             on_edges |= 1 << i | 1 << j
         # the living subgraph's neighbour masks, in the vertex positions of g:
         # those of g minus ``edges``, read on living vertex masks only
-        adjacency = [m & ~r for m, r in zip(g.neighbor_masks, partners)]
+        adjacency = [m & ~r for m, r in zip(nbr, partners)]
         living_mask = (1 << len(vs)) - 1 & ~dead
         links = self._links.setdefault(edges, {})
-        states = _center_states(g, self._values, cliques) if edges == self._edges(None) else None
         for members in cliques:
             alive = members & ~dead
             # a living vertex on no edge of ``edges`` rules the clique out at once
@@ -227,10 +233,14 @@ class Analysis:
                         f"dead-clique/center mismatch on {clique}: "
                         f"combinatorial={selected}, center-kill={not selected}")
             if selected:
-                mask = _link_mask(g, living_mask, members)
+                positions = _bits(members)
+                # the link: the living vertices adjacent to the whole clique
+                mask = living_mask
+                for i in positions:
+                    mask &= nbr[i]
                 if mask not in links:
                     links[mask] = MaskGraph(g, adjacency, mask)
-                yield tuple([vs[i] for i in _bits(members)]), links[mask], mask
+                yield tuple([vs[i] for i in positions]), links[mask], mask
 
     def _homology(self, edges: frozenset, mask: int, coeffs, d: int) -> HomologyProfile:
         """Reduced homology of the flag complex of the link on ``mask`` in
@@ -273,7 +283,10 @@ class Analysis:
             return "ok", None, "vacuous"
         outcome = self._outcomes.get((edges, mask, coeffs, d))
         if outcome is None:
-            if self._coned(edges, mask):
+            coned = self._cones.get((edges, mask))
+            if coned is None:
+                coned = self._cones[edges, mask] = has_cone_vertex(self._links[edges][mask])
+            if coned:
                 outcome = "ok", None, "cone"
             else:
                 profile = self._homology(edges, mask, coeffs, d)
@@ -281,12 +294,6 @@ class Analysis:
                 outcome = ("ok", None, "homology") if bad is None else ("fail", bad, "homology")
             self._outcomes[edges, mask, coeffs, d] = outcome
         return outcome
-
-    def _coned(self, edges: frozenset, mask: int) -> bool:
-        coned = self._cones.get((edges, mask))
-        if coned is None:
-            coned = self._cones[edges, mask] = has_cone_vertex(self._links[edges][mask])
-        return coned
 
     # -- conditions -------------------------------------------------------
 
@@ -315,31 +322,25 @@ class Analysis:
     def strong_homotopic_n_link(self, n: int) -> ConditionReport:
         """Three-valued homotopic variant: links must be (n-1-|D|)-connected.
 
-        Degrees -1 (nonempty) and 0 (connected) are decided exactly, as are
-        coned links (contractible) and homological failures (connectivity
-        implies acyclicity), which are the Z outcomes of the strong n-link
-        condition.  Anything else stays unknown.
+        Read off the Z outcomes of the strong n-link condition.  In degrees
+        -1 and 0 connectivity is acyclicity (nonempty, connected), so those
+        are exact; coned links are contractible, and a homological failure
+        is exact too (connectivity implies acyclicity).  An acyclic link in
+        a higher degree stays unknown.
         """
         _require_nonzero(self.chi)
         edges, dead = self._dead_cliques(n, None)
         witnesses = []
         for clique, lk, mask in dead:
             d = n - 1 - len(clique)
-            if d not in (-1, 0) or self._coned(edges, mask):
-                status, bad, via = self._outcome(edges, mask, None, d)
-                if via == "homology" and status == "ok":
+            status, bad, via = self._outcome(edges, mask, None, d)
+            if via == "homology":
+                if d <= 0:
+                    via = "nonempty" if d == -1 else "connectivity"
+                elif status == "ok":
                     # acyclic, but connectivity needs more than homology
                     status = "unknown"
-                w = LinkWitness(clique, d, lk, status, bad, via)
-            elif d == -1:
-                ok = bool(lk.mask)
-                w = LinkWitness(clique, d, lk, "ok" if ok else "fail",
-                                None if ok else -1, "nonempty")
-            else:
-                ok = is_connected(lk)
-                w = LinkWitness(clique, d, lk, "ok" if ok else "fail",
-                                None if ok else (0 if lk.mask else -1), "connectivity")
-            witnesses.append(w)
+            witnesses.append(LinkWitness(clique, d, lk, status, bad, via))
         statuses = {w.status for w in witnesses}
         holds = False if "fail" in statuses else None if "unknown" in statuses else True
         return ConditionReport(holds, n, "Z", "dead", "homotopic", tuple(witnesses))

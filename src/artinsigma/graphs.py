@@ -192,32 +192,24 @@ def validate_fc(g: EvenGraph) -> ValidationReport:
     (one per label > 2 edge, which necessarily form a matching inside the
     clique) and infinite cyclic factors, hence a finite-type subgroup.
     The check is local to triangles, which suffices: a clique violates the
-    matching property iff two of its label > 2 edges share a triangle, that
-    is, iff some vertex has two adjacent label > 2 partners.  Only when
-    this screen finds one are the triangles walked, from the edges (u, v)
-    and their common neighbours w after v, so findings are in the
-    lexicographic order of their vertex triples.
+    matching property iff two of its label > 2 edges share a triangle.  Such
+    a triangle has a vertex i with two adjacent label > 2 partners j < k, so
+    the triangles are collected from those, once each (a triangle with three
+    labels > 2 has three such vertices), and reported in the lexicographic
+    order of their vertex triples.
     """
     nbr, big = g.neighbor_masks, g.big_partner_masks
-    suspect = False
-    for partners in big:
-        rest = partners & partners - 1 and partners     # two partners or more
-        while rest and not suspect:
-            low = rest & -rest
-            suspect = partners & nbr[low.bit_length() - 1] != 0
-            rest ^= low
-    if not suspect:
-        return _report([])
-    violations = []
-    for u, v in g.edges():
-        i, j = g.index(u), g.index(v)
-        for k in _bits(nbr[i] & nbr[j] >> (j + 1) << (j + 1)):
-            if (big[i] >> j & 1) + (big[i] >> k & 1) + (big[j] >> k & 1) < 2:
-                continue
-            w = g.vertices[k]
-            edges = tuple([e for e in ((u, v), (u, w), (v, w)) if g.label(*e) > 2])
-            violations.append(Finding(f"triangle {u},{v},{w} carries {len(edges)} labels > 2",
-                                      vertices=(u, v, w), edges=edges))
+    triangles = set()
+    for i, partners in enumerate(big):
+        for j in _bits(partners):
+            for k in _bits(partners & nbr[j] >> (j + 1) << (j + 1)):
+                triangles.add(tuple(sorted((i, j, k))))
+    vs, violations = g.vertices, []
+    for i, j, k in sorted(triangles):
+        u, v, w = vs[i], vs[j], vs[k]
+        edges = tuple([e for e in ((u, v), (u, w), (v, w)) if g.label(*e) > 2])
+        violations.append(Finding(f"triangle {u},{v},{w} carries {len(edges)} labels > 2",
+                                  vertices=(u, v, w), edges=edges))
     return _report(violations)
 
 

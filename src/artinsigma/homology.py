@@ -185,21 +185,6 @@ def _too_many(total: int, size: int) -> TooManyCliques:
                           f"{size}, above the budget of {MAX_CLIQUES}")
 
 
-def _link_mask(g_ambient: EvenGraph, gamma1_mask: int, members: int) -> int:
-    """Vertex mask of the link of the clique on the vertex mask ``members``
-    inside the subgraph of ``g_ambient`` on the bits of ``gamma1_mask``:
-    those bits adjacent in the ambient graph to every vertex of the clique.
-    Raises ValueError when ``members`` is not a clique of the ambient graph."""
-    nbr = g_ambient.neighbor_masks
-    keep = gamma1_mask
-    for i in _bits(members):
-        if members & ~nbr[i] != 1 << i:
-            clique = tuple([g_ambient.vertices[k] for k in _bits(members)])
-            raise ValueError(f"{clique} is not a clique of the ambient graph")
-        keep &= nbr[i]
-    return keep
-
-
 def strong_core(nbr: Sequence[int], mask: int) -> int:
     """The vertex mask of a strong-collapse core of the flag complex of the
     graph with neighbour masks ``nbr``, induced on the vertex mask ``mask``;

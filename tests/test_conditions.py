@@ -6,7 +6,7 @@ import pytest
 
 from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, GraphDomainError,
                         ZeroCharacterError, build_salvetti_complex, classify,
-                        homotopic_sigma_verdict, is_connected, is_dominating,
+                        has_cone_vertex, homotopic_sigma_verdict, is_connected, is_dominating,
                         product_sigma_member, sigma_verdict)
 from artinsigma import conditions
 from artinsigma.characters import _center_states
@@ -141,6 +141,38 @@ def test_homotopic_true_implies_homological_true():
             assert Analysis(g, chi).strong_n_link(n).holds is True
             hits += 1
     assert hits > 5
+
+
+def test_homotopic_exact_cases_match_their_definitions():
+    # each homotopic witness against the definitions: a coned link is
+    # contractible; else a (-1)-connected link is a nonempty one and a
+    # 0-connected link a connected one; anything else is read off homology,
+    # which can refute connectivity but never prove it
+    rng = random.Random(47)
+    kinds = set()
+    for _ in range(150):
+        g = random_even_fc_graph(rng, max_vertices=9, edge_p=0.6)
+        chi = random_character(rng, g)
+        for n in range(1, 5):
+            for w in Analysis(g, chi).strong_homotopic_n_link(n).witnesses:
+                lk, d = w.link_graph, w.required_degree
+                outcome = w.status, w.failing_degree, w.via
+                if has_cone_vertex(lk):
+                    assert outcome == ("ok", None, "cone")
+                elif d == -1:
+                    ok = bool(lk.mask)
+                    assert outcome == (("ok", None, "nonempty") if ok
+                                       else ("fail", -1, "nonempty"))
+                elif d == 0:
+                    ok = is_connected(lk)
+                    assert outcome == (("ok", None, "connectivity") if ok else
+                                       ("fail", 0 if lk.mask else -1, "connectivity"))
+                else:
+                    assert w.via == "homology" and w.status in ("fail", "unknown")
+                kinds.add((w.via, w.status))
+    assert kinds == {("cone", "ok"), ("nonempty", "ok"), ("nonempty", "fail"),
+                     ("connectivity", "ok"), ("connectivity", "fail"),
+                     ("homology", "fail"), ("homology", "unknown")}
 
 
 def test_kernel_free_rank_dihedral():

@@ -249,23 +249,25 @@ def test_validate_fc_matches_triple_scan():
         assert report.ok == (not report.violations)
 
 
-def test_fault_screen_agrees_with_the_walks(monkeypatch):
-    # FC graphs, half of them with one label-2 edge changed to 1 or 3..6,
-    # which may plant an odd label or a triangle with two labels > 2:
-    # validate_fc's screen against the walk over every triple, the
-    # constructor's odd-label flag against a forced scan, and the door
-    # raising, with the first finding, exactly when either reports one
+def test_fc_findings_and_the_door_agree_with_the_definitions(monkeypatch):
+    # FC graphs, half of them with up to three label-2 edges changed to 1 or
+    # 3..6, which may plant odd labels and triangles with two or three labels
+    # > 2: validate_fc against the walk over every triple, the constructor's
+    # odd-label flag against a forced scan, and the door raising, with the
+    # first finding, exactly when either reports one
     rng = random.Random(132)
     seen = set()
+    full = 0    # graphs with a triangle of three labels > 2
     for _ in range(300):
         g = random_even_fc_graph(rng, max_vertices=9, edge_p=0.6)
         plain = [e for e, label in g.edge_items() if label == 2]
         if plain and rng.random() < 0.5:
-            changed = rng.choice(plain)
-            g = EvenGraph(g.vertices, [(*e, rng.choice((1, 3, 4, 5, 6)) if e == changed else label)
-                                       for e, label in g.edge_items()])
+            changed = {e: rng.choice((1, 3, 4, 5, 6))
+                       for e in rng.sample(plain, min(len(plain), rng.randint(1, 3)))}
+            g = EvenGraph(g.vertices, [(*e, changed.get(e, label)) for e, label in g.edge_items()])
         even, fc = validate_even(g), validate_fc(g)
         assert fc.violations == tuple(validate_fc_by_triples(g))
+        full += any(len(f.edges) == 3 for f in fc.violations)
         with monkeypatch.context() as m:
             m.setattr(g, "_odd_label", True)
             assert validate_even(g) == even
@@ -278,6 +280,22 @@ def test_fault_screen_agrees_with_the_walks(monkeypatch):
             assert not findings
         seen.add((even.ok, fc.ok))
     assert seen == {(True, True), (False, False), (True, False), (False, True)}
+    assert full >= 5, full
+
+
+def test_validate_fc_reports_each_triangle_of_k4_once():
+    # every label 4: each triangle has three vertices with two adjacent
+    # label > 2 partners, and is reported once, in lexicographic order
+    vs = ["d", "c", "b", "a"]   # vertex order is not the order of the names
+    g = EvenGraph(vs, [(vs[i], vs[j], 4) for i in range(4) for j in range(i + 1, 4)])
+    report = validate_fc(g)
+    assert [f.vertices for f in report.violations] == [
+        ("d", "c", "b"), ("d", "c", "a"), ("d", "b", "a"), ("c", "b", "a")]
+    assert [f.message for f in report.violations] == [
+        "triangle d,c,b carries 3 labels > 2", "triangle d,c,a carries 3 labels > 2",
+        "triangle d,b,a carries 3 labels > 2", "triangle c,b,a carries 3 labels > 2"]
+    assert report.violations[0].edges == (("d", "c"), ("d", "b"), ("c", "b"))
+    assert report.violations == tuple(validate_fc_by_triples(g))
 
 
 def test_validate_fc_on_a_long_path():

@@ -2,12 +2,14 @@
 
 What the tests alone need lives in ``tests/genutil.py``.  This guard lists
 every function and method in ``src/`` whose name is read nowhere else in
-``src/``, as a name or as an attribute, and compares the list with an
-allow-list that gives each entry its reason.  Imports are not reads, so a
-re-export in ``__init__.py`` keeps nothing alive.  Special methods
-(``__init__``, ``__eq__`` and the rest) are called by the language and are
-not listed.  The match is by name alone, so a name that another object
-also carries counts as read.
+``src/`` and compares the list with an allow-list that gives each entry its
+reason.  A function counts as read as a name or as an attribute; a method
+only as an attribute (``obj.name``), so a local or a parameter of the same
+name keeps no method alive.  Imports are not reads, so a re-export in
+``__init__.py`` keeps nothing alive.  Special methods (``__init__``,
+``__eq__`` and the rest) are called by the language and are not listed.
+The match is by name alone, so an attribute that another object also
+carries counts as read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ ALLOWED = {
     "cli._Parser.error": "argparse's hook: ArgumentParser calls it on a bad command line",
     "salvetti.TwistedComplex.differential":
         "read by demos/dihedral_homology.py, whose output tests/test_demos.py pins",
+    "homology.SimplicialComplex.dimension":
+        "read by bench/tracing.py, whose key of a flag complex lists its simplices",
+    "laurent.LaurentPoly.span": "read by bench/tracing.py for the largest Smith-form entry span",
+    "laurent.LaurentMatrix.entries":
+        "read by bench/tracing.py for the largest Smith-form entry span, and by "
+        "demos/dihedral_homology.py",
 }
 
 
@@ -38,31 +46,40 @@ def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return found
 
 
-def _reads(node: ast.AST) -> dict[str, int]:
-    """How often each name is read under ``node``, as a name or an attribute."""
-    reads: dict[str, int] = {}
+def _reads(node: ast.AST) -> tuple[dict[str, int], dict[str, int]]:
+    """How often each name is read under ``node``: as a name, and as an
+    attribute."""
+    names: dict[str, int] = {}
+    attributes: dict[str, int] = {}
     for sub in ast.walk(node):
-        name = sub.id if isinstance(sub, ast.Name) else \
-            sub.attr if isinstance(sub, ast.Attribute) else None
-        if name is not None:
-            reads[name] = reads.get(name, 0) + 1
-    return reads
+        if isinstance(sub, ast.Name):
+            names[sub.id] = names.get(sub.id, 0) + 1
+        elif isinstance(sub, ast.Attribute):
+            attributes[sub.attr] = attributes.get(sub.attr, 0) + 1
+    return names, attributes
 
 
 def unreferenced(sources: dict[str, str]) -> list[str]:
     """The functions and methods of the modules ``sources`` (module name to
     source) whose name is read nowhere outside their own body, as
-    "module.function" or "module.Class.method"."""
+    "module.function" or "module.Class.method"; a method is read only as an
+    attribute."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    total: dict[str, int] = {}
+    names: dict[str, int] = {}
+    attributes: dict[str, int] = {}
     for tree in trees.values():
-        for name, count in _reads(tree).items():
-            total[name] = total.get(name, 0) + count
+        for total, reads in zip((names, attributes), _reads(tree)):
+            for name, count in reads.items():
+                total[name] = total.get(name, 0) + count
     flagged = []
     for module, tree in trees.items():
         for qualname, node in _definitions(tree):
             name = node.name
-            if total.get(name, 0) == _reads(node).get(name, 0):
+            own_names, own_attributes = _reads(node)
+            read = attributes.get(name, 0) - own_attributes.get(name, 0)
+            if "." not in qualname:
+                read += names.get(name, 0) - own_names.get(name, 0)
+            if not read:
                 flagged.append(f"{module}.{qualname}")
     return sorted(flagged)
 
@@ -92,3 +109,9 @@ def test_guard_sees_every_form():
         assert unreferenced({"m": source, "n": "from .m import *\n" + reader}) == [], reader
     assert unreferenced({"m": "class C:\n    def __eq__(self, other):\n        return True\n"}) \
         == []
+    # a local, a parameter or a bare name of the method's name is no read of
+    # the method; a function is read by an attribute too (module.helper)
+    for reader in ("helper = 2\n", "def f(helper):\n    return helper\n\nvalue = f(1)\n",
+                   "value = helper\n"):
+        assert unreferenced({"m": method + reader}) == ["m.C.helper"], reader
+    assert unreferenced({"m": function, "n": "from . import m\nvalue = m.helper()\n"}) == []

@@ -10,8 +10,9 @@ free lists of sizes 1 to 20, up to 2,000 entries each, are emptied only by a
 full collection of the cycle collector.  The command line builds its
 argument parser once per process and leaves no cyclic garbage behind, so no
 full collection comes to empty them: the lists would grow with every
-command, by several megabytes over ten thousand commands.  Hence the rule
-that ``tuple([...])`` is written instead, which these tests guard.
+command, by several megabytes over ten thousand commands.  Hence the rules
+that ``tuple([...])`` is written instead, and that a NamedTuple is built by
+its constructor, never by ``_replace`` or ``_make``, which these tests guard.
 """
 
 from __future__ import annotations
@@ -39,14 +40,17 @@ def _lazy(node: ast.AST) -> bool:
 
 
 def pump_sites(source: str) -> list[int]:
-    """Lines of ``tuple(<lazy iterator>)`` and of calls with a starred lazy
-    iterator."""
+    """Lines of ``tuple(<lazy iterator>)``, of calls with a starred lazy
+    iterator, and of ``._replace(...)`` and ``._make(...)``: a NamedTuple's
+    ``_replace`` builds its tuple through ``_make(map(...))``, the same pump."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         if isinstance(node.func, ast.Name) and node.func.id == "tuple" and node.args \
                 and _lazy(node.args[0]):
+            lines.append(node.lineno)
+        elif isinstance(node.func, ast.Attribute) and node.func.attr in ("_replace", "_make"):
             lines.append(node.lineno)
         elif any(isinstance(a, ast.Starred) and _lazy(a.value) for a in node.args):
             lines.append(node.lineno)
@@ -62,10 +66,12 @@ def test_library_builds_no_tuple_from_a_lazy_iterator():
 def test_guard_sees_every_form():
     for source in ("tuple(x for x in y)", "tuple(map(f, y))", "tuple(filter(f, y))",
                    "tuple(zip(a, b))", "tuple(reversed(y))", "tuple(iter(y))",
-                   "lcm(*(x for x in y))", "f(a, *map(g, y))"):
+                   "lcm(*(x for x in y))", "f(a, *map(g, y))", "w._replace(status='ok')",
+                   "LinkWitness._make(fields)", "Point._make(map(int, y))"):
         assert pump_sites(source) == [1], source
     for source in ("tuple([x for x in y])", "tuple(y)", "lcm(*[x for x in y])", "f(*y)",
-                   "sum(x for x in y)", "frozenset(x for x in y)"):
+                   "sum(x for x in y)", "frozenset(x for x in y)", "s.replace('a', 'b')",
+                   "_replace(x)", "w.make(y)"):
         assert pump_sites(source) == [], source
 
 
