@@ -18,12 +18,10 @@ from .graphs import (EvenGraph, Finding, GraphFormatError, MaskGraph, Validation
                      validate_fc)
 from .homology import (HomologyProfile, SimplicialComplex, TooManyCliques, flag_complex,
                        has_cone_vertex, reduced_homology)
-from .laurent import (Field, LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd,
-                      smith_normal_form)
+from .laurent import LaurentMatrix, LaurentPoly, laurent_divmod, laurent_gcd, smith_normal_form
 from .salvetti import (CrossCheckError, ModulePresentation, OracleTooLarge, TwistedComplex,
                        build_salvetti_complex, cross_check, homology_module)
 from .verdicts import (IN, NOT_IN, UNKNOWN, Justification, RuleConflictError, Verdict,
-                       fp_verdict, homotopic_sigma_verdict, odd_cycle_condition,
-                       product_sigma_member, sigma_verdict)
+                       fp_verdict, homotopic_sigma_verdict, odd_cycle_condition, sigma_verdict)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

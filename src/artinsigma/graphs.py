@@ -132,9 +132,6 @@ class EvenGraph:
         nbr = self.neighbor_masks
         return all(mask & ~nbr[i] == 1 << i for i in positions)
 
-    def sort_vertices(self, vs: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(vs, key=self._index.__getitem__))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EvenGraph):
             return NotImplemented

@@ -535,13 +535,10 @@ def _rank_from_factors(factors: Sequence[int], p: int | None) -> int:
 class HomologyProfile(NamedTuple):
     """Reduced homology per degree: betti numbers and, over Z, torsion.
 
-    ``coefficients`` is a label of :func:`coeffs_label`.  ``torsion[d]`` is
-    the elementary-divisor chain of the torsion subgroup of reduced H_d; it
-    is always empty over a field.
+    ``torsion[d]`` is the elementary-divisor chain of the torsion subgroup
+    of reduced H_d; it is always empty over a field.
     """
 
-    coefficients: str
-    max_degree: int
     betti: dict[int, int]
     torsion: dict[int, tuple[int, ...]]
 
@@ -561,7 +558,7 @@ def reduced_homology(c: SimplicialComplex, p: int | None, max_degree: int) -> Ho
     keeps: asking again, in any degree or over other coefficients, reuses
     them.
     """
-    label = coeffs_label(p)
+    coeffs_label(p)
     # every simplex read is built, and counted against the clique budget,
     # before the first Smith form
     c.simplices(max_degree + 1)
@@ -573,7 +570,7 @@ def reduced_homology(c: SimplicialComplex, p: int | None, max_degree: int) -> Ho
         rank_out = _rank_from_factors(factors[d], p) if d >= 0 else 0
         betti[d] = c.chain_rank(d) - rank_out - rank_in
         torsion[d] = tuple([f for f in factors[d + 1] if f > 1]) if p is None else ()
-    return HomologyProfile(label, max_degree, betti, torsion)
+    return HomologyProfile(betti, torsion)
 
 
 def sphere_homology(dimension: int | float, p: int | None,
@@ -581,10 +578,9 @@ def sphere_homology(dimension: int | float, p: int | None,
     """Exact reduced homology, in degrees -1 .. max_degree, of a sphere of
     the given dimension (see :func:`sphere_dimension`): the coefficient
     ring in that degree and zero elsewhere, without torsion."""
-    label = coeffs_label(p)
+    coeffs_label(p)
     degrees = range(-1, max_degree + 1)
-    return HomologyProfile(label, max_degree, {d: int(d == dimension) for d in degrees},
-                           {d: () for d in degrees})
+    return HomologyProfile({d: int(d == dimension) for d in degrees}, {d: () for d in degrees})
 
 
 def has_cone_vertex(g: EvenGraph | MaskGraph) -> bool:

@@ -13,6 +13,9 @@ where m_e = m_v + m_w (q(l, 0) is the constant l).  The weight vanishes
 exactly when v is dead or lies on a p-dead edge of X in characteristic p.
 Smith normal form over the principal ideal domain F[t, t^-1] then yields
 the free rank and the invariant-factor torsion of each homology module.
+F is named by its characteristic p, 0 for Q or a prime, which
+:func:`build_salvetti_complex` checks once; the weights, matrices and
+factors are then built without checking it again.
 
 Every weight is divisible by t - 1, so the complex is kept reduced: D'_n =
 D_n / (t - 1) has the weights c(v, X) = [m_v]_t * prod q(l, m_e), where
@@ -35,8 +38,8 @@ from typing import NamedTuple
 
 from .characters import Character, _check_domain
 from .graphs import EvenGraph, _bits, describe_graph
-from .homology import _levels
-from .laurent import Field, LaurentMatrix, LaurentPoly, _f2, smith_normal_form
+from .homology import _levels, _require_field
+from .laurent import LaurentMatrix, LaurentPoly, _f2, _of_elements, smith_normal_form
 
 
 # The oracle's cost grows with the span of the differential weights.  On one
@@ -94,19 +97,20 @@ def _max_weight_span(exps: list[int], halves: list[dict[int, int]], max_n: int) 
 
 
 def _weight(exps: list[int], halves: list[dict[int, int]], v: int, partners: int,
-            field: Field) -> LaurentPoly:
+            p: int) -> LaurentPoly:
     """c(v, X) = b(v, X) / (t - 1) for the vertex index v and the mask
     ``partners`` of its label > 2 partners in X (a label-2 factor is 1).
     With s = m_v + m_w for a partner w: over F_2, c is built as packed
     bits, [m_v]_t as |m_v| ones at offset 0 or m_v, times q(l, s) as l
     copies shifted by multiples of |s| and XORed (l mod 2 when s = 0);
     otherwise from its integer coefficients, [m_v]_t, then one convolution
-    with q(l, s) per partner, the constant l when s = 0."""
+    with q(l, s) per partner, the constant l when s = 0, reduced mod p when
+    stored."""
     m = exps[v]
     if not m:
-        return LaurentPoly.zero(field)
+        return _of_elements(p, 0, [])
     half_of = halves[v]
-    if field.char == 2:
+    if p == 2:
         offset, bits = min(m, 0), (1 << abs(m)) - 1
         for w in _bits(partners):
             half, s = half_of[w], m + exps[w]
@@ -115,7 +119,7 @@ def _weight(exps: list[int], halves: list[dict[int, int]], v: int, partners: int
             for _ in range(half - 1):
                 copies = copies << abs(s) ^ bits
             bits = copies
-        return _f2(field, offset, bits)
+        return _f2(offset, bits)
     offset, cs = (0, [1] * m) if m > 0 else (m, [-1] * -m)
     for w in _bits(partners):
         half, s = half_of[w], m + exps[w]
@@ -130,7 +134,7 @@ def _weight(exps: list[int], halves: list[dict[int, int]], v: int, partners: int
             for k, c in enumerate(cs, i):
                 out[k] += c
         cs = out
-    return LaurentPoly(field, offset, cs)
+    return _of_elements(p, offset, cs)
 
 
 class TwistedComplex:
@@ -146,13 +150,13 @@ class TwistedComplex:
     degrees whose invariant factors are asked for (memoized).
     """
 
-    def __init__(self, field: Field, vertices: tuple[str, ...], levels: list[list[int]],
+    def __init__(self, p: int, vertices: tuple[str, ...], levels: list[list[int]],
                  reduced: list[LaurentMatrix]):
-        self.field = field
+        self.p = p
         self.vertices = vertices
         self.levels = levels
         self._reduced = reduced  # _reduced[n] is D'_n; _reduced[0] is the zero map
-        self._t_minus_one = LaurentPoly(field, 0, [-1, 1])
+        self._t_minus_one = _of_elements(p, 0, [-1, 1])
         self._snf_memo: dict[int, tuple[tuple[LaurentPoly, ...], int]] = {}
 
     @property
@@ -172,7 +176,7 @@ class TwistedComplex:
         t_minus_one = self._t_minus_one
         rows = {i: {j: t_minus_one * e for j, e in row.items()}
                 for i, row in reduced._rows.items()}
-        return LaurentMatrix(self.field, reduced.nrows, reduced.ncols, rows)
+        return LaurentMatrix(self.p, reduced.nrows, reduced.ncols, rows)
 
     def snf(self, n: int) -> tuple[tuple[LaurentPoly, ...], int]:
         """Invariant factors and rank of D_n: those of D'_n, each factor
@@ -190,7 +194,8 @@ class TwistedComplex:
 
 def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
                            max_n: int | None = None) -> TwistedComplex:
-    """Assemble the twisted complex over ``Field(p)`` through degree ``max_n``.
+    """Assemble the twisted complex over the field of characteristic ``p``
+    (0 for Q or a prime, the complex's one check of it) through degree ``max_n``.
 
     Character values are first rescaled to a primitive integer vector (the
     exponents of the deck transformation).  A clique is a vertex mask of a
@@ -214,7 +219,7 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
     the vertex order, zero weights included.
     """
     _check_domain(g, chi)
-    field = Field(p)
+    _require_field(p)
     if max_n is None:
         max_n = len(g.vertices)
     if max_n < 0:
@@ -237,7 +242,7 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
     weights: list[tuple[LaurentPoly, LaurentPoly]] = []  # (c, -c) in order of first use
     index: list[dict[int, int]] = [{} for _ in exps]    # per vertex, by partner mask
     columns: list[list[list[tuple[int, int, int]]]] = [[]]
-    reduced = [LaurentMatrix(field, 0, 1, {})]
+    reduced = [LaurentMatrix(p, 0, 1, {})]
     for n in range(1, max_n + 1):
         row_of = {x: i for i, x in enumerate(levels[n - 1])}
         sparse: list[dict[int, LaurentPoly]] = [{} for _ in row_of]
@@ -253,7 +258,7 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
                 k = index[v].get(partners)
                 if k is None:
                     k = index[v][partners] = len(weights)
-                    c = _weight(exps, halves, v, partners, field)
+                    c = _weight(exps, halves, v, partners, p)
                     weights.append((c, -c))
                 row = row_of[x ^ low]
                 column.append((row, k, odd))
@@ -263,11 +268,11 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
                 odd ^= 1
             degree.append(column)
         columns.append(degree)
-        reduced.append(LaurentMatrix(field, len(row_of), len(degree),
+        reduced.append(LaurentMatrix(p, len(row_of), len(degree),
                                      {i: row for i, row in enumerate(sparse) if row}))
 
     _check_composites(weights, columns)
-    return TwistedComplex(field, g.vertices, levels, reduced)
+    return TwistedComplex(p, g.vertices, levels, reduced)
 
 
 def _check_composites(weights: list[tuple[LaurentPoly, LaurentPoly]],
@@ -357,15 +362,16 @@ def cross_check(g: EvenGraph, chi: Character, n: int, twisted: TwistedComplex,
     """Compare the link-formula free rank ``formula`` in degree n (see
     ``Analysis.free_ranks``) with the free rank of the twisted complex of
     (g, chi), built through degree n + 1; the characteristic p is the
-    complex's own, ``twisted.field.char``.
+    complex's own, ``twisted.p``.
 
-    Torsion factors are not validated against anything: there is no closed
-    form for them.  A free-rank mismatch raises :class:`CrossCheckError`
-    naming the instance; this is the central correctness gate of the library.
+    Torsion factors have no closed form and the library does not gate them;
+    ``test_torsion_audit_at_points_of_the_field`` in the test suite audits
+    them.  A free-rank mismatch raises :class:`CrossCheckError` naming the
+    instance; this is the central correctness gate of the library.
     """
     oracle = homology_module(twisted, n).free_rank
     if formula != oracle:
-        instance = f"{describe_graph(g)}; chi={chi!r}; p={twisted.field.char}; n={n}"
+        instance = f"{describe_graph(g)}; chi={chi!r}; p={twisted.p}; n={n}"
         raise CrossCheckError(
             f"free-rank mismatch: link formula gives {formula}, "
             f"chain complex gives {oracle} on [{instance}]")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .characters import Character, _check_domain, is_dominating
+from .characters import Character, is_dominating
 from .conditions import Analysis, ConditionReport
 from .graphs import EvenGraph, _bits, is_connected
 from .homology import coeffs_label
@@ -128,7 +128,7 @@ def sigma_verdict(ctx: Analysis, n: int) -> Verdict:
         justifications.append(Justification("sigma1_connectivity", False, None, why))
 
     if g.is_clique(g.vertices) and g.vertices:
-        member = product_sigma_member(g, g.vertices, chi, n)
+        member = _product_member(g, g.vertices, chi, n)
         t = sum(1 for _, label in g.edge_items() if label > 2)
         justifications.append(Justification(
             "dihedral_product", True, IN if member else NOT_IN,
@@ -187,23 +187,16 @@ def homotopic_sigma_verdict(ctx: Analysis, n: int) -> Verdict:
     return Verdict("sigma-membership(homotopy)", UNKNOWN, n, (j,))
 
 
-def product_sigma_member(g: EvenGraph, delta: Sequence[str], chi: Character, m: int) -> bool:
-    """Closed-form membership on a clique (a product of dihedral and infinite
-    cyclic factors).
+def _product_member(g: EvenGraph, delta: Sequence[str], chi: Character, m: int) -> bool:
+    """Closed-form membership in degree m on a clique ``delta`` of g, in the
+    vertex order, on which chi is not zero (a product of dihedral and
+    infinite cyclic factors); the instance is taken as checked.
 
     With t the number of label > 2 edges inside the clique, non-membership in
     degree m requires m >= t and the character to vanish on the center of
     every factor: zero on each label > 2 edge and zero on each vertex not on
-    such an edge.  Membership is the complement of that.  The instance is
-    refused as :func:`artinsigma.characters._check_domain` refuses it.
+    such an edge.  Membership is the complement of that.
     """
-    _check_domain(g, chi)
-    delta = g.sort_vertices(delta)
-    if not g.is_clique(delta):
-        raise ValueError(f"{tuple(delta)} is not a clique")
-    values = {v: chi.value(v) for v in delta}
-    if all(x == 0 for x in values.values()):
-        raise ValueError("the restriction of the character to the clique is zero")
     big_edges = [(u, v) for i, u in enumerate(delta) for v in delta[i + 1:]
                  if g.label(u, v) > 2]
     t = len(big_edges)
@@ -212,7 +205,7 @@ def product_sigma_member(g: EvenGraph, delta: Sequence[str], chi: Character, m: 
     if any(chi.edge_value(u, v) != 0 for u, v in big_edges):
         return True
     covered = {v for e in big_edges for v in e}
-    return any(values[v] != 0 for v in delta if v not in covered)
+    return any(chi.value(v) != 0 for v in delta if v not in covered)
 
 
 def odd_cycle_condition(g: EvenGraph) -> bool:

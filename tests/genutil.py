@@ -10,7 +10,8 @@ n-link condition, and plain reference versions of the bitmask graph kernels,
 induced and living subgraphs built as ``EvenGraph``, the links of cliques,
 the clique-center generators and values, the flag-complex closure, the
 twisted differential weight (with the geometric sums and t^m - 1 it is built
-from) and two closed-form criteria."""
+from) and three closed-form criteria, one of them
+``sigma_verdict``'s product rule behind the library's domain check."""
 
 from __future__ import annotations
 
@@ -21,12 +22,18 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from artinsigma import (Analysis, Character, Classification, ConditionReport, EvenGraph, Field,
+from artinsigma import (Analysis, Character, Classification, ConditionReport, EvenGraph,
                         LaurentMatrix, LaurentPoly, MaskGraph, SimplicialComplex, classify,
                         validate_fc)
-from artinsigma import salvetti
+from artinsigma import salvetti, verdicts
+from artinsigma.characters import _check_domain
 from artinsigma.graphs import _bits
 from artinsigma.homology import _cliques
+
+
+def sort_vertices(g: EvenGraph, vs: Iterable[str]) -> tuple[str, ...]:
+    """The vertices ``vs`` of g in its vertex order."""
+    return tuple(sorted(vs, key=g.index))
 
 
 def dihedral(half_label: int) -> tuple[EvenGraph, Character]:
@@ -87,29 +94,34 @@ def negated_character(chi: Character) -> Character:
     return scaled_character(chi, -1)
 
 
-def poly_term(field: Field, c, k: int) -> LaurentPoly:
-    """The monomial c t^k."""
-    return LaurentPoly(field, k, [c])
+def poly_term(p: int, c, k: int) -> LaurentPoly:
+    """The monomial c t^k over the field of characteristic p."""
+    return LaurentPoly(p, k, [c])
 
 
-def poly_from_terms(field: Field, terms: dict[int, object]) -> LaurentPoly:
+def poly_one(p: int) -> LaurentPoly:
+    """The polynomial 1 over the field of characteristic p."""
+    return LaurentPoly(p, 0, [1])
+
+
+def poly_from_terms(p: int, terms: dict[int, object]) -> LaurentPoly:
     """The sum of the terms c t^k, given as {k: c}."""
     if not terms:
-        return LaurentPoly.zero(field)
+        return LaurentPoly.zero(p)
     lo, hi = min(terms), max(terms)
-    return LaurentPoly(field, lo, [terms.get(k, 0) for k in range(lo, hi + 1)])
+    return LaurentPoly(p, lo, [terms.get(k, 0) for k in range(lo, hi + 1)])
 
 
-def poly_shifted(p: LaurentPoly, k: int) -> LaurentPoly:
-    """p times the unit t^k."""
-    if p.is_zero():
-        return p
-    return LaurentPoly(p.field, p.offset + k, p.coeffs)
+def poly_shifted(poly: LaurentPoly, k: int) -> LaurentPoly:
+    """``poly`` times the unit t^k."""
+    if poly.is_zero():
+        return poly
+    return LaurentPoly(poly.p, poly.offset + k, poly.coeffs)
 
 
-def poly_scaled(p: LaurentPoly, c) -> LaurentPoly:
-    f = p.field
-    return LaurentPoly(f, p.offset, [f.mul(x, f.coerce(c)) for x in p.coeffs])
+def poly_scaled(poly: LaurentPoly, c) -> LaurentPoly:
+    """``poly`` times the int or Fraction c."""
+    return LaurentPoly(poly.p, poly.offset, [x * c for x in poly.coeffs])
 
 
 def random_even_fc_graph(rng: random.Random, max_vertices: int = 6,
@@ -180,22 +192,23 @@ def random_character(rng: random.Random, g: EvenGraph, lo: int = -2, hi: int = 2
             return chi
 
 
-def poly_evaluate(p: LaurentPoly, x):
-    """The value of ``p`` at a nonzero point ``x`` of its coefficient field."""
-    f = p.field
-    x = f.coerce(x)
-    if not x:
+def poly_evaluate(poly: LaurentPoly, x):
+    """The value of ``poly`` at a nonzero point ``x`` (an int or a Fraction)
+    of its coefficient field."""
+    p = poly.p
+    point = poly_term(p, x, 0).coeffs
+    if not point:
         raise ZeroDivisionError("Laurent polynomials are evaluated at nonzero points")
-    acc = f.zero
-    for c in reversed(p.coeffs):
-        acc = f.add(f.mul(acc, x), c)
-    step = x if p.offset >= 0 else f.inv(x)
-    for _ in range(abs(p.offset)):
-        acc = f.mul(acc, step)
-    return acc
+    x = point[0]
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    if p:
+        return acc * pow(x, poly.offset, p) % p
+    return acc * Fraction(x) ** poly.offset
 
 
-def dense_matrix(field: Field, nrows: int, ncols: int,
+def dense_matrix(p: int, nrows: int, ncols: int,
                  grid: Sequence[Sequence[LaurentPoly]]) -> LaurentMatrix:
     """The Laurent matrix with the dense grid of entries ``grid``, zeros
     included, handed to the library as its sparse rows."""
@@ -207,13 +220,13 @@ def dense_matrix(field: Field, nrows: int, ncols: int,
         nonzero = {j: e for j, e in enumerate(row) if e.size}
         if nonzero:
             rows[i] = nonzero
-    return LaurentMatrix(field, nrows, ncols, rows)
+    return LaurentMatrix(p, nrows, ncols, rows)
 
 
 def permuted(m: LaurentMatrix, row_order, col_order) -> LaurentMatrix:
     """The matrix with its rows and columns taken in the given orders."""
     rows = [[m.entries[i][j] for j in col_order] for i in row_order]
-    return dense_matrix(m.field, m.nrows, m.ncols, rows)
+    return dense_matrix(m.p, m.nrows, m.ncols, rows)
 
 
 def matrix_entry(m: LaurentMatrix, i: int, j: int) -> LaurentPoly:
@@ -229,7 +242,7 @@ def matrix_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     if a.ncols != b.nrows:
         raise ValueError("dimension mismatch in matrix product")
     b_rows = [[(j, e) for j, e in enumerate(row) if e.coeffs] for row in b.entries]
-    z = LaurentPoly.zero(a.field)
+    z = LaurentPoly.zero(a.p)
     rows = []
     for row in a.entries:
         acc: dict[int, LaurentPoly] = {}
@@ -241,7 +254,7 @@ def matrix_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
         for j, v in acc.items():
             out[j] = v
         rows.append(out)
-    return dense_matrix(a.field, a.nrows, b.ncols, rows)
+    return dense_matrix(a.p, a.nrows, b.ncols, rows)
 
 
 def neighbors(g: EvenGraph, v: str) -> tuple[str, ...]:
@@ -421,7 +434,7 @@ def check_character_domain(g: EvenGraph, chi: Character) -> None:
 
 def center_values(g: EvenGraph, chi: Character, delta: Iterable[str]) -> CenterValues:
     check_character_domain(g, chi)
-    delta = g.sort_vertices(delta)
+    delta = sort_vertices(g, delta)
     if not g.is_clique(delta):
         raise ValueError(f"{tuple(delta)} is not a clique")
     vs = g.vertices
@@ -437,7 +450,7 @@ def center_values_pairwise(g: EvenGraph, chi: Character, delta) -> CenterValues:
     looked up, in lexicographic order of the pairs."""
     if set(chi.values) != set(g.vertices):
         raise ValueError("character domain mismatch")
-    delta = g.sort_vertices(delta)
+    delta = sort_vertices(g, delta)
     if not all(g.has_vertex(v) for v in delta) or not all(
             has_edge(g, u, v) for i, u in enumerate(delta) for v in delta[i + 1:]):
         raise ValueError(f"{tuple(delta)} is not a clique")
@@ -483,7 +496,7 @@ def closed_complex(vertex_order, simplices) -> SimplicialComplex:
     ])
 
 
-def q_poly(k: int, m: int, field: Field) -> LaurentPoly:
+def q_poly(k: int, m: int, p: int) -> LaurentPoly:
     """The truncated geometric sum 1 + t^m + ... + t^(m(k-1)).
 
     This is (x^k - 1)/(x - 1) evaluated at x = t^m; for m = 0 it degenerates
@@ -492,15 +505,15 @@ def q_poly(k: int, m: int, field: Field) -> LaurentPoly:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if m == 0:
-        return poly_term(field, k, 0)
-    return poly_from_terms(field, {m * i: 1 for i in range(k)})
+        return poly_term(p, k, 0)
+    return poly_from_terms(p, {m * i: 1 for i in range(k)})
 
 
-def t_power_minus_one(field: Field, m: int) -> LaurentPoly:
+def t_power_minus_one(p: int, m: int) -> LaurentPoly:
     """t^m - 1 (zero when m = 0)."""
     if m == 0:
-        return LaurentPoly.zero(field)
-    return poly_from_terms(field, {m: 1, 0: -1})
+        return LaurentPoly.zero(p)
+    return poly_from_terms(p, {m: 1, 0: -1})
 
 
 def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) -> LaurentPoly:
@@ -508,17 +521,16 @@ def coefficient_b(g: EvenGraph, chi: Character, x_clique, v: str, p: int = 0) ->
     removing v: t^(m_v) - 1 times q_poly(l, m_v + m_w) for each w in X - v
     with label 2l, from the primitive integer values m of chi."""
     check_character_domain(g, chi)
-    field = Field(p)
-    x_clique = g.sort_vertices(x_clique)
+    x_clique = sort_vertices(g, x_clique)
     if v not in x_clique:
         raise ValueError(f"{v!r} is not a vertex of the clique {x_clique}")
     if not g.is_clique(x_clique):
         raise ValueError(f"{x_clique} is not a clique")
     exps = chi.primitive_integer_values()
-    out = t_power_minus_one(field, exps[v])
+    out = t_power_minus_one(p, exps[v])
     for w in x_clique:
         if w != v:
-            out = out * q_poly(g.half_label(v, w), exps[v] + exps[w], field)
+            out = out * q_poly(g.half_label(v, w), exps[v] + exps[w], p)
     return out
 
 
@@ -550,6 +562,21 @@ def dihedral_sigma_member(label, m_x, m_y, n: int = 1) -> bool:
     if label % 2:
         return True
     return m_x + m_y != 0
+
+
+def product_sigma_member(g: EvenGraph, delta: Sequence[str], chi: Character, m: int) -> bool:
+    """The closed-form membership in degree m on the clique ``delta`` of g
+    that ``sigma_verdict`` reads on complete graphs, behind the domain check
+    of the library's instance-level entry points: a graph that is not even
+    FC, a vertex set that is not a clique and a character that is zero on
+    it are refused."""
+    _check_domain(g, chi)
+    delta = sort_vertices(g, delta)
+    if not g.is_clique(delta):
+        raise ValueError(f"{tuple(delta)} is not a clique")
+    if not any(chi.value(v) for v in delta):
+        raise ValueError("the restriction of the character to the clique is zero")
+    return verdicts._product_member(g, delta, chi, m)
 
 
 def raag_n_link(ctx: Analysis, n: int) -> ConditionReport:
@@ -592,7 +619,7 @@ def complex_to_dict(twisted: salvetti.TwistedComplex) -> dict:
     """JSON dump of a twisted complex for external verification: its
     characteristic, bases and differentials."""
     return {
-        "characteristic": twisted.field.char,
+        "characteristic": twisted.p,
         "bases": {str(n): [list(c) for c in basis(twisted, n)]
                   for n in range(twisted.max_degree + 1)},
         "differentials": {str(n): matrix_to_dict(twisted.differential(n))

@@ -467,13 +467,16 @@ def test_one_context_per_command(monkeypatch, argv, demo):
     assert len(diagonalised) == len(set(diagonalised))   # each (link, degree) once
 
 
-@pytest.mark.parametrize("argv, checks", [(["verdict", "--n", "4"], 1),
-                                          (["homology", "--p", "2", "--n", "3", "--oracle"], 2)])
+@pytest.mark.parametrize("argv, checks", [
+    (["verdict", "--n", "4", str(DEMOS / "example1.json")], 1),
+    (["homology", "--p", "2", "--n", "3", "--oracle", str(DEMOS / "example1.json")], 2),
+    # complete graphs: the verdict's closed form reads the instance as checked
+    (["verdict", "--n", "4", str(DEMOS / "d4xd6.json")], 1)])
 def test_the_graph_is_checked_once_per_context(monkeypatch, argv, checks):
     # by the command's one analysis context, and again by the oracle's build
     checked = count_calls(monkeypatch, "artinsigma.characters.validate_fc",
                           "artinsigma.cli.validate_fc")
-    code, _, _ = run_cli([*argv, str(DEMOS / "example1.json")])
+    code, _, _ = run_cli(argv)
     assert code == EXIT_OK and len(checked) == checks
 
 

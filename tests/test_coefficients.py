@@ -6,11 +6,20 @@ such a value refuses the same bad values with ValueError, and the questions
 that need a field also refuse None.
 """
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
-from artinsigma import (Analysis, Character, EvenGraph, Field, build_salvetti_complex,
-                        flag_complex, reduced_homology)
+from artinsigma import (Analysis, Character, EvenGraph, LaurentPoly, build_salvetti_complex,
+                        character_from_dict, flag_complex, graph_from_dict, homology_module,
+                        reduced_homology)
+from artinsigma import homology
 from artinsigma.homology import PRIME_BOUND, coeffs_label
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BAD = [2.0, True, "Z", 4, -1, PRIME_BOUND]
 
@@ -36,10 +45,10 @@ ENTRY_POINTS = {
     "links(coeffs)": _links_coeffs,
     "strong_p_n_link": lambda p: Analysis(*instance()).strong_p_n_link(1, p),
     "free_ranks": lambda p: Analysis(*instance()).free_ranks(p, 1),
-    "Field": Field,
+    "LaurentPoly": lambda p: LaurentPoly(p, 0, [1]),
     "build_salvetti_complex": lambda p: build_salvetti_complex(*instance(), p, max_n=2),
 }
-FIELD_ONLY = ("strong_p_n_link", "free_ranks", "Field", "build_salvetti_complex")
+FIELD_ONLY = ("strong_p_n_link", "free_ranks", "LaurentPoly", "build_salvetti_complex")
 
 
 @pytest.mark.parametrize("bad", BAD, ids=repr)
@@ -66,4 +75,34 @@ def test_every_entry_point_takes_good_coefficients(entry):
 def test_labels():
     assert [coeffs_label(p) for p in (None, 0, 2, 2**61 - 1)] == \
         ["Z", "Q", "F2", f"F{2**61 - 1}"]
-    assert repr(Field(0)) == "Q" and repr(Field(3)) == "F3"
+
+
+def _oracle_f2_instance(seed: int, index: int) -> dict:
+    """Instance ``index`` of the benchmark's oracle_f2 workload for ``seed``."""
+    path = ROOT / "bench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # the workload dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module.generate(module.WORKLOADS["oracle_f2"], seed, index)
+
+
+def test_the_oracle_checks_p_once_whatever_the_instance(monkeypatch):
+    # build_salvetti_complex is the door; the weights, matrices, Smith forms
+    # and factors behind it never check p again, so a small and a benchmark-
+    # size instance cost the same one primality test
+    docs = [json.loads((ROOT / "demos" / "instances" / "example1.json").read_text()),
+            _oracle_f2_instance(1, 0)]
+    tested = []
+    original = homology.is_prime
+    monkeypatch.setattr(homology, "is_prime", lambda n: tested.append(n) or original(n))
+    counts = []
+    for doc in docs:
+        g, chi = graph_from_dict(doc["graph"]), character_from_dict(doc)
+        tested.clear()
+        twisted = build_salvetti_complex(g, chi, 1000003, max_n=3)
+        for n in range(3):
+            homology_module(twisted, n)
+        counts.append(len(tested))
+    assert len(docs[1]["graph"]["vertices"]) == 11
+    assert counts == [1, 1]

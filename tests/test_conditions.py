@@ -7,14 +7,15 @@ import pytest
 from artinsigma import (Analysis, Character, ConditionReport, EvenGraph, GraphDomainError,
                         ZeroCharacterError, build_salvetti_complex, classify,
                         has_cone_vertex, homotopic_sigma_verdict, is_connected, is_dominating,
-                        product_sigma_member, sigma_verdict)
+                        sigma_verdict)
 from artinsigma import conditions
 from artinsigma.characters import _center_states
 from artinsigma.graphs import _bits
 from artinsigma.homology import _cliques
 
 from genutil import (center_generators, center_values, dihedral, finite_dimensional_through,
-                     raag_n_link, random_character, random_even_fc_graph, random_raag)
+                     product_sigma_member, raag_n_link, random_character, random_even_fc_graph,
+                     random_raag)
 from test_homology import rp2_subdivision_graph
 
 

@@ -6,8 +6,8 @@ from operator import attrgetter
 
 import pytest
 
-from artinsigma import (Analysis, Character, EvenGraph, Field, LaurentPoly,
-                        TooManyCliques, flag_complex, has_cone_vertex, laurent_divmod,
+from artinsigma import (Analysis, Character, EvenGraph, LaurentPoly, TooManyCliques,
+                        flag_complex, has_cone_vertex, laurent_divmod,
                         reduced_homology, smith_normal_form)
 from artinsigma import conditions, homology
 from artinsigma.homology import (PRIME_BOUND, _boundary, _smith_diagonal,
@@ -451,8 +451,7 @@ def test_integer_and_laurent_smith_forms_agree_on_ranks():
             for m in (boundary, mixed(rng, boundary, nr, nc)):
                 assert integer_invariant_factors(sparse_rows(m), nr, nc) == factors
                 for p in (0, 2, 3):
-                    f = Field(p)
-                    constant = dense_matrix(f, nr, nc, [[poly_term(f, a, 0) for a in row]
+                    constant = dense_matrix(p, nr, nc, [[poly_term(p, a, 0) for a in row]
                                                         for row in m])
                     assert smith_normal_form(constant)[1] == sum(1 for d in factors
                                                                  if p == 0 or d % p)
@@ -570,11 +569,10 @@ def test_smith_form_fails_on_a_size_that_disagrees_with_division():
     # Sizes that do not fall with the remainders of the ring's division: the
     # elimination must raise instead of looping.  Without the check, the two
     # Laurent matrices below make it spin forever.  The rows are consumed.
-    f2, f3 = Field(2), Field(3)
     laurent_cases = {
-        "offset": (lambda: {0: {0: LaurentPoly(f2, -2, [1, 1, 0, 1])},
-                            1: {0: LaurentPoly(f2, -1, [1, 1]), 1: LaurentPoly(f2, -1, [1])}}, 2),
-        "span": (lambda: {0: {0: LaurentPoly(f3, -2, [1])}, 1: {0: LaurentPoly(f3, 2, [1])}}, 1),
+        "offset": (lambda: {0: {0: LaurentPoly(2, -2, [1, 1, 0, 1])},
+                            1: {0: LaurentPoly(2, -1, [1, 1]), 1: LaurentPoly(2, -1, [1])}}, 2),
+        "span": (lambda: {0: {0: LaurentPoly(3, -2, [1])}, 1: {0: LaurentPoly(3, 2, [1])}}, 1),
     }
     for name, (rows, rank) in laurent_cases.items():
         with pytest.raises(RuntimeError, match="size function disagrees"):

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from artinsigma import (Analysis, Character, CrossCheckError, EvenGraph, Field, LaurentMatrix,
+from artinsigma import (Analysis, Character, CrossCheckError, EvenGraph, LaurentMatrix,
                         LaurentPoly, OracleTooLarge, build_salvetti_complex, cross_check,
                         homology_module, smith_normal_form)
 from artinsigma.salvetti import MAX_ORACLE_SPAN, _half_labels, _max_weight_span, _weight
 
 from genutil import (basis, coefficient_b, complex_to_dict, dense_matrix, dihedral,
                      enumerate_cliques_scan, matrix_entry, matrix_is_zero, matrix_product,
-                     permuted, poly_evaluate, poly_scaled, poly_shifted, product_of_dihedrals,
+                     permuted, poly_evaluate, poly_one, poly_scaled, poly_shifted,
+                     product_of_dihedrals,
                      random_character, random_even_fc_graph, scaled_character,
                      t_power_minus_one)
 
@@ -24,7 +25,7 @@ def exponents(g, chi):
 def test_coefficient_b_single_vertex():
     g = EvenGraph(["v"])
     chi = Character({"v": 1})
-    assert coefficient_b(g, chi, ["v"], "v") == t_power_minus_one(Field(0), 1)
+    assert coefficient_b(g, chi, ["v"], "v") == t_power_minus_one(0, 1)
 
 
 def test_coefficient_b_dihedral_edge():
@@ -32,7 +33,7 @@ def test_coefficient_b_dihedral_edge():
         g, chi = dihedral(half)
         b = coefficient_b(g, chi, ["v", "w"], "v")
         # value of the edge is zero, so the geometric factor is the constant half
-        expected = poly_scaled(t_power_minus_one(Field(0), 1), half)
+        expected = poly_scaled(t_power_minus_one(0, 1), half)
         assert b == expected
         over_p = coefficient_b(g, chi, ["v", "w"], "v", p=half if half in (2, 3) else 2)
         assert over_p.is_zero()
@@ -75,7 +76,7 @@ def test_build_single_vertex():
     complex_ = build_salvetti_complex(g, chi, 0, max_n=1)
     d1 = complex_.differential(1)
     assert d1.nrows == 1 and d1.ncols == 1
-    assert matrix_entry(d1, 0, 0) == t_power_minus_one(Field(0), 1)
+    assert matrix_entry(d1, 0, 0) == t_power_minus_one(0, 1)
 
 
 def test_build_dihedral_degree_two_vanishes_mod_p():
@@ -108,7 +109,7 @@ def test_differential_entries_match_coefficient_b():
         for p in (0, 2, 3):
             max_n = rng.randint(1, 4)
             complex_ = build_salvetti_complex(g, chi, p, max_n=max_n)
-            zero = LaurentPoly.zero(Field(p))
+            zero = LaurentPoly.zero(p)
             for n in range(1, max_n + 1):
                 rows, cols = basis(complex_, n - 1), basis(complex_, n)
                 expected = {}
@@ -138,14 +139,13 @@ def test_weights_times_t_minus_one_are_the_reference_weights():
     for g, chi in cases:
         exps, halves = exponents(g, chi), _half_labels(g, 3)
         for p in (0, 2, 3, 5):
-            field = Field(p)
-            t_minus_one = LaurentPoly(field, 0, [-1, 1])
+            t_minus_one = LaurentPoly(p, 0, [-1, 1])
             for x in _cliques(g, 3):
                 for v in x:
                     i = g.index(v)
                     b = coefficient_b(g, chi, x, v, p=p)
                     partners = g.vertex_mask(x) & g.big_partner_masks[i]
-                    assert _weight(exps, halves, i, partners, field) * t_minus_one \
+                    assert _weight(exps, halves, i, partners, p) * t_minus_one \
                         == b, (g, chi, x, v, p)
                     seen.add(("negative", exps[i] < 0))
                     seen.add(("zero", b.is_zero()))
@@ -166,7 +166,6 @@ def test_packed_weights_are_the_integer_weights_mod_2():
     # half labels (the weight vanishes) and odd ones, and v before or after
     # its partner in the vertex order
     rng = random.Random(53)
-    f2, q = Field(2), Field(0)
     seen = set()
     for labels in ((2, 4, 6), (2, 8, 10), (2, 6, 4)):
         for _ in range(25):
@@ -177,9 +176,9 @@ def test_packed_weights_are_the_integer_weights_mod_2():
                 for v in x:
                     i = g.index(v)
                     partners = g.vertex_mask(x) & g.big_partner_masks[i]
-                    over_q = _weight(exps, halves, i, partners, q)
-                    reduced = LaurentPoly(f2, over_q.offset, [int(c) for c in over_q.coeffs])
-                    assert _weight(exps, halves, i, partners, f2) == reduced, (g, chi, x, v)
+                    over_q = _weight(exps, halves, i, partners, 0)
+                    reduced = LaurentPoly(2, over_q.offset, [int(c) for c in over_q.coeffs])
+                    assert _weight(exps, halves, i, partners, 2) == reduced, (g, chi, x, v)
                     seen.add(("negative", exps[i] < 0))
                     for w in x:
                         j = g.index(w)
@@ -191,21 +190,25 @@ def test_packed_weights_are_the_integer_weights_mod_2():
             ("s", 1, 0), ("v first", True), ("v first", False)} <= seen
 
 
-def _rank_over(field, grid) -> int:
-    """Rank of a dense matrix over the field, by Gaussian elimination."""
-    rows = [list(row) for row in grid]
+def _rank_over(p, grid) -> int:
+    """Rank of a dense matrix over the field of characteristic p, by
+    Gaussian elimination."""
+    def reduced(values):
+        return [v % p for v in values] if p else values
+
+    rows = [reduced(list(row)) for row in grid]
     rank = 0
     for j in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][j])
-        rows[rank] = [field.mul(a, inv) for a in rows[rank]]
+        inv = pow(rows[rank][j], -1, p) if p else Fraction(1, rows[rank][j])
+        rows[rank] = reduced([a * inv for a in rows[rank]])
         for i in range(len(rows)):
             if i != rank and rows[i][j]:
                 c = rows[i][j]
-                rows[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
+                rows[i] = reduced([a - c * b for a, b in zip(rows[i], rows[rank])])
         rank += 1
     return rank
 
@@ -222,11 +225,11 @@ def test_torsion_audit_at_points_of_the_field():
             g = random_even_fc_graph(rng, max_vertices=6)
             chi = random_character(rng, g)
             complex_ = build_salvetti_complex(g, chi, p, max_n=4)
-            field, top = complex_.field, complex_.max_degree
+            top = complex_.max_degree
             modules = [homology_module(complex_, n) for n in range(top)]
             for a in xs:
-                ranks = [_rank_over(field, [[poly_evaluate(e, a) for e in row]
-                                            for row in complex_.differential(n).entries])
+                ranks = [_rank_over(p, [[poly_evaluate(e, a) for e in row]
+                                        for row in complex_.differential(n).entries])
                          for n in range(top + 1)]
                 tau = [sum(1 for f in m.torsion if not poly_evaluate(f, a)) for m in modules]
                 for n, module in enumerate(modules):
@@ -263,8 +266,8 @@ def test_composite_check_fires_on_each_corrupted_weight(monkeypatch):
     g, chi = product_of_dihedrals(4, 6)
     honest = salvetti._weight
     for u, w in (("v", "w"), ("w", "v"), ("x", "y"), ("y", "x")):
-        def corrupted(exps, halves, v, partners, field, u=u, w=w):
-            c = honest(exps, halves, v, partners, field)
+        def corrupted(exps, halves, v, partners, p, u=u, w=w):
+            c = honest(exps, halves, v, partners, p)
             hit = (g.vertices[v], partners) == (u, g.vertex_mask([w]))
             return poly_shifted(c, 1) if hit else c
 
@@ -297,7 +300,7 @@ def test_composite_check_agrees_with_dense_product():
             continue
         n, i, j = rng.choice(nonzero)
         diffs[n][i][j] = poly_shifted(diffs[n][i][j], 1) if rng.random() < 0.5 else \
-            diffs[n][i][j] + LaurentPoly.one(complex_.field)
+            diffs[n][i][j] + poly_one(complex_.p)
         weights, columns = [], [[]]
         for k, d in enumerate(diffs, 1):
             rows = basis(complex_, k - 1)
@@ -310,7 +313,7 @@ def test_composite_check_agrees_with_dense_product():
                     weights.append((d[r][c], -d[r][c]))
                 degree.append(column)
             columns.append(degree)
-        matrices = [dense_matrix(complex_.field, len(d), len(basis(complex_, k + 1)), d)
+        matrices = [dense_matrix(complex_.p, len(d), len(basis(complex_, k + 1)), d)
                     for k, d in enumerate(diffs)]
         expected = any(not matrix_is_zero(matrix_product(a, b))
                        for a, b in zip(matrices, matrices[1:]))
@@ -331,9 +334,8 @@ def test_composite_check_reads_the_rows_and_signs_of_each_path_pair():
     g, chi = product_of_dihedrals(4, 6)
     for p in (0, 2, 3):
         complex_ = build_salvetti_complex(g, chi, p, max_n=3)
-        field = complex_.field
         weights, columns = [], [[]]
-        one = LaurentPoly.one(field)
+        one = poly_one(p)
         for k in range(1, 4):
             rows = basis(complex_, k - 1)
             degree = []
@@ -374,7 +376,7 @@ def test_homology_module_dihedral_case_split():
             else:
                 assert module.free_rank == 0
                 assert [f.to_dict() for f in module.torsion] == \
-                    [t_power_minus_one(Field(p), 1).monic_offset0().to_dict()]
+                    [t_power_minus_one(p, 1).monic_offset0().to_dict()]
 
 
 def test_homology_module_degree_zero_torsion():
@@ -385,7 +387,7 @@ def test_homology_module_degree_zero_torsion():
         complex_ = build_salvetti_complex(g, chi, 0, max_n=1)
         module = homology_module(complex_, 0)
         assert module.free_rank == 0
-        assert module.torsion == (t_power_minus_one(Field(0), 1).monic_offset0(),)
+        assert module.torsion == (t_power_minus_one(0, 1).monic_offset0(),)
 
 
 def test_degree_zero_is_always_t_minus_one_torsion():
@@ -399,7 +401,7 @@ def test_degree_zero_is_always_t_minus_one_torsion():
             complex_ = build_salvetti_complex(g, chi, p, max_n=1)
             module = homology_module(complex_, 0)
             assert module.free_rank == 0
-            assert module.torsion == (t_power_minus_one(Field(p), 1).monic_offset0(),)
+            assert module.torsion == (t_power_minus_one(p, 1).monic_offset0(),)
 
 
 def test_homology_module_degree_out_of_range():
@@ -504,7 +506,7 @@ def test_rank_alone_agrees_with_the_smith_form():
             complex_ = build_salvetti_complex(g, chi, p, max_n=4)
             for n in range(complex_.max_degree + 1):
                 d = complex_.differential(n)
-                fresh = smith_normal_form(dense_matrix(d.field, d.nrows, d.ncols, d.entries))
+                fresh = smith_normal_form(dense_matrix(d.p, d.nrows, d.ncols, d.entries))
                 assert complex_.rank(n) == len(fresh[0]) == smith_normal_form(d)[1], (p, n)
                 assert complex_.snf(n) == fresh, (p, n)
 
@@ -542,3 +544,25 @@ def test_untraced_oracle_command_chains_one_matrix_and_builds_no_grid(monkeypatc
                        out=io.StringIO())
     assert code == 0 and report["results"]["cross_check"] == {"ok": True}
     assert len(chained) == 1 and chained[0] > 0
+
+
+def test_every_polynomial_of_the_oracle_over_f2_is_packed():
+    # a dense polynomial over F_2 compares unequal to the packed one, so every
+    # weight of D'_n, every entry of the Smith diagonal and every factor,
+    # units and factors times t - 1 included, must come out packed
+    from artinsigma.laurent import _F2Poly
+
+    rng = random.Random(54)
+    units = 0
+    for _ in range(20):
+        g = random_even_fc_graph(rng, max_vertices=7)
+        chi = random_character(rng, g)
+        complex_ = build_salvetti_complex(g, chi, 2, max_n=3)
+        for n in range(1, 4):
+            reduced = complex_._reduced[n]
+            factors, _ = smith_normal_form(reduced)
+            polys = [e for row in reduced._rows.values() for e in row.values()]
+            polys += reduced._diagonal() + list(factors) + list(complex_.snf(n)[0])
+            assert all(type(e) is _F2Poly for e in polys), (g, chi, n)
+            units += sum(f.is_unit() for f in factors)
+    assert units > 0

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from artinsigma import (IN, NOT_IN, UNKNOWN, Analysis, Character, EvenGraph, ZeroCharacterError,
-                        fp_verdict, homotopic_sigma_verdict, odd_cycle_condition,
-                        product_sigma_member, sigma_verdict, validate_fc)
+                        fp_verdict, homotopic_sigma_verdict, odd_cycle_condition, sigma_verdict,
+                        validate_fc)
 
-from genutil import (dihedral_sigma_member, negated_character, random_character,
-                     random_even_fc_graph, scaled_character)
+from genutil import (dihedral_sigma_member, negated_character, product_sigma_member,
+                     random_character, random_even_fc_graph, scaled_character)
 
 
 def fired_rules(verdict):
