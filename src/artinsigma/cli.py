@@ -30,7 +30,7 @@ from .conditions import Analysis, ConditionReport
 from .graphs import (EvenGraph, GraphFormatError, describe_graph, graph_from_dict,
                      graph_to_dict, validate_even, validate_fc)
 from .homology import TooManyCliques, coeffs_label
-from .salvetti import (CrossCheckError, OracleTooLarge, build_salvetti_complex, cross_check,
+from .salvetti import (CrossCheckError, OracleTooLarge, _build_salvetti_complex, cross_check,
                        homology_module)
 from .verdicts import Verdict, fp_verdict, homotopic_sigma_verdict, sigma_verdict
 
@@ -173,8 +173,9 @@ def _cmd_check(ctx: Analysis, args) -> tuple[int, dict]:
 
 def _cmd_homology(ctx: Analysis, args) -> tuple[int, dict]:
     g, chi, p, n = ctx.g, ctx.chi, args.p, args.n
-    # built first, so that the oracle's budgets refuse before the link formula runs
-    twisted = build_salvetti_complex(g, chi, p, max_n=n + 1) if args.oracle else None
+    # built first, so that the oracle's budgets refuse before the link formula
+    # runs, from the instance the context has checked
+    twisted = _build_salvetti_complex(g, chi, p, max_n=n + 1) if args.oracle else None
     ranks = ctx.free_ranks(p, n)
     result = {
         "p": p,

@@ -29,7 +29,7 @@ from .characters import Character, _center_states, classify
 from .graphs import EvenGraph, MaskGraph, _bits
 from .homology import (HomologyProfile, SimplicialComplex, _check_clique_budget, _cliques,
                        _require_field, coeffs_label, flag_complex, has_cone_vertex,
-                       reduced_homology, sphere_dimension, sphere_homology, strong_core)
+                       reduce_core, reduced_homology, suspended_homology)
 
 
 class ZeroCharacterError(ValueError):
@@ -78,21 +78,23 @@ class Analysis:
     one, see :meth:`links`), each distinct link (one :class:`MaskGraph` per
     vertex mask, the living vertices adjacent to the whole clique, described
     only when read; the living subgraph is the link of the empty clique),
-    its strong-collapse core, the core's flag complex, which keeps the
-    integer Smith forms that serve Z, Q and every F_p, and one homology
-    profile per core, coefficients and degree are built on first use and
-    kept, and so are one cone test per mode key and link mask and one
-    witness outcome (see :meth:`_outcome`) per mode key, link mask,
+    its reduced core (:func:`reduce_core`: an s-fold suspension of a
+    remainder), the remainder's flag complex, which keeps the integer Smith
+    forms that serve Z, Q and every F_p, and one homology profile per core,
+    coefficients (one for all, on a closed form) and degree are built on
+    first use and kept, and so are one cone test per mode key and link mask
+    and one witness outcome (see :meth:`_outcome`) per mode key, link mask,
     coefficients and degree, from which the homotopic variant is read.  A
-    core that is a point or a cross-polytope sphere gets no complex: its
-    homology is read in closed form.  Links whose cores are one graph share
-    one complex, built as deep as the questions read.
+    remainder with no triangle (points, spheres and suspended graphs among
+    them) gets no complex: its homology is read in closed form.  Links whose
+    remainders are one graph share one complex, built as deep as the
+    questions read.
     No enumeration of all cliques is kept: they are counted against the
     clique budget (:data:`artinsigma.homology.MAX_CLIQUES`) only when a
     bound on their number is above it.  A core's flag complex is built
     through the degree read, within the budget, before its first Smith form
-    (see :func:`reduced_homology`); a closed-form core builds no simplices,
-    so the budget never refuses it.
+    (see :func:`reduced_homology`); a core read in closed form builds no
+    simplices, so the budget never refuses it.
     """
 
     def __init__(self, g: EvenGraph, chi: Character):
@@ -109,8 +111,8 @@ class Analysis:
         # keyed by the edges a mode removes (see _edges), so modes that agree share them
         self._dead: dict[tuple[frozenset, int], list[tuple[tuple[str, ...], MaskGraph, int]]] = {}
         self._links: dict[frozenset, dict[int, MaskGraph]] = {}
-        # a core's key: its sphere dimension, or else its renumbered neighbour masks
-        self._cores: dict[tuple[frozenset, int], int | float | tuple[int, ...]] = {}
+        # a link's key: (s, the remainder's betti numbers or flag complex), see _homology
+        self._cores: dict[tuple[frozenset, int], tuple[int, tuple | SimplicialComplex]] = {}
         self._complexes: dict[tuple[int, ...], SimplicialComplex] = {}
         self._profiles: dict[tuple, HomologyProfile] = {}
         self._cones: dict[tuple[frozenset, int], bool] = {}
@@ -244,33 +246,35 @@ class Analysis:
 
     def _homology(self, edges: frozenset, mask: int, coeffs, d: int) -> HomologyProfile:
         """Reduced homology of the flag complex of the link on ``mask`` in
-        the living subgraph of ``edges``, read on its strong-collapse core,
-        which is homotopy equivalent.  The core is taken on the mode's
-        neighbour masks in the vertex positions of g.  A sphere core (see
-        :func:`sphere_dimension`) is keyed and answered by its dimension;
-        any other is keyed by its renumbered neighbour masks and answered
-        from its flag complex, built within the clique budget.  A clique of
-        the core below size d + 2 is, with the dead clique, a clique of g
-        within the size the dead cliques were walked to, which that walk's
-        budget counted, so the budget can refuse only at size d + 2."""
+        the living subgraph of ``edges``, read as the s-fold suspension of
+        the remainder of :func:`reduce_core`, taken on the mode's neighbour
+        masks in the vertex positions of g.  A remainder with no triangle is
+        keyed and answered by its betti numbers; any other is keyed by the
+        flag complex of its renumbered neighbour masks, built within the
+        clique budget and read through degree d - s, that is its cliques
+        of size at most d - s + 2.  A clique of the remainder below size
+        d + 2 is, with the dead clique, a clique of g within the size the
+        dead cliques were walked to, which that walk's budget counted, so
+        the budget can refuse only at size d + 2, with no pair peeled."""
         key = self._cores.get((edges, mask))
         if key is None:
             adjacency = self._links[edges][mask].adjacency
-            core = strong_core(adjacency, mask)
-            key = sphere_dimension(adjacency, core)
-            if key is None:
+            s, core, rest = reduce_core(adjacency, mask)
+            if rest is None:
                 graph = MaskGraph(self.g, adjacency, core)
-                key = graph.neighbor_masks
-                if key not in self._complexes:
-                    self._complexes[key] = flag_complex(graph)
-            self._cores[edges, mask] = key
-        profile = self._profiles.get((key, coeffs, d))
+                rest = self._complexes.get(graph.neighbor_masks)
+                if rest is None:
+                    rest = self._complexes[graph.neighbor_masks] = flag_complex(graph)
+            key = self._cores[edges, mask] = s, rest
+        s, rest = key
+        complex_ = isinstance(rest, SimplicialComplex)
+        # a graph's homology is free, so one profile serves every coefficient ring
+        profile_key = key, coeffs if complex_ else None, d
+        profile = self._profiles.get(profile_key)
         if profile is None:
-            if isinstance(key, tuple):
-                profile = reduced_homology(self._complexes[key], coeffs, d)
-            else:
-                profile = sphere_homology(key, coeffs, d)
-            self._profiles[key, coeffs, d] = profile
+            if complex_:
+                rest = reduced_homology(rest, coeffs, d - s)
+            profile = self._profiles[profile_key] = suspended_homology(rest, s, coeffs, d)
         return profile
 
     def _outcome(self, edges: frozenset, mask: int, coeffs, d: int) -> tuple[str, int | None, str]:

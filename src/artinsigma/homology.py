@@ -15,6 +15,12 @@ coefficient system at once:
 The augmented chain complex always carries the empty simplex in degree -1,
 so the reduced homology of the empty complex is the coefficient module in
 degree -1 and acyclicity tests see the nonempty/empty distinction.
+
+Before any complex is built, a link is reduced by exact rules
+(:func:`reduce_core`): strong collapses, peeled suspension pairs and
+deleted vertices with contractible links.  A remainder with no triangle is
+a graph, whose homology is read from its masks; points, spheres and
+suspensions of graphs are read that way, without a Smith form.
 """
 
 from __future__ import annotations
@@ -110,9 +116,10 @@ def _require_field(p: int) -> None:
 # with K_n, all labels 2 and values alternating 0 and 1: `verdict --n 4` on
 # K60 (523,686 cliques of size <= 4) takes 4 s and on K83 (1,932,988) 17 s
 # and 410 MB; K120 (8,502,671) would take minutes and is refused at once.
-# Link homology reads a link's strong-collapse core, which for these links
-# (complete graphs) is one vertex, read in closed form, so `links --n 3` on
-# K42, whose full link complexes would hold 2^21 cliques, takes 0.2 s.
+# Link homology reads a link's reduced core (see reduce_core), which for
+# these links (complete graphs) is one vertex, read in closed form, so
+# `links --n 3` on K42, whose full link complexes would hold 2^21 cliques,
+# takes 0.2 s.
 MAX_CLIQUES = 2_000_000
 
 
@@ -217,26 +224,68 @@ def strong_core(nbr: Sequence[int], mask: int) -> int:
     return mask
 
 
-def sphere_dimension(nbr: Sequence[int], mask: int) -> int | float | None:
-    """The dimension of the sphere that the flag complex of the graph with
-    neighbour masks ``nbr``, induced on ``mask``, is known to be, or None.
+def reduce_core(nbr: Sequence[int], mask: int) -> tuple[int, int, tuple[int, int, int] | None]:
+    """Read the flag complex K of the graph with neighbour masks ``nbr``,
+    induced on ``mask``, as the s-fold suspension of the flag complex of a
+    remainder: (s, the remainder's vertex mask in the positions of ``nbr``,
+    its reduced betti numbers in degrees -1, 0 and 1 when it has no
+    triangle, else None).  H~_j(K) = H~_{j-s}(remainder) over every
+    coefficient ring (see :func:`suspended_homology`).
 
-    The cocktail-party graph CP(k), k pairs of vertices with every vertex
-    adjacent to all but its partner, has as flag complex the boundary of
-    the k-dimensional cross-polytope, the sphere S^{k-1}; CP(0) is the
-    empty graph, S^{-1}, and CP(1) two points, S^0.  A graph is CP(k)
-    exactly when each of its 2k vertices has 2k - 2 neighbours.  One vertex
-    is contractible: it is read as a sphere of infinite dimension, whose
-    reduced homology vanishes in every degree.  :func:`sphere_homology`
-    gives the homology of either without a complex; any other graph gives
-    None.
+    Three exact rules are applied until none applies:
+
+    * strong collapses (:func:`strong_core`);
+    * suspensions: two non-adjacent vertices each adjacent to every other
+      vertex make K the join S^0 * K(rest), so the pair is peeled and s
+      grows by one (the cross-polytope sphere S^{k-1} peels to nothing);
+    * contractible links, tried only on a remainder with a triangle: a
+      vertex v whose link (its neighbours on the mask) has a one-vertex
+      strong-collapse core is deleted.  K is K minus v with the cone
+      v * lk(v) glued along lk(v), and a contractible lk(v) leaves the
+      homotopy type unchanged.
+
+    A remainder with no triangle is a graph: with V vertices, E edges and
+    c components, H~_{-1} has rank 1 when V = 0, H~_0 rank c - 1 (0 when
+    V = 0) and H_1 rank E - V + c, all free; so an empty remainder is the
+    sphere S^{s-1} and a one-vertex remainder is contractible.
     """
-    size = mask.bit_count()
-    if size == 1:
-        return inf
-    if all((nbr[v] & mask).bit_count() == size - 2 for v in _bits(mask)):
-        return size // 2 - 1
-    return None
+    s = 0
+    while True:
+        mask = strong_core(nbr, mask)
+        # on a strong core, a vertex v that misses one vertex w is the one
+        # vertex w misses: another would be dominated by v
+        pairs = 0
+        for v in _bits(mask):
+            if (mask & ~(nbr[v] | 1 << v)).bit_count() == 1:
+                pairs |= 1 << v
+        s += pairs.bit_count() // 2
+        mask ^= pairs
+        vertices, edges, triangle = _bits(mask), 0, False
+        for v in vertices:
+            near = nbr[v] & mask
+            edges += near.bit_count()
+            triangle = triangle or any(nbr[u] & near for u in _bits(near))
+        if not triangle:
+            components, rest = 0, mask
+            while rest:
+                reach = frontier = rest & -rest
+                while frontier:
+                    grown = 0
+                    for u in _bits(frontier):
+                        grown |= nbr[u]
+                    frontier = grown & rest & ~reach
+                    reach |= frontier
+                rest ^= reach
+                components += 1
+            empty = int(not vertices)
+            return s, mask, (empty, components - 1 + empty,
+                             edges // 2 - len(vertices) + components)
+        for v in vertices:
+            if strong_core(nbr, nbr[v] & mask).bit_count() == 1:
+                mask ^= 1 << v
+                break
+        else:
+            return s, mask, None
 
 
 class SimplicialComplex:
@@ -573,14 +622,20 @@ def reduced_homology(c: SimplicialComplex, p: int | None, max_degree: int) -> Ho
     return HomologyProfile(betti, torsion)
 
 
-def sphere_homology(dimension: int | float, p: int | None,
-                    max_degree: int) -> HomologyProfile:
-    """Exact reduced homology, in degrees -1 .. max_degree, of a sphere of
-    the given dimension (see :func:`sphere_dimension`): the coefficient
-    ring in that degree and zero elsewhere, without torsion."""
+def suspended_homology(rest: HomologyProfile | tuple[int, int, int], s: int, p: int | None,
+                       max_degree: int) -> HomologyProfile:
+    """Exact reduced homology, in degrees -1 .. max_degree, of the s-fold
+    suspension of a complex L (see :func:`reduce_core`): H~_j = H~_{j-s}(L)
+    over every coefficient ring, torsion included.  ``rest`` is L's profile
+    through degree max_degree - s, or, when L is a graph, its betti numbers
+    in degrees -1, 0 and 1, which are free."""
     coeffs_label(p)
+    if not isinstance(rest, HomologyProfile):
+        rest = HomologyProfile(dict(zip((-1, 0, 1), rest)), {})
+    betti, torsion = rest
     degrees = range(-1, max_degree + 1)
-    return HomologyProfile({d: int(d == dimension) for d in degrees}, {d: () for d in degrees})
+    return HomologyProfile({j: betti.get(j - s, 0) for j in degrees},
+                           {j: torsion.get(j - s, ()) for j in degrees})
 
 
 def has_cone_vertex(g: EvenGraph | MaskGraph) -> bool:

@@ -14,7 +14,7 @@ exactly when v is dead or lies on a p-dead edge of X in characteristic p.
 Smith normal form over the principal ideal domain F[t, t^-1] then yields
 the free rank and the invariant-factor torsion of each homology module.
 F is named by its characteristic p, 0 for Q or a prime, which
-:func:`build_salvetti_complex` checks once; the weights, matrices and
+:func:`_build_salvetti_complex` checks once; the weights, matrices and
 factors are then built without checking it again.
 
 Every weight is divisible by t - 1, so the complex is kept reduced: D'_n =
@@ -194,8 +194,18 @@ class TwistedComplex:
 
 def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
                            max_n: int | None = None) -> TwistedComplex:
-    """Assemble the twisted complex over the field of characteristic ``p``
-    (0 for Q or a prime, the complex's one check of it) through degree ``max_n``.
+    """The twisted complex of (g, chi) of :func:`_build_salvetti_complex`,
+    once the instance has passed the domain check of
+    :func:`artinsigma.characters._check_domain`."""
+    _check_domain(g, chi)
+    return _build_salvetti_complex(g, chi, p, max_n)
+
+
+def _build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
+                            max_n: int | None) -> TwistedComplex:
+    """Assemble the twisted complex of an instance that has passed the
+    domain check over the field of characteristic ``p`` (0 for Q or a prime,
+    the complex's one check of it) through degree ``max_n``.
 
     Character values are first rescaled to a primitive integer vector (the
     exponents of the deck transformation).  A clique is a vertex mask of a
@@ -218,7 +228,6 @@ def build_salvetti_complex(g: EvenGraph, chi: Character, p: int,
     (row, weight index, sign parity), one entry per vertex of the clique in
     the vertex order, zero weights included.
     """
-    _check_domain(g, chi)
     _require_field(p)
     if max_n is None:
         max_n = len(g.vertices)

@@ -469,11 +469,11 @@ def test_one_context_per_command(monkeypatch, argv, demo):
 
 @pytest.mark.parametrize("argv, checks", [
     (["verdict", "--n", "4", str(DEMOS / "example1.json")], 1),
-    (["homology", "--p", "2", "--n", "3", "--oracle", str(DEMOS / "example1.json")], 2),
+    (["homology", "--p", "2", "--n", "3", "--oracle", str(DEMOS / "example1.json")], 1),
     # complete graphs: the verdict's closed form reads the instance as checked
     (["verdict", "--n", "4", str(DEMOS / "d4xd6.json")], 1)])
 def test_the_graph_is_checked_once_per_context(monkeypatch, argv, checks):
-    # by the command's one analysis context, and again by the oracle's build
+    # by the command's one analysis context; the oracle is built from its checked instance
     checked = count_calls(monkeypatch, "artinsigma.characters.validate_fc",
                           "artinsigma.cli.validate_fc")
     code, _, _ = run_cli(argv)
@@ -482,30 +482,39 @@ def test_the_graph_is_checked_once_per_context(monkeypatch, argv, checks):
 
 @pytest.mark.parametrize("command", ["check", "verdict"])
 def test_large_degrees_do_no_more_work(monkeypatch, tmp_path, command):
-    # the dead vertex x coned over the 5-cycle abcde: the links of the empty
-    # clique and of x are both the 5-cycle, its own strong-collapse core and
-    # no sphere core, so its flag complex is built and diagonalised
-    cycle = [{"u": u, "v": v, "label": 2} for u, v in ("ab", "bc", "cd", "de", "ae")]
-    path = write_instance(tmp_path, "coned-cycle",
-                          [*cycle, *({"u": v, "v": "x", "label": 2} for v in "abcde")],
-                          {**dict.fromkeys("abcde", 1), "x": 0})
+    # a dead vertex x coned over a graph: the links of the empty clique and of
+    # x are both that graph.  The join of the 5-cycles abcde and fghij, the
+    # 3-sphere, reduces no further, so its flag complex is built and
+    # diagonalised; the 5-cycle alone is a triangle-free core, read in
+    # closed form with no Smith form at all
+    def cycle(vs):
+        return [{"u": u, "v": v, "label": 2} for u, v in zip(vs, vs[1:] + vs[:1])]
+
+    join = [*cycle("abcde"), *cycle("fghij"),
+            *({"u": u, "v": v, "label": 2} for u in "abcde" for v in "fghij")]
     factored = count_calls(monkeypatch, "artinsigma.homology.integer_invariant_factors")
-    reports = {}
-    counts = {}
-    for n in (50, 5000):
-        factored.clear()
-        code, report, _ = run_cli([command, "--n", str(n), path])
-        assert code == EXIT_OK
-        reports[n], counts[n] = report["results"], len(factored)
-    assert counts[50] == counts[5000] > 0
-    if command == "check":
-        assert reports[50]["holds"] == reports[5000]["holds"]
-        for a, b in zip(reports[50]["witnesses"], reports[5000]["witnesses"], strict=True):
-            assert b["required_degree"] - a["required_degree"] == 4950
-            assert {**a, "required_degree": 0} == {**b, "required_degree": 0}
-    else:
-        for question in ("sigma_z", "fp", "sigma_homotopic"):
-            assert reports[50][question]["status"] == reports[5000][question]["status"]
+    for name, edges, vs in (("coned-join", join, "abcdefghij"),
+                            ("coned-cycle", cycle("abcde"), "abcde")):
+        path = write_instance(tmp_path, name, [*edges, *({"u": v, "v": "x", "label": 2}
+                                                         for v in vs)],
+                              {**dict.fromkeys(vs, 1), "x": 0})
+        reports = {}
+        counts = {}
+        for n in (50, 5000):
+            factored.clear()
+            code, report, _ = run_cli([command, "--n", str(n), path])
+            assert code == EXIT_OK
+            reports[n], counts[n] = report["results"], len(factored)
+        assert counts[50] == counts[5000]
+        assert (counts[50] > 0) == (name == "coned-join")
+        if command == "check":
+            assert reports[50]["holds"] == reports[5000]["holds"]
+            for a, b in zip(reports[50]["witnesses"], reports[5000]["witnesses"], strict=True):
+                assert b["required_degree"] - a["required_degree"] == 4950
+                assert {**a, "required_degree": 0} == {**b, "required_degree": 0}
+        else:
+            for question in ("sigma_z", "fp", "sigma_homotopic"):
+                assert reports[50][question]["status"] == reports[5000][question]["status"]
 
 
 @pytest.mark.parametrize("n", ["10000", "10001", str(10 ** 30)])

@@ -224,9 +224,22 @@ def test_flag_complex_is_built_only_as_deep_as_read(monkeypatch):
 
 def _suspended_pentagon() -> EvenGraph:
     """The 5-cycle abcde with two apexes p and q joined to all of it: a
-    2-sphere that is its own strong-collapse core and no cross-polytope."""
+    2-sphere that is its own strong-collapse core, read in closed form as
+    the suspension of the 5-cycle."""
     cycle = [(u, v, 2) for u, v in ("ab", "bc", "cd", "de", "ae")]
     return EvenGraph("abcdepq", [*cycle, *((v, apex, 2) for v in "abcde" for apex in "pq")])
+
+
+def _icosahedron() -> EvenGraph:
+    """The icosahedron: apexes a and l, the 5-cycles bcdef and ghijk between
+    them, b-f each joined to two neighbouring vertices of g-k.  A 2-sphere
+    that no rule of reduce_core shrinks: every link is a 5-cycle."""
+    upper, lower = "bcdef", "ghijk"
+    edges = [(v, "a", 2) for v in upper] + [(v, "l", 2) for v in lower]
+    for i in range(5):
+        edges += [(upper[i], upper[i - 1], 2), (lower[i], lower[i - 1], 2),
+                  (upper[i], lower[i], 2), (upper[i], lower[i - 1], 2)]
+    return EvenGraph("abcdefghijkl", edges)
 
 
 def _octahedron() -> EvenGraph:
@@ -256,7 +269,14 @@ def _sphere_questions(monkeypatch, g: EvenGraph) -> list:
 
 def test_deeper_questions_extend_the_one_complex(monkeypatch):
     # degree 1 reads the complex through dimension 1, degree 3 through dimension 3
-    assert len(_sphere_questions(monkeypatch, _suspended_pentagon())) == 1
+    assert len(_sphere_questions(monkeypatch, _icosahedron())) == 1
+    # the suspended pentagon is read in closed form: no complex, no Smith form
+    factored = []
+    honest = homology.integer_invariant_factors
+    monkeypatch.setattr(homology, "integer_invariant_factors",
+                        lambda *args: factored.append(args) or honest(*args))
+    assert _sphere_questions(monkeypatch, _suspended_pentagon()) == []
+    assert factored == []
 
 
 def test_cross_polytope_core_builds_no_complex(monkeypatch):

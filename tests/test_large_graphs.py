@@ -236,17 +236,16 @@ def test_clique_budget_check_counts_the_top_size_without_building_it(monkeypatch
 
 
 def test_core_budget_refuses_before_any_smith_form(monkeypatch):
-    # the join of CP(4) and a 5-cycle, all labels 2, is its own strong-collapse
-    # core and no sphere; it has 275 cliques of size <= 3 and 571 of size
-    # <= 4.  strong_n_link(3) reads the living subgraph's homology through
-    # degree 2, that is cliques of size <= 4, so with a budget of 300 it is
-    # refused before any level is diagonalised
-    cp = [f"p{i}" for i in range(8)]
-    cycle = [f"c{i}" for i in range(5)]
-    edges = [(cp[i], cp[j], 2) for i in range(8) for j in range(i + 1, 8) if j != i ^ 1]
-    edges += [(cycle[i], cycle[(i + 1) % 5], 2) for i in range(5)]
-    edges += [(u, v, 2) for u in cp for v in cycle]
-    g = EvenGraph(cp + cycle, edges)
+    # the join of three 5-cycles, all labels 2, is the 5-sphere, which no
+    # rule of reduce_core shrinks; it has 381 cliques of size <= 3 and 831 of
+    # size <= 4.  strong_n_link(3) reads the living subgraph's homology
+    # through degree 2, that is cliques of size <= 4, so with a budget of 400
+    # it is refused before any level is diagonalised
+    cycles = [[f"{c}{i}" for i in range(5)] for c in "abc"]
+    edges = [(cycle[i], cycle[(i + 1) % 5], 2) for cycle in cycles for i in range(5)]
+    edges += [(u, v, 2) for k, cycle in enumerate(cycles) for other in cycles[k + 1:]
+              for u in cycle for v in other]
+    g = EvenGraph([v for cycle in cycles for v in cycle], edges)
     chi = Character({v: 1 for v in g.vertices})
     calls = []
     honest = homology.integer_invariant_factors
@@ -256,14 +255,34 @@ def test_core_budget_refuses_before_any_smith_form(monkeypatch):
         return honest(*args)
 
     monkeypatch.setattr(homology, "integer_invariant_factors", counted)
-    monkeypatch.setattr(homology, "MAX_CLIQUES", 300)
-    with pytest.raises(TooManyCliques, match="^the clique enumeration is refused: 571 cliques "
-                                             "of size at most 4, above the budget of 300$"):
+    monkeypatch.setattr(homology, "MAX_CLIQUES", 400)
+    with pytest.raises(TooManyCliques, match="^the clique enumeration is refused: 831 cliques "
+                                             "of size at most 4, above the budget of 400$"):
         Analysis(g, chi).strong_n_link(3)
     assert calls == []
-    monkeypatch.setattr(homology, "MAX_CLIQUES", 571)
+    monkeypatch.setattr(homology, "MAX_CLIQUES", 831)
     assert Analysis(g, chi).strong_n_link(3).holds
     assert calls
+
+
+def test_closed_form_core_is_not_refused(monkeypatch):
+    # the join of CP(4) and a 5-cycle has 275 cliques of size <= 3 and 571
+    # of size <= 4, but peels to the 5-cycle, read in closed form: the budget
+    # of 300 that refuses its size-4 cliques counts none of them
+    cp = [f"p{i}" for i in range(8)]
+    cycle = [f"c{i}" for i in range(5)]
+    edges = [(cp[i], cp[j], 2) for i in range(8) for j in range(i + 1, 8) if j != i ^ 1]
+    edges += [(cycle[i], cycle[(i + 1) % 5], 2) for i in range(5)]
+    edges += [(u, v, 2) for u in cp for v in cycle]
+    g = EvenGraph(cp + cycle, edges)
+    chi = Character({v: 1 for v in g.vertices})
+    calls = []
+    honest = homology.integer_invariant_factors
+    monkeypatch.setattr(homology, "integer_invariant_factors",
+                        lambda *args: calls.append(args[1:]) or honest(*args))
+    monkeypatch.setattr(homology, "MAX_CLIQUES", 300)
+    assert Analysis(g, chi).strong_n_link(3).holds
+    assert calls == []
 
 
 def _timed_run(size: int, argv,
